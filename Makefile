@@ -56,11 +56,12 @@ bench:
 	$(GO) test -bench=. -benchmem .
 
 # Fast CI sanity pass over the hot-path benchmarks: proves the ingest
-# path still runs with 0 allocs/update and the telemetry ablation pair
-# still compiles and executes. Not a performance measurement (-benchtime
-# 10x), just a smoke test.
+# path still runs with 0 allocs/update, the telemetry ablation pair
+# still compiles and executes, and the history engine's append, summary
+# queries and young-series footprint (E19) still run. Not a performance
+# measurement (-benchtime 10x), just a smoke test.
 bench-smoke:
-	$(GO) test -run NONE -bench 'E15IngestParallel64$$|AblationTelemetry|E20StatusHit$$|E20MixedReadWriteCached$$|E21Flight|E21JournalAppend$$|E22Wire|E23FedPropagationSmall$$|E23FlatPropagationSmall$$|E23UplinkEncode' -benchtime 10x -benchmem .
+	$(GO) test -run NONE -bench 'E15IngestParallel64$$|AblationTelemetry|E19HistoryAppend$$|E19HistoryStatsFull$$|E19HistoryCompare$$|E19HistoryYoungStore$$|E19HistoryBytesPerSample$$|E20StatusHit$$|E20MixedReadWriteCached$$|E21Flight|E21JournalAppend$$|E22Wire|E23FedPropagationSmall$$|E23FlatPropagationSmall$$|E23UplinkEncode' -benchtime 10x -benchmem .
 
 # Short fuzz run over the wire-protocol parsers: each target gets ~10s,
 # long enough to re-cover the grammar from the checked-in seeds without

@@ -6,6 +6,8 @@ package clusterworx
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -26,6 +28,39 @@ func skipUnderRace(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts include race-detector instrumentation")
 	}
+}
+
+// headWarmCycles is how many appends put a fresh history series past its
+// last head growth step: the head grows at a series' 9th, 33rd and 129th
+// append and then stays at its full 512 points. A gate that asserts a
+// steady-state 0 while appending to the same series every cycle runs its
+// cycle this many times first; the 201 cycles AllocsPerRun(200, …) then
+// runs stay short of the 513th append, the first seal.
+const headWarmCycles = 130
+
+// steadyStateAllocs warms the history heads cycle appends to, then
+// measures its allocations per run.
+func steadyStateAllocs(cycle func()) float64 {
+	for i := 0; i < headWarmCycles; i++ {
+		cycle()
+	}
+	return testing.AllocsPerRun(200, cycle)
+}
+
+// measureOnce runs f with the package's goroutines held to one thread and
+// returns the heap objects it allocated and the bytes by which the live
+// heap grew across it, garbage collected on both sides.
+func measureOnce(f func()) (mallocs uint64, heapDelta int64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	mallocs = after.Mallocs - before.Mallocs
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	return mallocs, int64(after.HeapAlloc) - int64(before.HeapAlloc)
 }
 
 // TestAllocGateLosslessIngest pins the steady-state unsequenced ingest
@@ -64,7 +99,7 @@ func TestAllocGateSequencedIngest(t *testing.T) {
 	}
 	seq := uint64(1)
 	i := 0
-	allocs := testing.AllocsPerRun(200, func() {
+	allocs := steadyStateAllocs(func() {
 		seq++
 		f := transmit.Frame{Node: node, Seq: seq, Kind: transmit.FrameDelta, Values: deltas[i%len(deltas)]}
 		if err := srv.HandleFrame(f); err != nil {
@@ -79,20 +114,91 @@ func TestAllocGateSequencedIngest(t *testing.T) {
 
 // TestAllocGateHistoryHeadAppend pins the block engine's head-block
 // append (E19's shape) at zero allocations: in-order points land as two
-// word writes into the preallocated head arrays. (Seal allocations are
-// amortized — one block per 512 appends — and the 200-run window below
-// stays inside one head block, so any seal inside it would fail the gate.)
+// word writes into the head arrays plus the running-summary fold. The
+// head is grown to its full size off the measured path, and the measured
+// window stays inside that one head block, so a growth step or a seal
+// inside it would fail the gate (TestAllocGateHistoryHeadGrowth counts
+// those).
 func TestAllocGateHistoryHeadAppend(t *testing.T) {
 	skipUnderRace(t)
 	s := history.NewSeries(1 << 20)
 	ts := time.Duration(0)
-	s.Append(ts, 1) // touch the series off the measured path
-	allocs := testing.AllocsPerRun(200, func() {
+	allocs := steadyStateAllocs(func() {
 		ts += time.Second
 		s.Append(ts, 40.5)
 	})
 	if allocs != 0 {
 		t.Fatalf("head append allocates %.1f times per point, want 0", allocs)
+	}
+}
+
+// TestAllocGateHistoryHeadGrowth pins what a series' allocating steps
+// cost in total. The first 512 appends of a fresh series grow the head
+// three times (8 → 32 → 128 → 512), two arrays each; appends 513…1 024
+// seal once — the block, its compressed data, and the first slot of the
+// block chain — and otherwise reuse the full-size head. measureOnce
+// counts the whole process, so each bound leaves two allocations of
+// slack for the runtime's own; the regressions this guards against
+// (×2 growth: 12, growth or seal per append: hundreds) clear it easily.
+func TestAllocGateHistoryHeadGrowth(t *testing.T) {
+	skipUnderRace(t)
+	s := history.NewSeries(1 << 20)
+	ts := time.Duration(0)
+	fill := func() {
+		for i := 0; i < 512; i++ {
+			ts += time.Second
+			s.Append(ts, 40+float64((i/64)%32)*0.5)
+		}
+	}
+	if grow, _ := measureOnce(fill); grow > 6+2 {
+		t.Fatalf("first 512 appends allocate %d times, want 6 (three growth steps)", grow)
+	}
+	if seal, _ := measureOnce(fill); seal > 3+2 {
+		t.Fatalf("appends 513…1024 allocate %d times, want 3 (one seal)", seal)
+	}
+}
+
+// TestAllocGateHistoryYoungStoreHeap is the footprint gate for a young
+// tree — the shape of the benchmark's fed and query workloads, which
+// `go test ./...` does not run: 1 024 nodes × 32 numeric + 2 text values,
+// 16 samples each, through the sequenced ingest path. History must cost
+// what it holds, not what it might: the live heap the server retains is
+// ≈30 MB with lazily grown heads and was ≈270 MB when every series
+// preallocated a 512-point head.
+func TestAllocGateHistoryYoungStoreHeap(t *testing.T) {
+	skipUnderRace(t)
+	const nodes, numeric, samples = 1024, 32, 16
+	vals := make([]consolidate.Value, 0, numeric+2)
+	for i := 0; i < numeric; i++ {
+		vals = append(vals, consolidate.NumValue(fmt.Sprintf("metric.%02d", i), consolidate.Dynamic, 0))
+	}
+	vals = append(vals,
+		consolidate.TextValue("os.kernel", consolidate.Static, "2.4.18"),
+		consolidate.TextValue("cpu.model", consolidate.Static, "Pentium III (Coppermine)"))
+	names := ingestNodeNames()[:nodes]
+	var srv *core.Server
+	_, heap := measureOnce(func() {
+		srv = core.NewServer(core.ServerConfig{Cluster: "allocgate"})
+		for seq := uint64(1); seq <= samples; seq++ {
+			kind := transmit.FrameDelta
+			if seq == 1 {
+				kind = transmit.FrameSnapshot
+			}
+			for i := 0; i < numeric; i++ {
+				vals[i].Num = float64(seq) + float64(i)*0.5
+			}
+			for _, name := range names {
+				if err := srv.HandleFrame(transmit.Frame{Node: name, Seq: seq, Kind: kind, Values: vals}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	})
+	if got, want := srv.History().Bytes(), int64(nodes*numeric*32*16); got != want {
+		t.Fatalf("history accounts %d B, want %d (a 32-point head for each of %d series)", got, want, nodes*numeric)
+	}
+	if mb := float64(heap) / (1 << 20); mb > 48 {
+		t.Fatalf("a %d-node × %d-metric × %d-sample tree retains %.1f MB of heap, want <= 48", nodes, numeric, samples, mb)
 	}
 }
 
@@ -243,7 +349,7 @@ func TestAllocGateTracedIngest(t *testing.T) {
 	}
 	seq := uint64(1)
 	i := 0
-	allocs := testing.AllocsPerRun(200, func() {
+	allocs := steadyStateAllocs(func() {
 		seq++
 		f := transmit.Frame{Node: node, Seq: seq, Kind: transmit.FrameDelta,
 			Values: deltas[i%len(deltas)], TraceID: seq | 1, TraceNs: int64(seq)}
@@ -324,7 +430,7 @@ func TestAllocGateV2Ingest(t *testing.T) {
 	}
 	seq := uint64(1)
 	i := 0
-	allocs := testing.AllocsPerRun(200, func() {
+	allocs := steadyStateAllocs(func() {
 		seq++
 		buf = enc.Encode(buf[:0], transmit.Frame{
 			Node: node, Seq: seq, Kind: transmit.FrameDelta,
@@ -394,7 +500,9 @@ func TestAllocGateUplinkBatchMarshal(t *testing.T) {
 // batch decode into the decoder's scratch, then one unsequenced ingest
 // per node section — at zero allocations per batch frame, matching the
 // per-node v2 gate. This is what keeps a root ingesting 100k mirrored
-// nodes from touching the allocator at all in steady state.
+// nodes from touching the allocator at all in steady state: every cycle
+// appends to the same 8 × 8 history series, whose heads are grown to
+// full size before the measured window (see headWarmCycles).
 func TestAllocGateUplinkBatchIngest(t *testing.T) {
 	skipUnderRace(t)
 	srv := core.NewServer(core.ServerConfig{Cluster: "allocgate"})
@@ -422,7 +530,7 @@ func TestAllocGateUplinkBatchIngest(t *testing.T) {
 	}
 	seq := uint64(1)
 	i := 0
-	allocs := testing.AllocsPerRun(200, func() {
+	allocs := steadyStateAllocs(func() {
 		seq++
 		i++
 		frames = batchGateFrames(frames, names, deltas, i)
@@ -439,7 +547,8 @@ func TestAllocGateUplinkBatchIngest(t *testing.T) {
 // TestAllocGateUplinkFlush pins the child side end to end: ingest marks
 // the dirty stripes (noteFrame under the ingest hot path), and Flush
 // drains, reads the registry, assembles sub-frames, and encodes one
-// batch — all in reused scratch, zero allocations per flush cycle.
+// batch — all in reused scratch, zero allocations per flush cycle once
+// the history heads the ingest half appends to are at full size.
 func TestAllocGateUplinkFlush(t *testing.T) {
 	skipUnderRace(t)
 	srv := core.NewServer(core.ServerConfig{Cluster: "allocgate"})
@@ -469,7 +578,7 @@ func TestAllocGateUplinkFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	i := 0
-	allocs := testing.AllocsPerRun(200, func() {
+	allocs := steadyStateAllocs(func() {
 		i++
 		for j, name := range names {
 			srv.HandleValues(name, deltas[(i+j)%len(deltas)])

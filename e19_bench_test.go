@@ -8,6 +8,7 @@ package clusterworx
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -104,15 +105,58 @@ func BenchmarkE19HistoryAppendNaiveRing(b *testing.B) {
 
 // --- memory footprint -------------------------------------------------------------
 
+// e19YoungPoints is a young series' length: what a node has reported a
+// quarter of an hour after joining at a 1/min cadence, and what the
+// cwxbench tree holds per series.
+const e19YoungPoints = 16
+
 // BenchmarkE19HistoryBytesPerSample reports the engine's measured
-// bytes/sample on the monitor stream next to the ring's flat 16.
+// bytes/sample on the monitor stream next to the ring's flat 16, and —
+// the other end of a series' life — the accounted bytes of a series
+// holding e19YoungPoints points, which is all head.
 func BenchmarkE19HistoryBytesPerSample(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := history.NewSeries(e19Points)
 		e19Fill(s.Append, e19Points)
 		b.ReportMetric(float64(s.Bytes())/float64(s.Len()), "B/sample")
 		b.ReportMetric(16, "naive_B/sample")
+		young := history.NewSeries(e19Points)
+		e19Fill(young.Append, e19YoungPoints)
+		b.ReportMetric(float64(young.Bytes()), "B/16pt-series")
 	}
+}
+
+// BenchmarkE19HistoryYoungStore builds the young tree of the cwxbench fed
+// and query workloads — 1 024 nodes × 32 series × 16 points — and reports
+// what one series costs the allocator while it gets there: the heap
+// bytes and objects allocated per series, store maps included.
+func BenchmarkE19HistoryYoungStore(b *testing.B) {
+	const nodes, metrics = 1024, 32
+	names, metricNames := make([]string, nodes), make([]string, metrics)
+	for i := range names {
+		names[i] = fmt.Sprintf("n%04d", i)
+	}
+	for i := range metricNames {
+		metricNames[i] = fmt.Sprintf("metric.%02d", i)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st := history.NewStore(0)
+		for p := 1; p <= e19YoungPoints; p++ {
+			for _, n := range names {
+				for m, name := range metricNames {
+					st.Append(n, name, time.Duration(p)*time.Second, float64(p+m))
+				}
+			}
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	series := float64(b.N * nodes * metrics)
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/series, "B/series")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/series, "allocs/series")
 }
 
 // --- aggregate queries ------------------------------------------------------------

@@ -78,8 +78,8 @@ type FedConfig struct {
 	// mixed-version fault case; mid-tier uplinks always batch).
 	UplinkV1 func(leaf int) bool
 
-	// MirrorCapacity is the history head capacity for mirrored raw-node
-	// series at upper tiers (0 = full DefaultCapacity). Aggregates
+	// MirrorCapacity is the retained-point history capacity for mirrored
+	// raw-node series at upper tiers (0 = full DefaultCapacity). Aggregates
 	// always get full depth — they are the series upper tiers exist to
 	// serve; the mirrors are for drill-down and can be shallow.
 	MirrorCapacity int

@@ -214,10 +214,11 @@ type ServerConfig struct {
 	Cluster  string
 	Now      func() time.Duration // time source (virtual in simulation)
 	Notifier *notify.Notifier     // optional; engine runs without it
-	// HistoryCapacity is the default head-block capacity for new history
-	// series (0 = history.DefaultCapacity). Federated tiers mirroring
-	// large subtrees shrink it and deepen only their aggregate series via
-	// History().SetCapacityFunc.
+	// HistoryCapacity is the default retained-point capacity — the ring
+	// depth — of new history series (0 = history.DefaultCapacity). It
+	// bounds how much a series may come to hold, not what it costs while
+	// young. Federated tiers mirroring large subtrees shrink it and
+	// deepen only their aggregate series via History().SetCapacityFunc.
 	HistoryCapacity int
 }
 

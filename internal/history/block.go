@@ -27,9 +27,10 @@ import (
 // numbers include their own metadata.
 const blockOverheadBytes = 136
 
-// summary is a sealed block's precomputed aggregate: everything Stats,
-// Compare and Trend need so a block fully inside the query window is
-// answered without decoding.
+// summary is the running aggregate of a run of points — a sealed
+// block's, or the mutable head's: everything Stats, Compare and Trend
+// need so a run fully inside the query window is answered without
+// decoding or scanning it.
 //
 // minV/maxV skip NaN values (NaN only if every value is NaN); combined
 // with firstV-initialization at query time this reproduces exactly the
@@ -56,40 +57,32 @@ type block struct {
 	sum  summary
 }
 
-// summarize computes a block's aggregate from the head arrays.
-func summarize(ts []int64, vs []float64) summary {
-	s := summary{
-		count:  len(ts),
-		firstT: ts[0],
-		lastT:  ts[len(ts)-1],
-		firstV: vs[0],
-		lastV:  vs[len(vs)-1],
-		minV:   math.NaN(),
-		maxV:   math.NaN(),
+// add folds one point into the aggregate. The series' head calls it once
+// per append, in append order, so at seal time the block inherits exactly
+// the sums a scan of its points would produce — no separate pass.
+//
+//cwx:hotpath
+func (s *summary) add(t int64, v float64) {
+	if s.count == 0 {
+		s.firstT, s.firstV = t, v
+		s.minV, s.maxV = math.NaN(), math.NaN()
 	}
-	seen := false
-	for i, v := range vs {
-		x := time.Duration(ts[i]).Hours()
-		s.sumV += v
-		s.sumX += x
-		s.sumXX += x * x
-		s.sumXY += x * v
-		if math.IsNaN(v) {
-			continue
-		}
-		if !seen {
-			s.minV, s.maxV = v, v
-			seen = true
-			continue
-		}
-		if v < s.minV {
-			s.minV = v
-		}
-		if v > s.maxV {
-			s.maxV = v
-		}
+	s.count++
+	s.lastT, s.lastV = t, v
+	x := time.Duration(t).Hours()
+	s.sumV += v
+	s.sumX += x
+	s.sumXX += x * x
+	s.sumXY += x * v
+	switch {
+	case math.IsNaN(v):
+	case math.IsNaN(s.minV): // first non-NaN value
+		s.minV, s.maxV = v, v
+	case v < s.minV:
+		s.minV = v
+	case v > s.maxV:
+		s.maxV = v
 	}
-	return s
 }
 
 // --- bit-level writer -----------------------------------------------------------

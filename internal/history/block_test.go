@@ -126,6 +126,15 @@ func TestBlockIterCorruptTerminates(t *testing.T) {
 	}
 }
 
+// summarize folds a run of points the way the series' head does.
+func summarize(ts []int64, vs []float64) summary {
+	var s summary
+	for i, t := range ts {
+		s.add(t, vs[i])
+	}
+	return s
+}
+
 func TestSummarizeNaNSemantics(t *testing.T) {
 	// minV/maxV skip NaN: a NaN mid-block must not poison the aggregate
 	// (firstV carries the naive init semantics at query time).

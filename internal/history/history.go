@@ -5,17 +5,19 @@
 // performance between nodes."
 //
 // Each (node, metric) pair owns a compressed block-based series: a small
-// mutable head block takes appends allocation-free, and every time it
-// fills it is sealed into an immutable block compressed with
-// delta-of-delta timestamps and XOR-coded values (block.go), carrying a
-// precomputed summary (count, min, max, sum, first/last, trend moments).
-// Aggregate queries — Stats, Compare, Trend — merge summaries in
-// O(blocks) and decode only the at-most-two blocks straddling the query
-// boundaries; Range and Downsample prune non-overlapping blocks by
-// summary and stream-decode the rest without materializing intermediate
-// slices. Sealed blocks are immutable, so queries run on a snapshot
-// taken under the series lock and do all decoding with no lock held:
-// a dashboard scan never stalls agent ingest.
+// mutable head block, grown lazily so a young series pays only for the
+// points it holds, takes appends allocation-free in steady state and
+// keeps a running summary (count, min, max, sum, first/last, trend
+// moments) of what it holds. Every time the fully grown head fills it is
+// sealed into an immutable block compressed with delta-of-delta
+// timestamps and XOR-coded values (block.go) that inherits that summary.
+// Aggregate queries — Stats, Compare, Trend — merge summaries, the
+// head's included, in O(blocks) and decode only the at-most-two blocks
+// straddling the query boundaries; Range and Downsample prune
+// non-overlapping blocks by summary and stream-decode the rest without
+// materializing intermediate slices. Sealed blocks are immutable, so
+// queries run on a snapshot taken under the series lock and do all
+// decoding with no lock held: a dashboard scan never stalls agent ingest.
 //
 // Retention is point-exact: a series holds the last `capacity` points,
 // logically trimming the oldest sealed block one point at a time (the
@@ -66,15 +68,26 @@ type Point struct {
 // DefaultCapacity is the per-series retained point count.
 const DefaultCapacity = 4096
 
-// headCapacity is the mutable head block's size: big enough that sealing
-// (the only allocating step) amortizes to ~2 allocations per 512
-// appends, small enough that the uncompressed head stays a few KiB.
-const headCapacity = 512
+// headCapacity is the mutable head block's full size: big enough that
+// sealing amortizes to 2 allocations (block + data) per 512 appends,
+// small enough that the uncompressed head stays a few KiB. The head
+// starts at headInitial points and grows ×headGrowth when it fills —
+// 8 → 32 → 128 → 512, three growth steps (2 allocations each) in a
+// series' lifetime — so a series that never gets that far never pays
+// for it. The factor is deliberately coarse: every series of a tree
+// loaded together grows at the same append, and ×4 keeps those bursts
+// rare.
+const (
+	headCapacity = 512
+	headInitial  = 8
+	headGrowth   = 4
+)
 
 // Series is a bounded time-ordered sample store, safe for concurrent
 // use: appends mutate only the head block under the series lock, and
-// queries snapshot the sealed-block chain (immutable) plus a copy of the
-// head under that lock, then decode and aggregate with no lock held.
+// queries snapshot the sealed-block chain (immutable) plus the head's
+// summary — or, when they need its points, a copy of the head — under
+// that lock, then decode and aggregate with no lock held.
 type Series struct {
 	// gen counts accepted appends: the serving plane's chart/spark
 	// caches tag their renderings with it and short-circuit while it
@@ -84,13 +97,16 @@ type Series struct {
 	gen atomic.Uint64
 
 	mu       sync.Mutex //cwx:lockrank series 30
-	capacity int
+	capacity int        // retained points (the ring's size, not the head's)
 
-	// Mutable head block: parallel raw arrays, filled left to right.
-	// Appending here is the //cwx:hotpath — no allocation, no encoding.
+	// Mutable head block: parallel raw arrays, filled left to right and
+	// grown by makeRoomLocked up to min(capacity, headCapacity) points;
+	// headSum is the running summary of headT/headV[:headLen]. Appending
+	// here is the //cwx:hotpath — no allocation, no encoding.
 	headT   []int64
 	headV   []float64
 	headLen int
+	headSum summary
 
 	// Sealed immutable blocks, oldest first. trim is the count of
 	// logically expired points at the front of blocks[0].
@@ -99,7 +115,7 @@ type Series struct {
 
 	total int   // stored points across blocks (minus trim) and head
 	lastT int64 // timestamp of the most recently appended point
-	bytes int64 // accounted footprint: head arrays + sealed blocks
+	bytes int64 // accounted footprint: head arrays as grown + sealed blocks
 }
 
 // NewSeries returns a series retaining the last capacity points.
@@ -107,10 +123,7 @@ func NewSeries(capacity int) *Series {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	headCap := headCapacity
-	if capacity < headCap {
-		headCap = capacity
-	}
+	headCap := min(capacity, headInitial)
 	s := &Series{
 		capacity: capacity,
 		headT:    make([]int64, headCap),
@@ -123,8 +136,9 @@ func NewSeries(capacity int) *Series {
 
 // Append adds a point. Out-of-order appends (clock skew after an agent
 // restart) are dropped rather than corrupting the series' ordering. The
-// steady-state path writes two words into the head block; once per
-// headCapacity appends the head is sealed into a compressed block.
+// steady-state path writes two words into the head block and folds the
+// point into its summary; a full head is grown, or once it is fully
+// grown sealed into a compressed block (once per headCapacity appends).
 //
 //cwx:hotpath
 func (s *Series) Append(t time.Duration, v float64) {
@@ -135,11 +149,12 @@ func (s *Series) Append(t time.Duration, v float64) {
 		return
 	}
 	if s.headLen == len(s.headT) {
-		s.sealHeadLocked()
+		s.makeRoomLocked()
 	}
 	s.headT[s.headLen] = int64(t)
 	s.headV[s.headLen] = v
 	s.headLen++
+	s.headSum.add(int64(t), v)
 	s.lastT = int64(t)
 	s.total++
 	if s.total > s.capacity {
@@ -155,13 +170,35 @@ func (s *Series) Append(t time.Duration, v float64) {
 //cwx:hotpath
 func (s *Series) Gen() uint64 { return s.gen.Load() }
 
-// sealHeadLocked compresses the full head into an immutable block and
-// resets the head. Caller holds s.mu.
+// makeRoomLocked empties or enlarges a full head: below its full size
+// (min(capacity, headCapacity), so the head alone never outgrows the
+// ring) it grows by headGrowth, at full size it seals. Kept out of line
+// (it is too big to inline) so Append's own body never allocates. Caller
+// holds s.mu.
+func (s *Series) makeRoomLocked() {
+	old, full := len(s.headT), min(s.capacity, headCapacity)
+	if old == full {
+		s.sealHeadLocked()
+		return
+	}
+	n := min(old*headGrowth, full)
+	headT, headV := make([]int64, n), make([]float64, n)
+	copy(headT, s.headT)
+	copy(headV, s.headV)
+	s.headT, s.headV = headT, headV
+	delta := int64(n-old) * 16
+	s.bytes += delta
+	storeBytes.Add(delta)
+}
+
+// sealHeadLocked compresses the full head into an immutable block, which
+// takes over the head's running summary, and resets the head. Caller
+// holds s.mu.
 func (s *Series) sealHeadLocked() {
-	ts, vs := s.headT[:s.headLen], s.headV[:s.headLen]
-	b := &block{data: encodeBlock(ts, vs), sum: summarize(ts, vs)}
+	b := &block{data: encodeBlock(s.headT[:s.headLen], s.headV[:s.headLen]), sum: s.headSum}
 	s.blocks = append(s.blocks, b)
 	s.headLen = 0
+	s.headSum = summary{}
 	delta := int64(len(b.data)) + blockOverheadBytes
 	s.bytes += delta
 	storeBytes.Add(delta)
@@ -193,8 +230,8 @@ func (s *Series) Len() int {
 }
 
 // Bytes returns the series' accounted memory footprint: the head
-// block's raw arrays plus every sealed block's compressed bytes and
-// bookkeeping.
+// block's raw arrays at their current size plus every sealed block's
+// compressed bytes and bookkeeping.
 func (s *Series) Bytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -216,22 +253,37 @@ func (s *Series) Last() (Point, bool) {
 }
 
 // qsnap is a point-in-time view of a series: the sealed chain (immutable
-// contents), the front trim, and a copy of the head. Everything after
+// contents), the front trim, and the head — as its summary when that
+// answers the query, as a copy of its points otherwise. Everything after
 // the snapshot — decoding, merging, bucketing — runs without the series
 // lock, so queries never stall appends.
 type qsnap struct {
-	blocks []*block
-	trim   int
-	head   []Point
+	blocks  []*block
+	trim    int
+	head    []Point // copied head points; nil when headSum stands in or the head misses the window
+	headSum summary // the head's summary; count 0 unless it stands in for the points
 }
 
-func (s *Series) snapshot() qsnap {
+// snapshot captures the series for a query over [lo, hi]. A head that
+// misses the window is left out. With points set (Range, Downsample,
+// SaveTo) an overlapping head is copied; without (Stats, Trend) a head
+// wholly inside the window is represented by its running summary — no
+// copy, no allocation — and only a head the window cuts is copied.
+func (s *Series) snapshot(lo, hi int64, points bool) qsnap {
 	s.mu.Lock()
-	q := qsnap{blocks: s.blocks, trim: s.trim, head: make([]Point, s.headLen)}
-	for i := 0; i < s.headLen; i++ {
-		q.head[i] = Point{T: time.Duration(s.headT[i]), V: s.headV[i]}
+	defer s.mu.Unlock()
+	q := qsnap{blocks: s.blocks, trim: s.trim}
+	switch {
+	case s.headLen == 0 || s.headSum.lastT < lo || s.headSum.firstT > hi:
+		// nothing of the head is in the window
+	case !points && s.headSum.firstT >= lo && s.headSum.lastT <= hi:
+		q.headSum = s.headSum
+	default:
+		q.head = make([]Point, s.headLen)
+		for i := range q.head {
+			q.head[i] = Point{T: time.Duration(s.headT[i]), V: s.headV[i]}
+		}
 	}
-	s.mu.Unlock()
 	return q
 }
 
@@ -289,7 +341,7 @@ func (q *qsnap) each(t0, t1 time.Duration, fn func(t int64, v float64)) {
 
 // Range returns the points with t0 <= T <= t1, oldest first.
 func (s *Series) Range(t0, t1 time.Duration) []Point {
-	q := s.snapshot()
+	q := s.snapshot(int64(t0), int64(t1), true)
 	var out []Point
 	q.each(t0, t1, func(t int64, v float64) {
 		out = append(out, Point{T: time.Duration(t), V: v})
@@ -306,12 +358,14 @@ type Stats struct {
 	LastPoint Point
 }
 
-// Stats computes aggregates over a range in O(blocks): sealed blocks
-// fully inside the window are merged from their precomputed summaries;
-// only the at-most-two blocks straddling the window boundaries (plus a
-// partially expired front block) are decoded.
+// Stats computes aggregates over a range in O(blocks): sealed blocks —
+// and the head — fully inside the window are merged from their
+// summaries; only the at-most-two blocks straddling the window
+// boundaries (plus a partially expired front block) are decoded, and
+// the head is scanned only when the window cuts it.
 func (s *Series) Stats(t0, t1 time.Duration) Stats {
-	q := s.snapshot()
+	lo, hi := int64(t0), int64(t1)
+	q := s.snapshot(lo, hi, false)
 	var st Stats
 	var sum float64
 	add := func(t int64, v float64) {
@@ -328,7 +382,26 @@ func (s *Series) Stats(t0, t1 time.Duration) Stats {
 		st.LastPoint = Point{T: time.Duration(t), V: v}
 		st.N++
 	}
-	lo, hi := int64(t0), int64(t1)
+	// merge folds in a run lying wholly inside the window from its
+	// summary. Initializing from firstV and folding the NaN-skipping
+	// minV/maxV reproduces exactly the per-point scan's result (see
+	// summary docs).
+	merge := func(sm *summary) {
+		mSummaryHits.Inc()
+		if st.N == 0 {
+			st.Min, st.Max = sm.firstV, sm.firstV
+			st.First = Point{T: time.Duration(sm.firstT), V: sm.firstV}
+		}
+		if sm.minV < st.Min {
+			st.Min = sm.minV
+		}
+		if sm.maxV > st.Max {
+			st.Max = sm.maxV
+		}
+		sum += sm.sumV
+		st.LastPoint = Point{T: time.Duration(sm.lastT), V: sm.lastV}
+		st.N += sm.count
+	}
 	for i, b := range q.blocks {
 		switch {
 		case b.sum.lastT < lo:
@@ -337,29 +410,16 @@ func (s *Series) Stats(t0, t1 time.Duration) Stats {
 		case b.sum.firstT > hi:
 			mSummaryHits.Inc()
 		case q.blockTrim(i) == 0 && b.sum.firstT >= lo && b.sum.lastT <= hi:
-			// Fully covered: merge the summary. Initializing from firstV
-			// and folding the NaN-skipping minV/maxV reproduces exactly
-			// the per-point scan's result (see summary docs).
-			mSummaryHits.Inc()
-			if st.N == 0 {
-				st.Min, st.Max = b.sum.firstV, b.sum.firstV
-				st.First = Point{T: time.Duration(b.sum.firstT), V: b.sum.firstV}
-			}
-			if b.sum.minV < st.Min {
-				st.Min = b.sum.minV
-			}
-			if b.sum.maxV > st.Max {
-				st.Max = b.sum.maxV
-			}
-			sum += b.sum.sumV
-			st.LastPoint = Point{T: time.Duration(b.sum.lastT), V: b.sum.lastV}
-			st.N += b.sum.count
+			merge(&b.sum)
 			continue
 		default:
 			decodeBlock(b, q.blockTrim(i), lo, hi, add)
 			continue
 		}
 		break // firstT > t1: later blocks are entirely past the window
+	}
+	if q.headSum.count > 0 {
+		merge(&q.headSum)
 	}
 	for _, p := range q.head {
 		if t := int64(p.T); t >= lo && t <= hi {
@@ -378,7 +438,8 @@ func (s *Series) Stats(t0, t1 time.Duration) Stats {
 // blocks contribute their precomputed moments, so the fit is O(blocks)
 // plus the boundary decodes.
 func (s *Series) Trend(t0, t1 time.Duration) (perHour float64, ok bool) {
-	q := s.snapshot()
+	lo, hi := int64(t0), int64(t1)
+	q := s.snapshot(lo, hi, false)
 	var n int
 	var sumX, sumY, sumXY, sumXX float64
 	add := func(t int64, v float64) {
@@ -389,7 +450,14 @@ func (s *Series) Trend(t0, t1 time.Duration) (perHour float64, ok bool) {
 		sumXX += x * x
 		n++
 	}
-	lo, hi := int64(t0), int64(t1)
+	merge := func(sm *summary) {
+		mSummaryHits.Inc()
+		sumX += sm.sumX
+		sumY += sm.sumV
+		sumXY += sm.sumXY
+		sumXX += sm.sumXX
+		n += sm.count
+	}
 	for i, b := range q.blocks {
 		switch {
 		case b.sum.lastT < lo:
@@ -398,18 +466,16 @@ func (s *Series) Trend(t0, t1 time.Duration) (perHour float64, ok bool) {
 		case b.sum.firstT > hi:
 			mSummaryHits.Inc()
 		case q.blockTrim(i) == 0 && b.sum.firstT >= lo && b.sum.lastT <= hi:
-			mSummaryHits.Inc()
-			sumX += b.sum.sumX
-			sumY += b.sum.sumV
-			sumXY += b.sum.sumXY
-			sumXX += b.sum.sumXX
-			n += b.sum.count
+			merge(&b.sum)
 			continue
 		default:
 			decodeBlock(b, q.blockTrim(i), lo, hi, add)
 			continue
 		}
 		break
+	}
+	if q.headSum.count > 0 {
+		merge(&q.headSum)
 	}
 	for _, p := range q.head {
 		if t := int64(p.T); t >= lo && t <= hi {
@@ -440,7 +506,7 @@ func (s *Series) Downsample(t0, t1 time.Duration, n int) []Point {
 		return nil
 	}
 	mDownsample.Inc()
-	q := s.snapshot()
+	q := s.snapshot(int64(t0), int64(t1), true)
 	sums := make([]float64, n)
 	counts := make([]int, n)
 	q.each(t0, t1, func(t int64, v float64) {
@@ -499,10 +565,12 @@ func NewStore(capacity int) *Store {
 }
 
 // SetCapacityFunc installs a per-node capacity rule consulted when a
-// node's first series is created: fn returns the head-block capacity for
-// that node's series, or <= 0 to use the store default. A federated tier
-// mirrors per-node series for the whole subtree below it — memory there
-// is capacity × nodes × metrics — while its own aggregate series
+// node's first series is created: fn returns the retained-point capacity
+// for that node's series, or <= 0 to use the store default. Memory
+// follows the points a series holds, so capacity is the bound it grows
+// to, not an up-front cost. A federated tier mirrors per-node series for
+// the whole subtree below it — long-lived, they fill to capacity × nodes
+// × metrics points at ~1.6 B each — while its own aggregate series
 // ("rack/*", "row/*") are few and deserve full depth; the rule lets one
 // store hold both. Call before the first Append; existing series keep
 // the capacity they were created with.
@@ -510,7 +578,7 @@ func (st *Store) SetCapacityFunc(fn func(nodeName string) int) {
 	st.capFn = fn
 }
 
-// capacityFor resolves the head capacity for a new node's series.
+// capacityFor resolves the retained-point capacity for a new node's series.
 func (st *Store) capacityFor(nodeName string) int {
 	if st.capFn != nil {
 		if c := st.capFn(nodeName); c > 0 {

@@ -167,6 +167,103 @@ func TestStore(t *testing.T) {
 	}
 }
 
+// TestHeadGrowthSteps pins the lazy head: it starts at 8 points and grows
+// 8 → 32 → 128 → 512, capped by the retained-point capacity, sealing only
+// once it is full at the last step — and the accounted bytes follow.
+func TestHeadGrowthSteps(t *testing.T) {
+	cases := []struct {
+		capacity int
+		steps    []int // head size after appends 1, 9, 33, 129, 513
+	}{
+		{1, []int{1, 1, 1, 1, 1}},
+		{7, []int{7, 7, 7, 7, 7}},
+		{10, []int{8, 10, 10, 10, 10}},
+		{100, []int{8, 32, 100, 100, 100}},
+		{DefaultCapacity, []int{8, 32, 128, 512, 512}},
+	}
+	for _, c := range cases {
+		s := NewSeries(c.capacity)
+		n := 0
+		for i, at := range []int{1, 9, 33, 129, 513} {
+			for ; n < at; n++ {
+				s.Append(sec(n), float64(n))
+			}
+			if len(s.headT) != c.steps[i] || len(s.headV) != c.steps[i] {
+				t.Fatalf("cap %d after %d appends: head %d/%d, want %d",
+					c.capacity, at, len(s.headT), len(s.headV), c.steps[i])
+			}
+			if want := seriesFootprint(s); s.Bytes() != want {
+				t.Fatalf("cap %d after %d appends: Bytes = %d, want %d", c.capacity, at, s.Bytes(), want)
+			}
+		}
+		if s.Len() != min(c.capacity, 513) {
+			t.Fatalf("cap %d: Len = %d", c.capacity, s.Len())
+		}
+	}
+	// The default series sealed exactly once, on the 513th append.
+	s := NewSeries(DefaultCapacity)
+	for n := 0; n < 513; n++ {
+		if len(s.blocks) != 0 {
+			t.Fatalf("sealed after %d appends, before the head was full at its last step", n)
+		}
+		s.Append(sec(n), 1)
+	}
+	if len(s.blocks) != 1 || s.blocks[0].sum.count != headCapacity || s.headLen != 1 {
+		t.Fatalf("after 513 appends: %d blocks, head %d", len(s.blocks), s.headLen)
+	}
+}
+
+// seriesFootprint recomputes a series' footprint from what it holds.
+func seriesFootprint(s *Series) int64 {
+	n := int64(len(s.headT)) * 16
+	for _, b := range s.blocks {
+		n += int64(len(b.data)) + blockOverheadBytes
+	}
+	return n
+}
+
+// TestBytesAccounting checks the three views of the footprint against
+// each other and against the structures themselves after a mix of head
+// growth, seals and evictions: Store.Bytes, the cwx_history_bytes gauge's
+// movement, and the sum of Series.Bytes.
+func TestBytesAccounting(t *testing.T) {
+	gauge0 := storeBytes.Load()
+	st := NewStore(700) // a head's worth plus change: seals, then evicts
+	st.SetCapacityFunc(func(node string) int {
+		if node == "tiny" {
+			return 5 // head capped by retention; every 5th append seals
+		}
+		return 0
+	})
+	fill := map[string]int{"young": 3, "grown": 40, "full": 512, "sealed": 600, "evicting": 2000, "tiny": 23}
+	for node, n := range fill {
+		for i := 0; i < n; i++ {
+			st.Append(node, "m", sec(i), float64(i%13))
+			st.Append(node, "m2", sec(i), 1)
+		}
+	}
+	var sum, want int64
+	for node := range fill {
+		for _, m := range st.Metrics(node) {
+			s := st.Series(node, m)
+			sum += s.Bytes()
+			want += seriesFootprint(s)
+		}
+	}
+	if sum != want {
+		t.Fatalf("sum of Series.Bytes = %d, structures hold %d", sum, want)
+	}
+	if got := st.Bytes(); got != sum {
+		t.Fatalf("Store.Bytes = %d, sum of Series.Bytes = %d", got, sum)
+	}
+	if got := storeBytes.Load() - gauge0; got != sum {
+		t.Fatalf("cwx_history_bytes moved by %d, sum of Series.Bytes = %d", got, sum)
+	}
+	if ev := st.Series("evicting", "m"); ev.Len() != 700 || len(ev.blocks) > 2 {
+		t.Fatalf("evicting series: Len %d, %d blocks (expired blocks not released)", ev.Len(), len(ev.blocks))
+	}
+}
+
 // Property: Range returns exactly the points within bounds, in order, for
 // any append sequence (monotone timestamps).
 func TestPropertyRangeCorrect(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"encoding/base64"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -52,7 +53,7 @@ func (st *Store) SaveTo(w io.Writer) error {
 			if s == nil {
 				continue // deleted between listing and lookup: nothing to save
 			}
-			q := s.snapshot()
+			q := s.snapshot(math.MinInt64, math.MaxInt64, true)
 			if _, err := fmt.Fprintf(bw, "series %q %q %d %d\n", nodeName, metric, len(q.blocks), len(q.head)); err != nil {
 				return err
 			}

@@ -2,6 +2,7 @@ package history
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -111,6 +112,55 @@ func TestSaveLoadV2Exact(t *testing.T) {
 		if orig[i].T != got[i].T || math.Float64bits(orig[i].V) != math.Float64bits(got[i].V) {
 			t.Fatalf("point %d: %+v vs %+v (bit-exactness broke)", i, orig[i], got[i])
 		}
+	}
+}
+
+// TestSaveLoadGrowthSteps round-trips a store whose series sit on and
+// around every head growth step. Loading re-appends, so a loaded series
+// inherits the lazy growth: same points, same footprint, and saving it
+// again writes the same bytes.
+func TestSaveLoadGrowthSteps(t *testing.T) {
+	st := NewStore(0)
+	lens := []int{1, 7, 8, 9, 32, 33, 128, 129, 511, 512, 513}
+	for _, n := range lens {
+		for i := 0; i < n; i++ {
+			st.Append(fmt.Sprintf("n%03d", n), "m", time.Duration(i)*time.Second, 0.1*float64(i%11))
+		}
+	}
+	var buf bytes.Buffer
+	if err := st.SaveTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back := NewStore(0)
+	if err := back.LoadFrom(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range lens {
+		node := fmt.Sprintf("n%03d", n)
+		orig, got := st.Series(node, "m"), back.Series(node, "m")
+		if got == nil || got.Len() != n {
+			t.Fatalf("%s: loaded series missing or short", node)
+		}
+		if len(got.headT) != len(orig.headT) || got.Bytes() != orig.Bytes() {
+			t.Fatalf("%s: loaded head %d points / %d B, saved %d / %d",
+				node, len(got.headT), got.Bytes(), len(orig.headT), orig.Bytes())
+		}
+		a, b := orig.Range(0, 1<<62), got.Range(0, 1<<62)
+		for i := range a {
+			if a[i].T != b[i].T || math.Float64bits(a[i].V) != math.Float64bits(b[i].V) {
+				t.Fatalf("%s point %d: %+v vs %+v", node, i, a[i], b[i])
+			}
+		}
+		if sa, sb := orig.Stats(0, 1<<62), got.Stats(0, 1<<62); sa != sb {
+			t.Fatalf("%s: Stats %+v vs %+v", node, sa, sb)
+		}
+	}
+	var again bytes.Buffer
+	if err := back.SaveTo(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
+		t.Fatal("saving the loaded store wrote different bytes")
 	}
 }
 
