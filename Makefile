@@ -57,15 +57,17 @@ bench:
 
 # Fast CI sanity pass over the hot-path benchmarks: proves the ingest
 # path still runs with 0 allocs/update, the telemetry ablation pair
-# still compiles and executes, and the history engine's append, summary
-# queries and young-series footprint (E19) still run. Not a performance
-# measurement (-benchtime 10x), just a smoke test.
+# still compiles and executes, the history engine's append, summary
+# queries and young-series footprint (E19) still run, and the table views
+# still rebuild after one write at 1 024 nodes (E20Rebuild*). Not a
+# performance measurement (-benchtime 10x), just a smoke test.
 bench-smoke:
-	$(GO) test -run NONE -bench 'E15IngestParallel64$$|AblationTelemetry|E19HistoryAppend$$|E19HistoryStatsFull$$|E19HistoryCompare$$|E19HistoryYoungStore$$|E19HistoryBytesPerSample$$|E20StatusHit$$|E20MixedReadWriteCached$$|E21Flight|E21JournalAppend$$|E22Wire|E23FedPropagationSmall$$|E23FlatPropagationSmall$$|E23UplinkEncode' -benchtime 10x -benchmem .
+	$(GO) test -run NONE -bench 'E15IngestParallel64$$|AblationTelemetry|E19HistoryAppend$$|E19HistoryStatsFull$$|E19HistoryCompare$$|E19HistoryYoungStore$$|E19HistoryBytesPerSample$$|E20StatusHit$$|E20MixedReadWriteCached$$|E20Rebuild(Status|Compare|Efficiency)1k$$|E21Flight|E21JournalAppend$$|E22Wire|E23FedPropagationSmall$$|E23FlatPropagationSmall$$|E23UplinkEncode' -benchtime 10x -benchmem .
 
-# Short fuzz run over the wire-protocol parsers: each target gets ~10s,
-# long enough to re-cover the grammar from the checked-in seeds without
-# stalling CI. The saved corpus under internal/transmit/testdata/fuzz
+# Short fuzz run over the wire-protocol parsers, the history block codec
+# and the table views' row renderer (against the fmt verbs it replaces):
+# each target gets ~10s, long enough to re-cover the grammar from the
+# checked-in seeds without stalling CI. The saved corpus under internal/transmit/testdata/fuzz
 # replays on every plain `go test` as regression inputs.
 fuzz-smoke:
 	$(GO) test ./internal/transmit/ -fuzz FuzzParseFrame -fuzztime 10s -run NONE
@@ -73,6 +75,7 @@ fuzz-smoke:
 	$(GO) test ./internal/transmit/ -fuzz FuzzDecodeFrameV2 -fuzztime 10s -run NONE
 	$(GO) test ./internal/transmit/ -fuzz FuzzDecodeBatchV2 -fuzztime 10s -run NONE
 	$(GO) test ./internal/history/ -fuzz FuzzBlockCodec -fuzztime 10s -run NONE
+	$(GO) test ./internal/dashboard/ -fuzz FuzzRowMatchesFmt -fuzztime 10s -run NONE
 
 # Fault-injection suite for the loss-tolerant delta protocol: seeded
 # loss/blackhole/partition schedules over simnet, under the race

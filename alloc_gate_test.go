@@ -7,6 +7,7 @@ package clusterworx
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -266,6 +267,94 @@ func TestAllocGateServeHit(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("cached Status() allocates %.1f times per call, want 0", allocs)
 	}
+}
+
+// TestAllocGateServeRebuild pins what a rebuild costs on a live cluster,
+// where a write lands between any two reads (cwxbench's query_churn
+// shape): one of 1 024 nodes reports, then each cluster-wide table is
+// read. The rebuild copies every unchanged row out of its predecessor, so
+// it allocates the new snapshot — the text, and for status the API rows
+// and row ends — and nothing per row: at most 16 allocations, where
+// formatting every row through fmt cost 5 152 (status), 6 180 (compare)
+// and 4 158 (efficiency). Each answer still equals the from-scratch one.
+func TestAllocGateServeRebuild(t *testing.T) {
+	skipUnderRace(t)
+	const nodes = 1024
+	srv, touch := e20Cluster(nodes, 10)
+	i := 0
+	for _, verb := range []string{"status", "compare load.1", "efficiency"} {
+		srv.HandleCtl(verb)
+		allocs := testing.AllocsPerRun(20, func() {
+			i++
+			touch(i * 7 % nodes)
+			srv.HandleCtl(verb)
+		})
+		if allocs > 16 {
+			t.Errorf("touch one node + %q allocates %.1f times per rebuild, want <= 16", verb, allocs)
+		}
+		if got, want := srv.HandleCtl(verb), srv.HandleCtlUncached(verb); got != want || strings.Count(got, "\n") < nodes {
+			t.Errorf("rebuilt %q differs from the uncached answer (%d and %d bytes)", verb, len(got), len(want))
+		}
+	}
+}
+
+// pipeListener hands ServeCtl the server end of one net.Pipe.
+type pipeListener struct {
+	conn chan net.Conn
+	done chan struct{}
+}
+
+func (l *pipeListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conn:
+		return c, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+func (l *pipeListener) Close() error   { close(l.done); return nil }
+func (l *pipeListener) Addr() net.Addr { return nil }
+
+// TestAllocGateCtlConnHit pins the control connection's own cost around a
+// cached answer: reading the request line is the one allocation a hit may
+// make (the limit of 2 leaves one for the runtime). The loop used to split
+// every line into fields to look for "watch", scan the whole response for
+// lines to dot-stuff into a copy, and box it through fmt.Fprintf.
+func TestAllocGateCtlConnHit(t *testing.T) {
+	skipUnderRace(t)
+	srv, _ := e20Cluster(e20Nodes, 4)
+	l := &pipeListener{conn: make(chan net.Conn, 1), done: make(chan struct{})}
+	server, client := net.Pipe()
+	l.conn <- server
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		srv.ServeCtl(l) //nolint:errcheck // ends with the listener
+	}()
+	req, end := []byte("status\n"), []byte("\n.\n")
+	buf := make([]byte, 0, 64<<10)
+	exchange := func() {
+		if _, err := client.Write(req); err != nil {
+			t.Fatal(err)
+		}
+		for buf = buf[:0]; !bytes.HasSuffix(buf, end); {
+			n, err := client.Read(buf[len(buf):cap(buf)])
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf = buf[:len(buf)+n]
+		}
+	}
+	exchange()
+	if want := srv.HandleCtl("status") + "\n.\n"; string(buf) != want {
+		t.Fatalf("status over the connection:\n%s\nwant:\n%s", buf, want)
+	}
+	if allocs := testing.AllocsPerRun(200, exchange); allocs > 2 {
+		t.Errorf("a cached status over a ctl connection allocates %.1f times per request, want <= 2", allocs)
+	}
+	client.Close()
+	l.Close()
+	<-served
 }
 
 // TestAllocGateWireRoundtrip pins the compressed wire path (E6's shape):

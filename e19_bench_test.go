@@ -215,8 +215,9 @@ func BenchmarkE19HistoryCompare(b *testing.B) {
 	span := time.Duration(e19Points+64) * time.Second
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if m := st.Compare("load.1", 0, span); len(m) != e19CompareNodes {
-			b.Fatalf("Compare returned %d nodes", len(m))
+		var c history.Comparison // from scratch: every node aggregated
+		if st.Compare(&c, "load.1", 0, span); len(c.Nodes) != e19CompareNodes {
+			b.Fatalf("Compare returned %d nodes", len(c.Nodes))
 		}
 	}
 }

@@ -31,23 +31,38 @@ func e20NodeName(i int) string { return fmt.Sprintf("snode%04d", i) }
 // never pass mid-measurement) with e20Nodes nodes carrying the standard
 // monitor metrics plus a history window worth of samples.
 func e20Server() *core.Server {
+	srv, _ := e20Cluster(e20Nodes, e20Samples)
+	return srv
+}
+
+// e20Cluster is e20Server at a given size; touch ingests one more sample
+// for node i a second later, moving the generation.
+func e20Cluster(nodes, samples int) (srv *core.Server, touch func(i int)) {
 	var nowNs atomic.Int64
-	srv := core.NewServer(core.ServerConfig{
+	srv = core.NewServer(core.ServerConfig{
 		Cluster: "e20",
 		Now:     func() time.Duration { return time.Duration(nowNs.Load()) },
 	})
-	for s := 0; s < e20Samples; s++ {
+	s := 0
+	ingest := func(i int) {
+		srv.HandleValues(e20NodeName(i), []consolidate.Value{
+			consolidate.NumValue("load.1", consolidate.Dynamic, float64((s+i)%8)),
+			consolidate.NumValue("cpu.idle.pct", consolidate.Dynamic, float64((s*7+i)%100)),
+			consolidate.NumValue("mem.used.pct", consolidate.Dynamic, float64((s*3+i)%90)),
+			consolidate.NumValue("hw.temp.cpu", consolidate.Dynamic, 40+float64(i%20)),
+		})
+	}
+	for ; s < samples; s++ {
 		nowNs.Add(int64(time.Second))
-		for i := 0; i < e20Nodes; i++ {
-			srv.HandleValues(e20NodeName(i), []consolidate.Value{
-				consolidate.NumValue("load.1", consolidate.Dynamic, float64((s+i)%8)),
-				consolidate.NumValue("cpu.idle.pct", consolidate.Dynamic, float64((s*7+i)%100)),
-				consolidate.NumValue("mem.used.pct", consolidate.Dynamic, float64((s*3+i)%90)),
-				consolidate.NumValue("hw.temp.cpu", consolidate.Dynamic, 40+float64(i%20)),
-			})
+		for i := 0; i < nodes; i++ {
+			ingest(i)
 		}
 	}
-	return srv
+	return srv, func(i int) {
+		nowNs.Add(int64(time.Second))
+		ingest(i)
+		s++
+	}
 }
 
 func benchE20Verb(b *testing.B, verb string, handle func(*core.Server, string) string) {
@@ -79,6 +94,28 @@ func BenchmarkE20CompareHit(b *testing.B) {
 func BenchmarkE20CompareUncached(b *testing.B) {
 	benchE20Verb(b, "compare load.1", (*core.Server).HandleCtlUncached)
 }
+
+// benchE20Rebuild is the live cluster's shape, where a write lands
+// between any two reads: one of 1 024 nodes reports, then the verb is
+// read. The rebuild costs what that one row costs — the rest of the table
+// is copied from the previous rendering.
+func benchE20Rebuild(b *testing.B, verb string) {
+	const nodes = 1024
+	srv, touch := e20Cluster(nodes, 10)
+	srv.HandleCtl(verb)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		touch(i * 7 % nodes)
+		if resp := srv.HandleCtl(verb); len(resp) < nodes {
+			b.Fatalf("%s failed: %.80s", verb, resp)
+		}
+	}
+}
+
+func BenchmarkE20RebuildStatus1k(b *testing.B)     { benchE20Rebuild(b, "status") }
+func BenchmarkE20RebuildCompare1k(b *testing.B)    { benchE20Rebuild(b, "compare load.1") }
+func BenchmarkE20RebuildEfficiency1k(b *testing.B) { benchE20Rebuild(b, "efficiency") }
 
 // benchE20Mixed is the serving plane's target shape: 64 writer
 // goroutines ingest change sets continuously while ~1k reader

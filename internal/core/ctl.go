@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unicode"
 
 	"clusterworx/internal/dashboard"
 	"clusterworx/internal/flight"
@@ -100,20 +101,52 @@ func (s *Server) serveCtlConn(conn net.Conn) {
 			continue
 		}
 		if strings.EqualFold(line, "quit") {
-			fmt.Fprintf(w, "OK bye\n.\n")
-			w.Flush()
+			writeCtlBlock(w, "OK bye") //nolint:errcheck // the connection closes either way
 			return
 		}
-		if f := strings.Fields(line); strings.EqualFold(f[0], "watch") {
-			if s.serveWatch(sc, w, strings.Join(f[1:], " ")) {
+		// The verb is tested in place: a cached read pays for nothing here
+		// but the request line itself.
+		verb, args := line, ""
+		if i := strings.IndexFunc(line, unicode.IsSpace); i >= 0 {
+			verb, args = line[:i], line[i:]
+		}
+		if strings.EqualFold(verb, "watch") {
+			if s.serveWatch(sc, w, strings.Join(strings.Fields(args), " ")) {
 				return // the watch stream consumed the connection
 			}
 			continue // rejected with an ERR block; keep serving requests
 		}
-		resp := s.HandleCtl(line)
-		fmt.Fprintf(w, "%s\n.\n", strings.ReplaceAll(resp, "\n.", "\n.."))
-		w.Flush()
+		resp, ok := s.guardedCtl(line)
+		if writeCtlBlock(w, resp) != nil || !ok {
+			return
+		}
 	}
+}
+
+// writeCtlBlock sends one response block and its terminating dot line.
+// Lines that start with a dot are dot-stuffed; a response has none
+// unless "\n." occurs in it, so the common one is written as it is.
+func writeCtlBlock(w *bufio.Writer, block string) error {
+	if strings.Contains(block, "\n.") {
+		block = strings.ReplaceAll(block, "\n.", "\n..")
+	}
+	w.WriteString(block)   //nolint:errcheck // bufio errors are sticky: Flush reports them
+	w.WriteString("\n.\n") //nolint:errcheck
+	return w.Flush()
+}
+
+// guardedCtl is HandleCtl for the connection loops: a request whose
+// handler panics is answered "ERR internal: …" and counted, and ok is
+// false so the caller closes that connection — a read must never take
+// the daemon down with it.
+func (s *Server) guardedCtl(line string) (resp string, ok bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			mCtlPanics.Inc()
+			resp, ok = fmt.Sprint("ERR internal: ", r), false
+		}
+	}()
+	return s.HandleCtl(line), true
 }
 
 // watchMode classifies a verb for watching: diffable views are key-sorted
@@ -145,13 +178,7 @@ func ctlBody(resp string) []string {
 // or hangs up. It reports false when the request was rejected (an ERR
 // block has been written and the request loop should continue).
 func (s *Server) serveWatch(sc *bufio.Scanner, w *bufio.Writer, inner string) bool {
-	writeBlock := func(block string) bool {
-		_, err := fmt.Fprintf(w, "%s\n.\n", strings.ReplaceAll(block, "\n.", "\n.."))
-		if err == nil {
-			err = w.Flush()
-		}
-		return err == nil
-	}
+	writeBlock := func(block string) bool { return writeCtlBlock(w, block) == nil }
 	fields := strings.Fields(inner)
 	if len(fields) == 0 {
 		writeBlock("ERR usage: watch <verb> [args]")
@@ -168,10 +195,10 @@ func (s *Server) serveWatch(sc *bufio.Scanner, w *bufio.Writer, inner string) bo
 	hub := s.plane.watchHub()
 	sub := hub.Register()
 	defer hub.Unregister(sub)
-	first := s.HandleCtl(inner)
+	first, ok := s.guardedCtl(inner)
 	if strings.HasPrefix(first, "ERR") {
 		writeBlock(first)
-		return false
+		return !ok // after a panic the connection is closed, not kept
 	}
 	// The subscription outlives the request loop; watch the connection
 	// for EOF or a "quit" line from a goroutine that owns the scanner
@@ -194,7 +221,12 @@ func (s *Server) serveWatch(sc *bufio.Scanner, w *bufio.Writer, inner string) bo
 		if !ok {
 			return true
 		}
-		cur := ctlBody(s.HandleCtl(inner))
+		resp, ok := s.guardedCtl(inner)
+		if !ok {
+			writeBlock(resp)
+			return true
+		}
+		cur := ctlBody(resp)
 		var kind string
 		var payload []string
 		switch {
@@ -274,7 +306,7 @@ func (s *Server) handleCtl(line string, cacheable bool) string {
 		if cacheable {
 			return s.plane.statusSnapshot().rendered
 		}
-		return s.plane.buildStatus().rendered
+		return s.plane.buildStatus(nil).rendered
 
 	case "nodes":
 		if cacheable {
@@ -301,7 +333,8 @@ func (s *Server) handleCtl(line string, cacheable bool) string {
 		if !ok {
 			return fmt.Sprintf("ERR no value %s on %s", fields[2], fields[1])
 		}
-		return "OK " + v.Render()
+		var scratch [64]byte
+		return string(appendValue(append(scratch[:0], "OK "...), v))
 
 	case "history":
 		if len(fields) < 3 || len(fields) > 4 {
@@ -319,16 +352,14 @@ func (s *Server) handleCtl(line string, cacheable bool) string {
 		if series == nil {
 			return fmt.Sprintf("ERR no history for %s %s", fields[1], fields[2])
 		}
-		pts := series.Range(0, 1<<62)
-		if len(pts) > n {
-			pts = pts[len(pts)-n:]
-		}
-		var b strings.Builder
-		b.WriteString("OK")
+		pts := series.Tail(n)
+		b := make([]byte, 0, 2+24*len(pts))
+		b = append(b, "OK"...)
 		for _, p := range pts {
-			fmt.Fprintf(&b, "\n%.3f %g", p.T.Seconds(), p.V)
+			b = dashboard.AppendFloat(append(b, '\n'), p.T.Seconds(), 0, 3)
+			b = strconv.AppendFloat(append(b, ' '), p.V, 'g', -1, 64)
 		}
-		return b.String()
+		return string(b)
 
 	case "trend":
 		if len(fields) != 3 {
@@ -450,7 +481,7 @@ func (s *Server) handleCtl(line string, cacheable bool) string {
 				return g.Get()
 			}
 		}
-		return s.plane.buildCompare(fields[1])
+		return s.plane.buildCompare(new(dashboard.View), fields[1])
 
 	case "correlate":
 		if len(fields) != 4 {
@@ -476,7 +507,7 @@ func (s *Server) handleCtl(line string, cacheable bool) string {
 		if cacheable {
 			return s.plane.efficiency.Get()
 		}
-		return s.plane.buildEfficiency()
+		return s.plane.buildEfficiency(new(dashboard.View))
 
 	case "telemetry":
 		var b strings.Builder

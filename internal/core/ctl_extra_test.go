@@ -1,11 +1,16 @@
 package core
 
 import (
+	"fmt"
+	"io"
+	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"clusterworx/internal/consolidate"
 	"clusterworx/internal/firmware"
 	"clusterworx/internal/node"
 )
@@ -213,5 +218,78 @@ func TestCloneWithoutBackend(t *testing.T) {
 	srv := NewServer(ServerConfig{})
 	if _, err := srv.CloneNodes("x@1", []string{"n"}); err == nil {
 		t.Fatal("clone without backend succeeded")
+	}
+}
+
+// TestCtlHistoryAndValueFormat pins the two uncached reads against the
+// fmt verbs they were written with ("%.3f %g" per point, the value's
+// Render), across a count inside the head, one reaching into sealed
+// blocks, and one past everything retained.
+func TestCtlHistoryAndValueFormat(t *testing.T) {
+	var nowNs atomic.Int64
+	s := NewServer(ServerConfig{
+		Now:             func() time.Duration { return time.Duration(nowNs.Load()) },
+		HistoryCapacity: 20,
+	})
+	var lines []string
+	vals := []float64{0.5, -3, 1e21, 1e-7, 2.675, math.Inf(1), 42, 100, 0.1}
+	for i := 0; i < 31; i++ {
+		nowNs.Add(int64(1500 * time.Millisecond))
+		v := vals[i%len(vals)]
+		s.HandleValues("n1", []consolidate.Value{consolidate.NumValue("load.1", consolidate.Dynamic, v)})
+		lines = append(lines, fmt.Sprintf("%.3f %g", time.Duration(nowNs.Load()).Seconds(), v))
+	}
+	lines = lines[len(lines)-20:] // what a 20-point series retains
+	for _, n := range []int{1, 3, 7, 19, 20, 500} {
+		want := "OK\n" + strings.Join(lines[max(0, len(lines)-n):], "\n")
+		if got := s.HandleCtl(fmt.Sprintf("history n1 load.1 %d", n)); got != want {
+			t.Fatalf("history %d:\n%s\nwant:\n%s", n, got, want)
+		}
+	}
+	if got, want := s.HandleCtl("value n1 load.1"), "OK 1e-07"; got != want || want != fmt.Sprintf("OK %g", vals[30%len(vals)]) {
+		t.Fatalf("value = %q, want %q", got, want)
+	}
+	s.HandleValues("n1", []consolidate.Value{consolidate.TextValue("os.kernel", consolidate.Static, "2.4.18 #1 SMP")})
+	if got := s.HandleCtl("value n1 os.kernel"); got != "OK 2.4.18 #1 SMP" {
+		t.Fatalf("text value = %q", got)
+	}
+}
+
+// TestCtlPanicClosesConnectionOnly: a handler that panics answers that
+// request "ERR internal: …", is counted, and costs the client its
+// connection — on the request path and on a watch stream — while the
+// server keeps serving everyone else.
+func TestCtlPanicClosesConnectionOnly(t *testing.T) {
+	s, _ := planeServer()
+	planeIngest(s, "node000", 1, 50, 20)
+	armed := true
+	build := s.plane.nodes.Build
+	s.plane.nodes.Build = func() string {
+		if armed {
+			panic("boom")
+		}
+		return build()
+	}
+	before := mCtlPanics.Load()
+	for _, req := range []string{"nodes", "watch nodes"} {
+		cl := pipeClient(t, s)
+		if err := cl.Send(req); err != nil {
+			t.Fatal(err)
+		}
+		if block, err := cl.ReadBlock(); err != nil || block != "ERR internal: boom" {
+			t.Fatalf("%q answered %q, %v", req, block, err)
+		}
+		cl.conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck // net.Pipe deadlines cannot fail
+		if _, err := cl.ReadBlock(); err != io.EOF {
+			t.Fatalf("after the panic on %q the connection gave %v, want EOF", req, err)
+		}
+	}
+	if got := mCtlPanics.Load() - before; got != 2 {
+		t.Fatalf("cwx_ctl_panics_total moved by %d, want 2", got)
+	}
+	armed = false
+	cl := pipeClient(t, s)
+	if resp, err := cl.Do("nodes"); err != nil || resp != "OK\nnode000" {
+		t.Fatalf("after the panics: nodes = %q, %v", resp, err)
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"clusterworx/internal/consolidate"
 	"clusterworx/internal/events"
+	"clusterworx/internal/history"
 	"clusterworx/internal/telemetry"
 )
 
@@ -201,7 +202,8 @@ func TestIngestConcurrentHammer(t *testing.T) {
 				case 7:
 					srv.NodeNames()
 				case 8:
-					srv.History().Compare("load.1", 0, 1<<62)
+					var c history.Comparison
+					srv.History().Compare(&c, "load.1", 0, 1<<62)
 				case 9:
 					if s := srv.History().Series(name, "load.1"); s != nil {
 						s.Downsample(0, 1<<62, 8)

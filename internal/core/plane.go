@@ -2,11 +2,14 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"clusterworx/internal/consolidate"
 	"clusterworx/internal/dashboard"
 	"clusterworx/internal/serve"
 	"clusterworx/internal/telemetry"
@@ -41,10 +44,16 @@ const maxKeyedEntries = 16384
 
 // statusSnap is one immutable status answer: the API rows, the ctl
 // rendering, and the earliest alive→DOWN flip time (0: no alive nodes).
+// It is also its successor's row cache: offs says where each row sits in
+// rendered, and recs is the name-sorted roster as of regGen, so a rebuild
+// walks and sorts the shards only after a registration.
 type statusSnap struct {
 	rows     []NodeStatus
 	rendered string
 	deadline time.Duration
+	offs     []int32 // row i, its leading '\n' included, is rendered[offs[i]:offs[i+1]]
+	recs     []*nodeRec
+	regGen   uint64
 }
 
 type plane struct {
@@ -71,12 +80,16 @@ func newPlane(s *Server) *plane {
 		Name:  "status",
 		GenFn: s.Generation,
 		Stale: func(sn *statusSnap) bool { return sn.deadline > 0 && s.now() > sn.deadline },
-		Build: p.buildStatus,
+		Build: func() *statusSnap {
+			prev, _ := p.status.Peek()
+			return p.buildStatus(prev)
+		},
 	}
 	// The roster only changes on registration, so the name list rides
 	// the registration generation: steady-state ingest never evicts it.
 	p.nodes = &serve.Gate[string]{Name: "nodes", GenFn: s.regGen.Load, Build: p.buildNodes}
-	p.efficiency = &serve.Gate[string]{Name: "efficiency", GenFn: s.Generation, Build: p.buildEfficiency}
+	effView := new(dashboard.View) // the table between rebuilds; Build runs one at a time
+	p.efficiency = &serve.Gate[string]{Name: "efficiency", GenFn: s.Generation, Build: func() string { return p.buildEfficiency(effView) }}
 	p.selfmon = &serve.Gate[string]{Name: "selfmon", GenFn: s.Generation, Build: p.buildSelfmon}
 	p.syncv = &serve.Gate[string]{Name: "sync", GenFn: s.Generation, Build: p.buildSync}
 	return p
@@ -141,7 +154,8 @@ func (p *plane) ensureKeyed(line, verb string, fields []string) *serve.Gate[stri
 		g = &serve.Gate[string]{Name: verb, GenFn: gen.Load, Build: func() string { return p.buildValues(node) }}
 	case "compare":
 		metric := fields[1]
-		g = &serve.Gate[string]{Name: verb, GenFn: p.s.Generation, Build: func() string { return p.buildCompare(metric) }}
+		view := new(dashboard.View) // the table between rebuilds; Build runs one at a time
+		g = &serve.Gate[string]{Name: verb, GenFn: p.s.Generation, Build: func() string { return p.buildCompare(view, metric) }}
 	case "chart":
 		node, metric := fields[1], fields[2]
 		g = &serve.Gate[string]{Name: verb, GenFn: p.seriesGen(node, metric), Build: func() string { return p.buildChart(node, metric) }}
@@ -184,20 +198,32 @@ func (p *plane) watchHub() *serve.Hub {
 
 // --- builders ---------------------------------------------------------------
 //
-// Each builder produces the exact byte string its verb historically
-// returned; the differential test asserts cached == uncached == legacy.
+// Each builder produces the exact byte string its verb has always
+// returned. The table builders take their previous rendering and copy
+// from it the rows whose inputs did not change; HandleCtlUncached runs
+// them with none, and the differential test asserts cached == uncached,
+// which is incremental == from scratch.
 
-func (p *plane) buildStatus() *statusSnap {
+func (p *plane) buildStatus(prev *statusSnap) *statusSnap {
 	on := telemetry.On()
 	s := p.s
 	now := s.now()
-	recs := s.allRecs()
-	sort.Slice(recs, func(i, j int) bool { return recs[i].name < recs[j].name })
-	snap := &statusSnap{rows: make([]NodeStatus, 0, len(recs))}
+	if prev == nil {
+		prev = &statusSnap{}
+	}
+	snap := &statusSnap{recs: prev.recs, regGen: s.regGen.Load()}
+	if snap.regGen != prev.regGen {
+		snap.recs = s.allRecs()
+		slices.SortFunc(snap.recs, func(a, b *nodeRec) int { return strings.Compare(a.name, b.name) })
+	}
+	snap.rows = make([]NodeStatus, 0, len(snap.recs))
+	snap.offs = append(make([]int32, 0, len(snap.recs)+1), int32(len("OK")))
 	var b strings.Builder
+	b.Grow(max(len(prev.rendered)+len(prev.rendered)/16, len(snap.recs)*64) + 128)
 	b.WriteString("OK")
-	downCount := 0
-	for _, rec := range recs {
+	var scratch [128]byte
+	downCount, j := 0, 0
+	for _, rec := range snap.recs {
 		rec.mu.RLock()
 		st := NodeStatus{
 			Name:     rec.name,
@@ -230,17 +256,46 @@ func (p *plane) buildStatus() *statusSnap {
 		}
 		rec.mu.RUnlock()
 		snap.rows = append(snap.rows, st)
-		state := "DOWN"
-		if st.Alive {
-			state = "up"
+		// Both rosters are name-sorted: step the predecessor's to this name.
+		for j < len(prev.rows) && prev.rows[j].Name < st.Name {
+			j++
 		}
-		fmt.Fprintf(&b, "\n%-12s %-5s values=%-3d load=%-6.2f temp=%-6.1f mem%%=%.1f",
-			st.Name, state, st.Values, st.Load1, st.TempC, st.MemPct)
+		if j < len(prev.rows) && sameStatusRow(&prev.rows[j], &st) {
+			b.WriteString(prev.rendered[prev.offs[j]:prev.offs[j+1]])
+		} else {
+			b.Write(appendStatusRow(scratch[:0], &st))
+		}
+		snap.offs = append(snap.offs, int32(b.Len()))
 	}
 	gNodes.Set(float64(len(snap.rows)))
 	gNodesDown.Set(float64(downCount))
 	snap.rendered = b.String()
 	return snap
+}
+
+// sameStatusRow reports whether two rows render alike: the inputs of
+// appendStatusRow, bit for bit (0 and −0 print differently).
+func sameStatusRow(a, b *NodeStatus) bool {
+	return a.Name == b.Name && a.Alive == b.Alive && a.Values == b.Values &&
+		math.Float64bits(a.Load1) == math.Float64bits(b.Load1) &&
+		math.Float64bits(a.TempC) == math.Float64bits(b.TempC) &&
+		math.Float64bits(a.MemPct) == math.Float64bits(b.MemPct)
+}
+
+// appendStatusRow is "\n%-12s %-5s values=%-3d load=%-6.2f temp=%-6.1f mem%%=%.1f".
+//
+//cwx:hotpath
+func appendStatusRow(b []byte, st *NodeStatus) []byte {
+	state := "DOWN"
+	if st.Alive {
+		state = "up"
+	}
+	b = dashboard.AppendStr(append(b, '\n'), st.Name, -12)
+	b = dashboard.AppendStr(append(b, ' '), state, -5)
+	b = dashboard.AppendInt(append(b, " values="...), int64(st.Values), -3)
+	b = dashboard.AppendFloat(append(b, " load="...), st.Load1, -6, 2)
+	b = dashboard.AppendFloat(append(b, " temp="...), st.TempC, -6, 1)
+	return dashboard.AppendFloat(append(b, " mem%="...), st.MemPct, 0, 1)
 }
 
 func (p *plane) buildNodes() string {
@@ -252,17 +307,27 @@ func (p *plane) buildValues(node string) string {
 	if vals == nil {
 		return "ERR unknown node " + node
 	}
-	var b strings.Builder
-	b.WriteString("OK")
+	b := make([]byte, 0, 2+48*len(vals))
+	b = append(b, "OK"...)
 	for _, v := range vals {
-		fmt.Fprintf(&b, "\n%-28s %s", v.Name, v.Render())
+		b = dashboard.AppendStr(append(b, '\n'), v.Name, -28)
+		b = appendValue(append(b, ' '), v)
 	}
-	return b.String()
+	return string(b)
 }
 
-func (p *plane) buildCompare(metric string) string {
-	out := dashboard.CompareNodes(p.s.hist, metric, 0, p.lastData(), 30)
-	return "OK\n" + strings.TrimRight(out, "\n")
+// appendValue appends v.Render().
+//
+//cwx:hotpath
+func appendValue(b []byte, v consolidate.Value) []byte {
+	if v.IsText {
+		return append(b, v.Text...)
+	}
+	return strconv.AppendFloat(b, v.Num, 'g', -1, 64)
+}
+
+func (p *plane) buildCompare(view *dashboard.View, metric string) string {
+	return view.CompareNodes("OK\n", p.s.hist, metric, 0, p.lastData(), 30)
 }
 
 func (p *plane) buildChart(node, metric string) string {
@@ -284,9 +349,8 @@ func (p *plane) buildSpark(node, metric string) string {
 	return "OK " + dashboard.Sparkline(series, 0, last.T, 40)
 }
 
-func (p *plane) buildEfficiency() string {
-	out := dashboard.EfficiencyReport(p.s.hist, 0, p.lastData(), 30)
-	return "OK\n" + strings.TrimRight(out, "\n")
+func (p *plane) buildEfficiency(view *dashboard.View) string {
+	return view.EfficiencyReport("OK\n", p.s.hist, 0, p.lastData(), 30)
 }
 
 func (p *plane) buildSelfmon() string {
@@ -294,18 +358,25 @@ func (p *plane) buildSelfmon() string {
 	return "OK\n" + strings.TrimRight(out, "\n")
 }
 
+// syncHeader is the sync table's heading, in its rows' columns.
+var syncHeader = fmt.Sprintf("OK\n%-12s %8s %-8s %5s %5s %7s %5s",
+	"node", "seq", "state", "gaps", "regr", "resyncs", "snaps")
+
 func (p *plane) buildSync() string {
-	var b strings.Builder
-	b.WriteString("OK")
-	fmt.Fprintf(&b, "\n%-12s %8s %-8s %5s %5s %7s %5s",
-		"node", "seq", "state", "gaps", "regr", "resyncs", "snaps")
-	for _, st := range p.s.SyncStates() {
+	states := p.s.SyncStates()
+	b := append(make([]byte, 0, 64*(1+len(states))), syncHeader...)
+	for _, st := range states {
 		state := "synced"
 		if !st.Synced {
 			state = "DIVERGED"
 		}
-		fmt.Fprintf(&b, "\n%-12s %8d %-8s %5d %5d %7d %5d",
-			st.Node, st.Seq, state, st.Gaps, st.Regressions, st.ResyncReqs, st.Snapshots)
+		b = dashboard.AppendStr(append(b, '\n'), st.Node, -12)
+		b = dashboard.AppendUint(append(b, ' '), st.Seq, 8)
+		b = dashboard.AppendStr(append(b, ' '), state, -8)
+		b = dashboard.AppendInt(append(b, ' '), st.Gaps, 5)
+		b = dashboard.AppendInt(append(b, ' '), st.Regressions, 5)
+		b = dashboard.AppendInt(append(b, ' '), st.ResyncReqs, 7)
+		b = dashboard.AppendInt(append(b, ' '), st.Snapshots, 5)
 	}
-	return b.String()
+	return string(b)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -36,31 +37,94 @@ func planeIngest(s *Server, node string, load, idle, mem float64) {
 // test: random ingest interleaved with reads, every cached answer
 // byte-identical to the uncached ablation that rebuilds from the live
 // registry. Any divergence — a stale entry surviving a generation move,
-// a window end drifting off the ingest timestamp — fails here.
+// a window end drifting off the ingest timestamp — fails here. The cached
+// table views rebuild from their previous rendering and the uncached ones
+// from nothing, so it is also the incremental ≡ from-scratch test, and
+// the run takes the row cache through everything that invalidates rows:
+// nodes registering mid-run before, between and after the existing names
+// (one longer than the name column), a node that stops reporting and goes
+// DOWN by the clock alone, values that raise and — once the 6-point
+// series evict them — lower compare's bar scale, negative and NaN
+// readings, and a metric only some nodes carry. Two readers ask at once:
+// under -race a rebuild that wrote into its predecessor would show.
 func TestPlaneCachedMatchesUncached(t *testing.T) {
-	s, nowNs := planeServer()
+	var nowNs atomic.Int64
+	s := NewServer(ServerConfig{
+		Cluster:         "plane",
+		Now:             func() time.Duration { return time.Duration(nowNs.Load()) },
+		HistoryCapacity: 6,
+	})
 	rng := rand.New(rand.NewSource(1))
 	nodes := []string{"node000", "node001", "node002", "node003", "node004"}
+	late := []string{"aaa-sorts-first", "node0025", "zzz-a-name-longer-than-the-column", "node0035"}
 	verbs := []string{
 		"status", "nodes", "values node002", "values nosuch",
-		"compare load.1", "chart node001 load.1", "spark node003 load.1",
-		"efficiency", "sync", "selfmon",
+		"compare load.1", "compare hw.temp.cpu", "chart node001 disk.pct", "spark node003 disk.pct",
+		"efficiency", "sync", "selfmon", "history node001 load.1 4", "value node002 load.1",
 	}
-	for i := 0; i < 300; i++ {
-		// A random burst of ingest on a random subset of the cluster.
-		for _, n := range nodes {
-			if rng.Intn(3) == 0 {
-				planeIngest(s, n, rng.Float64()*8, rng.Float64()*100, rng.Float64()*100)
+	reading := func(scale float64) float64 {
+		v := rng.Float64() * scale
+		switch rng.Intn(16) {
+		case 0:
+			return -v
+		case 1:
+			return math.NaN()
+		case 2:
+			return v * 1e9 // the largest maximum by far, until its series evicts it
+		}
+		return v
+	}
+	const iterations = 800
+	for i := 0; i < iterations; i++ {
+		if i%150 == 100 && len(late) > 0 {
+			nodes, late = append(nodes, late[0]), late[1:]
+		}
+		// A random burst of ingest on a random subset of the cluster, each
+		// frame a random subset of the metrics (a row must notice any one
+		// input moving); node004 falls silent halfway and every third node
+		// has no temperature sensor.
+		for k, n := range nodes {
+			if rng.Intn(3) != 0 || n == "node004" && i > iterations/2 {
+				continue
 			}
+			// Chart and Sparkline cannot plot NaN: they get a metric of their own.
+			frame := []consolidate.Value{consolidate.NumValue("disk.pct", consolidate.Dynamic, rng.Float64()*100)}
+			for _, m := range []struct {
+				name  string
+				scale float64
+			}{{"load.1", 8}, {"cpu.idle.pct", 100}, {"mem.used.pct", 100}, {"hw.temp.cpu", 60}} {
+				if rng.Intn(2) == 0 && (m.name != "hw.temp.cpu" || k%3 != 0) {
+					frame = append(frame, consolidate.NumValue(m.name, consolidate.Dynamic, reading(m.scale)))
+				}
+			}
+			if rng.Intn(20) == 0 { // a metric the node never had: only its value count moves
+				frame = []consolidate.Value{consolidate.NumValue(fmt.Sprintf("extra.%d", i), consolidate.Dynamic, 1)}
+			}
+			s.HandleValues(n, frame)
 		}
 		nowNs.Add(rng.Int63n(int64(3 * time.Second)))
 		verb := verbs[rng.Intn(len(verbs))]
-		got := s.HandleCtl(verb)
-		want := s.HandleCtlUncached(verb)
-		if got != want {
-			t.Fatalf("iteration %d: cached %q diverged from uncached:\ncached:\n%s\nuncached:\n%s",
-				i, verb, got, want)
+		var got [2]string
+		var wg sync.WaitGroup
+		for r := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[r] = s.HandleCtl(verb)
+			}()
 		}
+		wg.Wait()
+		want := s.HandleCtlUncached(verb)
+		if got[0] != want || got[1] != want {
+			t.Fatalf("iteration %d: cached %q diverged from uncached:\ncached:\n%s\n%s\nuncached:\n%s",
+				i, verb, got[0], got[1], want)
+		}
+	}
+	if status := s.HandleCtl("status"); !strings.Contains(status, "node004      DOWN") || !strings.Contains(status, " up ") {
+		t.Fatalf("node004, not everything, should have gone DOWN by the clock:\n%s", status)
+	}
+	if cmp := s.HandleCtl("compare load.1"); strings.Count(cmp, "\n") != 1+len(nodes) || len(late) != 0 {
+		t.Fatalf("compare lost a late node (%d still to register):\n%s", len(late), cmp)
 	}
 }
 

@@ -8,8 +8,10 @@
 package dashboard
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -127,6 +129,56 @@ func Sparkline(s *history.Series, t0, t1 time.Duration, width int) string {
 	return out.String()
 }
 
+// View is a CompareNodes or EfficiencyReport table kept between
+// renderings, so that drawing it again costs what changed: the previous
+// rendering is the row cache. A draw brings the history.Comparison up to
+// date, copies every row whose node it left unchanged out of the previous
+// text and formats the rest; what it keeps is that comparison and each
+// row's place in the text, not a second copy of it. The zero value has no
+// predecessor and formats every row. A View stays with one table, metric
+// and t0 and is not safe for concurrent use; the text it returns is.
+//
+// The text is head, then '\n'-separated lines with no trailing newline —
+// a ctl response.
+type View struct {
+	text  string // the last rendering; "" with none to copy from, or after a draw that did not finish
+	cmp   history.Comparison
+	rows  []span  // rows[i]: node i's row in text, its leading '\n' included
+	order []int32 // EfficiencyReport: node indices by rank
+	max   float64 // CompareNodes: what the bars are scaled to
+	buf   []byte  // row scratch
+}
+
+type span struct{ off, n int32 }
+
+// begin brings the comparison up to date and returns the previous text
+// to copy unchanged rows from.
+func (v *View) begin(sb *strings.Builder, head string, store *history.Store, metric string, t0, t1 time.Duration) (old string) {
+	old, v.text = v.text, ""
+	store.Compare(&v.cmp, metric, t0, t1)
+	if len(v.rows) != len(v.cmp.Nodes) { // a new roster: Compare marked every node Fresh
+		v.rows = make([]span, len(v.cmp.Nodes))
+	}
+	sb.Grow(max(len(old)+len(old)/16, len(v.rows)*48) + 128)
+	sb.WriteString(head)
+	return old
+}
+
+// draw appends node i's row to sb: copied from old while the node is
+// unchanged, formatted by row otherwise.
+func (v *View) draw(sb *strings.Builder, old string, i int, row func(b []byte, n *history.NodeStats) []byte) {
+	n, sp := &v.cmp.Nodes[i], &v.rows[i]
+	off := int32(sb.Len())
+	if n.Fresh || old == "" {
+		v.buf = row(v.buf[:0], n)
+		sb.Write(v.buf)
+		sp.n = int32(len(v.buf))
+	} else {
+		sb.WriteString(old[sp.off : sp.off+sp.n])
+	}
+	sp.off = off
+}
+
 // CompareNodes renders the §5.1 "compare performance between nodes" view:
 // per-node min/mean/max of one metric over a range, with a mean bar.
 //
@@ -136,32 +188,47 @@ func Sparkline(s *history.Series, t0, t1 time.Duration, width int) string {
 // plane's watch streams rely on this to push change-only line diffs
 // (serve.Diff); reordering or re-keying these lines breaks them.
 func CompareNodes(store *history.Store, metric string, t0, t1 time.Duration, barWidth int) string {
-	stats := store.Compare(metric, t0, t1)
-	if len(stats) == 0 {
-		return "(no data)\n"
+	var v View
+	return v.CompareNodes("", store, metric, t0, t1, barWidth) + "\n"
+}
+
+// CompareNodes draws the view of that name. Every bar is scaled to the
+// largest maximum: a draw in which that moved formats every row.
+func (v *View) CompareNodes(head string, store *history.Store, metric string, t0, t1 time.Duration, barWidth int) string {
+	var sb strings.Builder
+	old := v.begin(&sb, head, store, metric, t0, t1)
+	nodes := v.cmp.Nodes
+	if len(nodes) == 0 {
+		return head + "(no data)"
 	}
-	names := make([]string, 0, len(stats))
 	globalMax := 0.0
-	for name, st := range stats {
-		if st.N == 0 {
-			continue
+	for i := range nodes {
+		if nodes[i].N > 0 {
+			globalMax = math.Max(globalMax, nodes[i].Max)
 		}
-		names = append(names, name)
-		globalMax = math.Max(globalMax, st.Max)
 	}
-	sort.Strings(names)
 	if globalMax == 0 {
 		globalMax = 1
 	}
-	var out strings.Builder
-	fmt.Fprintf(&out, "%-12s %8s %8s %8s  %s\n", "node", "min", "mean", "max", metric)
-	for _, name := range names {
-		st := stats[name]
-		bar := int(st.Mean / globalMax * float64(barWidth))
-		fmt.Fprintf(&out, "%-12s %8.2f %8.2f %8.2f  %s\n",
-			name, st.Min, st.Mean, st.Max, strings.Repeat("#", bar))
+	if math.Float64bits(globalMax) != math.Float64bits(v.max) {
+		old, v.max = "", globalMax
 	}
-	return out.String()
+	fmt.Fprintf(&sb, "%-12s %8s %8s %8s  %s", "node", "min", "mean", "max", metric)
+	row := func(b []byte, n *history.NodeStats) []byte {
+		if n.N == 0 {
+			return b
+		}
+		b = AppendStr(append(b, '\n'), n.Node, -12)
+		b = AppendFloat(append(b, ' '), n.Min, 8, 2)
+		b = AppendFloat(append(b, ' '), n.Mean, 8, 2)
+		b = AppendFloat(append(b, ' '), n.Max, 8, 2)
+		return AppendBar(append(b, ' ', ' '), n.Mean/globalMax*float64(barWidth), barWidth)
+	}
+	for i := range nodes {
+		v.draw(&sb, old, i, row)
+	}
+	v.text = sb.String()
+	return v.text
 }
 
 // Correlate renders the §5.1 "analyze the relationships between monitored
@@ -286,57 +353,78 @@ func HistoryFootprint(store *history.Store, maxRows int) string {
 	return out.String()
 }
 
-// Efficiency computes cluster utilization over a window — the paper's
-// introduction lists "cluster efficiency" first among the administrator's
-// concerns. It is derived from each node's cpu.idle.pct history: a node's
-// efficiency is 100 − mean(idle%), the cluster's is the mean over nodes
-// with data.
-func Efficiency(store *history.Store, t0, t1 time.Duration) (cluster float64, perNode map[string]float64) {
-	perNode = make(map[string]float64)
-	stats := store.Compare("cpu.idle.pct", t0, t1)
-	var sum float64
-	for nodeName, st := range stats {
-		if st.N == 0 {
-			continue
-		}
-		eff := 100 - st.Mean
-		if eff < 0 {
-			eff = 0
-		}
-		perNode[nodeName] = eff
-		sum += eff
-	}
-	if len(perNode) > 0 {
-		cluster = sum / float64(len(perNode))
-	}
-	return cluster, perNode
+// efficiency is a node's utilization over a window: 100 − mean(idle%),
+// floored at 0.
+func efficiency(n *history.NodeStats) float64 {
+	return max(100-n.Mean, 0)
 }
 
-// EfficiencyReport renders Efficiency as the administrator's view: cluster
-// total plus a per-node bar list, busiest first.
+// EfficiencyReport renders cluster utilization over a window — the
+// paper's introduction lists "cluster efficiency" first among the
+// administrator's concerns — derived from each node's cpu.idle.pct
+// history: the cluster's efficiency is the mean over nodes with data,
+// followed by a per-node bar list, busiest first.
 func EfficiencyReport(store *history.Store, t0, t1 time.Duration, barWidth int) string {
-	cluster, perNode := Efficiency(store, t0, t1)
-	if len(perNode) == 0 {
-		return "(no data)\n"
-	}
-	names := make([]string, 0, len(perNode))
-	for n := range perNode {
-		names = append(names, n)
-	}
-	// Ranked by efficiency, not by name: this view is deliberately NOT
-	// key-stable between renderings, so watch streams push it wholesale
-	// (REFRESH) instead of as line diffs.
-	sort.Slice(names, func(i, j int) bool {
-		if perNode[names[i]] != perNode[names[j]] {
-			return perNode[names[i]] > perNode[names[j]]
+	var v View
+	return v.EfficiencyReport("", store, t0, t1, barWidth) + "\n"
+}
+
+// EfficiencyReport draws the view of that name.
+func (v *View) EfficiencyReport(head string, store *history.Store, t0, t1 time.Duration, barWidth int) string {
+	var sb strings.Builder
+	old := v.begin(&sb, head, store, "cpu.idle.pct", t0, t1)
+	nodes := v.cmp.Nodes
+	var sum float64 // in name order: the same nodes always give the same sum
+	live := 0
+	for i := range nodes {
+		if nodes[i].N > 0 {
+			sum += efficiency(&nodes[i])
+			live++
 		}
-		return names[i] < names[j]
-	})
-	var out strings.Builder
-	fmt.Fprintf(&out, "cluster efficiency: %.1f%% over %s..%s\n", cluster, fmtT(t0), fmtT(t1))
-	for _, n := range names {
-		bar := int(perNode[n] / 100 * float64(barWidth))
-		fmt.Fprintf(&out, "%-12s %5.1f%%  %s\n", n, perNode[n], strings.Repeat("#", bar))
 	}
-	return out.String()
+	if live == 0 {
+		return head + "(no data)"
+	}
+	// The last ranking is nearly this one — the sort below is linear on it
+	// — as long as it still lists exactly the nodes with data.
+	rank := v.order[:0]
+	for _, i := range v.order {
+		if int(i) < len(nodes) && nodes[i].N > 0 {
+			rank = append(rank, i)
+		}
+	}
+	if len(rank) != live {
+		rank = rank[:0]
+		for i := range nodes {
+			if nodes[i].N > 0 {
+				rank = append(rank, int32(i))
+			}
+		}
+	}
+	v.order = rank
+	// Ranked by efficiency (NaN last), not by name: this view is
+	// deliberately NOT key-stable between renderings, so watch streams push
+	// it wholesale (REFRESH) instead of as line diffs.
+	slices.SortFunc(v.order, func(i, j int32) int {
+		a, b := efficiency(&nodes[i]), efficiency(&nodes[j])
+		switch {
+		case a > b || math.IsNaN(b) && !math.IsNaN(a):
+			return -1
+		case b > a || math.IsNaN(a) && !math.IsNaN(b):
+			return 1
+		}
+		return cmp.Compare(i, j)
+	})
+	fmt.Fprintf(&sb, "cluster efficiency: %.1f%% over %s..%s", sum/float64(live), fmtT(t0), fmtT(t1))
+	row := func(b []byte, n *history.NodeStats) []byte {
+		eff := efficiency(n)
+		b = AppendStr(append(b, '\n'), n.Node, -12)
+		b = AppendFloat(append(b, ' '), eff, 5, 1)
+		return AppendBar(append(b, '%', ' ', ' '), eff/100*float64(barWidth), barWidth)
+	}
+	for _, i := range v.order {
+		v.draw(&sb, old, int(i), row)
+	}
+	v.text = sb.String()
+	return v.text
 }

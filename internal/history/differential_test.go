@@ -270,6 +270,19 @@ func checkDifferential(t *testing.T, s *Series, ref *refRing, rng *rand.Rand, no
 			t.Fatalf("Last = %v,%v want %v", gotLast, gotOK, wantLast)
 		}
 	}
+	// Tail: the newest n points, for n inside the head, across sealed
+	// blocks, at the trimmed front and past everything stored.
+	for _, n := range []int{0, 1, rng.Intn(headCapacity) + 1, rng.Intn(ref.size+1) + 1, ref.size, ref.size + 3} {
+		got := s.Tail(n)
+		if want := min(n, ref.size); len(got) != want {
+			t.Fatalf("Tail(%d) len %d, want %d", n, len(got), want)
+		}
+		for i, p := range got {
+			if w := ref.at(ref.size - len(got) + i); p.T != w.T || !eqVal(p.V, w.V) {
+				t.Fatalf("Tail(%d)[%d] = %v, ref %v", n, i, p, w)
+			}
+		}
+	}
 	windows := headWindows(s)
 	for q := 0; q < 6; q++ {
 		t0, t1 := randWindow(rng, now)

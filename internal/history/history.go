@@ -26,7 +26,10 @@
 package history
 
 import (
+	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -262,6 +265,8 @@ type qsnap struct {
 	trim    int
 	head    []Point // copied head points; nil when headSum stands in or the head misses the window
 	headSum summary // the head's summary; count 0 unless it stands in for the points
+	gen     uint64  // the series' append generation
+	lastT   int64   // the series' newest timestamp
 }
 
 // snapshot captures the series for a query over [lo, hi]. A head that
@@ -272,7 +277,7 @@ type qsnap struct {
 func (s *Series) snapshot(lo, hi int64, points bool) qsnap {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	q := qsnap{blocks: s.blocks, trim: s.trim}
+	q := qsnap{blocks: s.blocks, trim: s.trim, gen: s.gen.Load(), lastT: s.lastT}
 	switch {
 	case s.headLen == 0 || s.headSum.lastT < lo || s.headSum.firstT > hi:
 		// nothing of the head is in the window
@@ -349,6 +354,26 @@ func (s *Series) Range(t0, t1 time.Duration) []Point {
 	return out
 }
 
+// Tail returns the newest n points, oldest first. Where Range decodes
+// every block of its window, Tail decodes only the trailing blocks the n
+// points lie in — none when the head holds them.
+func (s *Series) Tail(n int) []Point {
+	n = max(n, 0)
+	q := s.snapshot(math.MinInt64, math.MaxInt64, true)
+	have, first := len(q.head), len(q.blocks)
+	for ; first > 0 && have < n; first-- {
+		have += q.blocks[first-1].sum.count - q.blockTrim(first-1)
+	}
+	if first > 0 {
+		q.blocks, q.trim = q.blocks[first:], 0
+	}
+	out := make([]Point, 0, have)
+	q.each(math.MinInt64, math.MaxInt64, func(t int64, v float64) {
+		out = append(out, Point{T: time.Duration(t), V: v})
+	})
+	return out[max(0, len(out)-n):]
+}
+
 // Stats aggregates the range [t0, t1].
 type Stats struct {
 	N         int
@@ -364,6 +389,16 @@ type Stats struct {
 // boundaries (plus a partially expired front block) are decoded, and
 // the head is scanned only when the window cuts it.
 func (s *Series) Stats(t0, t1 time.Duration) Stats {
+	st, _ := s.statsGen(t0, t1)
+	return st
+}
+
+// statsGen is Stats plus the append generation the result stays good
+// for: while Gen still returns it, every window from t0 to LastPoint.T or
+// later aggregates the same points. It is 0 — no generation, a series
+// that exists has accepted a point — when [t0, t1] ends before the
+// series' newest point, whose Stats a later window end would change.
+func (s *Series) statsGen(t0, t1 time.Duration) (Stats, uint64) {
 	lo, hi := int64(t0), int64(t1)
 	q := s.snapshot(lo, hi, false)
 	var st Stats
@@ -429,7 +464,10 @@ func (s *Series) Stats(t0, t1 time.Duration) Stats {
 	if st.N > 0 {
 		st.Mean = sum / float64(st.N)
 	}
-	return st
+	if q.lastT > hi {
+		return st, 0
+	}
+	return st, q.gen
 }
 
 // Trend returns the least-squares slope over [t0, t1] in value units per
@@ -549,6 +587,9 @@ type Store struct {
 	capacity int
 	capFn    func(nodeName string) int
 	stripes  [storeStripes]storeStripe
+	// created counts series creations: while it holds, the set of
+	// (node, metric) pairs — every Comparison's roster — is unchanged.
+	created atomic.Uint64
 }
 
 // NewStore returns a store creating series of the given capacity
@@ -624,6 +665,7 @@ func (st *Store) Append(nodeName, metric string, t time.Duration, v float64) {
 		if s, ok = byMetric[metric]; !ok {
 			s = NewSeries(st.capacityFor(nodeName))
 			byMetric[metric] = s
+			st.created.Add(1) // under the stripe lock: a walk that read the new count sees the series
 		}
 		sp.mu.Unlock()
 	}
@@ -672,52 +714,73 @@ func (st *Store) Metrics(nodeName string) []string {
 // series.
 func (st *Store) Bytes() int64 {
 	var total int64
-	for _, s := range st.snapshotSeries("") {
-		total += s.series.Bytes()
+	for _, n := range st.snapshotSeries(nil, "") {
+		total += n.series.Bytes()
 	}
 	return total
 }
 
-// namedSeries pairs a series with its owning node for lock-free
-// post-processing after the stripe locks are released.
-type namedSeries struct {
-	node   string
+// NodeStats is one node's row of a Comparison. Fresh is set by the
+// Compare call that aggregated Stats, and clear when that call found the
+// series unchanged and kept them.
+type NodeStats struct {
+	Node string
+	Stats
+	Fresh  bool
 	series *Series
+	gen    uint64 // statsGen's: the series generation Stats are good for, 0 for none
 }
 
-// snapshotSeries collects series pointers under each stripe's read lock
-// and releases it before any per-series work happens. metric == ""
-// collects every series. This keeps cross-node queries (Compare,
-// Bytes) from stalling new-series creation during ingest: the stripe
-// lock is held only for the map walk, never across Stats.
-func (st *Store) snapshotSeries(metric string) []namedSeries {
-	out := make([]namedSeries, 0, 64)
+// Comparison is each node's Stats for one metric over a window — the
+// "compare performance between nodes" view — sorted by node name. The
+// zero value is empty; Store.Compare fills it and brings it up to date.
+type Comparison struct {
+	Nodes  []NodeStats
+	walked uint64 // Store.created + 1 when the roster was read; 0: never
+}
+
+// snapshotSeries appends the series of one metric (every series when
+// metric == "") to dst, unsorted, under each stripe's read lock, and
+// releases it before any per-series work happens. This keeps cross-node
+// queries (Compare, Bytes) from stalling new-series creation during
+// ingest: the stripe lock is held only for the map walk, never across
+// Stats.
+func (st *Store) snapshotSeries(dst []NodeStats, metric string) []NodeStats {
 	for i := range st.stripes {
 		sp := &st.stripes[i]
 		sp.mu.RLock()
 		for nodeName, byMetric := range sp.series {
 			if metric == "" {
 				for _, s := range byMetric {
-					out = append(out, namedSeries{nodeName, s})
+					dst = append(dst, NodeStats{Node: nodeName, series: s})
 				}
 			} else if s, ok := byMetric[metric]; ok {
-				out = append(out, namedSeries{nodeName, s})
+				dst = append(dst, NodeStats{Node: nodeName, series: s})
 			}
 		}
 		sp.mu.RUnlock()
 	}
-	return out
+	return dst
 }
 
-// Compare returns each node's Stats for one metric over a range — the
-// "compare performance between nodes" view. Series pointers are
-// snapshotted under the stripe locks and aggregated after release, so a
+// Compare brings c up to date with each node's Stats for one metric over
+// [t0, t1]. A c that Compare filled before, for the same metric and t0,
+// is the row cache: it keeps its roster while no series was created
+// anywhere in the store, and the Stats of every series that has accepted
+// no point since, so the cost is an atomic load per node plus one Stats
+// call per node that changed. Stats run with no store lock held, so a
 // cluster-wide comparison never blocks a new node's first sample.
-func (st *Store) Compare(metric string, t0, t1 time.Duration) map[string]Stats {
-	series := st.snapshotSeries(metric)
-	out := make(map[string]Stats, len(series))
-	for _, ns := range series {
-		out[ns.node] = ns.series.Stats(t0, t1)
+func (st *Store) Compare(c *Comparison, metric string, t0, t1 time.Duration) {
+	if walked := st.created.Load() + 1; c.walked != walked {
+		c.Nodes = st.snapshotSeries(c.Nodes[:0], metric)
+		slices.SortFunc(c.Nodes, func(a, b NodeStats) int { return strings.Compare(a.Node, b.Node) })
+		c.walked = walked
 	}
-	return out
+	for i := range c.Nodes {
+		n := &c.Nodes[i]
+		n.Fresh = n.gen != n.series.Gen() || n.LastPoint.T > t1
+		if n.Fresh {
+			n.Stats, n.gen = n.series.statsGen(t0, t1)
+		}
+	}
 }

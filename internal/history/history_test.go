@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -161,10 +162,58 @@ func TestStore(t *testing.T) {
 	if len(metrics) != 2 || metrics[0] != "load.1" {
 		t.Fatalf("Metrics = %v", metrics)
 	}
-	cmp := st.Compare("load.1", 0, sec(10))
-	if len(cmp) != 2 || cmp["n2"].Mean != 2.5 {
+	var cmp Comparison
+	st.Compare(&cmp, "load.1", 0, sec(10))
+	if n := cmp.Nodes; len(n) != 2 || n[0].Node != "n1" || n[1].Node != "n2" || n[1].Mean != 2.5 || !n[1].Fresh {
 		t.Fatalf("Compare = %+v", cmp)
 	}
+}
+
+// TestCompareKeepsUnchanged pins the row cache: a Comparison brought up
+// to date aggregates again exactly the series that changed — by an
+// append, or by a window that no longer reaches the series' newest point
+// — re-reads its roster when a series appears, and always equals a
+// Comparison built from nothing.
+func TestCompareKeepsUnchanged(t *testing.T) {
+	st := NewStore(4)
+	for i, n := range []string{"n2", "n1", "n3"} {
+		st.Append(n, "load.1", sec(1), float64(i))
+	}
+	var c Comparison
+	check := func(t1 time.Duration, fresh ...string) {
+		t.Helper()
+		st.Compare(&c, "load.1", 0, t1)
+		var want Comparison
+		st.Compare(&want, "load.1", 0, t1)
+		var got []string
+		for i, n := range c.Nodes {
+			if w := want.Nodes[i]; n.Node != w.Node || n.Stats != w.Stats {
+				t.Fatalf("row %d = %+v, from scratch %+v", i, n, w)
+			}
+			if n.Fresh {
+				got = append(got, n.Node)
+			}
+		}
+		if len(c.Nodes) != len(want.Nodes) || !slices.Equal(got, fresh) {
+			t.Fatalf("fresh = %v of %d rows, want %v of %d", got, len(c.Nodes), fresh, len(want.Nodes))
+		}
+	}
+	check(sec(1), "n1", "n2", "n3")
+	check(sec(1))
+	check(sec(9)) // a later window end over unchanged series
+	st.Append("n2", "load.1", sec(5), 7)
+	check(sec(9), "n2")
+	check(sec(3), "n2") // the window now cuts n2's newest point off
+	check(sec(9), "n2") // and a cut-off row is never kept
+	check(sec(9))
+	for i := 0; i < 6; i++ { // evict n1's oldest points
+		st.Append("n1", "load.1", sec(10+i), 1)
+	}
+	check(sec(20), "n1")
+	st.Append("n0", "other", sec(20), 1) // a series elsewhere in the store: roster re-read
+	check(sec(20), "n1", "n2", "n3")
+	st.Append("n0", "load.1", sec(20), 1)
+	check(sec(20), "n0", "n1", "n2", "n3")
 }
 
 // TestHeadGrowthSteps pins the lazy head: it starts at 8 points and grows
@@ -353,7 +402,8 @@ func TestStoreConcurrentReadsDuringAppend(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				switch i % 4 {
 				case 0:
-					st.Compare("load.1", 0, sec(iters))
+					var c Comparison
+					st.Compare(&c, "load.1", 0, sec(iters))
 				case 1:
 					if s := st.Series(nodeName(r*5+i), "load.1"); s != nil {
 						s.Range(0, sec(iters))
@@ -372,13 +422,14 @@ func TestStoreConcurrentReadsDuringAppend(t *testing.T) {
 	}
 	wg.Wait()
 
-	cmp := st.Compare("load.1", 0, sec(iters))
-	if len(cmp) == 0 {
+	var cmp Comparison
+	st.Compare(&cmp, "load.1", 0, sec(iters))
+	if len(cmp.Nodes) == 0 {
 		t.Fatal("Compare returned no nodes after concurrent appends")
 	}
-	for n, s := range cmp {
-		if s.N == 0 {
-			t.Fatalf("node %s has empty stats", n)
+	for _, n := range cmp.Nodes {
+		if n.N == 0 {
+			t.Fatalf("node %s has empty stats", n.Node)
 		}
 	}
 }
