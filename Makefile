@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build lint lint-escape lockgraph test race bench bench-smoke fuzz-smoke faultinject
+.PHONY: check fmt vet build lint lint-escape lockgraph test race bench bench-smoke bench-test fuzz-smoke faultinject
 
 check: fmt vet build lint race
 
@@ -64,8 +64,15 @@ bench:
 bench-smoke:
 	$(GO) test -run NONE -bench 'E15IngestParallel64$$|AblationTelemetry|E19HistoryAppend$$|E19HistoryStatsFull$$|E19HistoryCompare$$|E19HistoryYoungStore$$|E19HistoryBytesPerSample$$|E20StatusHit$$|E20MixedReadWriteCached$$|E20Rebuild(Status|Compare|Efficiency)1k$$|E21Flight|E21JournalAppend$$|E22Wire|E23FedPropagationSmall$$|E23FlatPropagationSmall$$|E23UplinkEncode' -benchtime 10x -benchmem .
 
-# Short fuzz run over the wire-protocol parsers, the history block codec
-# and the table views' row renderer (against the fmt verbs it replaces):
+# The benchmark harness is a module of its own (bench/go.mod), so neither
+# tier-1 `go test ./...` nor `make check` reaches its tests: the contract
+# test that holds BENCHMARK.json to the package, the generator and
+# statistics tests, and an in-process smoke run of every workload's rounds.
+bench-test:
+	cd bench && $(GO) test ./...
+
+# Short fuzz run over the wire-protocol parsers, the history block codec,
+# the wire's value coder and the table views' row renderer (against the fmt verbs it replaces):
 # each target gets ~10s, long enough to re-cover the grammar from the
 # checked-in seeds without stalling CI. The saved corpus under internal/transmit/testdata/fuzz
 # replays on every plain `go test` as regression inputs.
@@ -75,6 +82,7 @@ fuzz-smoke:
 	$(GO) test ./internal/transmit/ -fuzz FuzzDecodeFrameV2 -fuzztime 10s -run NONE
 	$(GO) test ./internal/transmit/ -fuzz FuzzDecodeBatchV2 -fuzztime 10s -run NONE
 	$(GO) test ./internal/history/ -fuzz FuzzBlockCodec -fuzztime 10s -run NONE
+	$(GO) test ./internal/history/ -fuzz FuzzValueCodec -fuzztime 10s -run NONE
 	$(GO) test ./internal/dashboard/ -fuzz FuzzRowMatchesFmt -fuzztime 10s -run NONE
 
 # Fault-injection suite for the loss-tolerant delta protocol: seeded

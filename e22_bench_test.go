@@ -3,7 +3,7 @@
 // through the full roundtrip (marshal, frame onto the wire, read back,
 // decode, sequenced ingest) in both wire formats: v1 text + deflate, and
 // the negotiated v2 binary columnar form (dictionary names,
-// delta-of-delta timestamps, Gorilla XOR values). EXPERIMENTS.md
+// delta-of-delta timestamps, XOR-or-decimal coded values). EXPERIMENTS.md
 // requires v2 to win on bytes/frame AND ns/frame with zero steady-state
 // allocations; the "wireB/frame" metric is the on-wire cost including
 // the 6-byte frame header.
@@ -67,7 +67,7 @@ func BenchmarkE22WireV1Deflate(b *testing.B) {
 }
 
 // BenchmarkE22WireV2 is the negotiated binary path: dictionary +
-// DoD/XOR encode, raw frame, binary decode, ingest.
+// bit-column encode, raw frame, binary decode, ingest.
 func BenchmarkE22WireV2(b *testing.B) {
 	srv := core.NewServer(core.ServerConfig{Cluster: "bench"})
 	deltas := ingestDeltaSets()

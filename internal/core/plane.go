@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -213,8 +212,7 @@ func (p *plane) buildStatus(prev *statusSnap) *statusSnap {
 	}
 	snap := &statusSnap{recs: prev.recs, regGen: s.regGen.Load()}
 	if snap.regGen != prev.regGen {
-		snap.recs = s.allRecs()
-		slices.SortFunc(snap.recs, func(a, b *nodeRec) int { return strings.Compare(a.name, b.name) })
+		snap.recs = s.rosterByName()
 	}
 	snap.rows = make([]NodeStatus, 0, len(snap.recs))
 	snap.offs = append(make([]int32, 0, len(snap.recs)+1), int32(len("OK")))

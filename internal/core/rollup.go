@@ -25,11 +25,17 @@ import (
 //
 // Tick suppresses no-op updates: if the fold equals the previous one the
 // frame is not ingested at all, so an idle subtree moves no generation,
-// invalidates no cache, and sends no uplink bytes.
+// invalidates no cache, and sends no uplink bytes. That only works if the
+// fold is a function of the children's values alone: float sums depend on
+// the order of addition, so children are folded in name order, never in
+// the node table's map order.
 type Rollup struct {
 	s           *Server
 	agg         string // aggregate node name this rollup publishes
 	childPrefix string // "" = raw children; else compose over this prefix
+
+	kids    []*nodeRec // this rollup's children in name order, as of kidsGen
+	kidsGen uint64     // the server's regGen when kids was built, +1 (0: never)
 
 	acc  *consolidate.RollupAcc
 	vbuf []consolidate.Value
@@ -47,20 +53,20 @@ func (r *Rollup) Agg() string { return r.agg }
 // Tick folds the children's current values and ingests the aggregate
 // snapshot if it changed. It returns the number of children folded.
 func (r *Rollup) Tick() int {
+	// Read the generation before the roster: a registration racing the
+	// walk leaves kidsGen stale and the next Tick rebuilds.
+	if gen := r.s.regGen.Load() + 1; gen != r.kidsGen {
+		r.kids = r.kids[:0]
+		for _, rec := range r.s.rosterByName() {
+			if r.isChild(rec.name) {
+				r.kids = append(r.kids, rec)
+			}
+		}
+		r.kidsGen = gen
+	}
 	r.acc.Reset()
 	children := 0
-	for _, rec := range r.s.allRecs() {
-		name := rec.name
-		if name == MetaNodeName || name == r.agg {
-			continue
-		}
-		if r.childPrefix == "" {
-			if consolidate.HasRollupPrefix(name) {
-				continue
-			}
-		} else if len(name) <= len(r.childPrefix) || name[:len(r.childPrefix)] != r.childPrefix {
-			continue
-		}
+	for _, rec := range r.kids {
 		rec.mu.RLock()
 		if !rec.seen {
 			rec.mu.RUnlock()
@@ -96,6 +102,17 @@ func (r *Rollup) Tick() int {
 		Values: r.vbuf,
 	})
 	return children
+}
+
+// isChild reports whether the named node is folded into this aggregate.
+func (r *Rollup) isChild(name string) bool {
+	if name == MetaNodeName || name == r.agg {
+		return false
+	}
+	if r.childPrefix == "" {
+		return !consolidate.HasRollupPrefix(name)
+	}
+	return len(name) > len(r.childPrefix) && name[:len(r.childPrefix)] == r.childPrefix
 }
 
 // rollupEqual compares two emissions (both sorted by metric name).

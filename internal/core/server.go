@@ -10,7 +10,9 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -654,6 +656,14 @@ func (s *Server) allRecs() []*nodeRec {
 		sh.mu.RUnlock()
 	}
 	return out
+}
+
+// rosterByName returns every node record in name order: the walk for
+// anything whose output must not depend on the node table's map order.
+func (s *Server) rosterByName() []*nodeRec {
+	recs := s.allRecs()
+	slices.SortFunc(recs, func(a, b *nodeRec) int { return strings.Compare(a.name, b.name) })
+	return recs
 }
 
 // NodeNames returns all registered nodes, sorted.

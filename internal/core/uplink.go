@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -348,6 +350,8 @@ func (u *Uplink) drain(snapAll bool) {
 		}
 		sh.mu.RUnlock()
 	}
+	// The node tables are maps; see build for why the order is pinned.
+	slices.SortFunc(u.ents, func(a, b flushEnt) int { return strings.Compare(a.name, b.name) })
 }
 
 // build reads the drained nodes' current values out of the registry into
@@ -381,6 +385,12 @@ func (u *Uplink) build() {
 		if ent.vend == ent.vstart && !ent.snap {
 			continue
 		}
+		// Both sources above are maps. Name order makes the section — and
+		// through first-sight dictionary ids, every later frame — a function
+		// of the ingested data alone: same input, same bytes.
+		slices.SortFunc(u.vbuf[ent.vstart:ent.vend], func(a, b consolidate.Value) int {
+			return strings.Compare(a.Name, b.Name)
+		})
 		kept = append(kept, ent)
 	}
 	u.ents = kept

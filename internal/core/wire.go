@@ -17,11 +17,12 @@ import (
 // runs.
 //
 // The protocol choice is per-session and monotone: every v1 frame offers
-// "w=2" (an ignorable header option — old servers skip it); a v2-capable
-// server answers each offer with "!wire 2" (an unknown control payload —
-// old agents ignore it); the client switches on the first answer it
-// understands and speaks v2 for the rest of the session. Either side
-// being old leaves the session on v1 with zero extra round trips.
+// "w=3" (transmit.WireV2, an ignorable header option — old servers skip
+// it); a v2-capable server answers each offer with "!wire 3" (an unknown
+// control payload — old agents ignore it); the client switches on the
+// first answer naming exactly its own version and speaks v2 for the rest
+// of the session. Either side being old — or built with a different
+// binary grammar — leaves the session on v1 with zero extra round trips.
 
 // wireClient is one agent connection's negotiation state and v2 encoder.
 // marshal runs on the agent's clock goroutine; control on the

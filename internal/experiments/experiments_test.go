@@ -39,12 +39,19 @@ func TestE1LadderShape(t *testing.T) {
 	for i := range rates {
 		rates[i] = num(t, cell(tab, i, 1))
 	}
+	if rates[1]/rates[0] < 5 {
+		t.Fatalf("buffered step only %.1fx over naive; paper step is ~49x", rates[1]/rates[0])
+	}
+	if raceEnabled {
+		// The detector charges every memory access the same whichever
+		// strategy runs: the three optimised rungs land within noise of
+		// each other (≈27 k/s each, against 300 k / 450 k / 740 k
+		// without it), so only the first step is a stable claim here.
+		return
+	}
 	// Ordering: naive << buffered < apriori < keepopen.
 	if !(rates[0] < rates[1] && rates[1] < rates[2] && rates[2] < rates[3]) {
 		t.Fatalf("ladder not monotone: %v", rates)
-	}
-	if rates[1]/rates[0] < 5 {
-		t.Fatalf("buffered step only %.1fx over naive; paper step is ~49x", rates[1]/rates[0])
 	}
 	if rates[3]/rates[0] < 20 {
 		t.Fatalf("full ladder only %.1fx; paper is ~400x", rates[3]/rates[0])

@@ -1,19 +1,21 @@
 package history
 
-// Exported, allocation-free wrappers around the sealed-block bit codec
-// (block.go) so the wire protocol's v2 frames (internal/transmit)
-// compress timestamps and float64 values with the same proven
-// delta-of-delta + Gorilla-XOR machinery the history engine seals blocks
-// with — one codec, two call sites, identical bit streams.
+// The bit column of the v2 wire frames (internal/transmit): exported,
+// allocation-free bit I/O plus the two per-stream coders a frame's
+// timestamp and values go through. Timestamps reuse the sealed-block
+// codec's delta-of-delta code (block.go) unchanged. Values do not reuse
+// the block codec's Gorilla XOR as is: a frame carries only *changed*
+// values, which is exactly where XOR is weakest, so the wire adds a
+// decimal mode beside it (see ValueState). Sealed blocks and the
+// persistence format keep the plain XOR stream.
 //
-// The block codec keeps its per-stream prediction state (previous value,
-// leading/significant-bits window, previous timestamp delta) in local
+// The block codec keeps its per-stream prediction state in local
 // variables because a block is encoded in one shot. The wire streams one
-// point per metric per frame, so the state must live across calls: that
-// is the only addition here. XORState and DoDState are plain structs
-// whose zero value means "no history yet — emit relative to zero"; both
-// sides of a connection reset them in lockstep (the v2 chain-reset rule),
-// keeping encoder and decoder bit-exact without any handshake payload.
+// point per metric per frame, so the state must live across calls.
+// ValueState and DoDState are plain structs whose zero value means "no
+// history yet — emit relative to zero"; both sides of a connection reset
+// them in lockstep (the v2 chain-reset rule), keeping encoder and decoder
+// bit-exact without any handshake payload.
 
 import (
 	"math"
@@ -80,70 +82,203 @@ func (r *BitReader) ReadDoD(s *DoDState) int64 {
 	return s.Prev
 }
 
-// XORState is one value stream's Gorilla XOR predictor: the previous
-// bit pattern plus the current leading/trailing-zeros window. The zero
-// value predicts 0.0 with no window, so the first value after a reset is
-// carried as a full-width XOR against zero — i.e. literally.
-type XORState struct {
-	Bits     uint64
-	Leading  uint8
-	Trailing uint8
-	HasWin   bool
+// ValueState is one value stream's predictor: the previous bit pattern,
+// the Gorilla leading/trailing-zeros window, and the decimal exponent the
+// stream last used. The zero value predicts 0.0 with no window and
+// exponent 0. It is 16 bytes and must stay so: the root's batch decoder
+// holds one per (node, metric) pair, which is why the decimal predictor
+// is recomputed from bits on both ends instead of being stored.
+type ValueState struct {
+	bits     uint64
+	leading  uint8
+	trailing uint8
+	hasWin   bool
+	exp      uint8
 }
 
-// WriteXOR appends v XOR-coded against the stream state, bit-compatible
-// with encodeBlock's value stream.
-func (w *BitWriter) WriteXOR(s *XORState, v float64) {
-	cur := math.Float64bits(v)
-	xor := cur ^ s.Bits
-	s.Bits = cur
-	if xor == 0 {
-		w.w.writeBit(0)
-		return
+// The value code. Monitors report short decimals — /proc/loadavg to two
+// places, percentages, temperatures, kB and packet counters — whose
+// float64 mantissas share almost no bits from one reading to the next, so
+// a Gorilla XOR of a *changed* value costs more than the 8 raw bytes. A
+// decimal is cheap as what it is: the integer m with v == m/10^e, sent as
+// a difference from the previous value on the same scale. Per value:
+//
+//	0                                  unchanged
+//	1 0 0 <window bits>                XOR, previous window reused
+//	1 0 1 <lz:5> <sig-1:6> <sig bits>  XOR, new window
+//	1 1 <E> <len:6> <len-1 bits>       decimal: E is 1 (the stream's last
+//	                                   exponent) or 0 <e:3>; the payload is
+//	                                   zigzag(m − round(prev·10^e)), its
+//	                                   top set bit implied by len
+//
+// The encoder writes whichever of the two codes is shorter, and both
+// ends advance the XOR window on every changed value whichever code
+// carried it, so the window evolves exactly as in a pure XOR stream: a
+// changed value never costs more than its XOR code plus the mode bit.
+// NaN, ±Inf, −0, denormals and non-decimals simply fail the decimal
+// probe and take the XOR code.
+
+const (
+	maxDecimalExp = 7       // 3-bit field
+	maxDecimalMag = 1 << 53 // integers up to here are exact in a float64
+)
+
+var pow10 = [maxDecimalExp + 1]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7}
+
+// scaleDecimal returns round(v·10^e), or ok=false when that is not an
+// exactly representable integer (NaN, ±Inf, out of range). It depends on
+// v's bits alone, so encoder and decoder derive the same predictor from
+// the previous value without storing it. RoundToEven of a single product
+// leaves the compiler nothing to fuse: the result is the same on every
+// architecture.
+func scaleDecimal(v float64, e uint8) (m int64, ok bool) {
+	x := math.RoundToEven(v * pow10[e])
+	if !(math.Abs(x) <= maxDecimalMag) {
+		return 0, false
 	}
-	w.w.writeBit(1)
+	return int64(x), true
+}
+
+// decimalAt reports whether float64(m)/10^e, m = round(v·10^e), is v bit
+// for bit (cur is v's bits). Division by an exact power of ten is
+// correctly rounded, which is how a decimal string parses, so every value
+// read from a short decimal qualifies at its own scale.
+func decimalAt(v float64, cur uint64, e uint8) (m int64, ok bool) {
+	m, ok = scaleDecimal(v, e)
+	return m, ok && math.Float64bits(float64(m)/pow10[e]) == cur
+}
+
+// decimalOf finds the scale to send v at. The stream's last exponent is
+// tried first: a "%.2f" metric that lands on 0.50 keeps e=2 instead of
+// paying two exponent changes, and the steady state is one probe.
+// Otherwise the smallest exponent that works wins.
+func decimalOf(v float64, cur uint64, hint uint8) (e uint8, m int64, ok bool) {
+	if m, ok = decimalAt(v, cur, hint); ok {
+		return hint, m, true
+	}
+	for e = 0; e <= maxDecimalExp; e++ {
+		if e == hint {
+			continue
+		}
+		if m, ok = decimalAt(v, cur, e); ok {
+			return e, m, true
+		}
+	}
+	return 0, 0, false
+}
+
+// advanceWindow moves the XOR window past one changed value (xor != 0)
+// and reports whether the previous window still fit.
+func (s *ValueState) advanceWindow(xor uint64) (reuse bool) {
 	lz := bits.LeadingZeros64(xor)
 	if lz > 31 {
 		lz = 31 // 5-bit field
 	}
 	tz := bits.TrailingZeros64(xor)
-	if s.HasWin && lz >= int(s.Leading) && tz >= int(s.Trailing) {
-		w.w.writeBit(0)
-		w.w.writeBits(xor>>s.Trailing, uint(64-int(s.Leading)-int(s.Trailing)))
-		return
+	if s.hasWin && lz >= int(s.leading) && tz >= int(s.trailing) {
+		return true
 	}
-	s.Leading, s.Trailing, s.HasWin = uint8(lz), uint8(tz), true
-	sig := 64 - lz - tz
-	w.w.writeBit(1)
-	w.w.writeBits(uint64(lz), 5)
-	w.w.writeBits(uint64(sig-1), 6)
-	w.w.writeBits(xor>>uint(tz), uint(sig))
+	s.leading, s.trailing, s.hasWin = uint8(lz), uint8(tz), true
+	return false
 }
 
-// ReadXOR decodes the next value, advancing the stream state. ok is
+// WriteValue appends v coded against the stream state.
+func (w *BitWriter) WriteValue(s *ValueState, v float64) {
+	cur := math.Float64bits(v)
+	xor := cur ^ s.bits
+	if xor == 0 {
+		w.w.writeBit(0)
+		return
+	}
+	prev := math.Float64frombits(s.bits)
+	s.bits = cur
+	reuse := s.advanceWindow(xor)
+	width := uint(64 - int(s.leading) - int(s.trailing))
+	xorLen := 1 + width
+	if !reuse {
+		xorLen += 5 + 6
+	}
+	if e, m, ok := decimalOf(v, cur, s.exp); ok {
+		pm, _ := scaleDecimal(prev, e)
+		d := m - pm
+		zz := uint64(d<<1) ^ uint64(d>>63)
+		n := uint(bits.Len64(zz))
+		mag := n // payload bits: the top set bit is implied by n
+		if mag > 0 {
+			mag--
+		}
+		decLen := 1 + 6 + mag
+		if e != s.exp {
+			decLen += 3
+		}
+		if decLen < xorLen {
+			if e == s.exp {
+				w.w.writeBits(0b111, 3)
+			} else {
+				w.w.writeBits(0b110<<3|uint64(e), 6)
+				s.exp = e
+			}
+			w.w.writeBits(uint64(n), 6)
+			w.w.writeBits(zz, mag)
+			return
+		}
+	}
+	if reuse {
+		w.w.writeBits(0b100, 3)
+	} else {
+		w.w.writeBits(0b101, 3)
+		w.w.writeBits(uint64(s.leading), 5)
+		w.w.writeBits(uint64(width-1), 6)
+	}
+	w.w.writeBits(xor>>s.trailing, width)
+}
+
+// ReadValue decodes the next value, advancing the stream state. ok is
 // false on a truncated or impossible bit stream (the reader is then in
 // the failed state).
-func (r *BitReader) ReadXOR(s *XORState) (v float64, ok bool) {
+func (r *BitReader) ReadValue(s *ValueState) (v float64, ok bool) {
+	if r.r.readBit() == 0 {
+		return math.Float64frombits(s.bits), !r.r.err
+	}
 	if r.r.readBit() == 1 {
-		if r.r.readBit() == 1 {
-			leading := int(r.r.readBits(5))
-			sig := int(r.r.readBits(6)) + 1
-			trailing := 64 - leading - sig
-			if trailing < 0 {
-				r.r.err = true
-				return 0, false
-			}
-			s.Leading, s.Trailing, s.HasWin = uint8(leading), uint8(trailing), true
-		} else if !s.HasWin {
-			// Window-reuse code with no window defined: corrupt input.
+		if r.r.readBit() == 0 {
+			s.exp = uint8(r.r.readBits(3))
+		}
+		var zz uint64
+		if n := uint(r.r.readBits(6)); n > 0 {
+			zz = 1<<(n-1) | r.r.readBits(n-1)
+		}
+		pm, _ := scaleDecimal(math.Float64frombits(s.bits), s.exp)
+		m := pm + (int64(zz>>1) ^ -int64(zz&1))
+		cur := math.Float64bits(float64(m) / pow10[s.exp])
+		xor := cur ^ s.bits
+		if xor == 0 || r.r.err {
+			// The changed bit promised a different value: corrupt input.
 			r.r.err = true
 			return 0, false
 		}
-		width := uint(64 - int(s.Leading) - int(s.Trailing))
-		s.Bits ^= r.r.readBits(width) << s.Trailing
+		s.bits = cur
+		s.advanceWindow(xor)
+		return math.Float64frombits(cur), true
 	}
+	if r.r.readBit() == 1 {
+		leading := int(r.r.readBits(5))
+		sig := int(r.r.readBits(6)) + 1
+		trailing := 64 - leading - sig
+		if trailing < 0 {
+			r.r.err = true
+			return 0, false
+		}
+		s.leading, s.trailing, s.hasWin = uint8(leading), uint8(trailing), true
+	} else if !s.hasWin {
+		// Window-reuse code with no window defined: corrupt input.
+		r.r.err = true
+		return 0, false
+	}
+	width := uint(64 - int(s.leading) - int(s.trailing))
+	s.bits ^= r.r.readBits(width) << s.trailing
 	if r.r.err {
 		return 0, false
 	}
-	return math.Float64frombits(s.Bits), true
+	return math.Float64frombits(s.bits), true
 }

@@ -14,7 +14,7 @@ import (
 // delta-of-delta anchor — once per node. A batch frame coalesces every
 // dirty node of one flush into a single payload sharing one dictionary,
 // one timestamp, and one predictor chain, so the per-frame overhead
-// amortizes across the subtree and the XOR predictors stay warm per
+// amortizes across the subtree and the value predictors stay warm per
 // (node, metric) pair across flushes.
 //
 // Payload layout (discriminated from single-node v2 by flag bit 3;
@@ -35,7 +35,7 @@ import (
 //	  valueCount × uvarint (id<<2 | dynamic<<1 | isText)
 //	  per text value: {uvarint len, bytes}
 //	bit column: DoD(sentNs), then per numeric value (in node-section
-//	order) XOR vs the predictor of its (node, metric) pair
+//	order) the value code vs the predictor of its (node, metric) pair
 //
 // Snapshot/trace context moved from the frame flags into the per-node
 // section header: a batch mixes delta and snapshot nodes freely, and
@@ -71,7 +71,7 @@ type BatchEncoderV2 struct {
 	ids     map[string]uint32
 	acked   int // dictionary prefix the receiver confirmed
 	pairIdx map[uint64]uint32
-	preds   []history.XORState
+	preds   []history.ValueState
 	tstate  history.DoDState
 	started bool
 	rebase  bool // force the next frame to carry a chain reset
@@ -186,7 +186,7 @@ func (e *BatchEncoderV2) Encode(dst []byte, seq uint64, sentNs int64, nodes []Fr
 		nid := e.ids[f.Node]
 		for j := range f.Values {
 			if v := &f.Values[j]; !v.IsText {
-				e.bw.WriteXOR(&e.preds[e.pairFor(nid, e.ids[v.Name])], v.Num)
+				e.bw.WriteValue(&e.preds[e.pairFor(nid, e.ids[v.Name])], v.Num)
 			}
 		}
 	}
@@ -217,13 +217,13 @@ func (e *BatchEncoderV2) pairFor(nodeID, metricID uint32) uint32 {
 	}
 	idx := uint32(len(e.preds))
 	e.pairIdx[key] = idx
-	e.preds = append(e.preds, history.XORState{})
+	e.preds = append(e.preds, history.ValueState{})
 	return idx
 }
 
 func (e *BatchEncoderV2) resetPreds() {
 	for i := range e.preds {
-		e.preds[i] = history.XORState{}
+		e.preds[i] = history.ValueState{}
 	}
 	e.tstate = history.DoDState{}
 }
@@ -246,7 +246,7 @@ type batchNode struct {
 type BatchDecoderV2 struct {
 	entries []string
 	pairIdx map[uint64]uint32
-	preds   []history.XORState
+	preds   []history.ValueState
 	tstate  history.DoDState
 	lastSeq uint64
 	chainOK bool
@@ -453,7 +453,7 @@ func (d *BatchDecoderV2) Decode(payload []byte, emit func(Frame)) (int, error) {
 	d.nodes, d.vals, d.meta = secs, out, meta
 	if reset {
 		for i := range d.preds {
-			d.preds[i] = history.XORState{}
+			d.preds[i] = history.ValueState{}
 		}
 		d.tstate = history.DoDState{}
 	}
@@ -465,7 +465,7 @@ func (d *BatchDecoderV2) Decode(payload []byte, emit func(Frame)) (int, error) {
 			if out[j].IsText {
 				continue
 			}
-			v, ok := d.br.ReadXOR(&d.preds[d.pairFor(sec.nodeID, meta[j])])
+			v, ok := d.br.ReadValue(&d.preds[d.pairFor(sec.nodeID, meta[j])])
 			if !ok {
 				d.chainOK = false
 				return 0, ErrV2Malformed
@@ -505,7 +505,7 @@ func (d *BatchDecoderV2) pairFor(nodeID, metricID uint32) uint32 {
 	}
 	idx := uint32(len(d.preds))
 	d.pairIdx[key] = idx
-	d.preds = append(d.preds, history.XORState{})
+	d.preds = append(d.preds, history.ValueState{})
 	return idx
 }
 

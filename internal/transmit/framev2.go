@@ -14,8 +14,10 @@ import (
 // payload and leans on deflate; v2 spends its bytes where the monitor
 // stream's redundancy actually lives — names repeat every frame
 // (dictionary-coded to varint ids), timestamps tick on a fixed cadence
-// (delta-of-delta), and values dwell near their last reading (Gorilla
-// XOR) — reusing internal/history's sealed-block codec bit for bit.
+// (delta-of-delta), and values either dwell near their last reading
+// (Gorilla XOR) or move as the short decimals monitors report (a scaled
+// integer difference) — internal/history's wire value code, which picks
+// the shorter of the two per value.
 //
 // Payload layout (first byte discriminates: a v1 payload starts with a
 // printable hostname byte or '!', never 0x02):
@@ -30,17 +32,20 @@ import (
 //	uvarint valueCount
 //	valueCount × uvarint (id<<2 | dynamic<<1 | isText)   meta column
 //	per text value: {uvarint len, bytes}                 text column
-//	bit column: DoD(sentNs), then per numeric value XOR vs its id's
-//	predictor — the history block codec's streams, keyed per metric
+//	bit column: DoD(sentNs), then per numeric value the value code
+//	(history.ValueState: 0 unchanged | 10 XOR | 11 decimal) against its
+//	id's predictor — one stream per metric
 //
 // Negotiation rides the v1 forward-compat rule: a v2-capable agent adds
-// the ignorable "w=2" option to its v1 headers; an old server skips it
-// and the session stays v1. A v2-capable server answers with the "!wire
-// 2" control frame (old agents ignore unknown control payloads), and the
-// agent switches. Unknown offered versions are answered with the highest
-// version the server speaks — automatic fallback in both directions.
+// the ignorable "w=3" option (WireV2) to its v1 headers; an old server
+// skips it and the session stays v1. A v2-capable server answers with the
+// "!wire 3" control frame (old agents ignore unknown control payloads),
+// and the agent switches. An offer above what the server speaks is
+// answered with the server's own version, one below it is not an offer
+// at all, and a client switches only on an answer naming exactly its
+// version — so two builds whose binary grammars differ settle on v1.
 //
-// Loss tolerance: the XOR/DoD predictors chain across frames, so a frame
+// Loss tolerance: the value/DoD predictors chain across frames, so a frame
 // body is decodable only when it directly follows the last decoded one
 // (seq continuity) or carries the chain-reset flag (set on snapshots,
 // first frames, and rebases after send errors). On a broken chain the
@@ -55,8 +60,12 @@ import (
 // control bytes, so no v1 payload can start with it.
 const V2Magic = 0x02
 
-// WireV2 is the protocol version carried in offers and answers.
-const WireV2 = 2
+// WireV2 is the protocol version carried in offers and answers. It names
+// the binary grammar, not the frame family: 2 was the same v2 layout with
+// a pure XOR bit column, 3 added the decimal value code. A peer still on
+// 2 cannot decode a 3 bit column (nor the reverse), and the exact-match
+// rule above keeps such a pair on v1 text instead.
+const WireV2 = 3
 
 const (
 	v2FlagSnapshot = 1 << 0 // frame kind is FrameSnapshot
@@ -98,7 +107,7 @@ type EncoderV2 struct {
 	entries []string
 	ids     map[string]uint32
 	acked   int // dictionary prefix the receiver confirmed
-	preds   []history.XORState
+	preds   []history.ValueState
 	tstate  history.DoDState
 	started bool
 	rebase  bool // force the next frame to carry a chain reset
@@ -196,7 +205,7 @@ func (e *EncoderV2) Encode(dst []byte, f Frame) []byte {
 	e.bw.WriteDoD(&e.tstate, f.SentNs)
 	for i := range f.Values {
 		if v := &f.Values[i]; !v.IsText {
-			e.bw.WriteXOR(&e.preds[e.ids[v.Name]], v.Num)
+			e.bw.WriteValue(&e.preds[e.ids[v.Name]], v.Num)
 		}
 	}
 	bits := e.bw.Bytes()
@@ -216,12 +225,12 @@ func (e *EncoderV2) intern(name string) {
 	}
 	e.ids[name] = uint32(len(e.entries))
 	e.entries = append(e.entries, name)
-	e.preds = append(e.preds, history.XORState{})
+	e.preds = append(e.preds, history.ValueState{})
 }
 
 func (e *EncoderV2) resetPreds() {
 	for i := range e.preds {
-		e.preds[i] = history.XORState{}
+		e.preds[i] = history.ValueState{}
 	}
 	e.tstate = history.DoDState{}
 }
@@ -231,7 +240,7 @@ func (e *EncoderV2) resetPreds() {
 // (datagram fabrics).
 type DecoderV2 struct {
 	entries []string
-	preds   []history.XORState
+	preds   []history.ValueState
 	tstate  history.DoDState
 	lastSeq uint64
 	chainOK bool
@@ -327,7 +336,7 @@ func (d *DecoderV2) Decode(payload []byte) (Frame, error) {
 		idx++
 	}
 	for len(d.preds) < len(d.entries) {
-		d.preds = append(d.preds, history.XORState{})
+		d.preds = append(d.preds, history.ValueState{})
 	}
 	if tailCount > 0 {
 		d.needAck = true
@@ -376,7 +385,7 @@ func (d *DecoderV2) Decode(payload []byte) (Frame, error) {
 	}
 	if reset {
 		for i := range d.preds {
-			d.preds[i] = history.XORState{}
+			d.preds[i] = history.ValueState{}
 		}
 		d.tstate = history.DoDState{}
 	}
@@ -425,7 +434,7 @@ func (d *DecoderV2) Decode(payload []byte) (Frame, error) {
 		if out[i].IsText {
 			continue
 		}
-		v, ok := d.br.ReadXOR(&d.preds[ids[i]])
+		v, ok := d.br.ReadValue(&d.preds[ids[i]])
 		if !ok {
 			d.chainOK = false
 			return Frame{}, ErrV2Malformed
@@ -460,7 +469,7 @@ func v2Uvarint(p []byte) (v uint64, rest []byte, ok bool) {
 // ignore them — the forward-compat rule that makes the rollout safe.
 
 const (
-	wireAnswerPrefix = "!wire "  // answers a version offer: "!wire 2"
+	wireAnswerPrefix = "!wire "  // answers a version offer: "!wire 3"
 	dictAckPrefix    = "!wack "  // dictionary ack: "!wack <entries>"
 	wireResetPayload = "!wreset" // dictionary reset request
 )

@@ -125,16 +125,17 @@ func TestParseFrameDuplicateOptionsVoided(t *testing.T) {
 		{"node042 7 D t=0701 t=0902 t=0b03\n", 0, 0}, // triplicate stays voided
 		{"node042 7 D t=0701 t=zz\n", 7, 0},          // malformed repeat: not a dup
 		{"node042 7 D t=zz t=0701\n", 7, 0},          // malformed first: later valid wins
-		{"node042 7 D w=2 w=2\n", 0, 0},              // dup offers: voided
-		{"node042 7 D w=2 w=3\n", 0, 0},              // conflicting offers: voided
-		{"node042 7 D w=2 w=x\n", 0, 2},              // malformed repeat: not a dup
-		{"node042 7 D w=1\n", 0, 0},                  // below WireV2: meaningless, skipped
+		{"node042 7 D w=3 w=3\n", 0, 0},              // dup offers: voided
+		{"node042 7 D w=3 w=4\n", 0, 0},              // conflicting offers: voided
+		{"node042 7 D w=3 w=x\n", 0, 3},              // malformed repeat: not a dup
+		{"node042 7 D w=2\n", 0, 0},                  // below WireV2 (an older build's offer): skipped
+		{"node042 7 D w=1\n", 0, 0},
 		{"node042 7 D w=0\n", 0, 0},
 		{"node042 7 D w=256\n", 0, 0},   // overflows uint8
 		{"node042 7 D w=99999\n", 0, 0}, // over the length bound
 		{"node042 7 D w=\n", 0, 0},
-		{"node042 7 D t=0701 w=2\n", 7, 2}, // independent options coexist
-		{"node042 7 D w=2 t=0701\n", 7, 2}, // in either order
+		{"node042 7 D t=0701 w=3\n", 7, 3}, // independent options coexist
+		{"node042 7 D w=3 t=0701\n", 7, 3}, // in either order
 	}
 	for _, c := range cases {
 		f, err := ParseFrame([]byte(c.payload))
@@ -183,7 +184,7 @@ func TestParseFrameBoundsTraceOptBeforeDecode(t *testing.T) {
 func TestWireOfferRoundtrip(t *testing.T) {
 	in := Frame{Node: "node001", Seq: 3, WireOffer: WireV2}
 	b := MarshalFrame(nil, in)
-	if got := string(b[:bytes.IndexByte(b, '\n')]); got != "node001 3 D w=2" {
+	if got := string(b[:bytes.IndexByte(b, '\n')]); got != "node001 3 D w=3" {
 		t.Fatalf("offer header: %q", got)
 	}
 	out, err := ParseFrame(b)

@@ -152,7 +152,7 @@ func (t *Writer) WriteFrame(p []byte) error {
 }
 
 // WriteFrameRaw sends one payload skipping the deflate attempt. The v2
-// binary frames are already dictionary/XOR-coded — deflate rarely
+// binary frames are already dictionary- and bit-coded — deflate rarely
 // shrinks them further and always costs the compression pass, so their
 // send path declares the payload incompressible up front.
 //
