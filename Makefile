@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build lint lint-escape lockgraph test race bench bench-smoke bench-test fuzz-smoke faultinject
+.PHONY: check fmt vet build lint lint-escape lockgraph test race bench bench-smoke bench-test fuzz-smoke faultinject loc
 
 check: fmt vet build lint race
 
@@ -72,7 +72,8 @@ bench-test:
 	cd bench && $(GO) test ./...
 
 # Short fuzz run over the wire-protocol parsers, the history block codec,
-# the wire's value coder and the table views' row renderer (against the fmt verbs it replaces):
+# the wire's value coder, the table views' row renderer (against the fmt verbs it replaces),
+# the event rule-file parser and the ICE Box command core:
 # each target gets ~10s, long enough to re-cover the grammar from the
 # checked-in seeds without stalling CI. The saved corpus under internal/transmit/testdata/fuzz
 # replays on every plain `go test` as regression inputs.
@@ -84,6 +85,8 @@ fuzz-smoke:
 	$(GO) test ./internal/history/ -fuzz FuzzBlockCodec -fuzztime 10s -run NONE
 	$(GO) test ./internal/history/ -fuzz FuzzValueCodec -fuzztime 10s -run NONE
 	$(GO) test ./internal/dashboard/ -fuzz FuzzRowMatchesFmt -fuzztime 10s -run NONE
+	$(GO) test ./internal/events/ -fuzz FuzzParseRules -fuzztime 10s -run NONE
+	$(GO) test ./internal/icebox/ -fuzz FuzzHandleCommand -fuzztime 10s -run NONE
 
 # Fault-injection suite for the loss-tolerant delta protocol: seeded
 # loss/blackhole/partition schedules over simnet, under the race
@@ -92,3 +95,15 @@ faultinject:
 	$(GO) test -race -count=1 -v \
 		-run 'TestLossToleranceConverges|TestLegacyProtocolDivergesUnderLoss|TestPartitionHealRetransmits|TestMixedVersionClusterConverges|TestHandleFrameConcurrent|TestFedLossKillRejoinConverges|TestBlackholeDropsEverything|TestScheduleAtDrivesFaults|TestLossDropsFraction' \
 		./internal/core/ ./internal/simnet/
+
+# Non-test Go lines per package and in total, for the root module and for
+# the benchmark module: the number simplicity acceptances quote ("non-test
+# lines"), so nobody recomputes it by hand. Counts every line of every
+# .go file not named *_test.go, comments and blanks included; testdata
+# directories are not source.
+loc:
+	@sum() { awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'; }; \
+	src="-name *.go ! -name *_test.go ! -path */testdata/*"; set -f; \
+	echo "== root module"; find . $$src ! -path './bench/*' -exec wc -l {} + | sum; \
+	echo "== bench module"; find bench $$src -exec wc -l {} + | sum

@@ -169,26 +169,14 @@ func (ws *wireServer) handle(payload []byte, send func([]byte)) (fatal bool) {
 		if ws.dec == nil {
 			ws.dec = transmit.NewDecoderV2()
 		}
+		// A chain break (ErrV2Desync) still yields the header: its seq
+		// feeds HandleFrame below, so the gap→diverge→resync flow runs
+		// unchanged and the healing snapshot (a chain-reset frame) fixes
+		// both layers at once.
 		var err error
 		f, err = ws.dec.Decode(payload)
-		switch err {
-		case nil:
-		case transmit.ErrV2Desync:
-			// Header-only frame: the predictor chain broke on a lost
-			// frame. The seq still feeds HandleFrame below, so the
-			// gap→diverge→resync flow runs unchanged and the healing
-			// snapshot (a chain-reset frame) fixes both layers at once.
-		case transmit.ErrV2NeedReset:
-			fjournal.Append(0, flight.Entry{Kind: flight.KindWireReset, TimeNs: int64(ws.s.now())})
-			ws.ctl = transmit.MarshalWireReset(ws.ctl[:0])
-			send(ws.ctl)
-			return false
-		default:
-			return true
-		}
-		if n, ok := ws.dec.PendingAck(); ok {
-			ws.ctl = transmit.MarshalDictAck(ws.ctl[:0], n)
-			send(ws.ctl)
+		if fatal = ws.reply(err, ws.dec, send); fatal || err == transmit.ErrV2NeedReset {
+			return fatal
 		}
 	} else {
 		var err error
@@ -260,15 +248,30 @@ func (ws *wireServer) handleBatch(payload []byte, send func([]byte)) (fatal bool
 		send(ws.ctl)
 	case transmit.ErrV2NeedReset:
 		// The child's dictionary references entries this (restarted)
-		// server never saw: ask for a full table resend.
+		// server never saw: reply asks for a full table resend.
 		ws.s.upIn.resets.Add(1)
+	}
+	return ws.reply(err, ws.bdec, send)
+}
+
+// reply sends the dictionary control traffic a v2 decode of either frame
+// family owes its sender: "!wreset" when the dictionaries diverged, else
+// the "!wack" for a tail the frame carried. fatal reports corruption —
+// any error that is not one of the two protocol states.
+//
+//cwx:hotpath
+func (ws *wireServer) reply(err error, dec interface{ PendingAck() (int, bool) }, send func([]byte)) (fatal bool) {
+	switch err {
+	case nil, transmit.ErrV2Desync:
+	case transmit.ErrV2NeedReset:
 		fjournal.Append(0, flight.Entry{Kind: flight.KindWireReset, TimeNs: int64(ws.s.now())})
 		ws.ctl = transmit.MarshalWireReset(ws.ctl[:0])
 		send(ws.ctl)
+		return false
 	default:
 		return true
 	}
-	if n, ok := ws.bdec.PendingAck(); ok {
+	if n, ok := dec.PendingAck(); ok {
 		ws.ctl = transmit.MarshalDictAck(ws.ctl[:0], n)
 		send(ws.ctl)
 	}

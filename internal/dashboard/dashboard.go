@@ -30,13 +30,9 @@ func Chart(s *history.Series, t0, t1 time.Duration, width, height int) string {
 		height = 3
 	}
 	pts := s.Downsample(t0, t1, width)
-	if len(pts) == 0 {
+	lo, hi, ok := finiteRange(pts)
+	if !ok {
 		return "(no data)\n"
-	}
-	lo, hi := pts[0].V, pts[0].V
-	for _, p := range pts {
-		lo = math.Min(lo, p.V)
-		hi = math.Max(hi, p.V)
 	}
 	if hi == lo {
 		hi = lo + 1 // flat line: give it one row of headroom
@@ -49,12 +45,11 @@ func Chart(s *history.Series, t0, t1 time.Duration, width, height int) string {
 	col := make(map[int]int, len(pts)) // column -> row, for connecting strokes
 	span := t1 - t0
 	for _, p := range pts {
-		c := int(float64(p.T-t0) / float64(span) * float64(width))
-		if c >= width {
-			c = width - 1
+		if !finite(p.V) {
+			continue
 		}
-		r := int((p.V - lo) / (hi - lo) * float64(height-1))
-		row := height - 1 - r
+		c := min(max(int(float64(p.T-t0)/float64(span)*float64(width)), 0), width-1)
+		row := height - 1 - level(p.V, lo, hi, height)
 		grid[row][c] = '*'
 		col[c] = row
 	}
@@ -110,23 +105,41 @@ func Chart(s *history.Series, t0, t1 time.Duration, width, height int) string {
 func Sparkline(s *history.Series, t0, t1 time.Duration, width int) string {
 	levels := []rune("▁▂▃▄▅▆▇█")
 	pts := s.Downsample(t0, t1, width)
-	if len(pts) == 0 {
-		return ""
-	}
-	lo, hi := pts[0].V, pts[0].V
-	for _, p := range pts {
-		lo = math.Min(lo, p.V)
-		hi = math.Max(hi, p.V)
-	}
+	lo, hi, _ := finiteRange(pts)
 	var out strings.Builder
 	for _, p := range pts {
-		idx := 0
-		if hi > lo {
-			idx = int((p.V - lo) / (hi - lo) * float64(len(levels)-1))
+		if finite(p.V) {
+			out.WriteRune(levels[level(p.V, lo, hi, len(levels))])
+		} else {
+			out.WriteByte(' ')
 		}
-		out.WriteRune(levels[idx])
 	}
 	return out.String()
+}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// finiteRange returns the bounds of the finite values among pts; ok is
+// false when there are none. The wire carries NaN and ±Inf faithfully
+// from any agent, and a scale folded over one makes every index int(NaN).
+func finiteRange(pts []history.Point) (lo, hi float64, ok bool) {
+	lo, hi = math.Inf(1), math.Inf(-1)
+	for _, p := range pts {
+		if finite(p.V) {
+			lo, hi = math.Min(lo, p.V), math.Max(hi, p.V)
+		}
+	}
+	return lo, hi, lo <= hi
+}
+
+// level maps a finite v in [lo, hi] onto 0..n-1. The comparisons are
+// written so that a NaN quotient (hi-lo overflowing) lands on 0.
+func level(v, lo, hi float64, n int) int {
+	f := (v - lo) / (hi - lo) * float64(n-1)
+	if !(f > 0) {
+		return 0
+	}
+	return min(int(f), n-1)
 }
 
 // View is a CompareNodes or EfficiencyReport table kept between

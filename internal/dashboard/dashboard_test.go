@@ -193,3 +193,47 @@ func TestHistoryFootprint(t *testing.T) {
 		t.Fatalf("empty store: %q", out)
 	}
 }
+
+// TestChartAndSparklineSurviveNonFinite: the wire carries NaN and ±Inf
+// faithfully from any agent; one such sample in the window must not take
+// the verb down (it used to make int(NaN) the row index).
+func TestChartAndSparklineSurviveNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		s := history.NewSeries(64)
+		for i := 0; i < 40; i++ {
+			v := float64(i)
+			if i == 17 {
+				v = bad
+			}
+			s.Append(time.Duration(i)*time.Second, v)
+		}
+		out := Chart(s, 0, 40*time.Second, 40, 8)
+		if !strings.Contains(out, "*") || !strings.Contains(out, "39") {
+			t.Fatalf("chart with one %v sample lost its finite points:\n%s", bad, out)
+		}
+		spark := []rune(Sparkline(s, 0, 40*time.Second, 40))
+		if len(spark) != 40 || spark[17] != ' ' || spark[0] != '▁' || spark[39] != '█' {
+			t.Fatalf("sparkline with one %v sample = %q", bad, string(spark))
+		}
+
+		only := history.NewSeries(8)
+		only.Append(time.Second, bad)
+		if got := Chart(only, 0, 10*time.Second, 20, 5); got != "(no data)\n" {
+			t.Fatalf("chart of nothing finite = %q", got)
+		}
+		if got := Sparkline(only, 0, 10*time.Second, 10); got != " " {
+			t.Fatalf("sparkline of nothing finite = %q", got)
+		}
+	}
+	// A range the float64 difference cannot hold, and an empty window.
+	wide := history.NewSeries(8)
+	wide.Append(1*time.Second, -math.MaxFloat64)
+	wide.Append(5*time.Second, math.MaxFloat64)
+	if out := Chart(wide, 0, 10*time.Second, 20, 5); !strings.Contains(out, "*") {
+		t.Fatalf("chart across the whole float64 range:\n%s", out)
+	}
+	Sparkline(wide, 0, 10*time.Second, 10)
+	if got := Chart(wide, 5*time.Second, 5*time.Second, 20, 5); got != "(no data)\n" {
+		t.Fatalf("chart of an empty window = %q", got)
+	}
+}

@@ -220,6 +220,8 @@ func FuzzDecodeFrameV2(f *testing.F) {
 	f.Add([]byte("!wire 2"))
 	f.Add([]byte{V2Magic})
 	f.Add([]byte{V2Magic, 0xff, 0x01})
+	// One entry more than a receiver will hold (see TestV2DictionaryBound).
+	f.Add(dictionaryFlood(false, maxV2Entries+1))
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		for _, warm := range []bool{false, true} {
@@ -302,6 +304,7 @@ func FuzzDecodeBatchV2(f *testing.F) {
 	f.Add([]byte("!uresync"))
 	f.Add([]byte{V2Magic, v2FlagBatch})
 	f.Add([]byte{V2Magic, 0xff, 0x01})
+	f.Add(dictionaryFlood(true, maxV2Entries+1))
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		for _, warm := range []bool{false, true} {
