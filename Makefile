@@ -73,7 +73,8 @@ bench-test:
 
 # Short fuzz run over the wire-protocol parsers, the history block codec,
 # the wire's value coder, the table views' row renderer (against the fmt verbs it replaces),
-# the event rule-file parser and the ICE Box command core:
+# the event rule-file parser, the ICE Box command core and the ctl request
+# line (any line: no panic, an OK/ERR block, cached ≡ uncached):
 # each target gets ~10s, long enough to re-cover the grammar from the
 # checked-in seeds without stalling CI. The saved corpus under internal/transmit/testdata/fuzz
 # replays on every plain `go test` as regression inputs.
@@ -87,6 +88,7 @@ fuzz-smoke:
 	$(GO) test ./internal/dashboard/ -fuzz FuzzRowMatchesFmt -fuzztime 10s -run NONE
 	$(GO) test ./internal/events/ -fuzz FuzzParseRules -fuzztime 10s -run NONE
 	$(GO) test ./internal/icebox/ -fuzz FuzzHandleCommand -fuzztime 10s -run NONE
+	$(GO) test ./internal/core/ -fuzz FuzzHandleCtl -fuzztime 10s -run NONE
 
 # Fault-injection suite for the loss-tolerant delta protocol: seeded
 # loss/blackhole/partition schedules over simnet, under the race

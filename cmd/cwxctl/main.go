@@ -31,22 +31,7 @@ func main() {
 	server := flag.String("server", "localhost:7702", "cwxd control address")
 	watch := flag.Duration("watch", 0, "re-issue the request at this interval (e.g. -watch 2s)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, `usage: cwxctl [-server host:port] <request...>
-
-requests:
-  status | nodes | values <node> | value <node> <metric>
-  history <node> <metric> [n] | trend <node> <metric>
-  chart <node> <metric> | spark <node> <metric>
-  compare <metric> | correlate <node> <m1> <m2>
-  power on|off|cycle <node> | reset <node> | console <node>
-  bios settings|set|flash <node> [...]
-  clone <imageID> <node...> | images | efficiency
-  rules | eventlog [n] | ping
-  telemetry | trace [-json] [node] | selfmon | sync
-  journal [-json] [since <seq>]      flight-recorder ring, oldest first
-  flight [-json] <trace-id|node>     span tree of one sampled frame
-  watch <verb> [args]   server-pushed change-only stream
-`)
+		fmt.Fprintf(os.Stderr, "usage: cwxctl [-server host:port] <request...>\n\nrequests:\n%s", core.CtlUsage())
 		flag.PrintDefaults()
 	}
 	flag.Parse()

@@ -5,73 +5,31 @@ import (
 	"fmt"
 	"net"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 	"unicode"
 
-	"clusterworx/internal/dashboard"
 	"clusterworx/internal/flight"
 	"clusterworx/internal/serve"
-	"clusterworx/internal/telemetry"
 )
 
 // This file implements the control protocol the CLI (and, in the original
 // product, the Java GUI tier) speaks to the server: one request line, one
-// response block terminated by a lone "." line. The first response line is
-// "OK" or "ERR <reason>".
+// response block terminated by a lone "." line (response lines that start
+// with a dot are dot-stuffed). The first response line is "OK" or
+// "ERR <reason>". "quit" ends the session.
 //
-// Requests:
+// The requests are the entries of ctlVerbs (ctlverbs.go): each declares
+// its spelling, arity, watch mode and how it is answered, and cwxctl -h
+// prints that table. Verbs with a generation source answer from the
+// serving plane (plane.go); the rest are answered live.
 //
-//	ping
-//	status                      monitoring screen rows
-//	nodes                       registered node names
-//	values <node>               current monitor values
-//	value <node> <metric>       one monitor value
-//	history <node> <metric> [n] most recent n points (default 20)
-//	trend <node> <metric>       least-squares slope per hour
-//	power on|off|cycle <node>   outlet control via the node's ICE Box
-//	reset <node>                reset line
-//	console <node>              post-mortem serial buffer
-//	rules                       event rules
-//	eventlog [n]                most recent firings
-//	images                      image library
-//	chart <node> <metric>       ASCII historical graph (the GUI view)
-//	spark <node> <metric>       one-line sparkline
-//	compare <metric>            per-node stats + mean bars
-//	efficiency                  cluster utilization report
-//	correlate <node> <m1> <m2>  Pearson correlation of two metrics
-//	bios settings|set|flash ... remote LinuxBIOS management (§2)
-//	clone <imageID> <node...>   multicast-clone an image to nodes (§4)
-//	telemetry                   self-monitoring metrics (Prometheus text)
-//	trace [-json] [node]        latest pipeline span breakdown per node,
-//	                            with the worst-traced-ingest exemplar link
-//	journal [-json] [since <seq>]  flight-recorder ring: structured records
-//	                            of traced hops, gaps, resyncs, firings,
-//	                            retries, gate rebuilds (internal/flight)
-//	flight [-json] <trace|node> span tree of one sampled frame: every
-//	                            journal record under a trace id (or the
-//	                            node's most recent trace)
-//	selfmon                     meta-monitor series panel (sparklines)
-//	histmem [n]                 history memory ledger (top n series, default 20)
-//	sync                        per-node delta-protocol sync state
-//	watch <verb> [args]         subscribe to a view; the server pushes a
-//	                            block whenever it changes (streaming
-//	                            connections only). Key-sorted views
-//	                            (status, nodes, values, compare, selfmon,
-//	                            sync, journal) push change-only "UPDATE" diffs;
-//	                            efficiency and chart push "REFRESH" full
-//	                            renderings; after a slow-consumer overflow
-//	                            the next push is a full "RESYNC". Send
-//	                            "quit" to stop watching.
-//
-// Read verbs answer from the serving plane (internal/serve): renderings
-// are cached behind generation gates and a hit returns the prebuilt
-// string without parsing, locking, or allocating. HandleCtlUncached
-// bypasses the plane (the benchmarks' ablation and the differential
-// test's oracle).
+// "watch <verb> [args]" turns a connection into a subscription: the server
+// pushes a block whenever the view changes. Key-sorted views push
+// change-only "UPDATE" diffs, the others "REFRESH" full renderings, and
+// after a slow-consumer overflow the next push is a full "RESYNC".
 
 // ServeCtl accepts control connections until the listener closes.
 func (s *Server) ServeCtl(l net.Listener) error {
@@ -149,20 +107,6 @@ func (s *Server) guardedCtl(line string) (resp string, ok bool) {
 	return s.HandleCtl(line), true
 }
 
-// watchMode classifies a verb for watching: diffable views are key-sorted
-// line lists (first field a stable node/metric key) pushed as change-only
-// diffs; refresh views (efficiency's value-sorted ranking, chart's grid)
-// are re-pushed wholesale when their bytes change.
-func watchMode(verb string) (diffable, ok bool) {
-	switch verb {
-	case "status", "nodes", "values", "compare", "selfmon", "sync", "journal":
-		return true, true
-	case "efficiency", "chart":
-		return false, true
-	}
-	return false, false
-}
-
 // ctlBody splits a response into its payload lines — everything below
 // the "OK" status line (ERR text is its own payload, so a view that
 // starts failing mid-watch still streams coherently).
@@ -181,11 +125,11 @@ func (s *Server) serveWatch(sc *bufio.Scanner, w *bufio.Writer, inner string) bo
 	writeBlock := func(block string) bool { return writeCtlBlock(w, block) == nil }
 	fields := strings.Fields(inner)
 	if len(fields) == 0 {
-		writeBlock("ERR usage: watch <verb> [args]")
+		writeBlock(ctlByName["watch"].usage())
 		return false
 	}
-	diffable, ok := watchMode(strings.ToLower(fields[0]))
-	if !ok {
+	verb := ctlByName[strings.ToLower(fields[0])]
+	if verb == nil || verb.watch == watchNone {
 		writeBlock("ERR verb " + fields[0] + " is not watchable")
 		return false
 	}
@@ -235,8 +179,8 @@ func (s *Server) serveWatch(sc *bufio.Scanner, w *bufio.Writer, inner string) bo
 			// view may have silently diverged, push the full rendering.
 			kind, payload = serve.BlockResync, cur
 			serve.NoteWatchResync()
-			fjournal.Append(0, flight.Entry{Kind: flight.KindWatchResync, Detail: fjournal.Sym(strings.ToLower(fields[0])), TimeNs: int64(s.now())})
-		case !diffable:
+			fjournal.Append(0, flight.Entry{Kind: flight.KindWatchResync, Detail: fjournal.Sym(verb.name), TimeNs: int64(s.now())})
+		case verb.watch == watchRefresh:
 			if slices.Equal(last, cur) {
 				continue
 			}
@@ -271,17 +215,18 @@ func watchBlock(head string, gen uint64, payload []string) string {
 }
 
 // HandleCtl executes one control request and returns the response block
-// (without the terminating dot line). Read verbs answer from the serving
-// plane: the exact request line is tried against the rendering cache
-// before any parsing, so the steady-state hit costs a map read and an
-// atomic load — no fields split, no allocation.
+// (without the terminating dot line). The exact request line is tried
+// against the serving plane before any parsing, so the steady-state hit
+// on a cached view costs a map read and an atomic load — no fields split,
+// no allocation. Any other spelling of the request is parsed and answered
+// from the same rendering, registered under the canonical one.
 //
 //cwx:hotpath
 func (s *Server) HandleCtl(line string) string {
-	if resp, ok := s.plane.cached(line); ok {
-		return resp
+	if view := s.plane.view(line); view != nil {
+		return view()
 	}
-	return s.handleCtl(line, true)
+	return s.dispatchCtl(line, s.plane.ensure)
 }
 
 // HandleCtlUncached executes one control request with the serving plane
@@ -289,324 +234,31 @@ func (s *Server) HandleCtl(line string) string {
 // history. It is the benchmarks' ablation arm and the differential
 // test's oracle — cached answers must match it byte for byte.
 func (s *Server) HandleCtlUncached(line string) string {
-	return s.handleCtl(line, false)
+	return s.dispatchCtl(line, func(v *ctlVerb, args []string) func() string { return v.open(s.plane, args) })
 }
 
-func (s *Server) handleCtl(line string, cacheable bool) string {
+// dispatchCtl parses a request line against the verb table and answers
+// it: a request in error or for a live verb here, one for a cached verb
+// from what view returns — the plane's gate for it, or a fresh builder.
+func (s *Server) dispatchCtl(line string, view func(*ctlVerb, []string) func() string) string {
 	fields := strings.Fields(line)
 	if len(fields) == 0 {
 		return "ERR empty request"
 	}
-	cmd := strings.ToLower(fields[0])
-	switch cmd {
-	case "ping":
-		return "OK pong"
-
-	case "status":
-		if cacheable {
-			return s.plane.statusSnapshot().rendered
-		}
-		return s.plane.buildStatus(nil).rendered
-
-	case "nodes":
-		if cacheable {
-			return s.plane.nodes.Get()
-		}
-		return s.plane.buildNodes()
-
-	case "values":
-		if len(fields) != 2 {
-			return "ERR usage: values <node>"
-		}
-		if cacheable {
-			if g := s.plane.ensureKeyed(line, cmd, fields); g != nil {
-				return g.Get()
-			}
-		}
-		return s.plane.buildValues(fields[1])
-
-	case "value":
-		if len(fields) != 3 {
-			return "ERR usage: value <node> <metric>"
-		}
-		v, ok := s.NodeValue(fields[1], fields[2])
-		if !ok {
-			return fmt.Sprintf("ERR no value %s on %s", fields[2], fields[1])
-		}
-		var scratch [64]byte
-		return string(appendValue(append(scratch[:0], "OK "...), v))
-
-	case "history":
-		if len(fields) < 3 || len(fields) > 4 {
-			return "ERR usage: history <node> <metric> [n]"
-		}
-		n := 20
-		if len(fields) == 4 {
-			parsed, err := strconv.Atoi(fields[3])
-			if err != nil || parsed <= 0 {
-				return "ERR bad count " + fields[3]
-			}
-			n = parsed
-		}
-		series := s.hist.Series(fields[1], fields[2])
-		if series == nil {
-			return fmt.Sprintf("ERR no history for %s %s", fields[1], fields[2])
-		}
-		pts := series.Tail(n)
-		b := make([]byte, 0, 2+24*len(pts))
-		b = append(b, "OK"...)
-		for _, p := range pts {
-			b = dashboard.AppendFloat(append(b, '\n'), p.T.Seconds(), 0, 3)
-			b = strconv.AppendFloat(append(b, ' '), p.V, 'g', -1, 64)
-		}
-		return string(b)
-
-	case "trend":
-		if len(fields) != 3 {
-			return "ERR usage: trend <node> <metric>"
-		}
-		series := s.hist.Series(fields[1], fields[2])
-		if series == nil {
-			return fmt.Sprintf("ERR no history for %s %s", fields[1], fields[2])
-		}
-		slope, ok := series.Trend(0, 1<<62)
-		if !ok {
-			return "ERR not enough points"
-		}
-		return fmt.Sprintf("OK %g per hour", slope)
-
-	case "power":
-		if len(fields) != 3 {
-			return "ERR usage: power on|off|cycle <node>"
-		}
-		var err error
-		switch strings.ToLower(fields[1]) {
-		case "on":
-			err = s.PowerOn(fields[2])
-		case "off":
-			err = s.PowerOff(fields[2])
-		case "cycle":
-			err = s.PowerCycle(fields[2])
-		default:
-			return "ERR unknown power verb " + fields[1]
-		}
-		if err != nil {
-			return "ERR " + err.Error()
-		}
-		return fmt.Sprintf("OK %s power %s", fields[2], strings.ToLower(fields[1]))
-
-	case "reset":
-		if len(fields) != 2 {
-			return "ERR usage: reset <node>"
-		}
-		if err := s.Reset(fields[1]); err != nil {
-			return "ERR " + err.Error()
-		}
-		return "OK " + fields[1] + " reset"
-
-	case "console":
-		if len(fields) != 2 {
-			return "ERR usage: console <node>"
-		}
-		data, err := s.Console(fields[1])
-		if err != nil {
-			return "ERR " + err.Error()
-		}
-		return "OK console dump follows\n" + string(data)
-
-	case "rules":
-		var b strings.Builder
-		b.WriteString("OK")
-		for _, r := range s.engine.Rules() {
-			fmt.Fprintf(&b, "\n%s", r)
-		}
-		return b.String()
-
-	case "eventlog":
-		n := 20
-		if len(fields) == 2 {
-			parsed, err := strconv.Atoi(fields[1])
-			if err != nil || parsed <= 0 {
-				return "ERR bad count " + fields[1]
-			}
-			n = parsed
-		}
-		log := s.engine.Log()
-		if len(log) > n {
-			log = log[len(log)-n:]
-		}
-		var b strings.Builder
-		b.WriteString("OK")
-		for _, f := range log {
-			fmt.Fprintf(&b, "\n%.1fs %s %s value=%g action=%s", f.At.Seconds(), f.Rule, f.Node, f.Value, f.Action)
-			if f.ActionErr != nil {
-				fmt.Fprintf(&b, " error=%q", f.ActionErr)
-			}
-		}
-		return b.String()
-
-	case "images":
-		ids := s.images.List()
-		sort.Strings(ids)
-		return "OK\n" + strings.Join(ids, "\n")
-
-	case "chart":
-		if len(fields) != 3 {
-			return "ERR usage: chart <node> <metric>"
-		}
-		if cacheable {
-			if g := s.plane.ensureKeyed(line, cmd, fields); g != nil {
-				return g.Get()
-			}
-		}
-		return s.plane.buildChart(fields[1], fields[2])
-
-	case "spark":
-		if len(fields) != 3 {
-			return "ERR usage: spark <node> <metric>"
-		}
-		if cacheable {
-			if g := s.plane.ensureKeyed(line, cmd, fields); g != nil {
-				return g.Get()
-			}
-		}
-		return s.plane.buildSpark(fields[1], fields[2])
-
-	case "compare":
-		if len(fields) != 2 {
-			return "ERR usage: compare <metric>"
-		}
-		if cacheable {
-			if g := s.plane.ensureKeyed(line, cmd, fields); g != nil {
-				return g.Get()
-			}
-		}
-		return s.plane.buildCompare(new(dashboard.View), fields[1])
-
-	case "correlate":
-		if len(fields) != 4 {
-			return "ERR usage: correlate <node> <metric1> <metric2>"
-		}
-		r, err := dashboard.Correlate(s.hist, fields[1], fields[2], fields[3], 0, s.now())
-		if err != nil {
-			return "ERR " + err.Error()
-		}
-		return fmt.Sprintf("OK r=%.3f", r)
-
-	case "clone":
-		if len(fields) < 3 {
-			return "ERR usage: clone <imageID> <node> [node...]"
-		}
-		summary, err := s.CloneNodes(fields[1], fields[2:])
-		if err != nil {
-			return "ERR " + err.Error()
-		}
-		return "OK " + summary
-
-	case "efficiency":
-		if cacheable {
-			return s.plane.efficiency.Get()
-		}
-		return s.plane.buildEfficiency(new(dashboard.View))
-
-	case "telemetry":
-		var b strings.Builder
-		b.WriteString("OK\n")
-		s.WriteTelemetry(&b) //nolint:errcheck // strings.Builder cannot fail
-		return strings.TrimRight(b.String(), "\n")
-
-	case "trace":
-		args, asJSON := stripJSONFlag(fields[1:])
-		if len(args) > 1 {
-			return "ERR usage: trace [-json] [node]"
-		}
-		var snaps []telemetry.SpanSnapshot
-		if len(args) == 1 {
-			snap, ok := telemetry.Spans.Lookup(args[0])
-			if !ok {
-				return "ERR no trace for node " + args[0]
-			}
-			snaps = []telemetry.SpanSnapshot{snap}
-		} else {
-			snaps = telemetry.Spans.Snapshot()
-		}
-		if asJSON {
-			return ctlTraceJSON(snaps)
-		}
-		if len(snaps) == 0 {
-			return "OK (no spans recorded)"
-		}
-		return "OK\n" + strings.TrimRight(renderSpans(snaps), "\n") + traceExemplarFooter()
-
-	case "journal":
-		return s.ctlJournal(fields[1:])
-
-	case "flight":
-		return s.ctlFlight(fields[1:])
-
-	case "sync":
-		if cacheable {
-			return s.plane.syncv.Get()
-		}
-		return s.plane.buildSync()
-
-	case "selfmon":
-		if cacheable {
-			return s.plane.selfmon.Get()
-		}
-		return s.plane.buildSelfmon()
-
-	case "histmem":
-		n := 20
-		if len(fields) == 2 {
-			parsed, err := strconv.Atoi(fields[1])
-			if err != nil || parsed < 1 {
-				return "ERR usage: histmem [n]"
-			}
-			n = parsed
-		} else if len(fields) > 2 {
-			return "ERR usage: histmem [n]"
-		}
-		out := dashboard.HistoryFootprint(s.hist, n)
-		return "OK\n" + strings.TrimRight(out, "\n")
-
-	case "bios":
-		if len(fields) < 3 {
-			return "ERR usage: bios settings|set|flash <node> [...]"
-		}
-		switch strings.ToLower(fields[1]) {
-		case "settings":
-			settings, err := s.BIOSSettings(fields[2])
-			if err != nil {
-				return "ERR " + err.Error()
-			}
-			return "OK\n" + strings.Join(settings, "\n")
-		case "set":
-			if len(fields) != 5 {
-				return "ERR usage: bios set <node> <key> <value>"
-			}
-			if err := s.BIOSSet(fields[2], fields[3], fields[4]); err != nil {
-				return "ERR " + err.Error()
-			}
-			return "OK set; active after next reboot"
-		case "flash":
-			if len(fields) != 4 {
-				return "ERR usage: bios flash <node> <version>"
-			}
-			if err := s.BIOSFlash(fields[2], fields[3]); err != nil {
-				return "ERR " + err.Error()
-			}
-			return "OK flashed; active after next reboot"
-		default:
-			return "ERR unknown bios verb " + fields[1]
-		}
-
-	case "watch":
-		return "ERR watch needs a streaming connection (use cwxctl watch)"
-
-	default:
-		return "ERR unknown request " + cmd
+	name, args := strings.ToLower(fields[0]), fields[1:]
+	v := ctlByName[name]
+	switch {
+	case v == nil:
+		return "ERR unknown request " + name
+	case len(args) < v.min || v.max >= 0 && len(args) > v.max:
+		return v.usage()
+	case v.gen != nil:
+		return view(v, args)()
 	}
+	if resp := v.run(s, args); resp != "" {
+		return resp
+	}
+	return v.usage()
 }
 
 // CtlClient is the client side of the control protocol.

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"clusterworx/internal/consolidate"
@@ -168,28 +167,6 @@ func TestCtlEfficiency(t *testing.T) {
 	}
 }
 
-// Property: the control protocol never panics on arbitrary request lines.
-func TestPropertyCtlNeverPanics(t *testing.T) {
-	sim := bootSim(t, 1)
-	f := func(line string) bool {
-		resp := sim.Server.HandleCtl(line)
-		return strings.HasPrefix(resp, "OK") || strings.HasPrefix(resp, "ERR")
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range []string{
-		"history node000 load.1 99999999999999999999",
-		"power on \x00", "values " + strings.Repeat("x", 10000),
-		"correlate a b c d e f", "bios set",
-	} {
-		resp := sim.Server.HandleCtl(line)
-		if !strings.HasPrefix(resp, "OK") && !strings.HasPrefix(resp, "ERR") {
-			t.Fatalf("%q -> %q", line, firstLine(resp))
-		}
-	}
-}
-
 func TestCtlClone(t *testing.T) {
 	sim := bootSim(t, 3)
 	resp := sim.Server.HandleCtl("clone lnxi-nfs@2.1 node001 node002")
@@ -260,16 +237,21 @@ func TestCtlHistoryAndValueFormat(t *testing.T) {
 // connection — on the request path and on a watch stream — while the
 // server keeps serving everyone else.
 func TestCtlPanicClosesConnectionOnly(t *testing.T) {
+	armed := true
+	nodes := ctlByName["nodes"]
+	open := nodes.open
+	defer func() { nodes.open = open }()
+	nodes.open = func(p *plane, args []string) func() string {
+		build := open(p, args)
+		return func() string {
+			if armed {
+				panic("boom")
+			}
+			return build()
+		}
+	}
 	s, _ := planeServer()
 	planeIngest(s, "node000", 1, 50, 20)
-	armed := true
-	build := s.plane.nodes.Build
-	s.plane.nodes.Build = func() string {
-		if armed {
-			panic("boom")
-		}
-		return build()
-	}
 	before := mCtlPanics.Load()
 	for _, req := range []string{"nodes", "watch nodes"} {
 		cl := pipeClient(t, s)

@@ -1,0 +1,278 @@
+package core
+
+import (
+	"fmt"
+	"sort"
+	"strconv"
+	"strings"
+
+	"clusterworx/internal/dashboard"
+)
+
+// watchKind says how "watch <verb>" streams a view.
+type watchKind uint8
+
+const (
+	watchNone    watchKind = iota // not watchable
+	watchDiff                     // key-sorted line list (first field a stable node/metric key): change-only UPDATE diffs
+	watchRefresh                  // a value-sorted ranking or a grid: re-pushed whole as REFRESH when its bytes change
+)
+
+// ctlVerb is one request of the control protocol. Everything the server
+// knows about a verb is in its entry: how it is spelled and documented,
+// how many arguments it takes, whether and how it can be watched, and
+// either how to answer it live (run) or what its cached rendering rides
+// and how that is built (gen and open).
+type ctlVerb struct {
+	name string // lower-case; requests match it in any case
+	args string // argument synopsis, as "ERR usage:" and cwxctl -h print it
+	help string
+	// min and max bound the argument count; a request outside them gets
+	// the usage line. max < 0 leaves trailing arguments to the verb: the
+	// argless verbs ignore them. A cached verb's rendering is registered
+	// under its name and its first min arguments.
+	min, max int
+	watch    watchKind
+	// run answers a live verb from the registry and history as they are
+	// now; "" asks for the usage line.
+	run func(s *Server, args []string) string
+	// gen is the generation source of a cached verb: the counter its
+	// rendering stays valid under. open returns the rendering's builder,
+	// which owns whatever it keeps between rebuilds; HandleCtlUncached
+	// opens one per request and so builds from nothing.
+	gen  func(p *plane, args []string) func() uint64
+	open func(p *plane, args []string) func() string
+}
+
+func (v *ctlVerb) synopsis() string { return strings.TrimSuffix(v.name+" "+v.args, " ") }
+func (v *ctlVerb) usage() string    { return "ERR usage: " + v.synopsis() }
+
+// Generation sources. The roster changes only on registration, a node's
+// values only with its own ingest stripe, a chart only with its one
+// series (genSeries, plane.go): each view rides the narrowest counter that
+// covers its inputs, so ingest elsewhere leaves it a hit.
+func genCluster(p *plane, _ []string) func() uint64 { return p.s.Generation }
+func genRoster(p *plane, _ []string) func() uint64  { return p.s.regGen.Load }
+func genNode(p *plane, a []string) func() uint64    { return p.s.gens[shardIndex(a[0])].v.Load }
+
+// ctlVerbs is the control protocol, in the order cwxctl -h lists it.
+// Adding a verb is one entry here plus its run or builder.
+var ctlVerbs = []ctlVerb{
+	{name: "status", help: "monitoring screen rows", max: -1, watch: watchDiff, gen: genCluster,
+		open: func(p *plane, _ []string) func() string { return func() string { return p.buildStatus(nil).rendered } }},
+	{name: "nodes", help: "registered node names", max: -1, watch: watchDiff, gen: genRoster,
+		open: func(p *plane, _ []string) func() string { return p.buildNodes }},
+	{name: "values", args: "<node>", help: "current monitor values", min: 1, max: 1, watch: watchDiff, gen: genNode,
+		open: func(p *plane, a []string) func() string { return func() string { return p.buildValues(a[0]) } }},
+	{name: "value", args: "<node> <metric>", help: "one monitor value", min: 2, max: 2, run: ctlValue},
+	{name: "history", args: "<node> <metric> [n]", help: "most recent n points (default 20)", min: 2, max: 3, run: ctlHistory},
+	{name: "trend", args: "<node> <metric>", help: "least-squares slope per hour", min: 2, max: 2, run: ctlTrend},
+	{name: "chart", args: "<node> <metric>", help: "ASCII historical graph", min: 2, max: 2, watch: watchRefresh, gen: genSeries,
+		open: func(p *plane, a []string) func() string { return func() string { return p.buildChart(a[0], a[1]) } }},
+	{name: "spark", args: "<node> <metric>", help: "one-line sparkline", min: 2, max: 2, gen: genSeries,
+		open: func(p *plane, a []string) func() string { return func() string { return p.buildSpark(a[0], a[1]) } }},
+	{name: "compare", args: "<metric>", help: "per-node stats + mean bars", min: 1, max: 1, watch: watchDiff, gen: genCluster,
+		open: func(p *plane, a []string) func() string {
+			view := new(dashboard.View) // the table between rebuilds; a gate builds one at a time
+			return func() string { return p.buildCompare(view, a[0]) }
+		}},
+	{name: "correlate", args: "<node> <metric1> <metric2>", help: "Pearson correlation of two metrics", min: 3, max: 3, run: ctlCorrelate},
+	{name: "power", args: "on|off|cycle <node>", help: "outlet control via the node's ICE Box", min: 2, max: 2, run: ctlPower},
+	{name: "reset", args: "<node>", help: "reset line", min: 1, max: 1, run: func(s *Server, a []string) string {
+		return errOr(s.Reset(a[0]), "OK "+a[0]+" reset")
+	}},
+	{name: "console", args: "<node>", help: "post-mortem serial buffer", min: 1, max: 1, run: func(s *Server, a []string) string {
+		data, err := s.Console(a[0])
+		return errOr(err, "OK console dump follows\n"+string(data))
+	}},
+	{name: "bios", args: "settings|set|flash <node> [...]", help: "remote LinuxBIOS management (§2)", min: 2, max: -1, run: ctlBIOS},
+	{name: "clone", args: "<imageID> <node> [node...]", help: "multicast-clone an image to nodes (§4)", min: 2, max: -1, run: func(s *Server, a []string) string {
+		summary, err := s.CloneNodes(a[0], a[1:])
+		return errOr(err, "OK "+summary)
+	}},
+	{name: "images", help: "image library", max: -1, run: func(s *Server, _ []string) string {
+		ids := s.images.List()
+		sort.Strings(ids)
+		return "OK\n" + strings.Join(ids, "\n")
+	}},
+	{name: "efficiency", help: "cluster utilization report", max: -1, watch: watchRefresh, gen: genCluster,
+		open: func(p *plane, _ []string) func() string {
+			view := new(dashboard.View) // the table between rebuilds; a gate builds one at a time
+			return func() string { return p.buildEfficiency(view) }
+		}},
+	{name: "rules", help: "event rules", max: -1, run: func(s *Server, _ []string) string {
+		var b strings.Builder
+		b.WriteString("OK")
+		for _, r := range s.engine.Rules() {
+			fmt.Fprintf(&b, "\n%s", r)
+		}
+		return b.String()
+	}},
+	{name: "eventlog", args: "[n]", help: "most recent firings (default 20)", max: -1, run: ctlEventlog},
+	{name: "ping", help: "liveness check", max: -1, run: func(*Server, []string) string { return "OK pong" }},
+	{name: "telemetry", help: "self-monitoring metrics (Prometheus text)", max: -1, run: func(s *Server, _ []string) string {
+		var b strings.Builder
+		b.WriteString("OK\n")
+		s.WriteTelemetry(&b) //nolint:errcheck // strings.Builder cannot fail
+		return strings.TrimRight(b.String(), "\n")
+	}},
+	{name: "trace", args: "[-json] [node]", help: "latest pipeline span breakdown per node, with the worst-traced-ingest exemplar", max: -1, run: ctlTrace},
+	{name: "selfmon", help: "meta-monitor series panel (sparklines)", max: -1, watch: watchDiff, gen: genCluster,
+		open: func(p *plane, _ []string) func() string { return p.buildSelfmon }},
+	{name: "histmem", args: "[n]", help: "history memory ledger (top n series, default 20)", max: 1, run: ctlHistmem},
+	{name: "sync", help: "per-node delta-protocol sync state", max: -1, watch: watchDiff, gen: genCluster,
+		open: func(p *plane, _ []string) func() string { return p.buildSync }},
+	{name: "journal", args: "[-json] [since <seq>]", help: "flight-recorder ring, oldest first (internal/flight)", max: -1, watch: watchDiff, run: ctlJournal},
+	{name: "flight", args: "[-json] <trace-id|node>", help: "span tree of one sampled frame, or of the node's latest", max: -1, run: ctlFlight},
+	{name: "watch", args: "<verb> [args]", help: "stream a watchable view as it changes; \"quit\" ends it", max: -1, run: func(*Server, []string) string {
+		return "ERR watch needs a streaming connection (use cwxctl watch)"
+	}},
+}
+
+// ctlByName indexes ctlVerbs.
+var ctlByName = func() map[string]*ctlVerb {
+	m := make(map[string]*ctlVerb, len(ctlVerbs))
+	for i := range ctlVerbs {
+		m[ctlVerbs[i].name] = &ctlVerbs[i]
+	}
+	return m
+}()
+
+// CtlUsage lists the control requests, one per line, for cwxctl -h.
+func CtlUsage() string {
+	watchable := [...]string{watchNone: "", watchDiff: " (watch: diffs)", watchRefresh: " (watch: refreshes)"}
+	var b strings.Builder
+	for i := range ctlVerbs {
+		v := &ctlVerbs[i]
+		fmt.Fprintf(&b, "  %-38s %s%s\n", v.synopsis(), v.help, watchable[v.watch])
+	}
+	return b.String()
+}
+
+// errOr is an actuator's answer: the error if there is one, else ok.
+func errOr(err error, ok string) string {
+	if err != nil {
+		return "ERR " + err.Error()
+	}
+	return ok
+}
+
+// ctlCount reads the optional count argument: 20 unless a[i] is the last
+// argument, which must then be a positive number.
+func ctlCount(a []string, i int) (n int, ok bool) {
+	if len(a) != i+1 {
+		return 20, true
+	}
+	n, err := strconv.Atoi(a[i])
+	return n, err == nil && n > 0
+}
+
+func ctlValue(s *Server, a []string) string {
+	v, ok := s.NodeValue(a[0], a[1])
+	if !ok {
+		return fmt.Sprintf("ERR no value %s on %s", a[1], a[0])
+	}
+	var scratch [64]byte
+	return string(appendValue(append(scratch[:0], "OK "...), v))
+}
+
+func ctlHistory(s *Server, a []string) string {
+	n, ok := ctlCount(a, 2)
+	if !ok {
+		return "ERR bad count " + a[2]
+	}
+	series := s.hist.Series(a[0], a[1])
+	if series == nil {
+		return fmt.Sprintf("ERR no history for %s %s", a[0], a[1])
+	}
+	pts := series.Tail(n)
+	b := make([]byte, 0, 2+24*len(pts))
+	b = append(b, "OK"...)
+	for _, p := range pts {
+		b = dashboard.AppendFloat(append(b, '\n'), p.T.Seconds(), 0, 3)
+		b = strconv.AppendFloat(append(b, ' '), p.V, 'g', -1, 64)
+	}
+	return string(b)
+}
+
+func ctlTrend(s *Server, a []string) string {
+	series := s.hist.Series(a[0], a[1])
+	if series == nil {
+		return fmt.Sprintf("ERR no history for %s %s", a[0], a[1])
+	}
+	slope, ok := series.Trend(0, 1<<62)
+	if !ok {
+		return "ERR not enough points"
+	}
+	return fmt.Sprintf("OK %g per hour", slope)
+}
+
+func ctlCorrelate(s *Server, a []string) string {
+	r, err := dashboard.Correlate(s.hist, a[0], a[1], a[2], 0, s.now())
+	return errOr(err, fmt.Sprintf("OK r=%.3f", r))
+}
+
+func ctlPower(s *Server, a []string) string {
+	var err error
+	how := strings.ToLower(a[0])
+	switch how {
+	case "on":
+		err = s.PowerOn(a[1])
+	case "off":
+		err = s.PowerOff(a[1])
+	case "cycle":
+		err = s.PowerCycle(a[1])
+	default:
+		return "ERR unknown power verb " + a[0]
+	}
+	return errOr(err, "OK "+a[1]+" power "+how)
+}
+
+func ctlBIOS(s *Server, a []string) string {
+	switch strings.ToLower(a[0]) {
+	case "settings":
+		settings, err := s.BIOSSettings(a[1])
+		return errOr(err, "OK\n"+strings.Join(settings, "\n"))
+	case "set":
+		if len(a) != 4 {
+			return "ERR usage: bios set <node> <key> <value>"
+		}
+		return errOr(s.BIOSSet(a[1], a[2], a[3]), "OK set; active after next reboot")
+	case "flash":
+		if len(a) != 3 {
+			return "ERR usage: bios flash <node> <version>"
+		}
+		return errOr(s.BIOSFlash(a[1], a[2]), "OK flashed; active after next reboot")
+	}
+	return "ERR unknown bios verb " + a[0]
+}
+
+// ctlEventlog takes its count only when it is the one argument; anything
+// else reads the default.
+func ctlEventlog(s *Server, a []string) string {
+	n, ok := ctlCount(a, 0)
+	if !ok {
+		return "ERR bad count " + a[0]
+	}
+	log := s.engine.Log()
+	if len(log) > n {
+		log = log[len(log)-n:]
+	}
+	var b strings.Builder
+	b.WriteString("OK")
+	for _, f := range log {
+		fmt.Fprintf(&b, "\n%.1fs %s %s value=%g action=%s", f.At.Seconds(), f.Rule, f.Node, f.Value, f.Action)
+		if f.ActionErr != nil {
+			fmt.Fprintf(&b, " error=%q", f.ActionErr)
+		}
+	}
+	return b.String()
+}
+
+func ctlHistmem(s *Server, a []string) string {
+	n, ok := ctlCount(a, 0)
+	if !ok {
+		return ""
+	}
+	return "OK\n" + strings.TrimRight(dashboard.HistoryFootprint(s.hist, n), "\n")
+}

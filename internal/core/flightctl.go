@@ -13,9 +13,9 @@ import (
 )
 
 // This file is the control-plane surface of the flight recorder
-// (internal/flight): the "journal" and "flight" ctl verbs, their -json
-// forms, and the JSON form of "trace". Everything here is cold path —
-// hot-path appends live with the code being recorded.
+// (internal/flight): the "journal", "flight" and "trace" entries of the
+// verb table (ctlverbs.go) and their -json forms. Everything here is cold
+// path — hot-path appends live with the code being recorded.
 
 // fjournal is the process-wide flight journal every core subsystem
 // appends to, bound once so call sites stay short.
@@ -85,7 +85,7 @@ func marshalOK(v any) string {
 // ctlJournal handles "journal [-json] [since <seq>]": the flight
 // recorder's ring, oldest first, each line led by the zero-padded global
 // sequence number so watch streams can diff the view.
-func (s *Server) ctlJournal(fields []string) string {
+func ctlJournal(_ *Server, fields []string) string {
 	fields, asJSON := stripJSONFlag(fields)
 	since := uint64(0)
 	max := journalDefaultMax
@@ -94,11 +94,11 @@ func (s *Server) ctlJournal(fields []string) string {
 	case len(fields) == 2 && strings.EqualFold(fields[0], "since"):
 		parsed, err := strconv.ParseUint(fields[1], 10, 64)
 		if err != nil {
-			return "ERR usage: journal [-json] [since <seq>]"
+			return ""
 		}
 		since, max = parsed, 0
 	default:
-		return "ERR usage: journal [-json] [since <seq>]"
+		return ""
 	}
 	recs := fjournal.Since(since, max)
 	if asJSON {
@@ -116,10 +116,10 @@ func (s *Server) ctlJournal(fields []string) string {
 // one sampled frame — every journal record stamped with the trace id,
 // pipeline hops first in stage order, then the detours in journal
 // order. A node name argument resolves to the node's most recent trace.
-func (s *Server) ctlFlight(fields []string) string {
+func ctlFlight(_ *Server, fields []string) string {
 	fields, asJSON := stripJSONFlag(fields)
 	if len(fields) != 1 {
-		return "ERR usage: flight [-json] <trace-id|node>"
+		return ""
 	}
 	arg := fields[0]
 	id, isID := flight.ParseTrace(arg)
@@ -191,6 +191,32 @@ func spansJSON(snaps []telemetry.SpanSnapshot) []spanJSON {
 		out[i] = sp
 	}
 	return out
+}
+
+// ctlTrace handles "trace [-json] [node]": the latest span breakdown of
+// one node or of all.
+func ctlTrace(_ *Server, fields []string) string {
+	args, asJSON := stripJSONFlag(fields)
+	if len(args) > 1 {
+		return ""
+	}
+	var snaps []telemetry.SpanSnapshot
+	if len(args) == 1 {
+		snap, ok := telemetry.Spans.Lookup(args[0])
+		if !ok {
+			return "ERR no trace for node " + args[0]
+		}
+		snaps = []telemetry.SpanSnapshot{snap}
+	} else {
+		snaps = telemetry.Spans.Snapshot()
+	}
+	if asJSON {
+		return ctlTraceJSON(snaps)
+	}
+	if len(snaps) == 0 {
+		return "OK (no spans recorded)"
+	}
+	return "OK\n" + strings.TrimRight(renderSpans(snaps), "\n") + traceExemplarFooter()
 }
 
 // ctlTraceJSON is the -json form of the trace verb: the span snapshots

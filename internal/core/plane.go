@@ -14,12 +14,11 @@ import (
 	"clusterworx/internal/telemetry"
 )
 
-// The serving plane: the read side of the management server. Every hot
-// query verb (status, nodes, values, compare, chart, spark, efficiency,
-// selfmon, sync) answers from an immutable rendering cached behind a
-// serve.Gate, tagged with the generation of the data it was computed
-// from. A hit is an atomic pointer load returning a shared string — no
-// lock on the single-verb gates, no allocation, no timer anywhere:
+// The serving plane: the read side of the management server. Every verb
+// with a generation source in the verb table (ctlverbs.go) answers from an
+// immutable rendering cached behind a serve.Gate, tagged with the
+// generation of the data it was computed from. A hit is an atomic pointer
+// load returning a shared string — no allocation, no timer anywhere:
 // validity is "the inputs have not changed", tracked by the per-shard
 // ingest generation vector in Server.
 //
@@ -34,11 +33,11 @@ import (
 // deadline, and its gate's Stale hook forces a rebuild once the clock
 // passes it — liveness stays exact without any background timer.
 
-// maxKeyedEntries bounds the per-argument gate table (values <node>,
-// compare <metric>, chart/spark <node> <metric>). Past the cap, new
-// argument combinations are still served — just rebuilt per request —
-// so a scanner enumerating the argument space cannot grow server
-// memory without bound.
+// maxKeyedEntries bounds the gate table. The argless views are in it from
+// the start; past the cap, new argument combinations (values <node>,
+// compare <metric>, chart/spark <node> <metric>) are still served — just
+// rebuilt per request — so a scanner enumerating the argument space
+// cannot grow server memory without bound.
 const maxKeyedEntries = 16384
 
 // statusSnap is one immutable status answer: the API rows, the ctl
@@ -58,23 +57,21 @@ type statusSnap struct {
 type plane struct {
 	s *Server
 
-	status     *serve.Gate[*statusSnap]
-	nodes      *serve.Gate[string]
-	efficiency *serve.Gate[string]
-	selfmon    *serve.Gate[string]
-	syncv      *serve.Gate[string]
+	// status is the one typed gate: Server.Status shares its rows.
+	status *serve.Gate[*statusSnap]
 
-	// keyed maps a raw request line ("values node007", "chart node3
-	// load.1") to its gate, so a hit never parses the request at all.
+	// keyed maps a canonical request line — lower-case verb, single-spaced
+	// arguments: "efficiency", "chart node3 load.1" — to its gate's Get, so
+	// a hit on that spelling never parses the request at all.
 	kmu   sync.RWMutex //cwx:lockrank keyed 35
-	keyed map[string]*serve.Gate[string]
+	keyed map[string]func() string
 
 	hubOnce sync.Once
 	hub     *serve.Hub
 }
 
 func newPlane(s *Server) *plane {
-	p := &plane{s: s, keyed: make(map[string]*serve.Gate[string])}
+	p := &plane{s: s, keyed: make(map[string]func() string)}
 	p.status = &serve.Gate[*statusSnap]{
 		Name:  "status",
 		GenFn: s.Generation,
@@ -84,13 +81,14 @@ func newPlane(s *Server) *plane {
 			return p.buildStatus(prev)
 		},
 	}
-	// The roster only changes on registration, so the name list rides
-	// the registration generation: steady-state ingest never evicts it.
-	p.nodes = &serve.Gate[string]{Name: "nodes", GenFn: s.regGen.Load, Build: p.buildNodes}
-	effView := new(dashboard.View) // the table between rebuilds; Build runs one at a time
-	p.efficiency = &serve.Gate[string]{Name: "efficiency", GenFn: s.Generation, Build: func() string { return p.buildEfficiency(effView) }}
-	p.selfmon = &serve.Gate[string]{Name: "selfmon", GenFn: s.Generation, Build: p.buildSelfmon}
-	p.syncv = &serve.Gate[string]{Name: "sync", GenFn: s.Generation, Build: p.buildSync}
+	p.keyed["status"] = func() string { return p.status.Get().rendered }
+	// The argless views take their slots now: the cap can then only ever
+	// refuse a per-argument gate.
+	for i := range ctlVerbs {
+		if v := &ctlVerbs[i]; v.gen != nil && v.min == 0 {
+			p.ensure(v, nil)
+		}
+	}
 	return p
 }
 
@@ -98,90 +96,47 @@ func newPlane(s *Server) *plane {
 // timestamp of the most recent value anywhere in the cluster.
 func (p *plane) lastData() time.Duration { return time.Duration(p.s.lastDataNs.Load()) }
 
-// statusSnapshot returns the current generation's status snapshot,
-// rebuilding at most once per generation (or liveness deadline).
+// view returns the cached rendering registered under a request line, nil
+// if there is none: the line is not canonical, not a cached verb, or not
+// asked for yet.
 //
 //cwx:hotpath
-func (p *plane) statusSnapshot() *statusSnap { return p.status.Get() }
-
-// cached answers a ctl request from the serving plane, keyed by the raw
-// request line so a hit does no parsing. The bool reports whether the
-// verb is served here at all; a false send the caller to the parsing
-// slow path (which also handles cacheable verbs written with unusual
-// spacing or case).
-//
-//cwx:hotpath
-func (p *plane) cached(line string) (string, bool) {
-	switch line {
-	case "status":
-		return p.status.Get().rendered, true
-	case "nodes":
-		return p.nodes.Get(), true
-	case "efficiency":
-		return p.efficiency.Get(), true
-	case "selfmon":
-		return p.selfmon.Get(), true
-	case "sync":
-		return p.syncv.Get(), true
-	}
+func (p *plane) view(line string) func() string {
 	p.kmu.RLock()
-	g := p.keyed[line]
+	get := p.keyed[line]
 	p.kmu.RUnlock()
-	if g != nil {
-		return g.Get(), true
-	}
-	return "", false
+	return get
 }
 
-// ensureKeyed returns (creating if needed) the gate for a parsed
-// argument-carrying request, registered under its raw line. Returns nil
-// when the verb takes no gate or the table is at capacity — the caller
-// then builds the answer directly, uncached.
-func (p *plane) ensureKeyed(line, verb string, fields []string) *serve.Gate[string] {
-	p.kmu.RLock()
-	g := p.keyed[line]
-	p.kmu.RUnlock()
-	if g != nil {
-		return g
+// ensure returns (creating if needed) the rendering of a cached verb for
+// parsed arguments, registered under the canonical request so that every
+// spelling of one request shares one gate. At capacity the new gate is
+// returned unregistered: the answer is built for this request alone.
+func (p *plane) ensure(v *ctlVerb, args []string) func() string {
+	key := strings.Join(append([]string{v.name}, args[:v.min]...), " ")
+	if get := p.view(key); get != nil {
+		return get
 	}
-	switch verb {
-	case "values":
-		// A node's current values change only with its own stripe, so the
-		// gate rides the shard generation: ingest elsewhere is invisible.
-		node := fields[1]
-		gen := &p.s.gens[shardIndex(node)].v
-		g = &serve.Gate[string]{Name: verb, GenFn: gen.Load, Build: func() string { return p.buildValues(node) }}
-	case "compare":
-		metric := fields[1]
-		view := new(dashboard.View) // the table between rebuilds; Build runs one at a time
-		g = &serve.Gate[string]{Name: verb, GenFn: p.s.Generation, Build: func() string { return p.buildCompare(view, metric) }}
-	case "chart":
-		node, metric := fields[1], fields[2]
-		g = &serve.Gate[string]{Name: verb, GenFn: p.seriesGen(node, metric), Build: func() string { return p.buildChart(node, metric) }}
-	case "spark":
-		node, metric := fields[1], fields[2]
-		g = &serve.Gate[string]{Name: verb, GenFn: p.seriesGen(node, metric), Build: func() string { return p.buildSpark(node, metric) }}
-	default:
-		return nil
-	}
+	args = strings.Fields(key)[1:] // the gate keeps its key, not the caller's request line
+	get := (&serve.Gate[string]{Name: v.name, GenFn: v.gen(p, args), Build: v.open(p, args)}).Get
 	p.kmu.Lock()
-	if cur := p.keyed[line]; cur != nil {
-		g = cur // lost a registration race; adopt the winner
+	if cur := p.keyed[key]; cur != nil {
+		get = cur // lost a registration race; adopt the winner
 	} else if len(p.keyed) < maxKeyedEntries {
-		p.keyed[line] = g
+		p.keyed[key] = get
 	}
 	p.kmu.Unlock()
-	return g
+	return get
 }
 
-// seriesGen gates a chart/spark rendering on its one series' append
+// genSeries gates a chart/spark rendering on its one series' append
 // counter, so the rendering survives ingest on every other series. The
 // high bit tags the series-generation space: entries cached while the
 // series did not yet exist ride the (low, small) global generation and
 // must not collide with series counters once it appears.
-func (p *plane) seriesGen(node, metric string) func() uint64 {
+func genSeries(p *plane, a []string) func() uint64 {
 	return func() uint64 {
-		if ser := p.s.hist.Series(node, metric); ser != nil {
+		if ser := p.s.hist.Series(a[0], a[1]); ser != nil {
 			return 1<<63 | ser.Gen()
 		}
 		return p.s.Generation()

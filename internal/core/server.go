@@ -715,7 +715,7 @@ func (s *Server) NodeValues(nodeName string) []consolidate.Value {
 //
 //cwx:hotpath
 func (s *Server) Status() []NodeStatus {
-	return s.plane.statusSnapshot().rows
+	return s.plane.status.Get().rows
 }
 
 // --- ICE Box fronting ------------------------------------------------------------
