@@ -71,8 +71,8 @@ bench-smoke:
 bench-test:
 	cd bench && $(GO) test ./...
 
-# Short fuzz run over the wire-protocol parsers, the history block codec,
-# the wire's value coder, the table views' row renderer (against the fmt verbs it replaces),
+# Short fuzz run over the wire-protocol parsers, the history block codec
+# and persistence loader (v2 and v3 files), the wire's value coder, the table views' row renderer (against the fmt verbs it replaces),
 # the event rule-file parser, the ICE Box command core and the ctl request
 # line (any line: no panic, an OK/ERR block, cached ≡ uncached):
 # each target gets ~10s, long enough to re-cover the grammar from the
@@ -84,6 +84,7 @@ fuzz-smoke:
 	$(GO) test ./internal/transmit/ -fuzz FuzzDecodeFrameV2 -fuzztime 10s -run NONE
 	$(GO) test ./internal/transmit/ -fuzz FuzzDecodeBatchV2 -fuzztime 10s -run NONE
 	$(GO) test ./internal/history/ -fuzz FuzzBlockCodec -fuzztime 10s -run NONE
+	$(GO) test ./internal/history/ -fuzz FuzzLoadFrom -fuzztime 10s -run NONE
 	$(GO) test ./internal/history/ -fuzz FuzzValueCodec -fuzztime 10s -run NONE
 	$(GO) test ./internal/dashboard/ -fuzz FuzzRowMatchesFmt -fuzztime 10s -run NONE
 	$(GO) test ./internal/events/ -fuzz FuzzParseRules -fuzztime 10s -run NONE

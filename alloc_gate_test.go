@@ -7,6 +7,8 @@ package clusterworx
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"math/rand"
 	"net"
 	"runtime"
 	"strings"
@@ -113,11 +115,11 @@ func TestAllocGateSequencedIngest(t *testing.T) {
 	}
 }
 
-// TestAllocGateHistoryHeadAppend pins the block engine's head-block
-// append (E19's shape) at zero allocations: in-order points land as two
-// word writes into the head arrays plus the running-summary fold. The
-// head is grown to its full size off the measured path, and the measured
-// window stays inside that one head block, so a growth step or a seal
+// TestAllocGateHistoryHeadAppend pins the block engine's open-block
+// append (E19's shape) at zero allocations: in-order points are bit-packed
+// into the series' buffer and folded into the running summary. The buffer
+// is grown to what this stream needs off the measured path, and the
+// measured window stays inside one block, so a growth step or a close
 // inside it would fail the gate (TestAllocGateHistoryHeadGrowth counts
 // those).
 func TestAllocGateHistoryHeadAppend(t *testing.T) {
@@ -133,29 +135,43 @@ func TestAllocGateHistoryHeadAppend(t *testing.T) {
 	}
 }
 
+// twoDecimalStream is the stream a root's busiest series see: a random
+// two-decimal reading, changed every time, stamped by a wall clock with
+// tens of milliseconds of jitter.
+func twoDecimalStream() func() (time.Duration, float64) {
+	rng := rand.New(rand.NewSource(1))
+	ts := time.Duration(0)
+	return func() (time.Duration, float64) {
+		ts += time.Second + time.Duration(rng.Intn(50_000_000))
+		return ts, math.Round(rng.Float64()*600) / 100
+	}
+}
+
 // TestAllocGateHistoryHeadGrowth pins what a series' allocating steps
-// cost in total. The first 512 appends of a fresh series grow the head
-// three times (8 → 32 → 128 → 512), two arrays each; appends 513…1 024
-// seal once — the block, its compressed data, and the first slot of the
-// block chain — and otherwise reuse the full-size head. measureOnce
-// counts the whole process, so each bound leaves two allocations of
-// slack for the runtime's own; the regressions this guards against
-// (×2 growth: 12, growth or seal per append: hundreds) clear it easily.
+// cost in total, on the stream that takes the most of them: two-decimal
+// readings on a jittered clock, ≈7 B a point. The first 512 appends of a
+// fresh series climb the whole byte ladder (64 B → 256 B → 1 KiB →
+// 4 KiB), one buffer each — under the six allocations the raw head's
+// three steps of two arrays cost; appends 513…1 024 close once — the
+// block, its exact-size data, and the first slot of the block chain — and
+// otherwise reuse the buffer. measureOnce counts the whole process, so
+// each bound leaves two allocations of slack for the runtime's own; the
+// regressions this guards against (×2 growth: 7, a buffer per close: 4,
+// growth or close per append: hundreds) clear it.
 func TestAllocGateHistoryHeadGrowth(t *testing.T) {
 	skipUnderRace(t)
 	s := history.NewSeries(1 << 20)
-	ts := time.Duration(0)
+	next := twoDecimalStream()
 	fill := func() {
 		for i := 0; i < 512; i++ {
-			ts += time.Second
-			s.Append(ts, 40+float64((i/64)%32)*0.5)
+			s.Append(next())
 		}
 	}
-	if grow, _ := measureOnce(fill); grow > 6+2 {
-		t.Fatalf("first 512 appends allocate %d times, want 6 (three growth steps)", grow)
+	if grow, _ := measureOnce(fill); grow > 3+2 {
+		t.Fatalf("first 512 appends allocate %d times, want 3 (three growth steps)", grow)
 	}
-	if seal, _ := measureOnce(fill); seal > 3+2 {
-		t.Fatalf("appends 513…1024 allocate %d times, want 3 (one seal)", seal)
+	if closing, _ := measureOnce(fill); closing > 3+2 {
+		t.Fatalf("appends 513…1024 allocate %d times, want 3 (one close)", closing)
 	}
 }
 
@@ -163,9 +179,10 @@ func TestAllocGateHistoryHeadGrowth(t *testing.T) {
 // tree — the shape of the benchmark's fed and query workloads, which
 // `go test ./...` does not run: 1 024 nodes × 32 numeric + 2 text values,
 // 16 samples each, through the sequenced ingest path. History must cost
-// what it holds, not what it might: the live heap the server retains is
-// ≈30 MB with lazily grown heads and was ≈270 MB when every series
-// preallocated a 512-point head.
+// what it holds, not what it might: each series' 16 changed values sit
+// coded in a 256 B buffer (512 B of raw head arrays before the open
+// block, 8 KiB when every series preallocated a 512-point head, ≈270 MB
+// of live heap in all).
 func TestAllocGateHistoryYoungStoreHeap(t *testing.T) {
 	skipUnderRace(t)
 	const nodes, numeric, samples = 1024, 32, 16
@@ -195,11 +212,11 @@ func TestAllocGateHistoryYoungStoreHeap(t *testing.T) {
 			}
 		}
 	})
-	if got, want := srv.History().Bytes(), int64(nodes*numeric*32*16); got != want {
-		t.Fatalf("history accounts %d B, want %d (a 32-point head for each of %d series)", got, want, nodes*numeric)
+	if got, want := srv.History().Bytes(), int64(nodes*numeric*256); got != want {
+		t.Fatalf("history accounts %d B, want %d (a 256 B open block for each of %d series)", got, want, nodes*numeric)
 	}
-	if mb := float64(heap) / (1 << 20); mb > 48 {
-		t.Fatalf("a %d-node × %d-metric × %d-sample tree retains %.1f MB of heap, want <= 48", nodes, numeric, samples, mb)
+	if mb := float64(heap) / (1 << 20); mb > 36 {
+		t.Fatalf("a %d-node × %d-metric × %d-sample tree retains %.1f MB of heap, want <= 36", nodes, numeric, samples, mb)
 	}
 }
 
@@ -216,6 +233,24 @@ func TestAllocGateHistoryBytesPerSample(t *testing.T) {
 	}
 	if perSample := float64(s.Bytes()) / float64(s.Len()); perSample > 2.0 {
 		t.Fatalf("history stores monitor stream at %.2f B/sample, want <= 2", perSample)
+	}
+}
+
+// TestAllocGateHistoryDecimalBytesPerSample pins the other end of the
+// value code: a stream where every reading changes — a random two-decimal
+// value on a wall clock with tens of milliseconds of jitter, the shape a
+// root's ingest stamps onto a busy metric, and the one XOR coding is worst
+// at (≈12 B/sample; 16 raw). At most 8 bytes/sample including block
+// metadata.
+func TestAllocGateHistoryDecimalBytesPerSample(t *testing.T) {
+	const n = 1 << 16
+	s := history.NewSeries(n)
+	next := twoDecimalStream()
+	for i := 0; i < n; i++ {
+		s.Append(next())
+	}
+	if perSample := float64(s.Bytes()) / float64(s.Len()); perSample > 8.0 {
+		t.Fatalf("history stores two-decimal stream at %.2f B/sample, want <= 8", perSample)
 	}
 }
 

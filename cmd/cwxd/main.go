@@ -27,11 +27,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on DefaultServeMux, served only with -pprof
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"time"
@@ -139,7 +141,7 @@ func main() {
 		//cwx:daemon periodic history persistence runs for the process lifetime
 		go func() {
 			for range time.Tick(time.Minute) {
-				if err := saveHistory(srv, *histFile); err != nil {
+				if err := saveHistory(srv.History().SaveTo, *histFile); err != nil {
 					log.Printf("cwxd: history save: %v", err)
 				}
 			}
@@ -258,21 +260,36 @@ func installRules(srv *core.Server, rulesFile string) {
 	}
 }
 
-// saveHistory writes the store atomically via a temp file rename.
-func saveHistory(srv *core.Server, path string) error {
+// saveHistory replaces the snapshot at path so that, whatever fails and
+// whenever the machine stops, path holds either the previous snapshot or
+// the new one, whole: the new bytes go to a temp file that is synced
+// before it is renamed over path — a rename can reach the disk before the
+// data it names — and the directory is synced after, so the rename itself
+// survives. A failed save removes the temp file and leaves path alone.
+func saveHistory(save func(io.Writer) error, path string) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := srv.History().SaveTo(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
+	err = save(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp) //nolint:errcheck // best effort: the save has already failed with err
 		return err
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	defer dir.Close()
+	return dir.Sync()
 }

@@ -6,11 +6,13 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"clusterworx/internal/consolidate"
 	"clusterworx/internal/events"
 	"clusterworx/internal/history"
 	"clusterworx/internal/telemetry"
+	"clusterworx/internal/transmit"
 )
 
 // ingestUpdate builds a small agent-style change set.
@@ -267,4 +269,67 @@ func TestIngestReadDuringSlowIngest(t *testing.T) {
 		}
 	}
 	<-done
+}
+
+// TestIngestInternsMetricNames: values parsed off the v1 wire name their
+// metrics with slices of the frame's lines, one copy per node and frame.
+// After a snapshot every node's record must be keyed by the history
+// store's one copy of each name, and so must the store's series maps —
+// whichever frame created the series.
+func TestIngestInternsMetricNames(t *testing.T) {
+	srv := NewServer(ServerConfig{Cluster: "t"})
+	parse := func(wire string) []consolidate.Value {
+		t.Helper()
+		vals, err := transmit.UnmarshalValues([]byte(wire))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return vals
+	}
+	nodes := []string{"n1", "n2", "n3"}
+	for _, node := range nodes {
+		frames := []transmit.Frame{
+			{Node: node, Seq: 1, Kind: transmit.FrameSnapshot, Values: parse("load.1 D n 0.5\nos.kernel S t \"2.4.18\"\n")},
+			{Node: node, Seq: 2, Kind: transmit.FrameDelta, Values: parse("load.1 D n 0.75\nmem.free.kb D n 1024\n")},
+			{Node: node, Seq: 3, Kind: transmit.FrameSnapshot, Values: parse("load.1 D n 1\nmem.free.kb D n 1024\nos.kernel S t \"2.4.18\"\n")},
+		}
+		for _, f := range frames {
+			if err := srv.HandleFrame(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// where maps a metric name to the address of the first string seen
+	// naming it.
+	where := map[string]*byte{}
+	check := func(node, holder, name string) {
+		t.Helper()
+		if at, ok := where[name]; !ok {
+			where[name] = unsafe.StringData(name)
+		} else if at != unsafe.StringData(name) {
+			t.Errorf("%s: %s %q is a copy of its own", node, holder, name)
+		}
+	}
+	for _, node := range nodes {
+		rec := srv.node(node)
+		rec.mu.RLock()
+		if len(rec.values) != 3 || len(rec.sample) != 2 {
+			t.Fatalf("%s holds %d values and %d samples, want 3 and 2", node, len(rec.values), len(rec.sample))
+		}
+		for name, v := range rec.values {
+			check(node, "record key ", name)
+			check(node, "record key ", v.Name)
+		}
+		for name := range rec.sample {
+			check(node, "record key ", name)
+		}
+		rec.mu.RUnlock()
+		metrics := srv.History().Metrics(node)
+		if len(metrics) != 2 {
+			t.Fatalf("%s has series %v, want 2", node, metrics)
+		}
+		for _, name := range metrics {
+			check(node, "series key ", name)
+		}
+	}
 }

@@ -510,6 +510,15 @@ func (s *Server) HandleFrame(f transmit.Frame) error {
 // rec.mu.
 func (s *Server) applySnapshotLocked(rec *nodeRec, nodeName string, values []consolidate.Value, now time.Duration) {
 	for _, v := range values {
+		// A name parsed off the v1 wire is a slice of its frame's line,
+		// one copy per node and frame. A snapshot — the cold path, and what
+		// opens every session — swaps each for the history store's copy,
+		// so a thousand nodes' records are keyed by 34 strings, not by
+		// 34 000 value lines. A later delta re-keys what it touches to its
+		// own frame's string (Go overwrites a string key on assignment),
+		// which on the binary wire is the session dictionary's one copy;
+		// that path pays nothing for this.
+		v.Name = s.hist.Intern(v.Name)
 		old, seen := rec.values[v.Name]
 		rec.values[v.Name] = v
 		if !v.IsText {

@@ -1,42 +1,42 @@
 package history
 
-// Sealed-block codec: Gorilla-style bit packing (Facebook's "Gorilla: A
+// The block grammar: Gorilla-style bit packing (Facebook's "Gorilla: A
 // Fast, Scalable, In-Memory Time Series Database", VLDB 2015) adapted to
-// this store's shape. Timestamps are delta-of-delta coded — an agent
-// reporting on a fixed cadence costs one bit per sample — and values are
-// XOR-coded against their predecessor, so the §5.3.2 change-suppressed
-// monitor streams (long runs of repeated or near-equal readings) cost a
-// bit or a handful of meaningful bits per sample instead of 16 bytes.
+// this store's shape. A block is a run of points, each a delta-of-delta
+// timestamp code — an agent reporting on a fixed cadence costs one bit
+// per sample — followed by the wire's value code (wirecodec.go): one bit
+// for an unchanged reading, a short decimal difference for the changed
+// two-place decimals monitors report, Gorilla XOR for everything else.
+// Both predictors start from zero, so a block needs no raw first point
+// and decodes on its own.
 //
-// A block is encoded once, at seal time, from the series' head arrays and
-// never mutated afterwards: queries decode it without any lock. The codec
-// is pure bit-shuffling over stdlib types; every float64 bit pattern
-// (NaN, ±Inf, denormals) round-trips exactly, and decoding untrusted
-// bytes (the persistence loader, the fuzzer) terminates with an error
-// instead of panicking.
+// A series appends straight into its open block in this form and closes
+// it by copying the exact bytes out; closed blocks are never mutated, so
+// queries decode them without any lock. Every float64 bit pattern (NaN,
+// ±Inf, denormals) round-trips exactly, and decoding untrusted bytes
+// (the persistence loader, the fuzzer) terminates with an error instead
+// of panicking.
 
 import (
 	"math"
-	"math/bits"
 	"time"
 )
 
-// blockOverheadBytes is the accounted per-sealed-block bookkeeping cost:
+// blockOverheadBytes is the accounted per-closed-block bookkeeping cost:
 // the summary, the slice header, and the pointer in the chain. Used by
 // the bytes gauge and the E19 bytes/sample measurement so compression
 // numbers include their own metadata.
 const blockOverheadBytes = 136
 
-// summary is the running aggregate of a run of points — a sealed
-// block's, or the mutable head's: everything Stats, Compare and Trend
-// need so a run fully inside the query window is answered without
-// decoding or scanning it.
+// summary is the running aggregate of a block's points: everything
+// Stats and Compare need so a block fully inside the query window is
+// answered without decoding it. The open block folds every append into
+// its own, so it is kept to the eight words an append needs.
 //
 // minV/maxV skip NaN values (NaN only if every value is NaN); combined
 // with firstV-initialization at query time this reproduces exactly the
 // result of the naive "init from first point, then strict <,> folds"
-// scan, for any NaN placement. sumX/sumXX/sumXY are the least-squares
-// moments over x = T.Hours(), y = V, so Trend merges blocks in O(1).
+// scan, for any NaN placement.
 type summary struct {
 	count  int
 	minV   float64
@@ -46,20 +46,35 @@ type summary struct {
 	lastT  int64
 	firstV float64
 	lastV  float64
-	sumX   float64
-	sumXX  float64
-	sumXY  float64
 }
 
-// block is one sealed, immutable run of compressed points.
+// moments are the least-squares sums over x = T.Hours(), y = V (Σy is
+// the summary's sumV), so Trend merges closed blocks in O(1). They are
+// folded when a block closes, not per append: decode order is append
+// order, so the sums are the ones a running fold would have produced.
+type moments struct {
+	sumX  float64
+	sumXX float64
+	sumXY float64
+}
+
+// add folds one point into the sums, in append order.
+func (m *moments) add(t int64, v float64) {
+	x := time.Duration(t).Hours()
+	m.sumX += x
+	m.sumXX += x * x
+	m.sumXY += x * v
+}
+
+// block is one run of compressed points: closed and immutable in a
+// series' chain, or a query's private copy of the open block.
 type block struct {
 	data []byte
 	sum  summary
+	mom  moments // closed blocks only
 }
 
-// add folds one point into the aggregate. The series' head calls it once
-// per append, in append order, so at seal time the block inherits exactly
-// the sums a scan of its points would produce — no separate pass.
+// add folds one point into the aggregate, in append order.
 //
 //cwx:hotpath
 func (s *summary) add(t int64, v float64) {
@@ -69,11 +84,7 @@ func (s *summary) add(t int64, v float64) {
 	}
 	s.count++
 	s.lastT, s.lastV = t, v
-	x := time.Duration(t).Hours()
 	s.sumV += v
-	s.sumX += x
-	s.sumXX += x * x
-	s.sumXY += x * v
 	switch {
 	case math.IsNaN(v):
 	case math.IsNaN(s.minV): // first non-NaN value
@@ -83,6 +94,65 @@ func (s *summary) add(t int64, v float64) {
 	case v > s.maxV:
 		s.maxV = v
 	}
+}
+
+// --- the open block -------------------------------------------------------------
+
+// The open block's buffer climbs 64 B → 256 B → 1 KiB → 4 KiB: the ×4
+// ladder the raw head arrays had, at half the bytes, because a worst-case
+// changed decimal with a jittered stamp costs ≈8 B where a raw point cost
+// 16 — so a step is reached after about as many appends as before. The
+// factor is deliberately coarse: every series of a tree loaded together
+// grows at the same append, and ×4 keeps those bursts rare. A block
+// closes at blockPoints points, or earlier when the next point might not
+// fit the top step: pointReserve is the longest point code (a 68-bit
+// timestamp, a 78-bit value) behind up to 7 pending bits.
+const (
+	blockPoints  = 512
+	bufInitial   = 64
+	bufGrowth    = 4
+	bufMax       = 4096
+	pointReserve = 20
+)
+
+// openBlock is the block a series appends into: the bit stream so far,
+// the two predictors that continue it, and the running summary.
+type openBlock struct {
+	w   BitWriter
+	ts  DoDState
+	vs  ValueState
+	sum summary
+}
+
+// room reports whether one more point is sure to fit the buffer as it is.
+//
+//cwx:hotpath
+func (o *openBlock) room() bool { return cap(o.w.w.buf)-len(o.w.w.buf) >= pointReserve }
+
+// put appends one point's code; the caller has checked room.
+//
+//cwx:hotpath
+func (o *openBlock) put(t int64, v float64) {
+	o.w.WriteDoD(&o.ts, t)
+	o.w.WriteValue(&o.vs, v)
+	o.sum.add(t, v)
+}
+
+// bytes returns a copy of the stream so far, the pending bits flushed
+// into a zero-padded last byte: exactly what a closed block holds.
+func (o *openBlock) bytes() []byte {
+	w := &o.w.w
+	data := make([]byte, len(w.buf), len(w.buf)+1)
+	copy(data, w.buf)
+	if w.nacc > 0 {
+		data = append(data, byte(w.acc>>56))
+	}
+	return data
+}
+
+// rewind empties the block, keeping its buffer.
+func (o *openBlock) rewind() {
+	*o = openBlock{w: BitWriter{bitWriter{buf: o.w.w.buf[:0]}}}
 }
 
 // --- bit-level writer -----------------------------------------------------------
@@ -205,114 +275,37 @@ func readDoD(r *bitReader) int64 {
 	return int64(z>>1) ^ -int64(z&1) // un-zigzag
 }
 
-// --- block encode ---------------------------------------------------------------
-
-// encodeBlock compresses parallel timestamp/value arrays into a sealed
-// block's byte form. The first point is stored raw (64+64 bits); every
-// later timestamp is delta-of-delta coded and every later value is
-// XOR-coded with the Gorilla leading/meaningful-bits window scheme.
-// Timestamps need not be monotone — the codec round-trips any sequence;
-// ordering is the Series' concern.
-func encodeBlock(ts []int64, vs []float64) []byte {
-	w := bitWriter{buf: make([]byte, 0, 16+len(ts)*2)}
-	w.writeBits(uint64(ts[0]), 64)
-	prevV := math.Float64bits(vs[0])
-	w.writeBits(prevV, 64)
-	prevT := ts[0]
-	var prevDelta int64
-	leading, trailing := -1, -1 // no window yet
-	for i := 1; i < len(ts); i++ {
-		delta := ts[i] - prevT
-		writeDoD(&w, delta-prevDelta)
-		prevDelta = delta
-		prevT = ts[i]
-
-		cur := math.Float64bits(vs[i])
-		xor := cur ^ prevV
-		prevV = cur
-		if xor == 0 {
-			w.writeBit(0)
-			continue
-		}
-		w.writeBit(1)
-		lz := bits.LeadingZeros64(xor)
-		if lz > 31 {
-			lz = 31 // 5-bit field
-		}
-		tz := bits.TrailingZeros64(xor)
-		if leading >= 0 && lz >= leading && tz >= trailing {
-			// Meaningful bits fit the previous window: reuse it.
-			w.writeBit(0)
-			w.writeBits(xor>>uint(trailing), uint(64-leading-trailing))
-		} else {
-			leading, trailing = lz, tz
-			sig := 64 - lz - tz
-			w.writeBit(1)
-			w.writeBits(uint64(lz), 5)
-			w.writeBits(uint64(sig-1), 6)
-			w.writeBits(xor>>uint(tz), uint(sig))
-		}
-	}
-	return w.bytes()
-}
-
 // --- block decode ---------------------------------------------------------------
 
-// blockIter streams a sealed block's points without materializing a
-// slice. count bounds the iteration, so arbitrary (corrupt) bytes always
-// terminate; after a short read next reports done and failed reports
-// true.
-type blockIter struct {
-	r        bitReader
-	count    int
-	i        int
-	t        int64
-	delta    int64
-	v        uint64
-	leading  int
-	trailing int
+// pointIter streams a block's points without materializing a slice.
+// count bounds the iteration, so arbitrary (corrupt) bytes always
+// terminate; after a short or impossible read next reports done and
+// failed reports true.
+type pointIter struct {
+	r    BitReader
+	ts   DoDState
+	vs   ValueState
+	left int
 }
 
-func newBlockIter(data []byte, count int) blockIter {
-	return blockIter{r: bitReader{data: data}, count: count, leading: -1, trailing: -1}
+func newPointIter(data []byte, count int) pointIter {
+	return pointIter{r: BitReader{bitReader{data: data}}, left: count}
 }
 
 // next returns the following point; ok is false at the end of the block
 // or on a truncated/corrupt bit stream.
-func (it *blockIter) next() (t int64, v float64, ok bool) {
-	if it.i >= it.count || it.r.err {
+func (it *pointIter) next() (t int64, v float64, ok bool) {
+	if it.left <= 0 || it.r.Failed() {
 		return 0, 0, false
 	}
-	if it.i == 0 {
-		it.t = int64(it.r.readBits(64))
-		it.v = it.r.readBits(64)
-	} else {
-		dod := readDoD(&it.r)
-		it.delta += dod
-		it.t += it.delta
-		if it.r.readBit() == 1 {
-			if it.r.readBit() == 1 {
-				it.leading = int(it.r.readBits(5))
-				sig := int(it.r.readBits(6)) + 1
-				it.trailing = 64 - it.leading - sig
-			}
-			if it.trailing < 0 || it.leading < 0 {
-				// Only reachable on corrupt input: a window-reuse code
-				// before any window was defined, or sig overflowing it.
-				it.r.err = true
-				return 0, 0, false
-			}
-			width := uint(64 - it.leading - it.trailing)
-			it.v ^= it.r.readBits(width) << uint(it.trailing)
-		}
-	}
-	if it.r.err {
+	t = it.r.ReadDoD(&it.ts)
+	if v, ok = it.r.ReadValue(&it.vs); !ok {
 		return 0, 0, false
 	}
-	it.i++
-	return it.t, math.Float64frombits(it.v), true
+	it.left--
+	return t, v, true
 }
 
 // failed reports whether iteration stopped because the bit stream was
 // truncated or corrupt rather than cleanly exhausted.
-func (it *blockIter) failed() bool { return it.r.err }
+func (it *pointIter) failed() bool { return it.r.Failed() }

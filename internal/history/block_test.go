@@ -6,13 +6,29 @@ import (
 	"time"
 )
 
+// encodePoints packs the pair of arrays the way a series' open block
+// does, into a buffer big enough for any code, and returns the bytes a
+// closed block would hold. Timestamps need not be monotone — the grammar
+// round-trips any sequence; ordering is the Series' concern.
+func encodePoints(ts []int64, vs []float64) []byte {
+	var o openBlock
+	o.w.Reset(make([]byte, len(ts)*pointReserve))
+	for i := range ts {
+		if !o.room() {
+			panic("encodePoints: pointReserve is shorter than a point's code")
+		}
+		o.put(ts[i], vs[i])
+	}
+	return o.bytes()
+}
+
 // roundtrip encodes the pair of arrays and decodes them back, failing on
 // any bit-level mismatch (values compare as raw bits, so NaN payloads
 // and signed zeros count).
 func roundtrip(t *testing.T, ts []int64, vs []float64) {
 	t.Helper()
-	data := encodeBlock(ts, vs)
-	it := newBlockIter(data, len(ts))
+	data := encodePoints(ts, vs)
+	it := newPointIter(data, len(ts))
 	for i := range ts {
 		gt, gv, ok := it.next()
 		if !ok {
@@ -76,7 +92,7 @@ func TestBlockCodecLong(t *testing.T) {
 			vs[i] = 40 + float64((i/64)%32)*0.5
 		}
 	}
-	data := encodeBlock(ts, vs)
+	data := encodePoints(ts, vs)
 	roundtrip(t, ts, vs)
 	if perSample := float64(len(data)) / float64(n); perSample > 2.0 {
 		t.Fatalf("monitor-shaped stream encodes at %.2f B/sample, want <= 2", perSample)
@@ -86,9 +102,9 @@ func TestBlockCodecLong(t *testing.T) {
 func TestBlockIterTruncated(t *testing.T) {
 	ts := []int64{0, int64(time.Second), 2 * int64(time.Second)}
 	vs := []float64{1, 2, 3}
-	data := encodeBlock(ts, vs)
+	data := encodePoints(ts, vs)
 	for cut := 0; cut < len(data); cut++ {
-		it := newBlockIter(data[:cut], len(ts))
+		it := newPointIter(data[:cut], len(ts))
 		n := 0
 		for {
 			_, _, ok := it.next()
@@ -113,7 +129,7 @@ func TestBlockIterCorruptTerminates(t *testing.T) {
 		{0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0A},
 	}
 	for _, p := range payloads {
-		it := newBlockIter(p, 1<<16)
+		it := newPointIter(p, 1<<16)
 		n := 0
 		for {
 			if _, _, ok := it.next(); !ok {
@@ -126,7 +142,7 @@ func TestBlockIterCorruptTerminates(t *testing.T) {
 	}
 }
 
-// summarize folds a run of points the way the series' head does.
+// summarize folds a run of points the way the open block does.
 func summarize(ts []int64, vs []float64) summary {
 	var s summary
 	for i, t := range ts {

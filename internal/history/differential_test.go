@@ -1,9 +1,12 @@
 package history
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 )
@@ -130,6 +133,13 @@ func eqVal(a, b float64) bool {
 	return a == b
 }
 
+// samePoint reports whether two stored points are the same bit for bit:
+// what Range, Tail, Last and a save/load round trip owe the reference (a
+// NaN keeps its payload, −0 stays −0).
+func samePoint(a, b Point) bool {
+	return a.T == b.T && math.Float64bits(a.V) == math.Float64bits(b.V)
+}
+
 // approxVal allows the tiny reassociation drift of summary-merged sums
 // (block and head subtotals are grouped, the naive scan is flat).
 func approxVal(a, b float64) bool {
@@ -179,75 +189,178 @@ var (
 	}, tameValues...)
 )
 
+// diffStream is one shape of input: how far the clock moves between
+// appends and what value comes next.
+type diffStream struct {
+	name  string
+	step  func(rng *rand.Rand) time.Duration
+	value func(rng *rand.Rand, prev float64) float64
+	spot  bool // run at spotCapacities only: the suite runs under -race
+}
+
+// jitteredStep is a mostly monotone clock with jittered cadence, some
+// equal timestamps and the occasional step back (dropped by both engines).
+func jitteredStep(rng *rand.Rand) time.Duration {
+	switch rng.Intn(10) {
+	case 0:
+		return 0 // equal timestamp: allowed
+	case 1:
+		return -time.Duration(rng.Intn(5000)+1) * time.Millisecond // out of order: dropped
+	default:
+		return time.Duration(rng.Intn(2000)+1) * time.Millisecond
+	}
+}
+
+// irregularStep spans every timestamp code: nanoseconds to hours, with
+// runs of a fixed cadence between the jumps.
+func irregularStep(rng *rand.Rand) time.Duration {
+	switch rng.Intn(12) {
+	case 0:
+		return 0
+	case 1:
+		return time.Duration(rng.Intn(100) + 1)
+	case 2:
+		return time.Duration(rng.Intn(1000)+1) * time.Microsecond
+	case 3:
+		return time.Duration(rng.Intn(3)+1) * time.Hour
+	case 4:
+		return -time.Duration(rng.Intn(90)+1) * time.Second
+	case 5:
+		return time.Minute + time.Duration(rng.Intn(1_000_000))
+	default:
+		return time.Second
+	}
+}
+
+// quantized mixes half-unit monitor readings with wide floats and the
+// given special values.
+func quantized(specials []float64) func(*rand.Rand, float64) float64 {
+	return func(rng *rand.Rand, _ float64) float64 {
+		switch rng.Intn(8) {
+		case 0:
+			return specials[rng.Intn(len(specials))]
+		case 1:
+			return rng.NormFloat64() * 1e6
+		default:
+			return 40 + float64(rng.Intn(64))*0.5
+		}
+	}
+}
+
+// twoDecimals is a "%.2f" monitor — /proc/loadavg, a percentage — so one
+// reading in ten lands on a shorter decimal (0.50, 3.00) and the value
+// code's sticky exponent is crossed both ways; NaN, ±Inf and −0 break the
+// decimal run now and then.
+func twoDecimals(rng *rand.Rand, _ float64) float64 {
+	if rng.Intn(40) == 0 {
+		return []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}[rng.Intn(4)]
+	}
+	return math.Round(rng.Float64()*600) / 100
+}
+
+// counter is an integer counter: it dwells, climbs by small and large
+// strides, wraps to zero, and sometimes sits at the edge of the integers a
+// float64 holds exactly.
+func counter(rng *rand.Rand, prev float64) float64 {
+	if math.IsNaN(prev) || math.IsInf(prev, 0) {
+		prev = 0
+	}
+	switch rng.Intn(50) {
+	case 0:
+		return 0
+	case 1:
+		return 1<<53 - float64(rng.Intn(3))
+	case 2, 3, 4, 5, 6, 7, 8, 9:
+		return prev
+	case 10:
+		return math.Trunc(prev) + float64(rng.Intn(1<<30))
+	default:
+		return math.Trunc(prev) + float64(rng.Intn(1500))
+	}
+}
+
+var diffStreams = []diffStream{
+	{"adversarial", jitteredStep, quantized(specialValues), false},
+	{"tame", jitteredStep, quantized(tameValues), false},
+	{"decimal", jitteredStep, twoDecimals, true},
+	{"counter", jitteredStep, counter, true},
+	{"irregular", irregularStep, twoDecimals, true},
+}
+
+// spotCapacities are one point, a handful, a part of a block, and a
+// block and a bit with and without room for a second close.
+var spotCapacities = []int{1, 9, 100, 513, 600}
+
 // TestDifferentialEngineVsNaiveRing drives random append/query sequences
-// against the compressed block engine and the naive reference ring,
-// asserting identical Range/Stats/Downsample/Trend/Len/Last results —
-// including across seal boundaries, point-exact eviction, out-of-order
-// drops, and NaN/±Inf/denormal values. Mean and Trend tolerate the
-// reassociation drift inherent to O(blocks) summary merging; everything
-// else must match exactly. The capacities sit on both sides of every
-// head growth step (8, 32, 128, 512), where the head's full size is set
-// by retention rather than by headCapacity. Each runs twice: the
-// adversarial stream, and a tame one whose every Mean is finite, so long
-// windows check the merged sums and not just NaN against NaN.
+// against the block engine and the naive reference ring, asserting
+// identical Range/Tail/Stats/Downsample/Trend/Len/Last results and an
+// identical save/load round trip — including across block closes,
+// point-exact eviction, out-of-order drops, and NaN/±Inf/denormal values.
+// Stored points must match bit for bit; Mean and Trend tolerate the
+// reassociation drift inherent to O(blocks) summary merging. The
+// capacities run from one point, where every append closes a block, over
+// both sides of the blockPoints close to many blocks; the streams are the
+// shapes the value code tells apart (diffStreams), the adversarial one
+// beside a tame twin whose every Mean is finite, so long windows check
+// the merged sums and not just NaN against NaN.
 func TestDifferentialEngineVsNaiveRing(t *testing.T) {
 	capacities := []int{1, 5, 7, 8, 9, 10, 31, 32, 33, 100, 511, 513, 600, 1500, 4096}
-	streams := []struct {
-		name     string
-		specials []float64
-	}{{"adversarial", specialValues}, {"tame", tameValues}}
 	for _, capacity := range capacities {
-		for _, stream := range streams {
+		for _, stream := range diffStreams {
+			if stream.spot && !slices.Contains(spotCapacities, capacity) {
+				continue
+			}
 			t.Run(fmt.Sprintf("cap%d/%s", capacity, stream.name), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(0xC0FFEE + capacity)))
-				s := NewSeries(capacity)
+				st := NewStore(capacity)
 				ref := newRefRing(capacity)
 				now := time.Duration(0)
 				appends := 0
+				var v float64
 				var tally diffTally
 				for round := 0; round < 40; round++ {
-					// A burst of appends: mostly monotone with jittered
-					// cadence, some equal timestamps, occasional out-of-order
-					// (dropped by both), values quantized with specials mixed in.
-					burst := rng.Intn(3*headCapacity/2) + 1
+					burst := rng.Intn(3*blockPoints/2) + 1
 					for i := 0; i < burst; i++ {
-						var step time.Duration
-						switch rng.Intn(10) {
-						case 0:
-							step = 0 // equal timestamp: allowed
-						case 1:
-							step = -time.Duration(rng.Intn(5000)+1) * time.Millisecond // out of order: dropped
-						default:
-							step = time.Duration(rng.Intn(2000)+1) * time.Millisecond
-						}
+						step := stream.step(rng)
 						ts := now + step
 						if step > 0 {
 							now = ts
 						}
-						var v float64
-						switch rng.Intn(8) {
-						case 0:
-							v = stream.specials[rng.Intn(len(stream.specials))]
-						case 1:
-							v = rng.NormFloat64() * 1e6
-						default:
-							v = 40 + float64(rng.Intn(64))*0.5 // quantized monitor reading
-						}
-						s.Append(ts, v)
+						v = stream.value(rng, v)
+						st.Append("n", "m", ts, v)
 						ref.append(ts, v)
 						appends++
 					}
-					checkDifferential(t, s, ref, rng, now, &tally)
+					checkDifferential(t, st.Series("n", "m"), ref, rng, now, &tally)
 				}
 				if appends <= capacity {
 					t.Fatalf("generator never exercised eviction (appends=%d cap=%d)", appends, capacity)
 				}
-				// The carve-outs stay the exception: no Mean on the tame
-				// stream and under a fifth of the adversarial one's, and
-				// a Trend in a hundred.
-				if tally.cancelled*5 > tally.compared || stream.name == "tame" && tally.cancelled > 0 ||
+				// The carve-outs stay the exception: no Mean but on the
+				// adversarial stream and under a fifth of its, and a Trend
+				// in a hundred.
+				if tally.cancelled*5 > tally.compared || stream.name != "adversarial" && tally.cancelled > 0 ||
 					tally.illFit*100 > tally.compared {
 					t.Fatalf("carve-outs are not the exception: %+v", tally)
+				}
+				// What is saved is what is stored: the chain, the front
+				// trim and the open block come back as the same points.
+				var buf bytes.Buffer
+				if err := st.SaveTo(&buf); err != nil {
+					t.Fatal(err)
+				}
+				back := NewStore(capacity)
+				if err := back.LoadFrom(&buf); err != nil {
+					t.Fatal(err)
+				}
+				got := back.Series("n", "m").Range(math.MinInt64, math.MaxInt64)
+				if len(got) != ref.size {
+					t.Fatalf("loaded %d points, ref %d", len(got), ref.size)
+				}
+				for i, p := range got {
+					if !samePoint(p, ref.at(i)) {
+						t.Fatalf("loaded point %d = %v, ref %v", i, p, ref.at(i))
+					}
 				}
 			})
 		}
@@ -266,19 +379,19 @@ func checkDifferential(t *testing.T, s *Series, ref *refRing, rng *rand.Rand, no
 		}
 	} else {
 		wantLast := ref.at(ref.size - 1)
-		if !gotOK || gotLast.T != wantLast.T || !eqVal(gotLast.V, wantLast.V) {
+		if !gotOK || !samePoint(gotLast, wantLast) {
 			t.Fatalf("Last = %v,%v want %v", gotLast, gotOK, wantLast)
 		}
 	}
-	// Tail: the newest n points, for n inside the head, across sealed
-	// blocks, at the trimmed front and past everything stored.
-	for _, n := range []int{0, 1, rng.Intn(headCapacity) + 1, rng.Intn(ref.size+1) + 1, ref.size, ref.size + 3} {
+	// Tail: the newest n points, for n inside the open block, across
+	// closed blocks, at the trimmed front and past everything stored.
+	for _, n := range []int{0, 1, rng.Intn(blockPoints) + 1, rng.Intn(ref.size+1) + 1, ref.size, ref.size + 3} {
 		got := s.Tail(n)
 		if want := min(n, ref.size); len(got) != want {
 			t.Fatalf("Tail(%d) len %d, want %d", n, len(got), want)
 		}
 		for i, p := range got {
-			if w := ref.at(ref.size - len(got) + i); p.T != w.T || !eqVal(p.V, w.V) {
+			if w := ref.at(ref.size - len(got) + i); !samePoint(p, w) {
 				t.Fatalf("Tail(%d)[%d] = %v, ref %v", n, i, p, w)
 			}
 		}
@@ -295,7 +408,7 @@ func checkDifferential(t *testing.T, s *Series, ref *refRing, rng *rand.Rand, no
 			t.Fatalf("Range(%v,%v) len %d, ref %d", t0, t1, len(gotR), len(wantR))
 		}
 		for i := range gotR {
-			if gotR[i].T != wantR[i].T || !eqVal(gotR[i].V, wantR[i].V) {
+			if !samePoint(gotR[i], wantR[i]) {
 				t.Fatalf("Range(%v,%v)[%d] = %v, ref %v", t0, t1, i, gotR[i], wantR[i])
 			}
 		}
@@ -345,14 +458,14 @@ func checkDifferential(t *testing.T, s *Series, ref *refRing, rng *rand.Rand, no
 	}
 }
 
-// headWindows returns query windows placed against the series' mutable
-// head, whose running summary answers Stats/Trend only when the window
-// holds all of it: windows that contain it (exactly, and with the sealed
+// headWindows returns query windows placed against the series' open
+// block, whose running summary answers Stats only when the window holds
+// all of it: windows that contain it (exactly, and with the closed
 // chain), cut it at either end, and miss it on either side.
 func headWindows(s *Series) [][2]time.Duration {
 	s.mu.Lock()
-	n := s.headLen
-	first, last := time.Duration(s.headSum.firstT), time.Duration(s.headSum.lastT)
+	n := s.open.sum.count
+	first, last := time.Duration(s.open.sum.firstT), time.Duration(s.open.sum.lastT)
 	s.mu.Unlock()
 	if n == 0 {
 		return nil
@@ -365,10 +478,10 @@ func headWindows(s *Series) [][2]time.Duration {
 	}
 }
 
-// TestDifferentialHeadNaN pins the running head summary against the
-// scan for the NaN placements that decide Min/Max initialization: NaN
-// as the head's first value, its only value, and every value — on a
-// young series with no sealed block and behind a sealed one.
+// TestDifferentialHeadNaN pins the open block's running summary against
+// the scan for the NaN placements that decide Min/Max initialization:
+// NaN as its first value, its only value, and every value — on a young
+// series with no closed block and behind one.
 func TestDifferentialHeadNaN(t *testing.T) {
 	nan := math.NaN()
 	heads := map[string][]float64{
@@ -377,7 +490,7 @@ func TestDifferentialHeadNaN(t *testing.T) {
 		"every": {nan, nan, nan},
 		"mid":   {2, nan, 5, nan},
 	}
-	for _, sealed := range []int{0, headCapacity} {
+	for _, sealed := range []int{0, blockPoints} {
 		for name, head := range heads {
 			t.Run(fmt.Sprintf("sealed%d/%s", sealed, name), func(t *testing.T) {
 				s := NewSeries(DefaultCapacity)
@@ -392,11 +505,11 @@ func TestDifferentialHeadNaN(t *testing.T) {
 					put(float64(i % 7))
 				}
 				for _, v := range head {
-					put(v) // the first of these seals the full head
+					put(v) // the first of these closes the full block
 				}
-				if s.headLen != len(head) || len(s.blocks) != sealed/headCapacity {
-					t.Fatalf("head holds %d points behind %d blocks, want %d behind %d",
-						s.headLen, len(s.blocks), len(head), sealed/headCapacity)
+				if s.open.sum.count != len(head) || len(s.blocks) != sealed/blockPoints {
+					t.Fatalf("open block holds %d points behind %d blocks, want %d behind %d",
+						s.open.sum.count, len(s.blocks), len(head), sealed/blockPoints)
 				}
 				checkDifferential(t, s, ref, rand.New(rand.NewSource(1)), now, &diffTally{})
 			})
@@ -458,12 +571,13 @@ func trendClose(a, b float64) bool {
 
 // TestSummaryFastPath pins the acceptance criterion that Stats over a
 // long series is answered from summaries: a full-range query must decode
-// zero blocks and — the head answering from its running summary like a
-// sealed block — allocate nothing, and a narrow window must decode at
-// most the two straddling blocks (plus the trimmed front block when
-// eviction has started).
+// zero blocks and — the open block answering from its running summary
+// like a closed one — allocate nothing, and a narrow window must decode
+// at most the two straddling blocks (plus the trimmed front block when
+// eviction has started). Trend merges the closed blocks' moments the same
+// way and decodes the open block, which has none until it closes.
 func TestSummaryFastPath(t *testing.T) {
-	const capacity = 16 * headCapacity
+	const capacity = 16 * blockPoints
 	s := NewSeries(capacity)
 	for i := 0; i < capacity; i++ {
 		s.Append(time.Duration(i)*time.Second, float64(i%17))
@@ -478,36 +592,45 @@ func TestSummaryFastPath(t *testing.T) {
 	if dec := mDecodes.Load() - d0; dec != 0 {
 		t.Fatalf("full-range Stats decoded %d blocks, want 0 (summary path)", dec)
 	}
-	// 15 sealed blocks, and the final headCapacity points still in the
-	// mutable head: its summary merges like a 16th block's.
+	// 15 closed blocks, and the final blockPoints points still in the
+	// open block: its summary merges like a 16th block's.
 	if hits := mSummaryHits.Load() - h0; hits != 16 {
 		t.Fatalf("full-range Stats summary hits = %d, want 16", hits)
 	}
 
 	// A window straddling two blocks: exactly those two decode.
 	d0 = mDecodes.Load()
-	mid := time.Duration(headCapacity) * time.Second
+	mid := time.Duration(blockPoints) * time.Second
 	s.Stats(mid-10*time.Second, mid+10*time.Second)
 	if dec := mDecodes.Load() - d0; dec != 2 {
 		t.Fatalf("straddling Stats decoded %d blocks, want 2", dec)
 	}
 
-	// Trend rides the same moments: full range decodes nothing.
+	// Trend rides the closed blocks' moments: full range decodes the open
+	// block only, and a window that ends before it nothing.
 	d0 = mDecodes.Load()
 	if _, ok := s.Trend(0, full); !ok {
 		t.Fatal("Trend not ok")
 	}
+	if dec := mDecodes.Load() - d0; dec != 1 {
+		t.Fatalf("full-range Trend decoded %d blocks, want 1 (the open block)", dec)
+	}
+	d0 = mDecodes.Load()
+	if _, ok := s.Trend(0, time.Duration(15*blockPoints-1)*time.Second); !ok {
+		t.Fatal("Trend not ok")
+	}
 	if dec := mDecodes.Load() - d0; dec != 0 {
-		t.Fatalf("full-range Trend decoded %d blocks, want 0", dec)
+		t.Fatalf("closed-chain Trend decoded %d blocks, want 0", dec)
 	}
 
-	// Neither copies the head: with it wholly inside the window the whole
-	// query is allocation-free.
+	// Stats never copies the open block when it is wholly inside the
+	// window: the whole query is allocation-free. Trend's one allocation
+	// is its copy.
 	if allocs := testing.AllocsPerRun(100, func() { s.Stats(0, full) }); allocs != 0 {
 		t.Fatalf("full-range Stats allocates %.1f times, want 0", allocs)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { s.Trend(0, full) }); allocs != 0 {
-		t.Fatalf("full-range Trend allocates %.1f times, want 0", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { s.Trend(0, full) }); allocs != 1 {
+		t.Fatalf("full-range Trend allocates %.1f times, want 1 (the open block's copy)", allocs)
 	}
 
 	// Once eviction trims the front block, it is the only extra decode.
@@ -516,5 +639,76 @@ func TestSummaryFastPath(t *testing.T) {
 	s.Stats(0, full+time.Hour)
 	if dec := mDecodes.Load() - d0; dec != 1 {
 		t.Fatalf("trimmed-front Stats decoded %d blocks, want 1", dec)
+	}
+}
+
+// TestConcurrentReaderAcrossClose races every point query against a
+// writer that crosses two block closes and starts evicting. The values
+// are a function of the timestamp, so whatever instant a reader catches —
+// mid-append, a block just closed, the buffer just rewound — its points
+// must be a run of consecutive seconds ending at a point the writer had
+// appended, each with its own value. Under -race this is the reader
+// snapshot rule's test: nothing decodes the live buffer.
+func TestConcurrentReaderAcrossClose(t *testing.T) {
+	const capacity, appends = blockPoints + 100, 3 * blockPoints
+	st := NewStore(capacity)
+	val := func(i int) float64 { return float64(i%600) / 100 }
+	st.Append("n", "m", 0, val(0))
+	s := st.Series("n", "m")
+	closes0 := mSealed.Load()
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			check := func(what string, pts []Point) {
+				for i, p := range pts {
+					sec := int(p.T / time.Second)
+					if p.V != val(sec) || i > 0 && p.T != pts[i-1].T+time.Second {
+						t.Errorf("%s[%d] = %v after %v", what, i, p, pts[max(i-1, 0)])
+						return
+					}
+				}
+			}
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				switch (i + r) % 4 {
+				case 0:
+					pts := s.Range(math.MinInt64, math.MaxInt64)
+					if len(pts) == 0 || len(pts) > capacity {
+						t.Errorf("Range holds %d points", len(pts))
+					}
+					check("Range", pts)
+				case 1:
+					check("Tail", s.Tail(blockPoints/2+i%blockPoints))
+				case 2:
+					s.Trend(0, time.Duration(appends)*time.Second)
+					s.Downsample(0, time.Duration(appends)*time.Second, 16)
+				case 3:
+					var buf bytes.Buffer
+					back := NewStore(capacity)
+					if err := st.SaveTo(&buf); err != nil {
+						t.Error(err)
+					} else if err := back.LoadFrom(&buf); err != nil {
+						t.Error(err)
+					} else {
+						check("SaveTo", back.Series("n", "m").Range(math.MinInt64, math.MaxInt64))
+					}
+				}
+			}
+		}(r)
+	}
+	for i := 1; i < appends; i++ {
+		s.Append(time.Duration(i)*time.Second, val(i))
+	}
+	close(done)
+	wg.Wait()
+	if closes := mSealed.Load() - closes0; closes < 2 || s.Len() != capacity {
+		t.Fatalf("writer crossed %d closes and holds %d points, want >= 2 and %d", closes, s.Len(), capacity)
 	}
 }

@@ -1,18 +1,20 @@
 package history
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
+	"os"
 	"testing"
 	"time"
 )
 
-// FuzzBlockCodec exercises the sealed-block codec from both ends. The
-// input bytes are interpreted as a raw point stream (16 bytes per point:
-// int64 timestamp, float64 bits) which must encode and decode back
-// bit-exactly; the same bytes are then fed to the decoder directly as a
-// hostile compressed stream, which must terminate without panicking
-// regardless of content.
+// FuzzBlockCodec exercises the block grammar from both ends. The input
+// bytes are interpreted as a raw point stream (16 bytes per point: int64
+// timestamp, float64 bits) which must go through the open block's writer
+// and the streaming iterator and come back bit-exactly; the same bytes
+// are then fed to the iterator directly as a hostile block, which must
+// terminate without panicking regardless of content.
 func FuzzBlockCodec(f *testing.F) {
 	seed := func(ts []int64, vs []float64) {
 		b := make([]byte, 0, len(ts)*16)
@@ -40,8 +42,7 @@ func FuzzBlockCodec(f *testing.F) {
 				ts[i] = int64(binary.LittleEndian.Uint64(data[i*16:]))
 				vs[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[i*16+8:]))
 			}
-			enc := encodeBlock(ts, vs)
-			it := newBlockIter(enc, n)
+			it := newPointIter(encodePoints(ts, vs), n)
 			for i := 0; i < n; i++ {
 				gt, gv, ok := it.next()
 				if !ok {
@@ -59,7 +60,7 @@ func FuzzBlockCodec(f *testing.F) {
 
 		// Hostile decode: arbitrary bytes with an inflated count must
 		// terminate within the count bound and never panic.
-		it := newBlockIter(data, 1<<14)
+		it := newPointIter(data, 1<<14)
 		decoded := 0
 		for {
 			if _, _, ok := it.next(); !ok {
@@ -67,6 +68,55 @@ func FuzzBlockCodec(f *testing.F) {
 			}
 			if decoded++; decoded > 1<<14 {
 				t.Fatal("decoder exceeded its count bound")
+			}
+		}
+	})
+}
+
+// FuzzLoadFrom feeds the persistence loader arbitrary files, seeded from
+// real saves in both formats it reads. Whatever the bytes, it must return
+// (an error or not) without panicking, decode no block past
+// maxPersistBlockPoints, and leave every series it touched time-ordered
+// and within its capacity.
+func FuzzLoadFrom(f *testing.F) {
+	// Short seeds: the fuzzer minimizes what it finds interesting, and a
+	// 20 KB file eats a smoke run's ten seconds doing it. From the v2
+	// fixture, the all-head series and the one-block series before it.
+	v2, err := os.ReadFile("testdata/history_v2.txt")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v2[:bytes.Index(v2, []byte("series \"node a\""))])
+	small := NewStore(5) // a block every five points, the oldest trimmed
+	for i := 0; i < 13; i++ {
+		small.Append("a", "load.1", sec(i)+time.Duration(i%3)*time.Millisecond, float64(i%7)/4)
+		small.Append("b", "up", sec(i/5), 1)
+	}
+	var v3 bytes.Buffer
+	if err := small.SaveTo(&v3); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v3.Bytes())
+	f.Add([]byte(persistHeaderV3 + "\nseries \"n\" \"m\" 1\nblock 3 1 /////////////w==\n"))
+	f.Add([]byte(persistHeaderV2 + "\nseries \"n\" \"m\" 1 1\nblock 1048576 0 AAAA\n5 1\n"))
+	f.Add([]byte("clusterworx-history v1\nseries \"n\" \"m\" 1\n1.0 2.0\n"))
+
+	f.Fuzz(func(t *testing.T, file []byte) {
+		const capacity = 64
+		st := NewStore(capacity)
+		st.Append("n", "m", 5, 1) // loading merges into what is there
+		_ = st.LoadFrom(bytes.NewReader(file))
+		for _, node := range st.Nodes() {
+			for _, metric := range st.Metrics(node) {
+				pts := st.Series(node, metric).Range(math.MinInt64, math.MaxInt64)
+				if len(pts) > capacity {
+					t.Fatalf("%s/%s holds %d points, capacity %d", node, metric, len(pts), capacity)
+				}
+				for i := 1; i < len(pts); i++ {
+					if pts[i].T < pts[i-1].T {
+						t.Fatalf("%s/%s point %d: %v after %v", node, metric, i, pts[i], pts[i-1])
+					}
+				}
 			}
 		}
 	})

@@ -4,23 +4,26 @@
 // interval, analyze the relationships between monitored values, or compare
 // performance between nodes."
 //
-// Each (node, metric) pair owns a compressed block-based series: a small
-// mutable head block, grown lazily so a young series pays only for the
-// points it holds, takes appends allocation-free in steady state and
-// keeps a running summary (count, min, max, sum, first/last, trend
-// moments) of what it holds. Every time the fully grown head fills it is
-// sealed into an immutable block compressed with delta-of-delta
-// timestamps and XOR-coded values (block.go) that inherits that summary.
-// Aggregate queries — Stats, Compare, Trend — merge summaries, the
-// head's included, in O(blocks) and decode only the at-most-two blocks
-// straddling the query boundaries; Range and Downsample prune
-// non-overlapping blocks by summary and stream-decode the rest without
-// materializing intermediate slices. Sealed blocks are immutable, so
-// queries run on a snapshot taken under the series lock and do all
-// decoding with no lock held: a dashboard scan never stalls agent ingest.
+// Each (node, metric) pair owns one chain of compressed blocks in one
+// grammar (block.go), the last of them open: an append bit-packs the
+// point straight into the open block's buffer — delta-of-delta timestamp,
+// the wire's decimal-aware value code — allocation-free in steady state,
+// and folds it into the block's running summary (count, min, max, sum,
+// first/last). There is no raw head, so memory follows information at
+// every age: a young series pays for the bytes its points code to. A
+// full block closes by copying its exact bytes out, and the same buffer
+// starts the next one. Aggregate queries — Stats, Compare, Trend — merge
+// summaries, the open block's included, in O(blocks) and decode only the
+// at-most-two blocks straddling the query boundaries; Range and
+// Downsample prune non-overlapping blocks by summary and stream-decode
+// the rest without materializing intermediate slices. Closed blocks are
+// immutable, so queries run on a snapshot taken under the series lock —
+// the chain plus, when its points are needed, a copy of the open block's
+// bytes — and do all decoding with no lock held: a dashboard scan never
+// stalls agent ingest.
 //
 // Retention is point-exact: a series holds the last `capacity` points,
-// logically trimming the oldest sealed block one point at a time (the
+// logically trimming the oldest closed block one point at a time (the
 // block's bytes go away when its last point expires), so the engine is
 // observationally identical to a plain ring of `capacity` points.
 package history
@@ -51,8 +54,8 @@ var (
 	mDecodes     = telemetry.Default().Counter("cwx_history_block_decodes_total")
 )
 
-// storeBytes tracks the process-wide history footprint (head blocks plus
-// sealed compressed blocks), exposed as the cwx_history_bytes gauge so
+// storeBytes tracks the process-wide history footprint (open-block
+// buffers plus closed blocks), exposed as the cwx_history_bytes gauge so
 // the meta-monitor charts its own retention cost.
 var storeBytes atomic.Int64
 
@@ -71,26 +74,11 @@ type Point struct {
 // DefaultCapacity is the per-series retained point count.
 const DefaultCapacity = 4096
 
-// headCapacity is the mutable head block's full size: big enough that
-// sealing amortizes to 2 allocations (block + data) per 512 appends,
-// small enough that the uncompressed head stays a few KiB. The head
-// starts at headInitial points and grows ×headGrowth when it fills —
-// 8 → 32 → 128 → 512, three growth steps (2 allocations each) in a
-// series' lifetime — so a series that never gets that far never pays
-// for it. The factor is deliberately coarse: every series of a tree
-// loaded together grows at the same append, and ×4 keeps those bursts
-// rare.
-const (
-	headCapacity = 512
-	headInitial  = 8
-	headGrowth   = 4
-)
-
 // Series is a bounded time-ordered sample store, safe for concurrent
-// use: appends mutate only the head block under the series lock, and
-// queries snapshot the sealed-block chain (immutable) plus the head's
-// summary — or, when they need its points, a copy of the head — under
-// that lock, then decode and aggregate with no lock held.
+// use: appends mutate only the open block under the series lock, and
+// queries snapshot the closed-block chain (immutable) plus the open
+// block's summary — or, when they need its points, a copy of its bytes —
+// under that lock, then decode and aggregate with no lock held.
 type Series struct {
 	// gen counts accepted appends: the serving plane's chart/spark
 	// caches tag their renderings with it and short-circuit while it
@@ -100,25 +88,20 @@ type Series struct {
 	gen atomic.Uint64
 
 	mu       sync.Mutex //cwx:lockrank series 30
-	capacity int        // retained points (the ring's size, not the head's)
+	capacity int        // retained points (the ring's size, not a block's)
 
-	// Mutable head block: parallel raw arrays, filled left to right and
-	// grown by makeRoomLocked up to min(capacity, headCapacity) points;
-	// headSum is the running summary of headT/headV[:headLen]. Appending
-	// here is the //cwx:hotpath — no allocation, no encoding.
-	headT   []int64
-	headV   []float64
-	headLen int
-	headSum summary
+	// The open block. It is closed by the append that finds it full, so
+	// once a series holds a point it is never empty and its summary's
+	// lastT is the series' newest timestamp.
+	open openBlock
 
-	// Sealed immutable blocks, oldest first. trim is the count of
+	// Closed immutable blocks, oldest first. trim is the count of
 	// logically expired points at the front of blocks[0].
 	blocks []*block
 	trim   int
 
-	total int   // stored points across blocks (minus trim) and head
-	lastT int64 // timestamp of the most recently appended point
-	bytes int64 // accounted footprint: head arrays as grown + sealed blocks
+	total int   // stored points across blocks (minus trim) and the open block
+	bytes int64 // accounted footprint: the open block's buffer as grown + closed blocks
 }
 
 // NewSeries returns a series retaining the last capacity points.
@@ -126,39 +109,30 @@ func NewSeries(capacity int) *Series {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	headCap := min(capacity, headInitial)
-	s := &Series{
-		capacity: capacity,
-		headT:    make([]int64, headCap),
-		headV:    make([]float64, headCap),
-		bytes:    int64(headCap) * 16,
-	}
+	s := &Series{capacity: capacity, bytes: bufInitial}
+	s.open.w.Reset(make([]byte, bufInitial))
 	storeBytes.Add(s.bytes)
 	return s
 }
 
 // Append adds a point. Out-of-order appends (clock skew after an agent
 // restart) are dropped rather than corrupting the series' ordering. The
-// steady-state path writes two words into the head block and folds the
-// point into its summary; a full head is grown, or once it is fully
-// grown sealed into a compressed block (once per headCapacity appends).
+// steady-state path packs the point's code into the open block and folds
+// it into the summary; a block out of room is grown, or at its full size
+// closed (once per blockPoints appends).
 //
 //cwx:hotpath
 func (s *Series) Append(t time.Duration, v float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.total > 0 && int64(t) < s.lastT {
+	if s.total > 0 && int64(t) < s.open.sum.lastT {
 		mDropped.Inc()
 		return
 	}
-	if s.headLen == len(s.headT) {
+	if s.open.sum.count == min(s.capacity, blockPoints) || !s.open.room() {
 		s.makeRoomLocked()
 	}
-	s.headT[s.headLen] = int64(t)
-	s.headV[s.headLen] = v
-	s.headLen++
-	s.headSum.add(int64(t), v)
-	s.lastT = int64(t)
+	s.open.put(int64(t), v)
 	s.total++
 	if s.total > s.capacity {
 		s.evictOneLocked()
@@ -173,35 +147,39 @@ func (s *Series) Append(t time.Duration, v float64) {
 //cwx:hotpath
 func (s *Series) Gen() uint64 { return s.gen.Load() }
 
-// makeRoomLocked empties or enlarges a full head: below its full size
-// (min(capacity, headCapacity), so the head alone never outgrows the
-// ring) it grows by headGrowth, at full size it seals. Kept out of line
-// (it is too big to inline) so Append's own body never allocates. Caller
-// holds s.mu.
+// makeRoomLocked enlarges or closes an open block that cannot take the
+// next point: short of blockPoints points (or of capacity, so the open
+// block alone never outgrows the ring) and of the top step, the buffer
+// grows by bufGrowth; otherwise the block closes. Kept out of line (it is
+// too big to inline) so Append's own body never allocates. Caller holds
+// s.mu.
 func (s *Series) makeRoomLocked() {
-	old, full := len(s.headT), min(s.capacity, headCapacity)
-	if old == full {
-		s.sealHeadLocked()
+	w := &s.open.w.w
+	if s.open.sum.count == min(s.capacity, blockPoints) || cap(w.buf) == bufMax {
+		s.closeLocked()
 		return
 	}
-	n := min(old*headGrowth, full)
-	headT, headV := make([]int64, n), make([]float64, n)
-	copy(headT, s.headT)
-	copy(headV, s.headV)
-	s.headT, s.headV = headT, headV
-	delta := int64(n-old) * 16
+	delta := int64(cap(w.buf)) * (bufGrowth - 1)
+	w.buf = append(make([]byte, 0, cap(w.buf)*bufGrowth), w.buf...)
 	s.bytes += delta
 	storeBytes.Add(delta)
 }
 
-// sealHeadLocked compresses the full head into an immutable block, which
-// takes over the head's running summary, and resets the head. Caller
-// holds s.mu.
-func (s *Series) sealHeadLocked() {
-	b := &block{data: encodeBlock(s.headT[:s.headLen], s.headV[:s.headLen]), sum: s.headSum}
+// closeLocked copies the open block's bytes into an immutable block,
+// which takes over its summary and gets its trend moments folded, and
+// rewinds the buffer — kept at the size it reached — for the next block.
+// Caller holds s.mu.
+func (s *Series) closeLocked() {
+	b := &block{data: s.open.bytes(), sum: s.open.sum}
+	for it := newPointIter(b.data, b.sum.count); ; {
+		t, v, ok := it.next()
+		if !ok {
+			break
+		}
+		b.mom.add(t, v)
+	}
 	s.blocks = append(s.blocks, b)
-	s.headLen = 0
-	s.headSum = summary{}
+	s.open.rewind()
 	delta := int64(len(b.data)) + blockOverheadBytes
 	s.bytes += delta
 	storeBytes.Add(delta)
@@ -211,7 +189,7 @@ func (s *Series) sealHeadLocked() {
 // evictOneLocked expires the oldest stored point: the front block's trim
 // advances, and when every point in it has expired the block's bytes are
 // released. Caller holds s.mu; blocks is never empty here because the
-// head alone can hold at most capacity points.
+// open block alone holds at most capacity points.
 func (s *Series) evictOneLocked() {
 	b := s.blocks[0]
 	s.trim++
@@ -232,9 +210,9 @@ func (s *Series) Len() int {
 	return s.total
 }
 
-// Bytes returns the series' accounted memory footprint: the head
-// block's raw arrays at their current size plus every sealed block's
-// compressed bytes and bookkeeping.
+// Bytes returns the series' accounted memory footprint: the open
+// block's buffer at its current size plus every closed block's bytes and
+// bookkeeping.
 func (s *Series) Bytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -245,49 +223,41 @@ func (s *Series) Bytes() int64 {
 func (s *Series) Last() (Point, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.headLen > 0 {
-		return Point{T: time.Duration(s.headT[s.headLen-1]), V: s.headV[s.headLen-1]}, true
-	}
-	if len(s.blocks) > 0 {
-		sum := &s.blocks[len(s.blocks)-1].sum
-		return Point{T: time.Duration(sum.lastT), V: sum.lastV}, true
-	}
-	return Point{}, false
+	sum := &s.open.sum
+	return Point{T: time.Duration(sum.lastT), V: sum.lastV}, sum.count > 0
 }
 
-// qsnap is a point-in-time view of a series: the sealed chain (immutable
-// contents), the front trim, and the head — as its summary when that
-// answers the query, as a copy of its points otherwise. Everything after
-// the snapshot — decoding, merging, bucketing — runs without the series
-// lock, so queries never stall appends.
+// qsnap is a point-in-time view of a series: the closed chain (immutable
+// contents), the front trim, and the open block — as its summary when
+// that answers the query, as a copy of its bytes otherwise. Everything
+// after the snapshot — decoding, merging, bucketing — runs without the
+// series lock, so queries never stall appends.
 type qsnap struct {
-	blocks  []*block
-	trim    int
-	head    []Point // copied head points; nil when headSum stands in or the head misses the window
-	headSum summary // the head's summary; count 0 unless it stands in for the points
-	gen     uint64  // the series' append generation
-	lastT   int64   // the series' newest timestamp
+	blocks []*block
+	trim   int
+	open   block  // the open block where it meets the window (count 0: it does not); data nil: the summary stands in
+	gen    uint64 // the series' append generation
+	lastT  int64  // the series' newest timestamp
 }
 
-// snapshot captures the series for a query over [lo, hi]. A head that
-// misses the window is left out. With points set (Range, Downsample,
-// SaveTo) an overlapping head is copied; without (Stats, Trend) a head
-// wholly inside the window is represented by its running summary — no
-// copy, no allocation — and only a head the window cuts is copied.
+// snapshot captures the series for a query over [lo, hi]. An open block
+// that misses the window is left out. With points set (Range, Downsample,
+// Trend, SaveTo) an overlapping one is copied — written bytes plus the
+// pending bits, one allocation; without (Stats) one wholly inside the
+// window is represented by its running summary — no copy, no allocation —
+// and only one the window cuts is copied.
 func (s *Series) snapshot(lo, hi int64, points bool) qsnap {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	q := qsnap{blocks: s.blocks, trim: s.trim, gen: s.gen.Load(), lastT: s.lastT}
+	sum := &s.open.sum
+	q := qsnap{blocks: s.blocks, trim: s.trim, gen: s.gen.Load(), lastT: sum.lastT}
 	switch {
-	case s.headLen == 0 || s.headSum.lastT < lo || s.headSum.firstT > hi:
-		// nothing of the head is in the window
-	case !points && s.headSum.firstT >= lo && s.headSum.lastT <= hi:
-		q.headSum = s.headSum
+	case sum.count == 0 || sum.lastT < lo || sum.firstT > hi:
+		// nothing of the open block is in the window
+	case !points && sum.firstT >= lo && sum.lastT <= hi:
+		q.open.sum = *sum
 	default:
-		q.head = make([]Point, s.headLen)
-		for i := range q.head {
-			q.head[i] = Point{T: time.Duration(s.headT[i]), V: s.headV[i]}
-		}
+		q.open = block{data: s.open.bytes(), sum: *sum}
 	}
 	return q
 }
@@ -306,7 +276,7 @@ func (q *qsnap) blockTrim(i int) int {
 // scan stops at the first point past t1.
 func decodeBlock(b *block, trim int, t0, t1 int64, fn func(t int64, v float64)) {
 	mDecodes.Inc()
-	it := newBlockIter(b.data, b.sum.count)
+	it := newPointIter(b.data, b.sum.count)
 	for j := 0; j < trim; j++ {
 		it.next()
 	}
@@ -321,27 +291,39 @@ func decodeBlock(b *block, trim int, t0, t1 int64, fn func(t int64, v float64)) 
 	}
 }
 
-// each streams every stored point with t0 <= T <= t1 into fn in time
-// order. Blocks entirely outside the window are pruned by summary alone;
-// overlapping blocks are decoded.
-func (q *qsnap) each(t0, t1 time.Duration, fn func(t int64, v float64)) {
-	lo, hi := int64(t0), int64(t1)
+// fold walks the stored points with lo <= T <= hi in time order. Blocks
+// entirely outside the window are pruned by summary alone. A closed,
+// untrimmed block entirely inside it goes to merge whole, and every other
+// overlapping block is decoded into add; a nil merge decodes them all. An
+// open block whose summary stands in is the caller's to merge: handing a
+// callback a pointer into q would move every query's snapshot to the
+// heap.
+func (q *qsnap) fold(lo, hi int64, merge func(*block), add func(t int64, v float64)) {
 	for i, b := range q.blocks {
-		if b.sum.lastT < lo {
+		switch {
+		case b.sum.lastT < lo:
 			mSummaryHits.Inc()
 			continue
-		}
-		if b.sum.firstT > hi {
+		case b.sum.firstT > hi:
 			mSummaryHits.Inc()
-			break
+		case merge != nil && q.blockTrim(i) == 0 && b.sum.firstT >= lo && b.sum.lastT <= hi:
+			mSummaryHits.Inc()
+			merge(b)
+			continue
+		default:
+			decodeBlock(b, q.blockTrim(i), lo, hi, add)
+			continue
 		}
-		decodeBlock(b, q.blockTrim(i), lo, hi, fn)
+		break // firstT > hi: later blocks are entirely past the window
 	}
-	for _, p := range q.head {
-		if t := int64(p.T); t >= lo && t <= hi {
-			fn(t, p.V)
-		}
+	if q.open.data != nil {
+		decodeBlock(&q.open, 0, lo, hi, add)
 	}
+}
+
+// each streams every stored point with t0 <= T <= t1 into fn.
+func (q *qsnap) each(t0, t1 time.Duration, fn func(t int64, v float64)) {
+	q.fold(int64(t0), int64(t1), nil, fn)
 }
 
 // Range returns the points with t0 <= T <= t1, oldest first.
@@ -356,11 +338,11 @@ func (s *Series) Range(t0, t1 time.Duration) []Point {
 
 // Tail returns the newest n points, oldest first. Where Range decodes
 // every block of its window, Tail decodes only the trailing blocks the n
-// points lie in — none when the head holds them.
+// points lie in — the open one alone when it holds them.
 func (s *Series) Tail(n int) []Point {
 	n = max(n, 0)
 	q := s.snapshot(math.MinInt64, math.MaxInt64, true)
-	have, first := len(q.head), len(q.blocks)
+	have, first := q.open.sum.count, len(q.blocks)
 	for ; first > 0 && have < n; first-- {
 		have += q.blocks[first-1].sum.count - q.blockTrim(first-1)
 	}
@@ -383,11 +365,11 @@ type Stats struct {
 	LastPoint Point
 }
 
-// Stats computes aggregates over a range in O(blocks): sealed blocks —
-// and the head — fully inside the window are merged from their
-// summaries; only the at-most-two blocks straddling the window
-// boundaries (plus a partially expired front block) are decoded, and
-// the head is scanned only when the window cuts it.
+// Stats computes aggregates over a range in O(blocks): blocks — the open
+// one too — fully inside the window are merged from their summaries;
+// only the at-most-two blocks straddling the window boundaries (plus a
+// partially expired front block) are decoded, and the open block is
+// copied only when the window cuts it.
 func (s *Series) Stats(t0, t1 time.Duration) Stats {
 	st, _ := s.statsGen(t0, t1)
 	return st
@@ -417,12 +399,12 @@ func (s *Series) statsGen(t0, t1 time.Duration) (Stats, uint64) {
 		st.LastPoint = Point{T: time.Duration(t), V: v}
 		st.N++
 	}
-	// merge folds in a run lying wholly inside the window from its
+	// merge folds in a block lying wholly inside the window from its
 	// summary. Initializing from firstV and folding the NaN-skipping
 	// minV/maxV reproduces exactly the per-point scan's result (see
 	// summary docs).
-	merge := func(sm *summary) {
-		mSummaryHits.Inc()
+	merge := func(b *block) {
+		sm := &b.sum
 		if st.N == 0 {
 			st.Min, st.Max = sm.firstV, sm.firstV
 			st.First = Point{T: time.Duration(sm.firstT), V: sm.firstV}
@@ -437,29 +419,10 @@ func (s *Series) statsGen(t0, t1 time.Duration) (Stats, uint64) {
 		st.LastPoint = Point{T: time.Duration(sm.lastT), V: sm.lastV}
 		st.N += sm.count
 	}
-	for i, b := range q.blocks {
-		switch {
-		case b.sum.lastT < lo:
-			mSummaryHits.Inc()
-			continue
-		case b.sum.firstT > hi:
-			mSummaryHits.Inc()
-		case q.blockTrim(i) == 0 && b.sum.firstT >= lo && b.sum.lastT <= hi:
-			merge(&b.sum)
-			continue
-		default:
-			decodeBlock(b, q.blockTrim(i), lo, hi, add)
-			continue
-		}
-		break // firstT > t1: later blocks are entirely past the window
-	}
-	if q.headSum.count > 0 {
-		merge(&q.headSum)
-	}
-	for _, p := range q.head {
-		if t := int64(p.T); t >= lo && t <= hi {
-			add(t, p.V)
-		}
+	q.fold(lo, hi, merge, add)
+	if q.open.data == nil && q.open.sum.count > 0 {
+		mSummaryHits.Inc()
+		merge(&q.open)
 	}
 	if st.N > 0 {
 		st.Mean = sum / float64(st.N)
@@ -473,62 +436,36 @@ func (s *Series) statsGen(t0, t1 time.Duration) (Stats, uint64) {
 // Trend returns the least-squares slope over [t0, t1] in value units per
 // hour — the "predict future computing needs" primitive. ok is false with
 // fewer than two points or zero time spread. Like Stats, fully covered
-// blocks contribute their precomputed moments, so the fit is O(blocks)
-// plus the boundary decodes.
+// closed blocks contribute their precomputed moments, so the fit is
+// O(blocks) plus the boundary decodes; the open block has no moments yet
+// and is decoded when the window reaches it.
 func (s *Series) Trend(t0, t1 time.Duration) (perHour float64, ok bool) {
-	lo, hi := int64(t0), int64(t1)
-	q := s.snapshot(lo, hi, false)
+	q := s.snapshot(int64(t0), int64(t1), true)
 	var n int
-	var sumX, sumY, sumXY, sumXX float64
+	var sumY float64
+	var m moments
 	add := func(t int64, v float64) {
-		x := time.Duration(t).Hours()
-		sumX += x
+		m.add(t, v)
 		sumY += v
-		sumXY += x * v
-		sumXX += x * x
 		n++
 	}
-	merge := func(sm *summary) {
-		mSummaryHits.Inc()
-		sumX += sm.sumX
-		sumY += sm.sumV
-		sumXY += sm.sumXY
-		sumXX += sm.sumXX
-		n += sm.count
+	merge := func(b *block) {
+		m.sumX += b.mom.sumX
+		m.sumXX += b.mom.sumXX
+		m.sumXY += b.mom.sumXY
+		sumY += b.sum.sumV
+		n += b.sum.count
 	}
-	for i, b := range q.blocks {
-		switch {
-		case b.sum.lastT < lo:
-			mSummaryHits.Inc()
-			continue
-		case b.sum.firstT > hi:
-			mSummaryHits.Inc()
-		case q.blockTrim(i) == 0 && b.sum.firstT >= lo && b.sum.lastT <= hi:
-			merge(&b.sum)
-			continue
-		default:
-			decodeBlock(b, q.blockTrim(i), lo, hi, add)
-			continue
-		}
-		break
-	}
-	if q.headSum.count > 0 {
-		merge(&q.headSum)
-	}
-	for _, p := range q.head {
-		if t := int64(p.T); t >= lo && t <= hi {
-			add(t, p.V)
-		}
-	}
+	q.fold(int64(t0), int64(t1), merge, add)
 	if n < 2 {
 		return 0, false
 	}
 	nf := float64(n)
-	den := nf*sumXX - sumX*sumX
+	den := nf*m.sumXX - m.sumX*m.sumX
 	if den == 0 {
 		return 0, false
 	}
-	return (nf*sumXY - sumX*sumY) / den, true
+	return (nf*m.sumXY - m.sumX*sumY) / den, true
 }
 
 // Downsample buckets [t0, t1] into n equal intervals and returns the mean
@@ -581,7 +518,7 @@ type storeStripe struct {
 // Store maps (node, metric) to series, lock-striped by node name so
 // concurrent appends for different nodes never contend. The store is safe
 // for fully concurrent use: the stripe lock guards map membership and the
-// per-series lock guards each head block, so reads (Series queries,
+// per-series lock guards each open block, so reads (Series queries,
 // Compare) may freely race appends from agent ingest.
 type Store struct {
 	capacity int
@@ -590,6 +527,9 @@ type Store struct {
 	// created counts series creations: while it holds, the set of
 	// (node, metric) pairs — every Comparison's roster — is unchanged.
 	created atomic.Uint64
+	// names holds the one copy of each metric name (string → the same
+	// string) that every node's series map is keyed by; see Intern.
+	names sync.Map
 }
 
 // NewStore returns a store creating series of the given capacity
@@ -664,12 +604,28 @@ func (st *Store) Append(nodeName, metric string, t time.Duration, v float64) {
 		}
 		if s, ok = byMetric[metric]; !ok {
 			s = NewSeries(st.capacityFor(nodeName))
-			byMetric[metric] = s
+			byMetric[st.Intern(metric)] = s
 			st.created.Add(1) // under the stripe lock: a walk that read the new count sees the series
 		}
 		sp.mu.Unlock()
 	}
 	s.Append(t, v)
+}
+
+// Intern returns the store's one copy of a metric name, cloned on first
+// sight out of whatever it was parsed from. A series map keeps the key it
+// was first given for good, and off the wire that string is a slice of a
+// frame: without this a thousand nodes pin a thousand frames' lines. The
+// store asks only when it creates a series; callers that hold names per
+// node may share the copy. The table grows with the distinct names ever
+// seen, as the series maps themselves do.
+func (st *Store) Intern(metric string) string {
+	if have, ok := st.names.Load(metric); ok {
+		return have.(string)
+	}
+	metric = strings.Clone(metric)
+	have, _ := st.names.LoadOrStore(metric, metric)
+	return have.(string)
 }
 
 // Series returns the series for (node, metric), or nil. The returned

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func sec(n int) time.Duration { return time.Duration(n) * time.Second }
@@ -216,55 +218,86 @@ func TestCompareKeepsUnchanged(t *testing.T) {
 	check(sec(20), "n0", "n1", "n2", "n3")
 }
 
-// TestHeadGrowthSteps pins the lazy head: it starts at 8 points and grows
-// 8 → 32 → 128 → 512, capped by the retained-point capacity, sealing only
-// once it is full at the last step — and the accounted bytes follow.
+// TestHeadGrowthSteps pins the open block's buffer ladder: it starts at
+// 64 B and grows 64 → 256 → 1 024 → 4 096 as the points' codes need it —
+// by bytes, so a cheap stream climbs later than a costly one and a series
+// retaining a handful of points never leaves the first steps — closing
+// only at blockPoints points or when the top step is full; the buffer is
+// reused across closes and the accounted bytes follow.
 func TestHeadGrowthSteps(t *testing.T) {
+	bufCap := func(s *Series) int { return cap(s.open.w.w.buf) }
+	// A fixed cadence and a small integer ramp: ≈1.4 B a point.
+	cheap := func(i int) (time.Duration, float64) { return sec(i), float64(i % 17) }
+	// Jittered wall-clock stamps and wide floats: ≈13 B a point, the
+	// regime where a block closes on bytes before it holds blockPoints.
+	rng := rand.New(rand.NewSource(7))
+	now := time.Duration(0)
+	costly := func(int) (time.Duration, float64) {
+		now += time.Second + time.Duration(rng.Intn(1e9))
+		return now, rng.NormFloat64() * 1e6
+	}
 	cases := []struct {
+		name     string
 		capacity int
-		steps    []int // head size after appends 1, 9, 33, 129, 513
+		point    func(int) (time.Duration, float64)
+		steps    []int // buffer size after appends 1, 9, 33, 129, 513
 	}{
-		{1, []int{1, 1, 1, 1, 1}},
-		{7, []int{7, 7, 7, 7, 7}},
-		{10, []int{8, 10, 10, 10, 10}},
-		{100, []int{8, 32, 100, 100, 100}},
-		{DefaultCapacity, []int{8, 32, 128, 512, 512}},
+		{"cap1", 1, cheap, []int{64, 64, 64, 64, 64}},
+		{"cap7/costly", 7, costly, []int{64, 256, 256, 256, 256}},
+		{"cheap", DefaultCapacity, cheap, []int{64, 64, 64, 256, 1024}},
+		{"costly", DefaultCapacity, costly, []int{64, 256, 1024, 4096, 4096}},
 	}
 	for _, c := range cases {
 		s := NewSeries(c.capacity)
 		n := 0
 		for i, at := range []int{1, 9, 33, 129, 513} {
 			for ; n < at; n++ {
-				s.Append(sec(n), float64(n))
+				s.Append(c.point(n))
+				if want := seriesFootprint(s); s.Bytes() != want {
+					t.Fatalf("%s after %d appends: Bytes = %d, want %d", c.name, n+1, s.Bytes(), want)
+				}
 			}
-			if len(s.headT) != c.steps[i] || len(s.headV) != c.steps[i] {
-				t.Fatalf("cap %d after %d appends: head %d/%d, want %d",
-					c.capacity, at, len(s.headT), len(s.headV), c.steps[i])
-			}
-			if want := seriesFootprint(s); s.Bytes() != want {
-				t.Fatalf("cap %d after %d appends: Bytes = %d, want %d", c.capacity, at, s.Bytes(), want)
+			if bufCap(s) != c.steps[i] {
+				t.Fatalf("%s after %d appends: buffer %d B, want %d", c.name, at, bufCap(s), c.steps[i])
 			}
 		}
 		if s.Len() != min(c.capacity, 513) {
-			t.Fatalf("cap %d: Len = %d", c.capacity, s.Len())
+			t.Fatalf("%s: Len = %d", c.name, s.Len())
+		}
+		for _, b := range s.blocks {
+			if b.sum.count > blockPoints || len(b.data) > bufMax {
+				t.Fatalf("%s: a closed block holds %d points in %d B", c.name, b.sum.count, len(b.data))
+			}
 		}
 	}
-	// The default series sealed exactly once, on the 513th append.
+	// The cheap default series closed exactly once, on the 513th append,
+	// and the block holds the buffer's exact bytes, not its capacity.
 	s := NewSeries(DefaultCapacity)
 	for n := 0; n < 513; n++ {
 		if len(s.blocks) != 0 {
-			t.Fatalf("sealed after %d appends, before the head was full at its last step", n)
+			t.Fatalf("closed after %d appends, before the block was full", n)
 		}
-		s.Append(sec(n), 1)
+		s.Append(cheap(n))
 	}
-	if len(s.blocks) != 1 || s.blocks[0].sum.count != headCapacity || s.headLen != 1 {
-		t.Fatalf("after 513 appends: %d blocks, head %d", len(s.blocks), s.headLen)
+	if len(s.blocks) != 1 || s.blocks[0].sum.count != blockPoints || s.open.sum.count != 1 {
+		t.Fatalf("after 513 appends: %d blocks, open block %d points", len(s.blocks), s.open.sum.count)
+	}
+	if b := s.blocks[0]; cap(b.data) > len(b.data)+1 || len(b.data) >= bufCap(s) {
+		t.Fatalf("closed block: %d B in a %d B slice, buffer %d B", len(b.data), cap(b.data), bufCap(s))
+	}
+}
+
+// TestSeriesSize pins the per-series struct: a root holds one per (node,
+// metric) pair, 32 k of them per thousand nodes.
+func TestSeriesSize(t *testing.T) {
+	if size := unsafe.Sizeof(Series{}); size > 240 {
+		t.Fatalf("Series is %d B, want <= 240", size)
 	}
 }
 
 // seriesFootprint recomputes a series' footprint from what it holds.
 func seriesFootprint(s *Series) int64 {
-	n := int64(len(s.headT)) * 16
+	n := int64(cap(s.open.w.w.buf))
 	for _, b := range s.blocks {
 		n += int64(len(b.data)) + blockOverheadBytes
 	}
@@ -272,15 +305,15 @@ func seriesFootprint(s *Series) int64 {
 }
 
 // TestBytesAccounting checks the three views of the footprint against
-// each other and against the structures themselves after a mix of head
-// growth, seals and evictions: Store.Bytes, the cwx_history_bytes gauge's
+// each other and against the structures themselves after a mix of buffer
+// growth, closes and evictions: Store.Bytes, the cwx_history_bytes gauge's
 // movement, and the sum of Series.Bytes.
 func TestBytesAccounting(t *testing.T) {
 	gauge0 := storeBytes.Load()
-	st := NewStore(700) // a head's worth plus change: seals, then evicts
+	st := NewStore(700) // a block's worth plus change: closes, then evicts
 	st.SetCapacityFunc(func(node string) int {
 		if node == "tiny" {
-			return 5 // head capped by retention; every 5th append seals
+			return 5 // block capped by retention; every 5th append closes
 		}
 		return 0
 	})

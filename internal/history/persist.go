@@ -12,39 +12,39 @@ import (
 )
 
 // Persistence keeps the §5.3.3 philosophy — history is written as text —
-// but the v2 format snapshots the engine's sealed blocks directly: each
-// block line carries the compressed bytes (base64), so a 4096-point
-// series costs a handful of lines instead of thousands, and float values
-// survive bit-exactly. Head points are written as raw lines with exact
-// (strconv 'g'/-1) formatting.
+// and snapshots the engine's blocks directly: each block line carries
+// the compressed bytes (base64), so a 4096-point series costs a handful
+// of lines instead of thousands, and float values survive bit-exactly.
+// The open block is one more block line: it is in the same grammar.
 //
-// v2 format:
+// v3 format:
 //
-//	clusterworx-history v2
-//	series <node> <metric> <nblocks> <nhead>
+//	clusterworx-history v3
+//	series <node> <metric> <nblocks>
 //	block <count> <trim> <base64-data>
 //	...
-//	<nanoseconds> <value>
-//	...
 //
-// v1 ("clusterworx-history v1": one "<seconds> <value>" line per point)
-// is still read, so snapshots taken before the block engine load
-// unchanged. SaveTo always writes v2.
+// v2 ("clusterworx-history v2") is still read, so snapshots taken before
+// the open block load unchanged: the same framing around blocks in the
+// older grammar (a raw first point, then delta-of-delta timestamps and
+// plain XOR values — blockIter, kept for this alone), a fourth series
+// field <nhead>, and after the blocks that many raw head points, one
+// "<nanoseconds> <value>" line each. SaveTo always writes v3.
 
 const (
-	persistHeader   = "clusterworx-history v1"
 	persistHeaderV2 = "clusterworx-history v2"
+	persistHeaderV3 = "clusterworx-history v3"
 
-	// maxPersistBlockPoints bounds a v2 block line's declared point
-	// count, so a corrupt or hostile file cannot make the loader decode
-	// unbounded garbage.
+	// maxPersistBlockPoints bounds a block line's declared point count, so
+	// a corrupt or hostile file cannot make the loader decode unbounded
+	// garbage.
 	maxPersistBlockPoints = 1 << 20
 )
 
-// SaveTo writes the whole store in the v2 block format.
+// SaveTo writes the whole store in the v3 block format.
 func (st *Store) SaveTo(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, persistHeaderV2); err != nil {
+	if _, err := fmt.Fprintln(bw, persistHeaderV3); err != nil {
 		return err
 	}
 	for _, nodeName := range st.Nodes() {
@@ -54,17 +54,16 @@ func (st *Store) SaveTo(w io.Writer) error {
 				continue // deleted between listing and lookup: nothing to save
 			}
 			q := s.snapshot(math.MinInt64, math.MaxInt64, true)
-			if _, err := fmt.Fprintf(bw, "series %q %q %d %d\n", nodeName, metric, len(q.blocks), len(q.head)); err != nil {
+			blocks := q.blocks
+			if q.open.sum.count > 0 {
+				blocks = append(blocks[:len(blocks):len(blocks)], &q.open)
+			}
+			if _, err := fmt.Fprintf(bw, "series %q %q %d\n", nodeName, metric, len(blocks)); err != nil {
 				return err
 			}
-			for i, b := range q.blocks {
+			for i, b := range blocks {
 				if _, err := fmt.Fprintf(bw, "block %d %d %s\n",
 					b.sum.count, q.blockTrim(i), base64.StdEncoding.EncodeToString(b.data)); err != nil {
-					return err
-				}
-			}
-			for _, p := range q.head {
-				if _, err := fmt.Fprintf(bw, "%d %s\n", int64(p.T), strconv.FormatFloat(p.V, 'g', -1, 64)); err != nil {
 					return err
 				}
 			}
@@ -73,10 +72,10 @@ func (st *Store) SaveTo(w io.Writer) error {
 	return bw.Flush()
 }
 
-// LoadFrom merges persisted history into the store, reading both the v2
-// block format and the v1 point-per-line format. Existing series receive
-// the loaded points subject to the usual ordering rule (older points
-// than what is already present are dropped).
+// LoadFrom merges persisted history into the store, reading the v3 and
+// the v2 block formats. Existing series receive the loaded points subject
+// to the usual ordering rule (older points than what is already present
+// are dropped).
 func (st *Store) LoadFrom(r io.Reader) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), 16<<20)
@@ -84,16 +83,17 @@ func (st *Store) LoadFrom(r io.Reader) error {
 		return fmt.Errorf("history: empty input")
 	}
 	switch sc.Text() {
+	case persistHeaderV3:
+		return st.load(sc, false)
 	case persistHeaderV2:
-		return st.loadV2(sc)
-	case persistHeader:
-		return st.loadV1(sc)
+		return st.load(sc, true)
 	default:
-		return fmt.Errorf("history: bad header %q", sc.Text())
+		return fmt.Errorf("history: unsupported format %q (this build reads %q and %q)", sc.Text(), persistHeaderV3, persistHeaderV2)
 	}
 }
 
-func (st *Store) loadV2(sc *bufio.Scanner) error {
+// load reads the series of a v3 file, or with v2 set of a v2 file.
+func (st *Store) load(sc *bufio.Scanner, v2 bool) error {
 	lineNo := 1
 	for sc.Scan() {
 		lineNo++
@@ -103,7 +103,13 @@ func (st *Store) loadV2(sc *bufio.Scanner) error {
 		}
 		var nodeName, metric string
 		var nblocks, nhead int
-		if _, err := fmt.Sscanf(line, "series %q %q %d %d", &nodeName, &metric, &nblocks, &nhead); err != nil {
+		var err error
+		if v2 {
+			_, err = fmt.Sscanf(line, "series %q %q %d %d", &nodeName, &metric, &nblocks, &nhead)
+		} else {
+			_, err = fmt.Sscanf(line, "series %q %q %d", &nodeName, &metric, &nblocks)
+		}
+		if err != nil {
 			return fmt.Errorf("history: line %d: bad series header %q: %v", lineNo, line, err)
 		}
 		if nblocks < 0 || nhead < 0 {
@@ -126,7 +132,17 @@ func (st *Store) loadV2(sc *bufio.Scanner) error {
 			if err != nil {
 				return fmt.Errorf("history: line %d: bad block data: %v", lineNo, err)
 			}
-			it := newBlockIter(data, count)
+			var it interface {
+				next() (int64, float64, bool)
+				failed() bool
+			}
+			if v2 {
+				old := newBlockIter(data, count)
+				it = &old
+			} else {
+				cur := newPointIter(data, count)
+				it = &cur
+			}
 			decoded := 0
 			for {
 				t, v, ok := it.next()
@@ -165,38 +181,60 @@ func (st *Store) loadV2(sc *bufio.Scanner) error {
 	return sc.Err()
 }
 
-func (st *Store) loadV1(sc *bufio.Scanner) error {
-	lineNo := 1
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if strings.TrimSpace(line) == "" {
-			continue
-		}
-		var nodeName, metric string
-		var n int
-		if _, err := fmt.Sscanf(line, "series %q %q %d", &nodeName, &metric, &n); err != nil {
-			return fmt.Errorf("history: line %d: bad series header %q: %v", lineNo, line, err)
-		}
-		for i := 0; i < n; i++ {
-			if !sc.Scan() {
-				return fmt.Errorf("history: truncated series %s/%s at point %d", nodeName, metric, i)
+// blockIter reads a v2 file's blocks, and nothing else: the grammar
+// sealed blocks had before the open block — a raw first point (64+64
+// bits), then delta-of-delta timestamps and Gorilla XOR values. count
+// bounds the iteration, so arbitrary (corrupt) bytes always terminate;
+// after a short read next reports done and failed reports true.
+type blockIter struct {
+	r        bitReader
+	count    int
+	i        int
+	t        int64
+	delta    int64
+	v        uint64
+	leading  int
+	trailing int
+}
+
+func newBlockIter(data []byte, count int) blockIter {
+	return blockIter{r: bitReader{data: data}, count: count, leading: -1, trailing: -1}
+}
+
+// next returns the following point; ok is false at the end of the block
+// or on a truncated/corrupt bit stream.
+func (it *blockIter) next() (t int64, v float64, ok bool) {
+	if it.i >= it.count || it.r.err {
+		return 0, 0, false
+	}
+	if it.i == 0 {
+		it.t = int64(it.r.readBits(64))
+		it.v = it.r.readBits(64)
+	} else {
+		dod := readDoD(&it.r)
+		it.delta += dod
+		it.t += it.delta
+		if it.r.readBit() == 1 {
+			if it.r.readBit() == 1 {
+				it.leading = int(it.r.readBits(5))
+				sig := int(it.r.readBits(6)) + 1
+				it.trailing = 64 - it.leading - sig
 			}
-			lineNo++
-			secStr, valStr, ok := strings.Cut(sc.Text(), " ")
-			if !ok {
-				return fmt.Errorf("history: line %d: bad point %q", lineNo, sc.Text())
+			if it.trailing < 0 || it.leading < 0 {
+				// Only reachable on corrupt input: a window-reuse code
+				// before any window was defined, or sig overflowing it.
+				it.r.err = true
+				return 0, 0, false
 			}
-			sec, err := strconv.ParseFloat(secStr, 64)
-			if err != nil {
-				return fmt.Errorf("history: line %d: bad timestamp: %v", lineNo, err)
-			}
-			v, err := strconv.ParseFloat(valStr, 64)
-			if err != nil {
-				return fmt.Errorf("history: line %d: bad value: %v", lineNo, err)
-			}
-			st.Append(nodeName, metric, time.Duration(sec*float64(time.Second)), v)
+			width := uint(64 - it.leading - it.trailing)
+			it.v ^= it.r.readBits(width) << uint(it.trailing)
 		}
 	}
-	return sc.Err()
+	if it.r.err {
+		return 0, 0, false
+	}
+	it.i++
+	return it.t, math.Float64frombits(it.v), true
 }
+
+func (it *blockIter) failed() bool { return it.r.err }

@@ -2,8 +2,11 @@ package history
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
+	"math/rand"
+	"os"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -45,11 +48,16 @@ func TestLoadErrors(t *testing.T) {
 	cases := []string{
 		"",
 		"wrong header\n",
-		persistHeader + "\nnot a series line\n",
-		persistHeader + "\nseries \"n\" \"m\" 2\n1.0 2.0\n", // truncated
-		persistHeader + "\nseries \"n\" \"m\" 1\nnope\n",
-		persistHeader + "\nseries \"n\" \"m\" 1\nx 1\n",
-		persistHeader + "\nseries \"n\" \"m\" 1\n1 x\n",
+		persistHeaderV3 + "\nnot a series line\n",
+		persistHeaderV3 + "\nseries \"n\" \"m\" 2\nblock 1 0 /////////////w==\n", // truncated
+		persistHeaderV3 + "\nseries \"n\" \"m\" 1\nnope\n",
+		persistHeaderV3 + "\nseries \"n\" \"m\" 1\nblock 5 0 AA==\n",       // block bytes too short for count
+		persistHeaderV3 + "\nseries \"n\" \"m\" 1\nblock 1 0 !!!!\n",       // bad base64
+		persistHeaderV3 + "\nseries \"n\" \"m\" 1\nblock 0 0 AAAA\n",       // zero count
+		persistHeaderV3 + "\nseries \"n\" \"m\" 1\nblock 2 2 AAAA\n",       // trim >= count
+		persistHeaderV3 + "\nseries \"n\" \"m\" 1\nblock 9999999 0 AAAA\n", // count over bound
+		persistHeaderV3 + "\nseries \"n\" \"m\" 1\nblock 1 0 cAA=\n",       // a changed value that did not change
+		persistHeaderV3 + "\nseries \"n\" \"m\" -1\n",                      // negative count
 	}
 	for _, c := range cases {
 		st := NewStore(8)
@@ -78,11 +86,12 @@ func TestLoadMergesIntoExisting(t *testing.T) {
 	}
 }
 
-// TestSaveLoadV2Exact pins the v2 promise: the block format round-trips
-// sealed blocks, trim state, and head points bit-exactly — including
-// NaN, ±Inf, denormals, and values the old %.6f text format destroyed.
+// TestSaveLoadV2Exact pins the block format's promise, made by v2 and
+// kept by v3: closed blocks, trim state, and the open block round-trip
+// bit-exactly — including NaN, ±Inf, denormals, and values a decimal
+// text format destroys.
 func TestSaveLoadV2Exact(t *testing.T) {
-	const capacity = 3 * headCapacity / 2 // one sealed block + partial head
+	const capacity = 3 * blockPoints / 2 // one closed block + a partial open one
 	st := NewStore(capacity)
 	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 5e-324, math.Copysign(0, -1), 0.30000000000000004}
 	for i := 0; i < capacity+40; i++ { // overfill so trim state persists too
@@ -96,7 +105,7 @@ func TestSaveLoadV2Exact(t *testing.T) {
 	if err := st.SaveTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(buf.String(), persistHeaderV2+"\n") {
+	if !strings.HasPrefix(buf.String(), persistHeaderV3+"\n") {
 		t.Fatalf("SaveTo wrote header %q", strings.SplitN(buf.String(), "\n", 2)[0])
 	}
 	back := NewStore(capacity)
@@ -116,12 +125,12 @@ func TestSaveLoadV2Exact(t *testing.T) {
 }
 
 // TestSaveLoadGrowthSteps round-trips a store whose series sit on and
-// around every head growth step. Loading re-appends, so a loaded series
-// inherits the lazy growth: same points, same footprint, and saving it
-// again writes the same bytes.
+// around every step of the open block's buffer ladder and its close.
+// Loading re-appends, so a loaded series inherits the lazy growth: same
+// points, same footprint, and saving it again writes the same bytes.
 func TestSaveLoadGrowthSteps(t *testing.T) {
 	st := NewStore(0)
-	lens := []int{1, 7, 8, 9, 32, 33, 128, 129, 511, 512, 513}
+	lens := []int{1, 7, 8, 9, 32, 33, 128, 129, 511, 512, 513, 1025}
 	for _, n := range lens {
 		for i := 0; i < n; i++ {
 			st.Append(fmt.Sprintf("n%03d", n), "m", time.Duration(i)*time.Second, 0.1*float64(i%11))
@@ -141,9 +150,8 @@ func TestSaveLoadGrowthSteps(t *testing.T) {
 		if got == nil || got.Len() != n {
 			t.Fatalf("%s: loaded series missing or short", node)
 		}
-		if len(got.headT) != len(orig.headT) || got.Bytes() != orig.Bytes() {
-			t.Fatalf("%s: loaded head %d points / %d B, saved %d / %d",
-				node, len(got.headT), got.Bytes(), len(orig.headT), orig.Bytes())
+		if gc, oc := cap(got.open.w.w.buf), cap(orig.open.w.w.buf); gc != oc || got.Bytes() != orig.Bytes() {
+			t.Fatalf("%s: loaded buffer %d B / footprint %d B, saved %d / %d", node, gc, got.Bytes(), oc, orig.Bytes())
 		}
 		a, b := orig.Range(0, 1<<62), got.Range(0, 1<<62)
 		for i := range a {
@@ -164,18 +172,107 @@ func TestSaveLoadGrowthSteps(t *testing.T) {
 	}
 }
 
-// TestLoadV1Compat proves snapshots from before the block engine still load.
-func TestLoadV1Compat(t *testing.T) {
-	in := persistHeader + "\n" +
-		"series \"node a\" \"load.1\" 3\n" +
-		"1.000000 0.50\n2.000000 0.75\n3.000000 1.25\n"
-	st := NewStore(16)
-	if err := st.LoadFrom(strings.NewReader(in)); err != nil {
+// v2FixtureStore rebuilds the store the parent commit saved as
+// testdata/history_v2.txt (capacity 700): a series that has evicted a
+// whole block and trimmed the next, with two-decimal readings on a
+// jittered clock and special values mixed in; an integer counter one
+// block and a part long; and a five-point series that was all head.
+func v2FixtureStore() *Store {
+	st := NewStore(700)
+	rng := rand.New(rand.NewSource(20))
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 5e-324, 0.30000000000000004}
+	now := time.Duration(0)
+	for i := 0; i < 1300; i++ {
+		now += time.Second + time.Duration(rng.Intn(2_000_000))
+		v := math.Round(rng.Float64()*600) / 100
+		if i%89 == 0 {
+			v = specials[(i/89)%len(specials)]
+		}
+		st.Append("node a", "load.1", now, v)
+		if i < 600 {
+			st.Append("n3", "net.rx.packets", now, float64(1000+17*i))
+		}
+		if i < 5 {
+			st.Append("n2", "hw.temp.cpu", now, 40+0.5*float64(i))
+		}
+	}
+	return st
+}
+
+// TestLoadV2Fixture proves snapshots from before the open block still
+// load: the checked-in file, written by the last commit whose SaveTo
+// wrote v2, comes back as the points that commit held, bit for bit.
+func TestLoadV2Fixture(t *testing.T) {
+	f, err := os.Open("testdata/history_v2.txt")
+	if err != nil {
 		t.Fatal(err)
 	}
-	pts := st.Series("node a", "load.1").Range(0, 1<<62)
-	if len(pts) != 3 || pts[2].V != 1.25 || pts[0].T != time.Second {
-		t.Fatalf("v1 load = %v", pts)
+	defer f.Close()
+	got, want := NewStore(700), v2FixtureStore()
+	if err := got.LoadFrom(f); err != nil {
+		t.Fatal(err)
+	}
+	if g, w := got.Nodes(), want.Nodes(); fmt.Sprint(g) != fmt.Sprint(w) {
+		t.Fatalf("loaded nodes %v, want %v", g, w)
+	}
+	for _, node := range want.Nodes() {
+		for _, metric := range want.Metrics(node) {
+			a := want.Series(node, metric).Range(math.MinInt64, math.MaxInt64)
+			var b []Point
+			if s := got.Series(node, metric); s != nil {
+				b = s.Range(math.MinInt64, math.MaxInt64)
+			}
+			if len(a) != len(b) {
+				t.Fatalf("%s/%s: loaded %d points, want %d", node, metric, len(b), len(a))
+			}
+			for i := range a {
+				if !samePoint(a[i], b[i]) {
+					t.Fatalf("%s/%s point %d: loaded %v, want %v", node, metric, i, b[i], a[i])
+				}
+			}
+		}
+	}
+}
+
+// TestLoadV1Rejected: the point-per-line format has had no writer since
+// the block engine; a v1 file fails with an error that says which format
+// it is and which ones load.
+func TestLoadV1Rejected(t *testing.T) {
+	in := "clusterworx-history v1\nseries \"node a\" \"load.1\" 1\n1.000000 0.50\n"
+	st := NewStore(16)
+	err := st.LoadFrom(strings.NewReader(in))
+	if err == nil || !strings.Contains(err.Error(), `"clusterworx-history v1"`) || !strings.Contains(err.Error(), persistHeaderV3) {
+		t.Fatalf("v1 load: %v, want an error naming the version", err)
+	}
+	if len(st.Nodes()) != 0 {
+		t.Fatalf("a rejected file loaded %v", st.Nodes())
+	}
+}
+
+// failAfter is a writer that accepts n bytes and then fails.
+type failAfter struct{ n int }
+
+var errDiskFull = errors.New("disk full")
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if w.n -= len(p); w.n < 0 {
+		return 0, errDiskFull
+	}
+	return len(p), nil
+}
+
+// TestSaveToReportsWriteError: a writer that fails anywhere in the file —
+// the header, a buffered block line, the final flush — fails SaveTo.
+func TestSaveToReportsWriteError(t *testing.T) {
+	st := v2FixtureStore()
+	var whole bytes.Buffer
+	if err := st.SaveTo(&whole); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, 10, 4095, 4096, whole.Len() - 1} {
+		if err := st.SaveTo(&failAfter{n: n}); !errors.Is(err, errDiskFull) {
+			t.Fatalf("SaveTo to a writer that fails after %d B: %v", n, err)
+		}
 	}
 }
 
@@ -183,7 +280,7 @@ func TestLoadV2Errors(t *testing.T) {
 	cases := []string{
 		persistHeaderV2 + "\nnot a series line\n",
 		persistHeaderV2 + "\nseries \"n\" \"m\" 1 0\n",                       // truncated: no block line
-		persistHeaderV2 + "\nseries \"n\" \"m\" 1 0\nblock 2 0 AAAA\n",       // block bytes too short for count
+		persistHeaderV2 + "\nseries \"n\" \"m\" 1 0\nblock 5 0 AA==\n",       // block bytes too short for count
 		persistHeaderV2 + "\nseries \"n\" \"m\" 1 0\nblock 4 0 !!!!\n",       // bad base64
 		persistHeaderV2 + "\nseries \"n\" \"m\" 1 0\nblock 0 0 AAAA\n",       // zero count
 		persistHeaderV2 + "\nseries \"n\" \"m\" 1 0\nblock 2 5 AAAA\n",       // trim >= count

@@ -1,21 +1,20 @@
 package history
 
-// The bit column of the v2 wire frames (internal/transmit): exported,
-// allocation-free bit I/O plus the two per-stream coders a frame's
-// timestamp and values go through. Timestamps reuse the sealed-block
-// codec's delta-of-delta code (block.go) unchanged. Values do not reuse
-// the block codec's Gorilla XOR as is: a frame carries only *changed*
-// values, which is exactly where XOR is weakest, so the wire adds a
-// decimal mode beside it (see ValueState). Sealed blocks and the
-// persistence format keep the plain XOR stream.
+// The bit column of the v2 wire frames (internal/transmit), and since
+// the open block the history store's own block grammar (block.go):
+// exported, allocation-free bit I/O plus the two per-stream coders a
+// timestamp and a value go through. Timestamps take the delta-of-delta
+// code. Values do not take Gorilla XOR as is: a frame — and a series —
+// carries only *changed* values, which is exactly where XOR is weakest,
+// so the coder adds a decimal mode beside it (see ValueState).
 //
-// The block codec keeps its per-stream prediction state in local
-// variables because a block is encoded in one shot. The wire streams one
-// point per metric per frame, so the state must live across calls.
+// The wire streams one point per metric per frame and a series one point
+// per append, so the per-stream prediction state must live across calls.
 // ValueState and DoDState are plain structs whose zero value means "no
 // history yet — emit relative to zero"; both sides of a connection reset
 // them in lockstep (the v2 chain-reset rule), keeping encoder and decoder
-// bit-exact without any handshake payload.
+// bit-exact without any handshake payload, and a block starts from them,
+// so it decodes on its own.
 
 import (
 	"math"

@@ -39,6 +39,14 @@ func LineKey(line string) string {
 // the renderings are identical — the caller pushes nothing, which is the
 // whole point of change-only streams.
 func Diff(old, cur []string) []string {
+	if ops, ok := diffSameKeys(old, cur); ok {
+		return ops
+	}
+	return diffByKey(old, cur)
+}
+
+// diffByKey is Diff for any two renderings: keys matched through maps.
+func diffByKey(old, cur []string) []string {
 	oldByKey := make(map[string]string, len(old))
 	for _, l := range old {
 		oldByKey[LineKey(l)] = l
@@ -63,6 +71,31 @@ func Diff(old, cur []string) []string {
 		}
 	}
 	return ops
+}
+
+// diffSameKeys is Diff for the push that moved values and not the roster —
+// every push but the one after a node or metric came or went: old and cur
+// carry the same keys in the same order, so one lockstep walk finds the
+// changed lines and no key needs a map. Keys must also strictly ascend,
+// which every key-sorted view's do: that is what proves them unique, and
+// with unique keys these are the ops the maps would have produced, byte
+// for byte. ok is false when the walk cannot tell.
+func diffSameKeys(old, cur []string) (ops []string, ok bool) {
+	if len(old) != len(cur) {
+		return nil, false
+	}
+	prev := ""
+	for i, l := range cur {
+		key := LineKey(l)
+		if key != LineKey(old[i]) || i > 0 && key <= prev {
+			return nil, false
+		}
+		prev = key
+		if l != old[i] {
+			ops = append(ops, "="+l)
+		}
+	}
+	return ops, true
 }
 
 // View is a watch client's reconstruction of a rendering from an initial

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -178,6 +180,58 @@ func TestDiffRoundtrip(t *testing.T) {
 	}
 	if ops := Diff(cur, cur); ops != nil {
 		t.Fatalf("identical renderings produced ops %q", ops)
+	}
+}
+
+// TestDiffFastPathMatchesMapPath: over random renderings — the same
+// roster with some lines changed, which the lockstep walk answers, and
+// rosters that gained, lost, repeated or reordered keys, which it must
+// hand back — Diff returns the ops the map path returns, byte for byte.
+func TestDiffFastPathMatchesMapPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	render := func(keys []int) []string {
+		lines := make([]string, len(keys))
+		for i, k := range keys {
+			lines[i] = fmt.Sprintf("node%03d  values=%d", k, rng.Intn(3))
+		}
+		return lines
+	}
+	fast := 0
+	for trial := 0; trial < 2000; trial++ {
+		var keys []int
+		for k := 0; k < 12; k++ {
+			if rng.Intn(4) > 0 {
+				keys = append(keys, k)
+			}
+		}
+		old := render(keys)
+		switch rng.Intn(6) {
+		case 0: // a key goes
+			if len(keys) > 0 {
+				i := rng.Intn(len(keys))
+				keys = append(keys[:i:i], keys[i+1:]...)
+			}
+		case 1: // a key comes
+			keys = append(keys, 12+rng.Intn(3))
+		case 2: // a key repeats: the walk cannot vouch for the maps
+			if len(keys) > 1 {
+				keys[rng.Intn(len(keys)-1)+1] = keys[0]
+				old = render(keys)
+			}
+		case 3: // same keys, another order
+			rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+		}
+		cur := render(keys)
+		got, want := Diff(old, cur), diffByKey(old, cur)
+		if !slices.Equal(got, want) || (got == nil) != (want == nil) {
+			t.Fatalf("trial %d:\nold %q\ncur %q\nDiff      %q\ndiffByKey %q", trial, old, cur, got, want)
+		}
+		if _, ok := diffSameKeys(old, cur); ok {
+			fast++
+		}
+	}
+	if fast < 500 {
+		t.Fatalf("the lockstep walk answered %d of 2000 trials: the test no longer reaches it", fast)
 	}
 }
 
