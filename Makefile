@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build lint lint-escape lockgraph test race bench bench-smoke bench-test fuzz-smoke faultinject loc
+.PHONY: check fmt vet build lint lint-escape lockgraph test race bench bench-smoke bench-test fuzz-smoke faultinject loc heap-sites
 
 check: fmt vet build lint race
 
@@ -98,6 +98,15 @@ faultinject:
 	$(GO) test -race -count=1 -v \
 		-run 'TestLossToleranceConverges|TestLegacyProtocolDivergesUnderLoss|TestPartitionHealRetransmits|TestMixedVersionClusterConverges|TestHandleFrameConcurrent|TestFedLossKillRejoinConverges|TestBlackholeDropsEverything|TestScheduleAtDrivesFaults|TestLossDropsFraction' \
 		./internal/core/ ./internal/simnet/
+
+# Where a root server's bytes per node go: loads the benchmark's tree
+# (1 024 nodes × 34 values × 16 samples) in process through a real batch
+# session with every allocation sampled, and prints the twelve allocation
+# sites holding the most live heap (TestHeapSites, heap_sites_test.go).
+# CI uploads the table; a heap PR quotes it before and after.
+heap-sites:
+	$(GO) test -run 'TestHeapSites$$' -count=1 -memprofilerate 1 . -args -heap-sites cwx-heap-sites.txt
+	@cat cwx-heap-sites.txt
 
 # Non-test Go lines per package and in total, for the root module and for
 # the benchmark module: the number simplicity acceptances quote ("non-test

@@ -273,9 +273,9 @@ func TestIngestReadDuringSlowIngest(t *testing.T) {
 
 // TestIngestInternsMetricNames: values parsed off the v1 wire name their
 // metrics with slices of the frame's lines, one copy per node and frame.
-// After a snapshot every node's record must be keyed by the history
-// store's one copy of each name, and so must the store's series maps —
-// whichever frame created the series.
+// Whatever the server says a node holds must be named by the metric
+// table's one copy of each name, and so must the store's series —
+// whichever frame first brought the name.
 func TestIngestInternsMetricNames(t *testing.T) {
 	srv := NewServer(ServerConfig{Cluster: "t"})
 	parse := func(wire string) []consolidate.Value {
@@ -313,17 +313,18 @@ func TestIngestInternsMetricNames(t *testing.T) {
 	for _, node := range nodes {
 		rec := srv.node(node)
 		rec.mu.RLock()
-		if len(rec.values) != 3 || len(rec.sample) != 2 {
-			t.Fatalf("%s holds %d values and %d samples, want 3 and 2", node, len(rec.values), len(rec.sample))
-		}
-		for name, v := range rec.values {
-			check(node, "record key ", name)
-			check(node, "record key ", v.Name)
-		}
-		for name := range rec.sample {
-			check(node, "record key ", name)
+		if len(rec.ids) != 3 || len(rec.texts) != 1 {
+			t.Fatalf("%s holds %d values, %d of them text, want 3 and 1", node, len(rec.ids), len(rec.texts))
 		}
 		rec.mu.RUnlock()
+		for _, v := range srv.NodeValues(node) {
+			check(node, "value name ", v.Name)
+			if got, _ := srv.NodeValue(node, v.Name); got.Name != v.Name {
+				t.Errorf("%s: NodeValue(%q) is named %q", node, v.Name, got.Name)
+			} else {
+				check(node, "value name ", got.Name)
+			}
+		}
 		metrics := srv.History().Metrics(node)
 		if len(metrics) != 2 {
 			t.Fatalf("%s has series %v, want 2", node, metrics)

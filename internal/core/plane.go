@@ -182,7 +182,7 @@ func (p *plane) buildStatus(prev *statusSnap) *statusSnap {
 			Name:     rec.name,
 			Alive:    rec.seen && now-rec.lastSeen <= DownAfter,
 			LastSeen: rec.lastSeen,
-			Values:   len(rec.values),
+			Values:   len(rec.ids),
 		}
 		// Liveness bookkeeping runs regardless of the telemetry kill
 		// switch — down/alive transitions are state, not instrumentation;
@@ -198,14 +198,10 @@ func (p *plane) buildStatus(prev *statusSnap) *statusSnap {
 				mDownDetections.Inc()
 			}
 		}
-		if v, ok := rec.values["load.1"]; ok {
-			st.Load1 = v.Num
-		}
-		if v, ok := rec.values["hw.temp.cpu"]; ok {
-			st.TempC = v.Num
-		}
-		if v, ok := rec.values["mem.used.pct"]; ok {
-			st.MemPct = v.Num
+		for k, dst := range [...]*float64{&st.Load1, &st.TempC, &st.MemPct} {
+			if i, ok := rec.find(s.statusIDs[k]); ok {
+				*dst = rec.nums[i]
+			}
 		}
 		rec.mu.RUnlock()
 		snap.rows = append(snap.rows, st)

@@ -72,15 +72,14 @@ func (r *Rollup) Tick() int {
 			rec.mu.RUnlock()
 			continue
 		}
-		if r.childPrefix == "" {
-			for metric, num := range rec.sample {
-				if metric != probeMetric {
-					r.acc.Observe(metric, num)
-				}
+		for i, id := range rec.ids {
+			if rec.flags[i]&slotText != 0 {
+				continue
 			}
-		} else {
-			for metric, num := range rec.sample {
-				r.acc.ObserveRolled(metric, num)
+			if r.childPrefix != "" {
+				r.acc.ObserveRolled(r.s.hist.MetricName(id), rec.nums[i])
+			} else if id != r.s.probeID {
+				r.acc.Observe(r.s.hist.MetricName(id), rec.nums[i])
 			}
 		}
 		rec.mu.RUnlock()

@@ -71,7 +71,14 @@ type Server struct {
 	cluster string
 
 	shards [ingestShards]nodeShard
-	hist   *history.Store
+	// hist is the historical store and, through its metric table, the
+	// owner of every metric name and id the registry's columns carry.
+	hist *history.Store
+	// probeID and statusIDs are the ids of the metrics the server itself
+	// names — the connectivity probe's, and the status screen's load.1,
+	// hw.temp.cpu and mem.used.pct — resolved once.
+	probeID   uint32
+	statusIDs [3]uint32
 
 	// The serving plane's invalidation state (PR 6). gens is the
 	// per-shard ingest generation vector: every applied frame bumps its
@@ -124,14 +131,22 @@ type Server struct {
 type nodeRec struct {
 	// mu guards the record fields below with short critical sections. It
 	// is never held while the event engine runs: ingest hands the engine a
-	// pooled private copy of sample, so rule plugins and notifier
-	// callbacks may call any server API — including synchronously
+	// pooled private copy of the numeric values, so rule plugins and
+	// notifier callbacks may call any server API — including synchronously
 	// re-ingesting values for this same node — without deadlocking.
 	mu       sync.RWMutex //cwx:lockrank record 20
 	name     string
 	lastSeen time.Duration
 	seen     bool
-	values   map[string]consolidate.Value
+	// The node's current values: parallel columns sorted by metric id,
+	// text held beside them (record.go).
+	ids   []uint32
+	flags []uint8
+	nums  []float64
+	texts []textSlot
+	// hist is the node's series slab in the history store, resolved once
+	// at registration so an append is a search of the node's own id column.
+	hist *history.NodeSeries
 	// shard is the record's stripe index, cached so telemetry on the
 	// ingest path can stripe its counters without re-hashing the name.
 	shard uint32
@@ -146,11 +161,6 @@ type nodeRec struct {
 	// down tracks the presumed-down edge (for the down-detection counter);
 	// atomic so Status can flip it under the record's read lock.
 	down atomic.Bool
-	// sample mirrors the numeric entries of values and is maintained
-	// incrementally as updates arrive, so event evaluation never rebuilds
-	// the full numeric state on the hot path. Guarded by mu; the engine
-	// only ever sees snapshots of it, never the map itself.
-	sample map[string]float64
 
 	// Loss-tolerant delta protocol state (guarded by mu). wireSeq is the
 	// highest sequence number applied; diverged is set between a detected
@@ -245,6 +255,10 @@ func NewServer(cfg ServerConfig) *Server {
 	for i := range s.shards {
 		s.shards[i].nodes = make(map[string]*nodeRec)
 	}
+	s.probeID = s.hist.MetricID(probeMetric)
+	for i, name := range [...]string{"load.1", "hw.temp.cpu", "mem.used.pct"} {
+		s.statusIDs[i] = s.hist.MetricID(name)
+	}
 	var ntf events.Notifier
 	if cfg.Notifier != nil {
 		ntf = cfg.Notifier
@@ -330,16 +344,18 @@ func (s *Server) node(name string) *nodeRec {
 	if rec != nil {
 		return rec
 	}
+	// The history store has its own stripes; the node's slab is found (or
+	// made) before the shard lock is taken, not under it.
+	hist := s.hist.Node(name)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if rec = sh.nodes[name]; rec == nil {
 		rec = &nodeRec{
-			name:   name,
-			values: make(map[string]consolidate.Value),
-			sample: make(map[string]float64),
-			shard:  idx,
-			span:   telemetry.Spans.Slot(name),
-			fsym:   fjournal.Sym(name),
+			name:  name,
+			hist:  hist,
+			shard: idx,
+			span:  telemetry.Spans.Slot(name),
+			fsym:  fjournal.Sym(name),
 		}
 		sh.nodes[name] = rec
 		mIngestRegistered.Inc()
@@ -447,19 +463,17 @@ func (s *Server) HandleFrame(f transmit.Frame) error {
 		// link-level there), and a v1 uplink session that upgraded to
 		// batches mid-divergence must not stay marked unsynced forever.
 		rec.diverged = false
-		s.applySnapshotLocked(rec, f.Node, f.Values, now)
+		s.applySnapshotLocked(rec, f.Values, now)
 		mIngestSnapshots.IncAt(int(rec.shard))
 		fjournal.Append(int(rec.shard), flight.Entry{Kind: flight.KindSnapApplied, Node: rec.fsym, Trace: f.TraceID, TimeNs: int64(now), A: int64(len(f.Values))})
 	} else {
-		for _, v := range f.Values {
-			rec.values[v.Name] = v
+		for k := range f.Values {
+			v := &f.Values[k]
+			id := s.hist.MetricID(v.Name)
+			i, _ := s.slotLocked(rec, id, f.Values[k:])
+			rec.store(i, v)
 			if !v.IsText {
-				rec.sample[v.Name] = v.Num
-				s.hist.Append(f.Node, v.Name, now, v.Num)
-			} else {
-				// A metric that switched to text no longer has a numeric
-				// reading for the rules to evaluate.
-				delete(rec.sample, v.Name)
+				rec.hist.Append(id, now, v.Num)
 			}
 		}
 	}
@@ -502,47 +516,53 @@ func (s *Server) HandleFrame(f transmit.Frame) error {
 	return nil
 }
 
+// slotLocked returns the slot of metric id in rec's columns, opening one
+// if the node did not hold the metric; had reports which. rest is what
+// remains of the frame being applied, the value for id first (nil: that
+// value alone): when the columns are full they grow once, by the slots
+// rest will need. Caller holds rec.mu.
+//
+//cwx:hotpath
+func (s *Server) slotLocked(rec *nodeRec, id uint32, rest []consolidate.Value) (i int, had bool) {
+	if i, had = rec.find(id); !had {
+		s.openSlotLocked(rec, i, id, rest)
+	}
+	return i, had
+}
+
+// openSlotLocked is slotLocked's miss, out of line: it runs the first
+// time a node reports a metric.
+func (s *Server) openSlotLocked(rec *nodeRec, i int, id uint32, rest []consolidate.Value) {
+	if len(rec.ids) == cap(rec.ids) {
+		missing := 0
+		for k := range rest {
+			if _, had := rec.find(s.hist.MetricID(rest[k].Name)); !had {
+				missing++
+			}
+		}
+		rec.grow(max(missing, 1))
+	}
+	rec.insert(i, id)
+}
+
 // applySnapshotLocked replaces rec's agent-side state with a full
 // snapshot: present values are upserted (history only records actual
 // changes, so an anti-entropy refresh of an idle node appends nothing),
 // and metrics the snapshot no longer carries are dropped — they vanished
 // on the agent — except the server-side probe metric. Caller holds
 // rec.mu.
-func (s *Server) applySnapshotLocked(rec *nodeRec, nodeName string, values []consolidate.Value, now time.Duration) {
-	for _, v := range values {
-		// A name parsed off the v1 wire is a slice of its frame's line,
-		// one copy per node and frame. A snapshot — the cold path, and what
-		// opens every session — swaps each for the history store's copy,
-		// so a thousand nodes' records are keyed by 34 strings, not by
-		// 34 000 value lines. A later delta re-keys what it touches to its
-		// own frame's string (Go overwrites a string key on assignment),
-		// which on the binary wire is the session dictionary's one copy;
-		// that path pays nothing for this.
-		v.Name = s.hist.Intern(v.Name)
-		old, seen := rec.values[v.Name]
-		rec.values[v.Name] = v
-		if !v.IsText {
-			rec.sample[v.Name] = v.Num
-			if !seen || !old.Equal(v) {
-				s.hist.Append(nodeName, v.Name, now, v.Num)
-			}
-		} else {
-			delete(rec.sample, v.Name)
+func (s *Server) applySnapshotLocked(rec *nodeRec, values []consolidate.Value, now time.Duration) {
+	for k := range values {
+		v := &values[k]
+		id := s.hist.MetricID(v.Name)
+		i, had := s.slotLocked(rec, id, values[k:])
+		if !v.IsText && !(had && rec.sameAt(i, v)) {
+			rec.hist.Append(id, now, v.Num)
 		}
+		rec.store(i, v)
+		rec.flags[i] |= slotMarked
 	}
-	if len(rec.values) == len(values) {
-		return // nothing extra to drop
-	}
-	present := make(map[string]struct{}, len(values))
-	for _, v := range values {
-		present[v.Name] = struct{}{}
-	}
-	for name := range rec.values {
-		if _, ok := present[name]; !ok && name != probeMetric {
-			delete(rec.values, name)
-			delete(rec.sample, name)
-		}
-	}
+	rec.sweepUnmarked(s.probeID)
 }
 
 // SyncStates reports every node's delta-protocol state, sorted by name.
@@ -566,11 +586,12 @@ func (s *Server) SyncStates() []SyncState {
 	return out
 }
 
-// observationSnapshot copies rec.sample into a pooled map so the engine
-// can evaluate the node's full current numeric state (rules on metrics
-// that did not change this round still hold) after every lock is
-// released. Caller must hold rec.mu. Returns nil when no rules are
-// installed — the engine would not look at the snapshot anyway.
+// observationSnapshot copies rec's numeric values into a pooled map,
+// keyed by the metric table's names, so the engine can evaluate the
+// node's full current numeric state (rules on metrics that did not
+// change this round still hold) after every lock is released. Caller
+// must hold rec.mu. Returns nil when no rules are installed — the engine
+// would not look at the snapshot anyway.
 //
 //cwx:hotpath
 func (s *Server) observationSnapshot(rec *nodeRec) map[string]float64 {
@@ -578,8 +599,10 @@ func (s *Server) observationSnapshot(rec *nodeRec) map[string]float64 {
 		return nil
 	}
 	snap := samplePool.Get().(map[string]float64)
-	for name, num := range rec.sample {
-		snap[name] = num
+	for i, id := range rec.ids {
+		if rec.flags[i]&slotText == 0 {
+			snap[s.hist.MetricName(id)] = rec.nums[i]
+		}
 	}
 	return snap
 }
@@ -629,11 +652,10 @@ func (s *Server) ProbeConnectivity(probe func(node string) bool) {
 		}
 		rec := s.node(name)
 		rec.mu.Lock()
-		old, had := rec.values[v.Name]
-		changed := !had || !old.Equal(v)
-		rec.values[v.Name] = v
-		rec.sample[v.Name] = v.Num
-		s.hist.Append(name, v.Name, now, v.Num)
+		i, had := s.slotLocked(rec, s.probeID, nil)
+		changed := !had || !rec.sameAt(i, &v)
+		rec.store(i, &v)
+		rec.hist.Append(s.probeID, now, v.Num)
 		snap := s.observationSnapshot(rec)
 		rec.mu.Unlock()
 		s.bumpIngest(rec.shard, now)
@@ -694,8 +716,19 @@ func (s *Server) NodeValue(nodeName, metric string) (consolidate.Value, bool) {
 	}
 	rec.mu.RLock()
 	defer rec.mu.RUnlock()
-	v, ok := rec.values[metric]
-	return v, ok
+	return s.valueLocked(rec, metric)
+}
+
+// valueLocked returns rec's value for a metric named by whoever is
+// asking: a name the table has never seen is held by nobody, and is not
+// added. Caller holds rec.mu.
+func (s *Server) valueLocked(rec *nodeRec, metric string) (consolidate.Value, bool) {
+	if id, ok := s.hist.LookupMetric(metric); ok {
+		if i, ok := rec.find(id); ok {
+			return rec.load(i, s.hist.MetricName(id)), true
+		}
+	}
+	return consolidate.Value{}, false
 }
 
 // NodeValues returns a sorted snapshot of a node's current values.
@@ -705,13 +738,19 @@ func (s *Server) NodeValues(nodeName string) []consolidate.Value {
 		return nil
 	}
 	rec.mu.RLock()
-	out := make([]consolidate.Value, 0, len(rec.values))
-	for _, v := range rec.values {
-		out = append(out, v)
-	}
+	out := s.appendValuesLocked(make([]consolidate.Value, 0, len(rec.ids)), rec)
 	rec.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, func(a, b consolidate.Value) int { return strings.Compare(a.Name, b.Name) })
 	return out
+}
+
+// appendValuesLocked appends every value rec holds to dst, in id order.
+// Caller holds rec.mu.
+func (s *Server) appendValuesLocked(dst []consolidate.Value, rec *nodeRec) []consolidate.Value {
+	for i, id := range rec.ids {
+		dst = append(dst, rec.load(i, s.hist.MetricName(id)))
+	}
+	return dst
 }
 
 // Status renders the monitoring screen rows. It answers from the serving

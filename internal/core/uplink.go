@@ -370,12 +370,10 @@ func (u *Uplink) build() {
 		ent.vstart = len(u.vbuf)
 		rec.mu.RLock()
 		if ent.snap {
-			for _, v := range rec.values {
-				u.vbuf = append(u.vbuf, v)
-			}
+			u.vbuf = u.s.appendValuesLocked(u.vbuf, rec)
 		} else {
 			for _, vn := range u.nbuf[ent.nstart:ent.nend] {
-				if v, ok := rec.values[vn]; ok {
+				if v, ok := u.s.valueLocked(rec, vn); ok {
 					u.vbuf = append(u.vbuf, v)
 				}
 			}
@@ -385,9 +383,10 @@ func (u *Uplink) build() {
 		if ent.vend == ent.vstart && !ent.snap {
 			continue
 		}
-		// Both sources above are maps. Name order makes the section — and
-		// through first-sight dictionary ids, every later frame — a function
-		// of the ingested data alone: same input, same bytes.
+		// The columns are in id order and the dirty names in a map's. Name
+		// order makes the section — and through first-sight dictionary
+		// ids, every later frame — a function of the ingested data alone:
+		// same input, same bytes.
 		slices.SortFunc(u.vbuf[ent.vstart:ent.vend], func(a, b consolidate.Value) int {
 			return strings.Compare(a.Name, b.Name)
 		})

@@ -510,16 +510,33 @@ func (s *Series) Downsample(t0, t1 time.Duration, n int) []Point {
 // concurrently land on independent stripes.
 const storeStripes = 64
 
+// storeStripe guards which nodes it holds and, for each of them, which
+// series: a NodeSeries' two columns are read under mu and change only
+// under its write side.
 type storeStripe struct {
-	mu     sync.RWMutex //cwx:lockrank histstore 25
-	series map[string]map[string]*Series
+	mu    sync.RWMutex //cwx:lockrank histstore 25
+	nodes map[string]*NodeSeries
+}
+
+// NodeSeries is one node's series slab: the ids of the metrics it has
+// history for, ascending, and their series beside them. It is indexed
+// through the node's own id column, not by id, so a node costs what it
+// holds however many names the rest of the cluster has brought to the
+// metric table. The ingest path keeps the handle (Store.Node) and appends
+// by id; by-name readers go through the Store.
+type NodeSeries struct {
+	st     *Store
+	stripe uint32 // index of the stripe whose lock guards the columns
+	name   string
+	ids    []uint32
+	series []*Series
 }
 
 // Store maps (node, metric) to series, lock-striped by node name so
 // concurrent appends for different nodes never contend. The store is safe
-// for fully concurrent use: the stripe lock guards map membership and the
-// per-series lock guards each open block, so reads (Series queries,
-// Compare) may freely race appends from agent ingest.
+// for fully concurrent use: the stripe lock guards node and series
+// membership and the per-series lock guards each open block, so reads
+// (Series queries, Compare) may freely race appends from agent ingest.
 type Store struct {
 	capacity int
 	capFn    func(nodeName string) int
@@ -527,9 +544,7 @@ type Store struct {
 	// created counts series creations: while it holds, the set of
 	// (node, metric) pairs — every Comparison's roster — is unchanged.
 	created atomic.Uint64
-	// names holds the one copy of each metric name (string → the same
-	// string) that every node's series map is keyed by; see Intern.
-	names sync.Map
+	metrics metricTable
 }
 
 // NewStore returns a store creating series of the given capacity
@@ -540,7 +555,7 @@ func NewStore(capacity int) *Store {
 	}
 	st := &Store{capacity: capacity}
 	for i := range st.stripes {
-		st.stripes[i].series = make(map[string]map[string]*Series)
+		st.stripes[i].nodes = make(map[string]*NodeSeries)
 	}
 	return st
 }
@@ -586,55 +601,98 @@ func (st *Store) stripe(nodeName string) (*storeStripe, uint32) {
 	return &st.stripes[idx], idx
 }
 
-// Append records one sample. The steady-state path is a read-locked map
-// lookup on the node's stripe plus the per-series append lock; the stripe
-// write lock is only taken the first time a (node, metric) pair appears.
-func (st *Store) Append(nodeName, metric string, t time.Duration, v float64) {
+// Node returns the node's series slab, creating an empty one on first
+// sight. The handle is good for the store's lifetime.
+func (st *Store) Node(nodeName string) *NodeSeries {
 	sp, idx := st.stripe(nodeName)
-	mAppends.IncAt(int(idx))
 	sp.mu.RLock()
-	s := sp.series[nodeName][metric]
+	ns := sp.nodes[nodeName]
+	sp.mu.RUnlock()
+	if ns != nil {
+		return ns
+	}
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	if ns = sp.nodes[nodeName]; ns == nil {
+		ns = &NodeSeries{st: st, stripe: idx, name: nodeName}
+		sp.nodes[nodeName] = ns
+	}
+	return ns
+}
+
+// findLocked returns the series of a metric id, or nil. Caller holds the
+// stripe lock.
+//
+//cwx:hotpath
+func (ns *NodeSeries) findLocked(id uint32) *Series {
+	if i, ok := slices.BinarySearch(ns.ids, id); ok {
+		return ns.series[i]
+	}
+	return nil
+}
+
+// Append records one sample of the metric with the given id
+// (Store.MetricID). The steady-state path is a read-locked search of the
+// node's id column plus the per-series append lock; the stripe write lock
+// is only taken the first time the node reports the metric.
+//
+//cwx:hotpath
+func (ns *NodeSeries) Append(id uint32, t time.Duration, v float64) {
+	mAppends.IncAt(int(ns.stripe))
+	sp := &ns.st.stripes[ns.stripe]
+	sp.mu.RLock()
+	s := ns.findLocked(id)
 	sp.mu.RUnlock()
 	if s == nil {
-		sp.mu.Lock()
-		byMetric, ok := sp.series[nodeName]
-		if !ok {
-			byMetric = make(map[string]*Series)
-			sp.series[nodeName] = byMetric
-		}
-		if s, ok = byMetric[metric]; !ok {
-			s = NewSeries(st.capacityFor(nodeName))
-			byMetric[st.Intern(metric)] = s
-			st.created.Add(1) // under the stripe lock: a walk that read the new count sees the series
-		}
-		sp.mu.Unlock()
+		s = ns.create(id)
 	}
 	s.Append(t, v)
 }
 
-// Intern returns the store's one copy of a metric name, cloned on first
-// sight out of whatever it was parsed from. A series map keeps the key it
-// was first given for good, and off the wire that string is a slice of a
-// frame: without this a thousand nodes pin a thousand frames' lines. The
-// store asks only when it creates a series; callers that hold names per
-// node may share the copy. The table grows with the distinct names ever
-// seen, as the series maps themselves do.
-func (st *Store) Intern(metric string) string {
-	if have, ok := st.names.Load(metric); ok {
-		return have.(string)
+// create adds the series of a metric the node has not reported before.
+// Both columns grow by exactly one slot: a node's metric set settles
+// within its first frame or two and the slab then lives as long as the
+// node, so slack would be carried, never used.
+func (ns *NodeSeries) create(id uint32) *Series {
+	sp := &ns.st.stripes[ns.stripe]
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	i, ok := slices.BinarySearch(ns.ids, id)
+	if ok {
+		return ns.series[i]
 	}
-	metric = strings.Clone(metric)
-	have, _ := st.names.LoadOrStore(metric, metric)
-	return have.(string)
+	s := NewSeries(ns.st.capacityFor(ns.name))
+	ns.ids, ns.series = insertExact(ns.ids, i, id), insertExact(ns.series, i, s)
+	ns.st.created.Add(1) // under the stripe lock: a walk that read the new count sees the series
+	return s
+}
+
+// insertExact returns a copy of s with v at i and no spare capacity.
+func insertExact[T any](s []T, i int, v T) []T {
+	out := append(make([]T, 0, len(s)+1), s[:i]...)
+	return append(append(out, v), s[i:]...)
+}
+
+// Append records one sample by name: the form for callers with no handle
+// to keep, such as the persistence loader.
+func (st *Store) Append(nodeName, metric string, t time.Duration, v float64) {
+	st.Node(nodeName).Append(st.MetricID(metric), t, v)
 }
 
 // Series returns the series for (node, metric), or nil. The returned
 // series is safe to query while appends race it.
 func (st *Store) Series(nodeName, metric string) *Series {
+	id, ok := st.metrics.lookup(metric)
+	if !ok {
+		return nil
+	}
 	sp, _ := st.stripe(nodeName)
 	sp.mu.RLock()
 	defer sp.mu.RUnlock()
-	return sp.series[nodeName][metric]
+	if ns := sp.nodes[nodeName]; ns != nil {
+		return ns.findLocked(id)
+	}
+	return nil
 }
 
 // Nodes returns the node names with any history, sorted.
@@ -643,8 +701,10 @@ func (st *Store) Nodes() []string {
 	for i := range st.stripes {
 		sp := &st.stripes[i]
 		sp.mu.RLock()
-		for n := range sp.series {
-			out = append(out, n)
+		for n, ns := range sp.nodes {
+			if len(ns.series) > 0 {
+				out = append(out, n)
+			}
 		}
 		sp.mu.RUnlock()
 	}
@@ -655,11 +715,13 @@ func (st *Store) Nodes() []string {
 // Metrics returns the metric names recorded for a node, sorted.
 func (st *Store) Metrics(nodeName string) []string {
 	sp, _ := st.stripe(nodeName)
+	var out []string
 	sp.mu.RLock()
-	byMetric := sp.series[nodeName]
-	out := make([]string, 0, len(byMetric))
-	for m := range byMetric {
-		out = append(out, m)
+	if ns := sp.nodes[nodeName]; ns != nil {
+		out = make([]string, len(ns.ids))
+		for i, id := range ns.ids {
+			out[i] = st.metrics.name(id)
+		}
 	}
 	sp.mu.RUnlock()
 	sort.Strings(out)
@@ -699,18 +761,22 @@ type Comparison struct {
 // metric == "") to dst, unsorted, under each stripe's read lock, and
 // releases it before any per-series work happens. This keeps cross-node
 // queries (Compare, Bytes) from stalling new-series creation during
-// ingest: the stripe lock is held only for the map walk, never across
+// ingest: the stripe lock is held only for the slab walk, never across
 // Stats.
 func (st *Store) snapshotSeries(dst []NodeStats, metric string) []NodeStats {
+	id, known := st.metrics.lookup(metric)
+	if metric != "" && !known {
+		return dst
+	}
 	for i := range st.stripes {
 		sp := &st.stripes[i]
 		sp.mu.RLock()
-		for nodeName, byMetric := range sp.series {
+		for nodeName, ns := range sp.nodes {
 			if metric == "" {
-				for _, s := range byMetric {
+				for _, s := range ns.series {
 					dst = append(dst, NodeStats{Node: nodeName, series: s})
 				}
-			} else if s, ok := byMetric[metric]; ok {
+			} else if s := ns.findLocked(id); s != nil {
 				dst = append(dst, NodeStats{Node: nodeName, series: s})
 			}
 		}

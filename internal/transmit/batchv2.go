@@ -60,10 +60,7 @@ type BatchEncoderV2 struct{ encCore }
 
 // NewBatchEncoderV2 returns a fresh uplink session encoder.
 func NewBatchEncoderV2() *BatchEncoderV2 {
-	return &BatchEncoderV2{encCore{
-		ids:   make(map[string]uint32),
-		preds: predBank{pairs: make(map[uint64]uint32)},
-	}}
+	return &BatchEncoderV2{encCore{ids: make(map[string]uint32)}}
 }
 
 // Encode renders the nodes' frames as one batched v2 payload, appending
@@ -129,7 +126,7 @@ type BatchDecoderV2 struct {
 
 // NewBatchDecoderV2 returns a fresh uplink session decoder.
 func NewBatchDecoderV2() *BatchDecoderV2 {
-	return &BatchDecoderV2{decCore: decCore{preds: predBank{pairs: make(map[uint64]uint32)}}}
+	return &BatchDecoderV2{}
 }
 
 // Decode parses one batched payload and calls emit once per node
@@ -149,6 +146,9 @@ func (d *BatchDecoderV2) Decode(payload []byte, emit func(Frame)) (int, error) {
 	if !IsV2BatchPayload(payload) {
 		return 0, ErrV2Version
 	}
+	// A link's largest frame is the snap-all that opens it, many times its
+	// steady deltas: the scratch follows the recent need.
+	d.vals, d.ids, d.nodes = refit(d.vals), refit(d.ids), refit(d.nodes)
 	flags, seq, p, err := d.open(payload, v2BatchFlagsKnown)
 	if err != nil {
 		return 0, err
@@ -211,6 +211,17 @@ func (d *BatchDecoderV2) Decode(payload []byte, emit func(Frame)) (int, error) {
 		emit(sec.f)
 	}
 	return len(secs), nil
+}
+
+// refit empties a scratch slice for the next decode. One that the last
+// decode filled to under a quarter is let go for one twice what that
+// decode used, so a frame far above the steady state is not paid for
+// until the session ends and frames of like size never reallocate.
+func refit[T any](s []T) []T {
+	if used := len(s); used < cap(s)/4 {
+		return make([]T, 0, 2*used)
+	}
+	return s[:0]
 }
 
 // uplinkResyncPayload is the receiver→sender control answering a batch

@@ -1,7 +1,9 @@
 package transmit
 
 import (
+	"cmp"
 	"encoding/binary"
+	"slices"
 
 	"clusterworx/internal/consolidate"
 	"clusterworx/internal/history"
@@ -55,11 +57,20 @@ const (
 // one per dictionary id (single-node, see perID) or one per (node,
 // metric) pair (batch, see pair).
 type predBank struct {
-	time  history.DoDState
-	vals  []history.ValueState
-	pairs map[uint64]uint32  // batch only: node id<<32 | metric id → index in vals
+	time history.DoDState
+	vals []history.ValueState
+	// rows says, for a batch session, where each pair's predictor sits in
+	// vals: indexed by the node's dictionary id, a row lists the node's
+	// metrics in dictionary-id order. A row is as long as its node has
+	// metrics, whatever else shares the dictionary.
+	rows  [][]pairSlot
 	spill history.ValueState // stands in for the pairs past maxV2Pairs
 }
+
+// pairSlot places one metric of a node's row in predBank.vals.
+type pairSlot struct{ metric, idx uint32 }
+
+func (s pairSlot) cmp(metricID uint32) int { return cmp.Compare(s.metric, metricID) }
 
 // reset zeroes every predictor: both ends do it on a chain-reset frame.
 func (b *predBank) reset() {
@@ -70,7 +81,7 @@ func (b *predBank) reset() {
 // drop forgets the predictors with the dictionary ids that keyed them.
 func (b *predBank) drop() {
 	b.vals = b.vals[:0]
-	clear(b.pairs)
+	clear(b.rows)
 }
 
 // perID sizes the bank for a single-node session: one predictor per
@@ -82,22 +93,39 @@ func (b *predBank) perID(entries int) {
 }
 
 // pair returns the predictor of a (node, metric) pair, allocating one on
-// first sight; the map hit is the steady state. Both ends allocate in
-// payload order, so the pairing needs no wire bytes. ok is false past
-// maxV2Pairs: a receiver drops the session there, so what a sender codes
-// against the spill predictor is never read.
+// first sight; a search of the node's row is the steady state. Both ends
+// allocate in payload order, so the pairing needs no wire bytes. ok is
+// false past maxV2Pairs: a receiver drops the session there, so what a
+// sender codes against the spill predictor is never read.
+//
+//cwx:hotpath
 func (b *predBank) pair(nodeID, metricID uint32) (p *history.ValueState, ok bool) {
-	key := uint64(nodeID)<<32 | uint64(metricID)
-	idx, ok := b.pairs[key]
-	if !ok {
-		if len(b.vals) >= maxV2Pairs {
-			return &b.spill, false
+	if int(nodeID) < len(b.rows) {
+		row := b.rows[nodeID]
+		if i, ok := slices.BinarySearchFunc(row, metricID, pairSlot.cmp); ok {
+			return &b.vals[row[i].idx], true
 		}
-		idx = uint32(len(b.vals))
-		b.pairs[key] = idx
-		b.vals = append(b.vals, history.ValueState{})
 	}
-	return &b.vals[idx], true
+	return b.addPair(nodeID, metricID)
+}
+
+// addPair is pair's first sight of a pair, out of line. The row grows by
+// the one slot: a node's metrics settle within a frame or two and the row
+// then lives as long as the session.
+func (b *predBank) addPair(nodeID, metricID uint32) (p *history.ValueState, ok bool) {
+	if len(b.vals) >= maxV2Pairs {
+		return &b.spill, false
+	}
+	if n := int(nodeID) + 1; n > len(b.rows) {
+		b.rows = append(b.rows, make([][]pairSlot, n-len(b.rows))...)
+	}
+	row := b.rows[nodeID]
+	i, _ := slices.BinarySearchFunc(row, metricID, pairSlot.cmp)
+	grown := append(make([]pairSlot, 0, len(row)+1), row[:i]...)
+	grown = append(grown, pairSlot{metric: metricID, idx: uint32(len(b.vals))})
+	b.rows[nodeID] = append(grown, row[i:]...)
+	b.vals = append(b.vals, history.ValueState{})
+	return &b.vals[len(b.vals)-1], true
 }
 
 // encCore is the sending side of a v2 session.
