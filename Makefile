@@ -72,7 +72,7 @@ bench-test:
 	cd bench && $(GO) test ./...
 
 # Short fuzz run over the wire-protocol parsers, the history block codec
-# and persistence loader (v2 and v3 files), the wire's value coder, the table views' row renderer (against the fmt verbs it replaces),
+# and persistence loader (v2, v3 and v4 files), the wire's value coder, the table views' row renderer (against the fmt verbs it replaces),
 # the event rule-file parser, the ICE Box command core and the ctl request
 # line (any line: no panic, an OK/ERR block, cached ≡ uncached):
 # each target gets ~10s, long enough to re-cover the grammar from the

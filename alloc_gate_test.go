@@ -17,6 +17,7 @@ import (
 	"time"
 	"unsafe"
 
+	"clusterworx/internal/clock"
 	"clusterworx/internal/consolidate"
 	"clusterworx/internal/core"
 	"clusterworx/internal/flight"
@@ -148,31 +149,53 @@ func twoDecimalStream() func() (time.Duration, float64) {
 	}
 }
 
+// onGrid is next with its stamps as a stepped clock hands them out: each
+// truncated to a whole number of steps.
+func onGrid(next func() (time.Duration, float64), step time.Duration) func() (time.Duration, float64) {
+	return func() (time.Duration, float64) {
+		ts, v := next()
+		return ts.Truncate(step), v
+	}
+}
+
 // TestAllocGateHistoryHeadGrowth pins what a series' allocating steps
-// cost in total, on the stream that takes the most of them: two-decimal
-// readings on a jittered clock, ≈7 B a point. The first 512 appends of a
-// fresh series climb the whole byte ladder (64 B → 256 B → 1 KiB →
-// 4 KiB), one buffer each — under the six allocations the raw head's
-// three steps of two arrays cost; appends 513…1 024 close once — the
+// cost in total, on the two streams a root's busiest series see: two-decimal
+// readings changed every time, stamped by a free-running clock (≈7 B a
+// point) and by cwxd's 100 ms stepped one (≈3 B). The first 512 appends of
+// a fresh series double the buffer from 64 B up to the step the block's
+// 512 points fill — 4 KiB in six steps on the first stream, 2 KiB in five
+// on the second — one buffer each; appends 513…1 024 close once — the
 // block, its exact-size data, and the first slot of the block chain — and
-// otherwise reuse the buffer. measureOnce counts the whole process, so
-// each bound leaves two allocations of slack for the runtime's own; the
-// regressions this guards against (×2 growth: 7, a buffer per close: 4,
-// growth or close per append: hundreds) clear it.
+// otherwise reuse the buffer. Doubling is what the ladder does on purpose:
+// on the stepped clock's stamps a buffer lasts 20, 40, 80 … appends, so a
+// growth step is as rare per append as it was when a point cost 8 B and
+// the buffer quadrupled, and a young series holds half the slack.
+// measureOnce counts the whole process, so each bound leaves two
+// allocations of slack for the runtime's own; the regressions this guards
+// against (a buffer per close: 4, growth or close per append: hundreds)
+// clear it.
 func TestAllocGateHistoryHeadGrowth(t *testing.T) {
 	skipUnderRace(t)
-	s := history.NewSeries(1 << 20)
-	next := twoDecimalStream()
-	fill := func() {
-		for i := 0; i < 512; i++ {
-			s.Append(next())
+	for _, c := range []struct {
+		name  string
+		next  func() (time.Duration, float64)
+		grows uint64
+	}{
+		{"free-running clock", twoDecimalStream(), 6},
+		{"100 ms steps", onGrid(twoDecimalStream(), 100*time.Millisecond), 5},
+	} {
+		s := history.NewSeries(1 << 20)
+		fill := func() {
+			for i := 0; i < 512; i++ {
+				s.Append(c.next())
+			}
 		}
-	}
-	if grow, _ := measureOnce(fill); grow > 3+2 {
-		t.Fatalf("first 512 appends allocate %d times, want 3 (three growth steps)", grow)
-	}
-	if closing, _ := measureOnce(fill); closing > 3+2 {
-		t.Fatalf("appends 513…1024 allocate %d times, want 3 (one close)", closing)
+		if grow, _ := measureOnce(fill); grow < c.grows || grow > c.grows+2 {
+			t.Fatalf("%s: first 512 appends allocate %d times, want %d (the growth steps)", c.name, grow, c.grows)
+		}
+		if closing, _ := measureOnce(fill); closing > 3+2 {
+			t.Fatalf("%s: appends 513…1024 allocate %d times, want 3 (one close)", c.name, closing)
+		}
 	}
 }
 
@@ -181,10 +204,16 @@ func TestAllocGateHistoryHeadGrowth(t *testing.T) {
 // `go test ./...` does not run: 1 024 nodes × 32 numeric + 2 text values,
 // 16 samples each, through the sequenced ingest path. History must cost
 // what it holds, not what it might: each series' 16 changed values sit
-// coded in a 256 B buffer (512 B of raw head arrays before the open
-// block, 8 KiB when every series preallocated a 512-point head, ≈270 MB
-// of live heap in all), and the registry beside it costs columns and a
-// series slab per node, not two maps and a map of series.
+// coded in a 128 B buffer (256 B on the ×4 ladder, 512 B of raw head
+// arrays before the open block, 8 KiB when every series preallocated a
+// 512-point head, ≈270 MB of live heap in all) behind a 160 B Series, and
+// the registry beside it costs columns and a series slab per node, not two
+// maps and a map of series. The server here stamps with its default
+// free-running clock, the costliest stamps there are, and the footprint is
+// still exact on any host: 16 points of at most 38 + 13 bits are 102 B,
+// inside the 108 B a 128 B buffer takes before it doubles, and a
+// nanosecond clock never yields the 9-bit stamps that would fit 64 B.
+// (cwxd's stepped clock: TestHistoryBytesIgnoreWakeJitter.)
 func TestAllocGateHistoryYoungStoreHeap(t *testing.T) {
 	skipUnderRace(t)
 	const nodes, numeric, samples = 1024, 32, 16
@@ -214,13 +243,64 @@ func TestAllocGateHistoryYoungStoreHeap(t *testing.T) {
 			}
 		}
 	})
-	if got, want := srv.History().Bytes(), int64(nodes*numeric*256); got != want {
-		t.Fatalf("history accounts %d B, want %d (a 256 B open block for each of %d series)", got, want, nodes*numeric)
+	if got, want := srv.History().Bytes(), int64(nodes*numeric*128); got != want {
+		t.Fatalf("history accounts %d B, want %d (a 128 B open block for each of %d series)", got, want, nodes*numeric)
 	}
 	mb := float64(heap) / (1 << 20)
 	t.Logf("young tree: %.1f MB", mb)
-	if mb > 20 {
-		t.Fatalf("a %d-node × %d-metric × %d-sample tree retains %.1f MB of heap, want <= 20", nodes, numeric, samples, mb)
+	if mb > 14 {
+		t.Fatalf("a %d-node × %d-metric × %d-sample tree retains %.1f MB of heap, want <= 14", nodes, numeric, samples, mb)
+	}
+}
+
+// TestHistoryBytesIgnoreWakeJitter: what a load costs the history store
+// must not depend on when the clock driver's goroutine happened to wake.
+// The benchmark's tree — 1 024 nodes × 32 two-decimal readings × 16
+// samples, a frame every 0.3 ms so that a sample round straddles three
+// clock steps — is ingested twice, under two clocks driven as cwxd drives
+// its own (cmd/cwxd stepClock: run until the elapsed time, truncated to
+// the step) whose every tick wakes a different, seeded part of a step
+// late. Both stores account the same bytes, a 128 B buffer a series. A
+// driver that ran the clock to the untruncated wake time would stamp the
+// lateness into every sample, ≈4.5 B of it a point, and the footprint
+// would follow the scheduler.
+func TestHistoryBytesIgnoreWakeJitter(t *testing.T) {
+	const nodes, samples = 1024, 16
+	const step = 100 * time.Millisecond
+	names := gateNodeNames(nodes)
+	load := func(wakeSeed int64) int64 {
+		late := rand.New(rand.NewSource(wakeSeed))
+		readings := rand.New(rand.NewSource(1)) // the same values under either clock
+		clk := clock.New()
+		srv := core.NewServer(core.ServerConfig{Cluster: "jitter", Now: clk.Now})
+		vals := gateMetricSet("a")
+		wall, tick := time.Duration(0), step
+		wakes := tick + time.Duration(late.Int63n(int64(step)))
+		for seq := uint64(1); seq <= samples; seq++ {
+			f := transmit.Frame{Seq: seq, Kind: transmit.FrameDelta, Values: vals[:32]}
+			if seq == 1 {
+				f.Kind, f.Values = transmit.FrameSnapshot, vals
+			}
+			for _, name := range names {
+				for wall += 300 * time.Microsecond; wakes <= wall; {
+					clk.RunUntil(wakes.Truncate(step))
+					tick += step
+					wakes = tick + time.Duration(late.Int63n(int64(step)))
+				}
+				for i := range vals[:32] {
+					vals[i].Num = math.Round(readings.Float64()*100000) / 100
+				}
+				f.Node = name
+				if err := srv.HandleFrame(f); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return srv.History().Bytes()
+	}
+	a, b := load(1), load(2)
+	if want := int64(nodes * 32 * 128); a != b || a != want {
+		t.Fatalf("the same load accounts %d B under one clock's wake times and %d B under another's, want %d under both", a, b, want)
 	}
 }
 
@@ -388,6 +468,42 @@ func TestAllocGateHistoryDecimalBytesPerSample(t *testing.T) {
 	}
 	if perSample := float64(s.Bytes()) / float64(s.Len()); perSample > 8.0 {
 		t.Fatalf("history stores two-decimal stream at %.2f B/sample, want <= 8", perSample)
+	}
+}
+
+// TestAllocGateHistoryGridBytesPerSample pins what the same stream costs
+// as a root actually stamps it: cwxd's clock steps 100 ms at a time, so
+// every stamp is a whole number of steps and the stamp code spends a bit
+// on a 1 Hz sample and about ten on one that arrives after a
+// change-suppressed gap of 1–8 s, where the free-running clock's
+// nanoseconds cost 36 and 68. At most 4 bytes/sample either way, block
+// metadata included.
+func TestAllocGateHistoryGridBytesPerSample(t *testing.T) {
+	const n = 1 << 16
+	rng := rand.New(rand.NewSource(2))
+	gap := time.Duration(0)
+	next := twoDecimalStream()
+	suppressed := func() (time.Duration, float64) {
+		ts, v := next()
+		gap += time.Duration(rng.Intn(8)) * time.Second
+		return ts + gap, v
+	}
+	for _, c := range []struct {
+		name string
+		next func() (time.Duration, float64)
+	}{
+		{"1 Hz", onGrid(twoDecimalStream(), 100*time.Millisecond)},
+		{"change-suppressed, 1–8 s apart", onGrid(suppressed, 100*time.Millisecond)},
+	} {
+		s := history.NewSeries(n)
+		for i := 0; i < n; i++ {
+			s.Append(c.next())
+		}
+		perSample := float64(s.Bytes()) / float64(s.Len())
+		t.Logf("%s: %.2f B/sample", c.name, perSample)
+		if perSample > 4.0 {
+			t.Fatalf("%s: history stores the two-decimal stream on 100 ms stamps at %.2f B/sample, want <= 4", c.name, perSample)
+		}
 	}
 }
 

@@ -122,9 +122,8 @@ func main() {
 		//cwx:daemon wall-clock driver steps the virtual clock for the process lifetime
 		go func() {
 			t0 := time.Now()
-			const step = 100 * time.Millisecond
-			for range time.Tick(step) {
-				clk.RunUntil(time.Since(t0))
+			for range time.Tick(clockStep) {
+				stepClock(clk, time.Since(t0))
 			}
 		}()
 	}
@@ -225,6 +224,22 @@ func main() {
 		fmt.Fprintln(os.Stderr, "cwxd:", err)
 		os.Exit(1)
 	}
+}
+
+// clockStep is the resolution of a hardware deployment's server clock.
+const clockStep = 100 * time.Millisecond
+
+// stepClock brings clk to the last whole step at or before elapsed, the
+// wall time since the driver started. The clock reads the same between
+// two ticks whatever the remainder was, so the remainder — how late the
+// driver's goroutine woke — is not time anyone observed: dropping it puts
+// every ingest stamp on the step grid, where the history's stamp code
+// spends a bit on a sample a second instead of four bytes on scheduler
+// noise, and makes what a stream of samples costs the same on a fast host
+// and a slow one. A tick that fires late catches up in one call; elapsed
+// is monotone, so the clock never has to run backwards.
+func stepClock(clk *clock.Clock, elapsed time.Duration) {
+	clk.RunUntil(elapsed.Truncate(clockStep))
 }
 
 // installRules arms the event rules: the administrator's rule file when

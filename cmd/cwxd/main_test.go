@@ -6,7 +6,38 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
+
+	"clusterworx/internal/clock"
 )
+
+// TestStepClockStaysOnTheGrid drives the wall-clock driver's loop body with
+// the elapsed times a real ticker hands it — each a little past its tick,
+// two in one step, one a quarter of a second late — and reads the clock as
+// ingest does: every reading is a whole number of steps, no reading is
+// before the one it follows, and a late tick catches up to the step the
+// wall has reached, not the one after the last.
+func TestStepClockStaysOnTheGrid(t *testing.T) {
+	clk := clock.New()
+	us, ms := time.Microsecond, time.Millisecond
+	prev := clk.Now()
+	for _, c := range []struct{ elapsed, want time.Duration }{
+		{100*ms + 37*us, 100 * ms},
+		{200*ms + 1200*us, 200 * ms},
+		{200*ms + 99*ms, 200 * ms},  // woken twice inside one step
+		{300*ms + 250*ms, 500 * ms}, // the 300 ms tick, 250 ms late
+		{600*ms + 5*us, 600 * ms},
+		{700 * ms, 700 * ms},
+		{3*time.Second + 999*us, 3 * time.Second}, // the process was stopped for a while
+	} {
+		stepClock(clk, c.elapsed)
+		now := clk.Now()
+		if now != c.want || now%clockStep != 0 || now < prev {
+			t.Fatalf("after %v of wall time the clock reads %v (it read %v before), want %v", c.elapsed, now, prev, c.want)
+		}
+		prev = now
+	}
+}
 
 // TestSaveHistoryFailureKeepsPrevious: a save that fails part-way — a full
 // disk, a store error — leaves the previous snapshot as it was and no temp

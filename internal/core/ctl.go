@@ -107,15 +107,82 @@ func (s *Server) guardedCtl(line string) (resp string, ok bool) {
 	return s.HandleCtl(line), true
 }
 
-// ctlBody splits a response into its payload lines — everything below
-// the "OK" status line (ERR text is its own payload, so a view that
-// starts failing mid-watch still streams coherently).
-func ctlBody(resp string) []string {
-	lines := strings.Split(resp, "\n")
-	if lines[0] == "OK" || strings.HasPrefix(lines[0], "OK ") {
-		return lines[1:]
+// appendCtlBody appends a response's payload lines to dst — everything
+// below the "OK" status line (ERR text is its own payload, so a view that
+// starts failing mid-watch still streams coherently). The lines are
+// substrings of resp: nothing is copied.
+func appendCtlBody(dst []string, resp string) []string {
+	if first, rest, ok := strings.Cut(resp, "\n"); first == "OK" || strings.HasPrefix(first, "OK ") {
+		if !ok {
+			return dst
+		}
+		resp = rest
 	}
-	return lines
+	for {
+		line, rest, ok := strings.Cut(resp, "\n")
+		dst = append(dst, line)
+		if !ok {
+			return dst
+		}
+		resp = rest
+	}
+}
+
+// watchStream is one watch subscription's push state: the response the
+// client's view was last brought up to, and its payload lines. The hub
+// wakes a subscription for every applied frame, most of which leave its
+// view alone: the gate then hands back the very string it handed back
+// before, and next answers from that without splitting or diffing it. The
+// two line slices swap roles each push and are reused for the
+// subscription's lifetime.
+type watchStream struct {
+	srv   *Server
+	verb  *ctlVerb
+	inner string   // the watched request
+	resp  string   // the response last diffed against
+	last  []string // its payload lines
+	cur   []string // scratch for the next response's
+}
+
+// start takes the initial snapshot's response and returns the block that
+// answers the watch request.
+func (ws *watchStream) start(first string) string {
+	ws.resp, ws.last = first, appendCtlBody(ws.last[:0], first)
+	return watchBlock("OK watch "+ws.inner, ws.srv.Generation(), ws.last)
+}
+
+// next renders the view after a hub wake and returns the block to push,
+// "" when the view did not move. lost is the hub's word that wakes were
+// dropped: the client's view may have silently diverged, so the push is
+// the full rendering whether it moved or not. alive is false after a
+// panic: the block is its error and the connection is to be closed.
+func (ws *watchStream) next(gen uint64, lost bool) (block string, alive bool) {
+	resp, ok := ws.srv.guardedCtl(ws.inner)
+	if !ok {
+		return resp, false
+	}
+	if resp == ws.resp && !lost {
+		return "", true // the same rendering: generation moved but this view did not
+	}
+	ws.cur = appendCtlBody(ws.cur[:0], resp)
+	kind, payload, moved := serve.BlockUpdate, ws.cur, true
+	switch {
+	case lost:
+		kind = serve.BlockResync
+		serve.NoteWatchResync()
+		fjournal.Append(0, flight.Entry{Kind: flight.KindWatchResync, Detail: fjournal.Sym(ws.verb.name), TimeNs: int64(ws.srv.now())})
+	case ws.verb.watch == watchRefresh:
+		kind, moved = serve.BlockRefresh, !slices.Equal(ws.last, ws.cur)
+	default:
+		payload = serve.Diff(ws.last, ws.cur)
+		moved = payload != nil
+	}
+	ws.resp, ws.last, ws.cur = resp, ws.cur, ws.last
+	if !moved {
+		return "", true // rebuilt to the same lines
+	}
+	serve.NoteWatchPush()
+	return watchBlock(kind, gen, payload), true
 }
 
 // serveWatch runs one watch subscription until the client sends "quit"
@@ -144,6 +211,7 @@ func (s *Server) serveWatch(sc *bufio.Scanner, w *bufio.Writer, inner string) bo
 		writeBlock(first)
 		return !ok // after a panic the connection is closed, not kept
 	}
+	ws := watchStream{srv: s, verb: verb, inner: inner}
 	// The subscription outlives the request loop; watch the connection
 	// for EOF or a "quit" line from a goroutine that owns the scanner
 	// from here on.
@@ -156,8 +224,7 @@ func (s *Server) serveWatch(sc *bufio.Scanner, w *bufio.Writer, inner string) bo
 			}
 		}
 	}()
-	last := ctlBody(first)
-	if !writeBlock(watchBlock("OK watch "+inner, s.Generation(), last)) {
+	if !writeBlock(ws.start(first)) {
 		return true
 	}
 	for {
@@ -165,38 +232,10 @@ func (s *Server) serveWatch(sc *bufio.Scanner, w *bufio.Writer, inner string) bo
 		if !ok {
 			return true
 		}
-		resp, ok := s.guardedCtl(inner)
-		if !ok {
-			writeBlock(resp)
+		block, alive := ws.next(gen, lost)
+		if block != "" && !writeBlock(block) || !alive {
 			return true
 		}
-		cur := ctlBody(resp)
-		var kind string
-		var payload []string
-		switch {
-		case lost:
-			// Continuity lost (bounded queue overflowed): the client's
-			// view may have silently diverged, push the full rendering.
-			kind, payload = serve.BlockResync, cur
-			serve.NoteWatchResync()
-			fjournal.Append(0, flight.Entry{Kind: flight.KindWatchResync, Detail: fjournal.Sym(verb.name), TimeNs: int64(s.now())})
-		case verb.watch == watchRefresh:
-			if slices.Equal(last, cur) {
-				continue
-			}
-			kind, payload = serve.BlockRefresh, cur
-		default:
-			ops := serve.Diff(last, cur)
-			if ops == nil {
-				continue // generation moved but this view did not
-			}
-			kind, payload = serve.BlockUpdate, ops
-		}
-		last = cur
-		if !writeBlock(watchBlock(kind, gen, payload)) {
-			return true
-		}
-		serve.NoteWatchPush()
 	}
 }
 

@@ -209,7 +209,7 @@ func TestFedWatchAtRootStreams(t *testing.T) {
 	// A fresh round at the leaves must flow leaf -> root -> watch client.
 	fed.InjectRound()
 	fed.Advance(100 * time.Millisecond)
-	want := strings.Join(ctlBody(fed.Root.Server.HandleCtl("status")), "\n")
+	want := strings.Join(appendCtlBody(nil, fed.Root.Server.HandleCtl("status")), "\n")
 	deadline := time.Now().Add(5 * time.Second)
 	for v.Render() != want {
 		if time.Now().After(deadline) {

@@ -73,7 +73,7 @@ func TestWatchStatusConverges(t *testing.T) {
 	}
 	var v serve.View
 	v.SetFull(lines)
-	if got, want := v.Render(), strings.Join(ctlBody(s.HandleCtl("status")), "\n"); got != want {
+	if got, want := v.Render(), strings.Join(appendCtlBody(nil, s.HandleCtl("status")), "\n"); got != want {
 		t.Fatalf("initial snapshot diverged:\n%s\nvs\n%s", got, want)
 	}
 
@@ -87,7 +87,7 @@ func TestWatchStatusConverges(t *testing.T) {
 	}
 	for ri, mutate := range rounds {
 		mutate()
-		want := strings.Join(ctlBody(s.HandleCtl("status")), "\n")
+		want := strings.Join(appendCtlBody(nil, s.HandleCtl("status")), "\n")
 		deadline := time.Now().Add(5 * time.Second)
 		for v.Render() != want {
 			if time.Now().After(deadline) {
@@ -155,7 +155,7 @@ func TestWatchSlowConsumerResync(t *testing.T) {
 	if !sawResync {
 		t.Fatal("overflowed watcher never received a RESYNC block")
 	}
-	want := strings.Join(ctlBody(s.HandleCtl("status")), "\n")
+	want := strings.Join(appendCtlBody(nil, s.HandleCtl("status")), "\n")
 	for v.Render() != want {
 		kind, lines := readWatchBlock(t, cl, 2*time.Second)
 		applyWatchBlock(t, &v, kind, lines)
@@ -197,4 +197,49 @@ func TestWatchRejectsBadRequests(t *testing.T) {
 
 func nodeName(i int) string {
 	return [...]string{"node000", "node001", "node002", "node003"}[i]
+}
+
+// TestWatchIdleWakeAllocs: the hub wakes every subscription for every
+// applied frame, and most frames leave a given view alone — a root with
+// one watcher of one node's values sees a thousand wakes a second for
+// other nodes. Such a wake must cost the whole push path nothing: the
+// signal's waiter, the dispatcher, the subscription's queue, the gate hit
+// and the watch stream's look at it allocate 0 times and push 0 blocks.
+func TestWatchIdleWakeAllocs(t *testing.T) {
+	s, _ := planeServer()
+	planeIngest(s, "node000", 1, 50, 20)
+	other := (shardIndex("node000") + 1) % uint32(len(s.gens)) // a stripe the watched node is not on
+	hub := s.plane.watchHub()
+	sub := hub.Register()
+	defer hub.Unregister(sub)
+	ws := watchStream{srv: s, verb: ctlByName["values"], inner: "values node000"}
+	ws.start(s.HandleCtl(ws.inner))
+	stop := make(chan struct{})
+	before := serve.ReadStats().WatchPushes
+	wakes := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		wakes++
+		s.bumpIngest(other, time.Duration(wakes))
+		gen, lost, ok := sub.Next(stop)
+		if !ok || lost {
+			t.Fatalf("wake %d: Next = (%d, lost %v, ok %v)", wakes, gen, lost, ok)
+		}
+		if block, alive := ws.next(gen, lost); block != "" || !alive {
+			t.Fatalf("wake %d moved a view it did not touch: %q", wakes, block)
+		}
+	})
+	if pushes := serve.ReadStats().WatchPushes - before; allocs != 0 || pushes != 0 {
+		t.Fatalf("%d idle wakes cost %.0f allocations each and %d pushes, want 0 and 0", wakes, allocs, pushes)
+	}
+	// The stream is still live: a change to the watched node is pushed.
+	planeIngest(s, "node000", 2, 50, 20)
+	for {
+		gen, lost, _ := sub.Next(stop)
+		if block, _ := ws.next(gen, lost); block != "" {
+			if !strings.HasPrefix(block, serve.BlockUpdate) || !strings.Contains(block, "\n=load.1") {
+				t.Fatalf("pushed block %q, want an UPDATE of load.1", block)
+			}
+			break
+		}
+	}
 }

@@ -2,13 +2,15 @@ package history
 
 // The block grammar: Gorilla-style bit packing (Facebook's "Gorilla: A
 // Fast, Scalable, In-Memory Time Series Database", VLDB 2015) adapted to
-// this store's shape. A block is a run of points, each a delta-of-delta
-// timestamp code — an agent reporting on a fixed cadence costs one bit
-// per sample — followed by the wire's value code (wirecodec.go): one bit
-// for an unchanged reading, a short decimal difference for the changed
-// two-place decimals monitors report, Gorilla XOR for everything else.
-// Both predictors start from zero, so a block needs no raw first point
-// and decodes on its own.
+// this store's shape. A block is a run of points, each a stamp code — a
+// delta-of-delta on the power-of-ten grid the clock ticks on, so an agent
+// reporting on a fixed cadence costs one bit per sample and a stamp off
+// the cadence costs what the clock's resolution carries (see writeStamp) —
+// followed by the wire's value code (wirecodec.go): one bit for an
+// unchanged reading, a short decimal difference for the changed two-place
+// decimals monitors report, Gorilla XOR for everything else. Both
+// predictors start from zero, so a block needs no raw first point and
+// decodes on its own.
 //
 // A series appends straight into its open block in this form and closes
 // it by copying the exact bytes out; closed blocks are never mutated, so
@@ -28,10 +30,11 @@ import (
 // numbers include their own metadata.
 const blockOverheadBytes = 136
 
-// summary is the running aggregate of a block's points: everything
-// Stats and Compare need so a block fully inside the query window is
-// answered without decoding it. The open block folds every append into
-// its own, so it is kept to the eight words an append needs.
+// summary is the aggregate of a block's points: everything Stats and
+// Compare need so a block fully inside the query window is answered
+// without decoding it. A closed block carries one; the open block folds
+// every append into the fields its predictors do not already hold and
+// fills one in when a query or the close asks (openBlock.summary).
 //
 // minV/maxV skip NaN values (NaN only if every value is NaN); combined
 // with firstV-initialization at query time this reproduces exactly the
@@ -74,86 +77,109 @@ type block struct {
 	mom  moments // closed blocks only
 }
 
-// add folds one point into the aggregate, in append order.
-//
-//cwx:hotpath
-func (s *summary) add(t int64, v float64) {
-	if s.count == 0 {
-		s.firstT, s.firstV = t, v
-		s.minV, s.maxV = math.NaN(), math.NaN()
-	}
-	s.count++
-	s.lastT, s.lastV = t, v
-	s.sumV += v
-	switch {
-	case math.IsNaN(v):
-	case math.IsNaN(s.minV): // first non-NaN value
-		s.minV, s.maxV = v, v
-	case v < s.minV:
-		s.minV = v
-	case v > s.maxV:
-		s.maxV = v
-	}
-}
+// bytes is a closed block's accounted footprint.
+func (b *block) bytes() int64 { return int64(len(b.data)) + blockOverheadBytes }
 
 // --- the open block -------------------------------------------------------------
 
-// The open block's buffer climbs 64 B → 256 B → 1 KiB → 4 KiB: the ×4
-// ladder the raw head arrays had, at half the bytes, because a worst-case
-// changed decimal with a jittered stamp costs ≈8 B where a raw point cost
-// 16 — so a step is reached after about as many appends as before. The
-// factor is deliberately coarse: every series of a tree loaded together
-// grows at the same append, and ×4 keeps those bursts rare. A block
-// closes at blockPoints points, or earlier when the next point might not
-// fit the top step: pointReserve is the longest point code (a 68-bit
-// timestamp, a 78-bit value) behind up to 7 pending bits.
+// The open block's buffer climbs 64 B → 128 B → 256 B → … → 4 KiB. It
+// doubles, so a buffer is on average a quarter empty, and a young series —
+// most of a root's are young — holds the step its points need and not the
+// next but one. Doubling is affordable because a point is cheap: at the
+// ≈3 B a changed reading costs on a stepped clock's stamps a buffer lasts
+// 20, 40, 80 … appends, so growth allocations stay a few per series' life
+// and out of steady-state ingest. A block closes at blockPoints points, or
+// earlier when the next point might not fit the top step: pointReserve is
+// the longest point code — a 73-bit stamp (the 64-bit tier and an exponent
+// change), a 78-bit value — behind up to 7 pending bits, 158 bits in all
+// (TestStampCodeProperties builds it).
 const (
 	blockPoints  = 512
 	bufInitial   = 64
-	bufGrowth    = 4
+	bufGrowth    = 2
 	bufMax       = 4096
 	pointReserve = 20
 )
 
 // openBlock is the block a series appends into: the bit stream so far,
-// the two predictors that continue it, and the running summary.
+// the two predictors that continue it, and the running aggregate. It
+// holds nothing twice: the newest point is the predictors' state (ts.Prev,
+// vs.bits), the stream's pending bits are one byte and a count, not a
+// writer's 64-bit accumulator, and the small fields share a word — a root
+// holds one of these per (node, metric) pair.
 type openBlock struct {
-	w   BitWriter
-	ts  DoDState
-	vs  ValueState
-	sum summary
+	buf    []byte     // the stream's whole bytes; its capacity is the ladder step
+	ts     DoDState   // Prev is the newest timestamp
+	vs     ValueState // bits is the newest value
+	minV   float64    // as summary's, over the points so far
+	maxV   float64
+	sumV   float64
+	firstT int64
+	firstV float64
+	count  uint16 // points so far, at most blockPoints
+	pend   uint8  // the stream's last, partial byte, filled from the top bit
+	npend  uint8  // bits of pend in use, at most 7
+	exp    uint8  // the stamp code's sticky exponent
 }
 
 // room reports whether one more point is sure to fit the buffer as it is.
 //
 //cwx:hotpath
-func (o *openBlock) room() bool { return cap(o.w.w.buf)-len(o.w.w.buf) >= pointReserve }
+func (o *openBlock) room() bool { return cap(o.buf)-len(o.buf) >= pointReserve }
 
-// put appends one point's code; the caller has checked room.
+// put appends one point's code and folds the point into the aggregate;
+// the caller has checked room, so the writer never grows the buffer.
 //
 //cwx:hotpath
 func (o *openBlock) put(t int64, v float64) {
-	o.w.WriteDoD(&o.ts, t)
-	o.w.WriteValue(&o.vs, v)
-	o.sum.add(t, v)
+	// Field by field: a composite literal is built aside and copied in
+	// with wide loads over its narrow stores, a store-forwarding stall
+	// (≈10 ns) on every append.
+	var w BitWriter
+	w.w.buf, w.w.acc, w.w.nacc = o.buf, uint64(o.pend)<<56, uint(o.npend)
+	writeStamp(&w.w, &o.ts, &o.exp, t)
+	w.WriteValue(&o.vs, v)
+	o.buf, o.pend, o.npend = w.w.buf, uint8(w.w.acc>>56), uint8(w.w.nacc)
+	if o.count == 0 {
+		o.firstT, o.firstV = t, v
+		o.minV, o.maxV = math.NaN(), math.NaN()
+	}
+	o.count++
+	o.sumV += v
+	switch {
+	case math.IsNaN(v):
+	case math.IsNaN(o.minV): // first non-NaN value
+		o.minV, o.maxV = v, v
+	case v < o.minV:
+		o.minV = v
+	case v > o.maxV:
+		o.maxV = v
+	}
+}
+
+// summary returns the aggregate of the points so far, the newest point
+// read off the predictors.
+func (o *openBlock) summary() summary {
+	return summary{
+		count: int(o.count), minV: o.minV, maxV: o.maxV, sumV: o.sumV,
+		firstT: o.firstT, lastT: o.ts.Prev,
+		firstV: o.firstV, lastV: math.Float64frombits(o.vs.bits),
+	}
 }
 
 // bytes returns a copy of the stream so far, the pending bits flushed
 // into a zero-padded last byte: exactly what a closed block holds.
 func (o *openBlock) bytes() []byte {
-	w := &o.w.w
-	data := make([]byte, len(w.buf), len(w.buf)+1)
-	copy(data, w.buf)
-	if w.nacc > 0 {
-		data = append(data, byte(w.acc>>56))
+	data := make([]byte, len(o.buf), len(o.buf)+1)
+	copy(data, o.buf)
+	if o.npend > 0 {
+		data = append(data, o.pend)
 	}
 	return data
 }
 
 // rewind empties the block, keeping its buffer.
-func (o *openBlock) rewind() {
-	*o = openBlock{w: BitWriter{bitWriter{buf: o.w.w.buf[:0]}}}
-}
+func (o *openBlock) rewind() { *o = openBlock{buf: o.buf[:0]} }
 
 // --- bit-level writer -----------------------------------------------------------
 
@@ -275,17 +301,139 @@ func readDoD(r *bitReader) int64 {
 	return int64(z>>1) ^ -int64(z&1) // un-zigzag
 }
 
+// --- the stamp code ---------------------------------------------------------------
+
+// A timestamp is coded as its delta-of-delta on a power-of-ten grid. A
+// clock that ticks in steps — the server's ingest clock steps 100 ms at a
+// time, an agent's a millisecond or a second — yields dods that are whole
+// multiples of its step, and the nanoseconds below the step are zeros the
+// plain code would spell out in its 32-bit tier. Per stamp:
+//
+//	0                   dod = 0: the fixed-cadence case
+//	1 <tier> <E>        dod = q·10^e: q zigzagged in the wire's tiers
+//	                    (writeDoD: 0+7, 10+16, 110+32 or 111+64 bits),
+//	                    then E: 1 keeps the stream's exponent e, 0 <e:4>
+//	                    changes it (e ≤ 9, the second)
+//
+// The exponent is sticky, as the value code's is, because a stream's grid
+// is a property of its clock: on a 100 ms grid a dod that happens to be a
+// whole second keeps e = 8 instead of paying five bits to reach 9 and five
+// more to come back. The encoder keeps the hint while it divides the dod
+// and the largest exponent that does would not reach a shorter tier (the
+// tiers are 10 or more bits apart, the change costs 4); otherwise it moves
+// to that largest exponent. So a stream on no grid stays at e = 0 and pays
+// the one keep bit a point over the plain code, a stream on a grid finds
+// it at its first non-zero dod, and one that leaves its grid for a point
+// is back on it at the next non-zero dod the grid divides.
+
+const maxStampExp = 9
+
+var (
+	stampPow10 = [maxStampExp + 1]int64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9}
+	// stampMaxQ[e] is the largest |q| whose product with 10^e is an int64.
+	stampMaxQ = func() (m [maxStampExp + 1]int64) {
+		for e, p := range stampPow10 {
+			m[e] = math.MaxInt64 / p
+		}
+		return m
+	}()
+)
+
+// stampTier is the writeDoD tier q's zigzag lands in, 0 the shortest.
+func stampTier(q int64) int {
+	switch z := uint64(q<<1) ^ uint64(q>>63); {
+	case z < 1<<7:
+		return 0
+	case z < 1<<16:
+		return 1
+	case z < 1<<32:
+		return 2
+	}
+	return 3
+}
+
+// scaleStamp picks the exponent a non-zero dod is sent at and returns it
+// with the quotient: the hint while it divides dod and is in the tier of
+// the largest exponent that does, that largest exponent otherwise.
+func scaleStamp(dod int64, hint uint8) (e uint8, q int64) {
+	q = dod
+	divides := true
+	if hint != 0 {
+		p := stampPow10[hint]
+		if quo := dod / p; quo*p == dod {
+			e, q = hint, quo
+		} else {
+			divides = false
+		}
+	}
+	tier := stampTier(q)
+	if divides && tier == 0 {
+		return e, q // already the shortest code there is
+	}
+	be, bq := e, q
+	for be < maxStampExp && bq%10 == 0 {
+		be, bq = be+1, bq/10
+	}
+	if be == e || divides && stampTier(bq) == tier {
+		return e, q
+	}
+	return be, bq
+}
+
+// writeStamp appends t coded against the stream's predictor and exponent.
+func writeStamp(w *bitWriter, s *DoDState, exp *uint8, t int64) {
+	delta := t - s.Prev
+	dod := delta - s.Delta
+	s.Delta, s.Prev = delta, t
+	if dod == 0 {
+		w.writeBit(0)
+		return
+	}
+	e, q := scaleStamp(dod, *exp)
+	writeDoD(w, q)
+	if e == *exp {
+		w.writeBit(1)
+	} else {
+		w.writeBits(uint64(e), 5) // the change bit 0, then e in four
+		*exp = e
+	}
+}
+
+// readStamp decodes the next timestamp, advancing predictor and exponent.
+// An exponent past maxStampExp, or a quotient whose product with 10^e is
+// no int64, is corrupt input: the reader fails.
+func readStamp(r *bitReader, s *DoDState, exp *uint8) int64 {
+	if q := readDoD(r); q != 0 {
+		if r.readBit() == 0 {
+			*exp = uint8(r.readBits(4))
+		}
+		e := *exp
+		if e > maxStampExp || e != 0 && (q > stampMaxQ[e] || q < -stampMaxQ[e]) {
+			r.err = true
+			return 0
+		}
+		s.Delta += q * stampPow10[e]
+	}
+	s.Prev += s.Delta
+	return s.Prev
+}
+
 // --- block decode ---------------------------------------------------------------
 
 // pointIter streams a block's points without materializing a slice.
 // count bounds the iteration, so arbitrary (corrupt) bytes always
 // terminate; after a short or impossible read next reports done and
-// failed reports true.
+// failed reports true. plainDoD selects the stamp reader of a block from a
+// v3 file, whose stamps are the wire's plain delta-of-delta code (ReadDoD)
+// with no exponent; a field, not a reader passed in, because a call through
+// a function value would move every query's iterator to the heap.
 type pointIter struct {
-	r    BitReader
-	ts   DoDState
-	vs   ValueState
-	left int
+	r        BitReader
+	ts       DoDState
+	vs       ValueState
+	exp      uint8
+	plainDoD bool
+	left     int
 }
 
 func newPointIter(data []byte, count int) pointIter {
@@ -298,7 +446,11 @@ func (it *pointIter) next() (t int64, v float64, ok bool) {
 	if it.left <= 0 || it.r.Failed() {
 		return 0, 0, false
 	}
-	t = it.r.ReadDoD(&it.ts)
+	if it.plainDoD {
+		t = it.r.ReadDoD(&it.ts)
+	} else {
+		t = readStamp(&it.r.r, &it.ts, &it.exp)
+	}
 	if v, ok = it.r.ReadValue(&it.vs); !ok {
 		return 0, 0, false
 	}

@@ -190,17 +190,17 @@ var (
 )
 
 // diffStream is one shape of input: how far the clock moves between
-// appends and what value comes next.
+// appends — from now, the newest stamp so far — and what value comes next.
 type diffStream struct {
 	name  string
-	step  func(rng *rand.Rand) time.Duration
+	step  func(rng *rand.Rand, now time.Duration) time.Duration
 	value func(rng *rand.Rand, prev float64) float64
 	spot  bool // run at spotCapacities only: the suite runs under -race
 }
 
 // jitteredStep is a mostly monotone clock with jittered cadence, some
 // equal timestamps and the occasional step back (dropped by both engines).
-func jitteredStep(rng *rand.Rand) time.Duration {
+func jitteredStep(rng *rand.Rand, _ time.Duration) time.Duration {
 	switch rng.Intn(10) {
 	case 0:
 		return 0 // equal timestamp: allowed
@@ -213,7 +213,7 @@ func jitteredStep(rng *rand.Rand) time.Duration {
 
 // irregularStep spans every timestamp code: nanoseconds to hours, with
 // runs of a fixed cadence between the jumps.
-func irregularStep(rng *rand.Rand) time.Duration {
+func irregularStep(rng *rand.Rand, _ time.Duration) time.Duration {
 	switch rng.Intn(12) {
 	case 0:
 		return 0
@@ -229,6 +229,32 @@ func irregularStep(rng *rand.Rand) time.Duration {
 		return time.Minute + time.Duration(rng.Intn(1_000_000))
 	default:
 		return time.Second
+	}
+}
+
+// gridStep is a stepped clock's stream, what the stamp code's exponent is
+// for: stamps on a 1 ms, a 100 ms or a 1 s grid (the grid changes every
+// twenty minutes of stream time), as a 1 Hz cadence, as change-suppressed
+// gaps of 1–80 steps, as runs of equal stamps — a loader outrunning the
+// clock's step — and now and then as an excursion: a stamp off the grid,
+// the next one back on it. Once, the stream jumps more than 2^32 seconds —
+// past the 32-bit tier at the largest exponent — to just under 2^62 ns.
+func gridStep(rng *rand.Rand, now time.Duration) time.Duration {
+	grid := [...]time.Duration{time.Millisecond, 100 * time.Millisecond, time.Second}[now/(20*time.Minute)%3]
+	toGrid := (grid - now%grid) % grid // 0 on the grid
+	switch r := rng.Intn(64); {
+	case r < 12:
+		return 0
+	case r < 15:
+		return toGrid + time.Duration(rng.Intn(8))*grid + time.Duration(rng.Int63n(int64(grid)-1)+1)
+	case r == 15:
+		return -time.Duration(rng.Intn(5)+1) * grid // out of order: dropped
+	case r == 16 && now < 1<<61 && rng.Intn(60) == 0:
+		return (1<<62 - now).Truncate(time.Second) - time.Duration(rng.Intn(1000))*time.Second
+	case r < 44:
+		return toGrid + time.Second
+	default:
+		return toGrid + time.Duration(rng.Intn(80)+1)*grid
 	}
 }
 
@@ -285,6 +311,7 @@ var diffStreams = []diffStream{
 	{"decimal", jitteredStep, twoDecimals, true},
 	{"counter", jitteredStep, counter, true},
 	{"irregular", irregularStep, twoDecimals, true},
+	{"grid", gridStep, twoDecimals, true},
 }
 
 // spotCapacities are one point, a handful, a part of a block, and a
@@ -321,7 +348,7 @@ func TestDifferentialEngineVsNaiveRing(t *testing.T) {
 				for round := 0; round < 40; round++ {
 					burst := rng.Intn(3*blockPoints/2) + 1
 					for i := 0; i < burst; i++ {
-						step := stream.step(rng)
+						step := stream.step(rng, now)
 						ts := now + step
 						if step > 0 {
 							now = ts
@@ -335,6 +362,9 @@ func TestDifferentialEngineVsNaiveRing(t *testing.T) {
 				}
 				if appends <= capacity {
 					t.Fatalf("generator never exercised eviction (appends=%d cap=%d)", appends, capacity)
+				}
+				if stream.name == "grid" && now < 1<<61 {
+					t.Fatalf("the grid stream never took its 2^32 s gap (now=%v)", now)
 				}
 				// The carve-outs stay the exception: no Mean but on the
 				// adversarial stream and under a fifth of its, and a Trend
@@ -464,8 +494,8 @@ func checkDifferential(t *testing.T, s *Series, ref *refRing, rng *rand.Rand, no
 // chain), cut it at either end, and miss it on either side.
 func headWindows(s *Series) [][2]time.Duration {
 	s.mu.Lock()
-	n := s.open.sum.count
-	first, last := time.Duration(s.open.sum.firstT), time.Duration(s.open.sum.lastT)
+	n := s.open.count
+	first, last := time.Duration(s.open.firstT), time.Duration(s.open.ts.Prev)
 	s.mu.Unlock()
 	if n == 0 {
 		return nil
@@ -507,9 +537,9 @@ func TestDifferentialHeadNaN(t *testing.T) {
 				for _, v := range head {
 					put(v) // the first of these closes the full block
 				}
-				if s.open.sum.count != len(head) || len(s.blocks) != sealed/blockPoints {
+				if int(s.open.count) != len(head) || len(s.blocks) != sealed/blockPoints {
 					t.Fatalf("open block holds %d points behind %d blocks, want %d behind %d",
-						s.open.sum.count, len(s.blocks), len(head), sealed/blockPoints)
+						int(s.open.count), len(s.blocks), len(head), sealed/blockPoints)
 				}
 				checkDifferential(t, s, ref, rand.New(rand.NewSource(1)), now, &diffTally{})
 			})

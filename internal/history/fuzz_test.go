@@ -2,6 +2,7 @@ package history
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/binary"
 	"math"
 	"os"
@@ -31,6 +32,12 @@ func FuzzBlockCodec(f *testing.F) {
 	seed([]int64{100, 5, -30, math.MaxInt64, math.MinInt64, 0}, []float64{1, 2, 3, 4, 5, 6})
 	seed([]int64{9, 9, 9}, []float64{1e-310, -1e-310, 0})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
+	// The stamp code's own corners: a 100 ms grid with an excursion and a
+	// gap past the 32-bit tier; as hostile blocks, an exponent field past
+	// maxStampExp and a quotient whose scaled product overflows.
+	seed([]int64{0, sec / 10, 3 * sec / 10, 3*sec/10 + 17, sec, 1 << 33 * sec, 1<<33*sec + sec/10}, []float64{0.5, 0.75, 0.75, 3, 3.25, 1, 2})
+	f.Add(hostileStamp(5, 12))
+	f.Add(hostileStamp(1<<62, 9))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Roundtrip: any point stream, however adversarial its bit
@@ -74,7 +81,7 @@ func FuzzBlockCodec(f *testing.F) {
 }
 
 // FuzzLoadFrom feeds the persistence loader arbitrary files, seeded from
-// real saves in both formats it reads. Whatever the bytes, it must return
+// real saves in the three formats it reads. Whatever the bytes, it must return
 // (an error or not) without panicking, decode no block past
 // maxPersistBlockPoints, and leave every series it touched time-ordered
 // and within its capacity.
@@ -100,6 +107,16 @@ func FuzzLoadFrom(f *testing.F) {
 	f.Add([]byte(persistHeaderV3 + "\nseries \"n\" \"m\" 1\nblock 3 1 /////////////w==\n"))
 	f.Add([]byte(persistHeaderV2 + "\nseries \"n\" \"m\" 1 1\nblock 1048576 0 AAAA\n5 1\n"))
 	f.Add([]byte("clusterworx-history v1\nseries \"n\" \"m\" 1\n1.0 2.0\n"))
+	// From the v3 fixture the five-point series; and v4 blocks no SaveTo
+	// writes: an exponent field of 12, a scaled product past int64.
+	v3file, err := os.ReadFile("testdata/history_v3.txt")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v3file[:bytes.Index(v3file, []byte("series \"n3\""))])
+	for _, block := range [][]byte{hostileStamp(5, 12), hostileStamp(1<<62, 9)} {
+		f.Add([]byte(persistHeaderV4 + "\nseries \"n\" \"m\" 1\nblock 2 0 " + base64.StdEncoding.EncodeToString(block) + "\n"))
+	}
 
 	f.Fuzz(func(t *testing.T, file []byte) {
 		const capacity = 64

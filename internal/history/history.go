@@ -6,10 +6,11 @@
 //
 // Each (node, metric) pair owns one chain of compressed blocks in one
 // grammar (block.go), the last of them open: an append bit-packs the
-// point straight into the open block's buffer — delta-of-delta timestamp,
-// the wire's decimal-aware value code — allocation-free in steady state,
-// and folds it into the block's running summary (count, min, max, sum,
-// first/last). There is no raw head, so memory follows information at
+// point straight into the open block's buffer — a delta-of-delta stamp on
+// the clock's own power-of-ten grid, the wire's decimal-aware value code —
+// allocation-free in steady state, and folds it into the block's running
+// aggregate (count, min, max, sum, first; the newest point is the
+// predictors' state). There is no raw head, so memory follows information at
 // every age: a young series pays for the bytes its points code to. A
 // full block closes by copying its exact bytes out, and the same buffer
 // starts the next one. Aggregate queries — Stats, Compare, Trend — merge
@@ -87,31 +88,32 @@ type Series struct {
 	// lock.
 	gen atomic.Uint64
 
-	mu       sync.Mutex //cwx:lockrank series 30
-	capacity int        // retained points (the ring's size, not a block's)
+	mu sync.Mutex //cwx:lockrank series 30
 
 	// The open block. It is closed by the append that finds it full, so
-	// once a series holds a point it is never empty and its summary's
-	// lastT is the series' newest timestamp.
+	// once a series holds a point it is never empty and its stamp
+	// predictor's Prev is the series' newest timestamp.
 	open openBlock
 
 	// Closed immutable blocks, oldest first. trim is the count of
-	// logically expired points at the front of blocks[0].
+	// logically expired points at the front of blocks[0], fewer than a
+	// block's blockPoints.
 	blocks []*block
-	trim   int
 
-	total int   // stored points across blocks (minus trim) and the open block
-	bytes int64 // accounted footprint: the open block's buffer as grown + closed blocks
+	capacity uint32 // retained points (the ring's size, not a block's)
+	total    uint32 // stored points across blocks (minus trim) and the open block
+	trim     uint16
 }
 
-// NewSeries returns a series retaining the last capacity points.
+// NewSeries returns a series retaining the last capacity points (at most
+// math.MaxInt32 of them).
 func NewSeries(capacity int) *Series {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	s := &Series{capacity: capacity, bytes: bufInitial}
-	s.open.w.Reset(make([]byte, bufInitial))
-	storeBytes.Add(s.bytes)
+	s := &Series{capacity: uint32(min(capacity, math.MaxInt32))}
+	s.open.buf = make([]byte, 0, bufInitial)
+	storeBytes.Add(bufInitial)
 	return s
 }
 
@@ -125,11 +127,11 @@ func NewSeries(capacity int) *Series {
 func (s *Series) Append(t time.Duration, v float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.total > 0 && int64(t) < s.open.sum.lastT {
+	if s.total > 0 && int64(t) < s.open.ts.Prev {
 		mDropped.Inc()
 		return
 	}
-	if s.open.sum.count == min(s.capacity, blockPoints) || !s.open.room() {
+	if uint32(s.open.count) == min(s.capacity, blockPoints) || !s.open.room() {
 		s.makeRoomLocked()
 	}
 	s.open.put(int64(t), v)
@@ -154,15 +156,13 @@ func (s *Series) Gen() uint64 { return s.gen.Load() }
 // too big to inline) so Append's own body never allocates. Caller holds
 // s.mu.
 func (s *Series) makeRoomLocked() {
-	w := &s.open.w.w
-	if s.open.sum.count == min(s.capacity, blockPoints) || cap(w.buf) == bufMax {
+	o := &s.open
+	if uint32(o.count) == min(s.capacity, blockPoints) || cap(o.buf) == bufMax {
 		s.closeLocked()
 		return
 	}
-	delta := int64(cap(w.buf)) * (bufGrowth - 1)
-	w.buf = append(make([]byte, 0, cap(w.buf)*bufGrowth), w.buf...)
-	s.bytes += delta
-	storeBytes.Add(delta)
+	storeBytes.Add(int64(cap(o.buf)) * (bufGrowth - 1))
+	o.buf = append(make([]byte, 0, cap(o.buf)*bufGrowth), o.buf...)
 }
 
 // closeLocked copies the open block's bytes into an immutable block,
@@ -170,7 +170,7 @@ func (s *Series) makeRoomLocked() {
 // rewinds the buffer — kept at the size it reached — for the next block.
 // Caller holds s.mu.
 func (s *Series) closeLocked() {
-	b := &block{data: s.open.bytes(), sum: s.open.sum}
+	b := &block{data: s.open.bytes(), sum: s.open.summary()}
 	for it := newPointIter(b.data, b.sum.count); ; {
 		t, v, ok := it.next()
 		if !ok {
@@ -180,9 +180,7 @@ func (s *Series) closeLocked() {
 	}
 	s.blocks = append(s.blocks, b)
 	s.open.rewind()
-	delta := int64(len(b.data)) + blockOverheadBytes
-	s.bytes += delta
-	storeBytes.Add(delta)
+	storeBytes.Add(b.bytes())
 	mSealed.Inc()
 }
 
@@ -194,10 +192,8 @@ func (s *Series) evictOneLocked() {
 	b := s.blocks[0]
 	s.trim++
 	s.total--
-	if s.trim == b.sum.count {
-		delta := int64(len(b.data)) + blockOverheadBytes
-		s.bytes -= delta
-		storeBytes.Add(-delta)
+	if int(s.trim) == b.sum.count {
+		storeBytes.Add(-b.bytes())
 		s.blocks = s.blocks[1:]
 		s.trim = 0
 	}
@@ -207,24 +203,29 @@ func (s *Series) evictOneLocked() {
 func (s *Series) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.total
+	return int(s.total)
 }
 
 // Bytes returns the series' accounted memory footprint: the open
 // block's buffer at its current size plus every closed block's bytes and
-// bookkeeping.
+// bookkeeping. It is counted from what the series holds — a buffer and a
+// handful of blocks — not kept beside it.
 func (s *Series) Bytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.bytes
+	n := int64(cap(s.open.buf))
+	for _, b := range s.blocks {
+		n += b.bytes()
+	}
+	return n
 }
 
 // Last returns the most recent point.
 func (s *Series) Last() (Point, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sum := &s.open.sum
-	return Point{T: time.Duration(sum.lastT), V: sum.lastV}, sum.count > 0
+	o := &s.open
+	return Point{T: time.Duration(o.ts.Prev), V: math.Float64frombits(o.vs.bits)}, o.count > 0
 }
 
 // qsnap is a point-in-time view of a series: the closed chain (immutable
@@ -249,15 +250,15 @@ type qsnap struct {
 func (s *Series) snapshot(lo, hi int64, points bool) qsnap {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sum := &s.open.sum
-	q := qsnap{blocks: s.blocks, trim: s.trim, gen: s.gen.Load(), lastT: sum.lastT}
+	o := &s.open
+	q := qsnap{blocks: s.blocks, trim: int(s.trim), gen: s.gen.Load(), lastT: o.ts.Prev}
 	switch {
-	case sum.count == 0 || sum.lastT < lo || sum.firstT > hi:
+	case o.count == 0 || o.ts.Prev < lo || o.firstT > hi:
 		// nothing of the open block is in the window
-	case !points && sum.firstT >= lo && sum.lastT <= hi:
-		q.open.sum = *sum
+	case !points && o.firstT >= lo && o.ts.Prev <= hi:
+		q.open.sum = o.summary()
 	default:
-		q.open = block{data: s.open.bytes(), sum: *sum}
+		q.open = block{data: o.bytes(), sum: o.summary()}
 	}
 	return q
 }

@@ -219,13 +219,14 @@ func TestCompareKeepsUnchanged(t *testing.T) {
 }
 
 // TestHeadGrowthSteps pins the open block's buffer ladder: it starts at
-// 64 B and grows 64 → 256 → 1 024 → 4 096 as the points' codes need it —
-// by bytes, so a cheap stream climbs later than a costly one and a series
-// retaining a handful of points never leaves the first steps — closing
-// only at blockPoints points or when the top step is full; the buffer is
-// reused across closes and the accounted bytes follow.
+// 64 B and doubles up to 4 096 as the points' codes need it — by bytes, so
+// a cheap stream climbs later than a costly one and a series retaining a
+// handful of points never leaves the first steps — closing only at
+// blockPoints points or when the top step is full; the buffer is reused
+// across closes and the accounted bytes follow. grows is the number of
+// buffers a series' first 513 appends allocate beyond its first.
 func TestHeadGrowthSteps(t *testing.T) {
-	bufCap := func(s *Series) int { return cap(s.open.w.w.buf) }
+	bufCap := func(s *Series) int { return cap(s.open.buf) }
 	// A fixed cadence and a small integer ramp: ≈1.4 B a point.
 	cheap := func(i int) (time.Duration, float64) { return sec(i), float64(i % 17) }
 	// Jittered wall-clock stamps and wide floats: ≈13 B a point, the
@@ -241,18 +242,23 @@ func TestHeadGrowthSteps(t *testing.T) {
 		capacity int
 		point    func(int) (time.Duration, float64)
 		steps    []int // buffer size after appends 1, 9, 33, 129, 513
+		grows    int
 	}{
-		{"cap1", 1, cheap, []int{64, 64, 64, 64, 64}},
-		{"cap7/costly", 7, costly, []int{64, 256, 256, 256, 256}},
-		{"cheap", DefaultCapacity, cheap, []int{64, 64, 64, 256, 1024}},
-		{"costly", DefaultCapacity, costly, []int{64, 256, 1024, 4096, 4096}},
+		{"cap1", 1, cheap, []int{64, 64, 64, 64, 64}, 0},
+		{"cap7/costly", 7, costly, []int{64, 128, 128, 128, 128}, 1},
+		{"cheap", DefaultCapacity, cheap, []int{64, 64, 64, 256, 1024}, 4},
+		{"costly", DefaultCapacity, costly, []int{64, 256, 512, 2048, 4096}, 6},
 	}
 	for _, c := range cases {
 		s := NewSeries(c.capacity)
-		n := 0
+		n, grows := 0, 0
 		for i, at := range []int{1, 9, 33, 129, 513} {
 			for ; n < at; n++ {
+				before := bufCap(s)
 				s.Append(c.point(n))
+				if bufCap(s) != before {
+					grows++
+				}
 				if want := seriesFootprint(s); s.Bytes() != want {
 					t.Fatalf("%s after %d appends: Bytes = %d, want %d", c.name, n+1, s.Bytes(), want)
 				}
@@ -261,8 +267,8 @@ func TestHeadGrowthSteps(t *testing.T) {
 				t.Fatalf("%s after %d appends: buffer %d B, want %d", c.name, at, bufCap(s), c.steps[i])
 			}
 		}
-		if s.Len() != min(c.capacity, 513) {
-			t.Fatalf("%s: Len = %d", c.name, s.Len())
+		if s.Len() != min(c.capacity, 513) || grows != c.grows {
+			t.Fatalf("%s: Len = %d, the buffer grew %d times, want %d", c.name, s.Len(), grows, c.grows)
 		}
 		for _, b := range s.blocks {
 			if b.sum.count > blockPoints || len(b.data) > bufMax {
@@ -279,8 +285,8 @@ func TestHeadGrowthSteps(t *testing.T) {
 		}
 		s.Append(cheap(n))
 	}
-	if len(s.blocks) != 1 || s.blocks[0].sum.count != blockPoints || s.open.sum.count != 1 {
-		t.Fatalf("after 513 appends: %d blocks, open block %d points", len(s.blocks), s.open.sum.count)
+	if len(s.blocks) != 1 || s.blocks[0].sum.count != blockPoints || int(s.open.count) != 1 {
+		t.Fatalf("after 513 appends: %d blocks, open block %d points", len(s.blocks), int(s.open.count))
 	}
 	if b := s.blocks[0]; cap(b.data) > len(b.data)+1 || len(b.data) >= bufCap(s) {
 		t.Fatalf("closed block: %d B in a %d B slice, buffer %d B", len(b.data), cap(b.data), bufCap(s))
@@ -290,14 +296,14 @@ func TestHeadGrowthSteps(t *testing.T) {
 // TestSeriesSize pins the per-series struct: a root holds one per (node,
 // metric) pair, 32 k of them per thousand nodes.
 func TestSeriesSize(t *testing.T) {
-	if size := unsafe.Sizeof(Series{}); size > 240 {
-		t.Fatalf("Series is %d B, want <= 240", size)
+	if size := unsafe.Sizeof(Series{}); size > 160 {
+		t.Fatalf("Series is %d B, want <= 160 (a malloc size class: 161 B costs 176)", size)
 	}
 }
 
 // seriesFootprint recomputes a series' footprint from what it holds.
 func seriesFootprint(s *Series) int64 {
-	n := int64(cap(s.open.w.w.buf))
+	n := int64(cap(s.open.buf))
 	for _, b := range s.blocks {
 		n += int64(len(b.data)) + blockOverheadBytes
 	}

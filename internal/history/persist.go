@@ -17,23 +17,27 @@ import (
 // of lines instead of thousands, and float values survive bit-exactly.
 // The open block is one more block line: it is in the same grammar.
 //
-// v3 format:
+// v4 format:
 //
-//	clusterworx-history v3
+//	clusterworx-history v4
 //	series <node> <metric> <nblocks>
 //	block <count> <trim> <base64-data>
 //	...
 //
-// v2 ("clusterworx-history v2") is still read, so snapshots taken before
-// the open block load unchanged: the same framing around blocks in the
-// older grammar (a raw first point, then delta-of-delta timestamps and
-// plain XOR values — blockIter, kept for this alone), a fourth series
-// field <nhead>, and after the blocks that many raw head points, one
-// "<nanoseconds> <value>" line each. SaveTo always writes v3.
+// Two older formats are still read, so snapshots taken before load
+// unchanged. v3 is the same file around blocks whose stamps are the plain
+// delta-of-delta code: the same iterator reads them, the wire's ReadDoD
+// for its stamp reader. v2 is the same framing around blocks in the
+// grammar before the open block (a raw first point, then delta-of-delta
+// timestamps and plain XOR values — blockIter, kept for this alone), a
+// fourth series field <nhead>, and after the blocks that many raw head
+// points, one "<nanoseconds> <value>" line each. Loading re-appends, so a
+// loaded store is in the current grammar and SaveTo always writes v4.
 
 const (
 	persistHeaderV2 = "clusterworx-history v2"
 	persistHeaderV3 = "clusterworx-history v3"
+	persistHeaderV4 = "clusterworx-history v4"
 
 	// maxPersistBlockPoints bounds a block line's declared point count, so
 	// a corrupt or hostile file cannot make the loader decode unbounded
@@ -41,10 +45,10 @@ const (
 	maxPersistBlockPoints = 1 << 20
 )
 
-// SaveTo writes the whole store in the v3 block format.
+// SaveTo writes the whole store in the v4 block format.
 func (st *Store) SaveTo(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, persistHeaderV3); err != nil {
+	if _, err := fmt.Fprintln(bw, persistHeaderV4); err != nil {
 		return err
 	}
 	for _, nodeName := range st.Nodes() {
@@ -72,8 +76,8 @@ func (st *Store) SaveTo(w io.Writer) error {
 	return bw.Flush()
 }
 
-// LoadFrom merges persisted history into the store, reading the v3 and
-// the v2 block formats. Existing series receive the loaded points subject
+// LoadFrom merges persisted history into the store, reading the v4, v3
+// and v2 block formats. Existing series receive the loaded points subject
 // to the usual ordering rule (older points than what is already present
 // are dropped).
 func (st *Store) LoadFrom(r io.Reader) error {
@@ -83,17 +87,21 @@ func (st *Store) LoadFrom(r io.Reader) error {
 		return fmt.Errorf("history: empty input")
 	}
 	switch sc.Text() {
+	case persistHeaderV4:
+		return st.load(sc, 4)
 	case persistHeaderV3:
-		return st.load(sc, false)
+		return st.load(sc, 3)
 	case persistHeaderV2:
-		return st.load(sc, true)
+		return st.load(sc, 2)
 	default:
-		return fmt.Errorf("history: unsupported format %q (this build reads %q and %q)", sc.Text(), persistHeaderV3, persistHeaderV2)
+		return fmt.Errorf("history: unsupported format %q (this build reads %q, %q and %q)",
+			sc.Text(), persistHeaderV4, persistHeaderV3, persistHeaderV2)
 	}
 }
 
-// load reads the series of a v3 file, or with v2 set of a v2 file.
-func (st *Store) load(sc *bufio.Scanner, v2 bool) error {
+// load reads the series of a file in the given format version.
+func (st *Store) load(sc *bufio.Scanner, version int) error {
+	v2 := version == 2
 	lineNo := 1
 	for sc.Scan() {
 		lineNo++
@@ -141,6 +149,9 @@ func (st *Store) load(sc *bufio.Scanner, v2 bool) error {
 				it = &old
 			} else {
 				cur := newPointIter(data, count)
+				if version == 3 {
+					cur.plainDoD = true
+				}
 				it = &cur
 			}
 			decoded := 0

@@ -2,6 +2,7 @@ package history
 
 import (
 	"bytes"
+	"encoding/base64"
 	"errors"
 	"fmt"
 	"math"
@@ -45,19 +46,25 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadErrors(t *testing.T) {
-	cases := []string{
-		"",
-		"wrong header\n",
-		persistHeaderV3 + "\nnot a series line\n",
-		persistHeaderV3 + "\nseries \"n\" \"m\" 2\nblock 1 0 /////////////w==\n", // truncated
-		persistHeaderV3 + "\nseries \"n\" \"m\" 1\nnope\n",
-		persistHeaderV3 + "\nseries \"n\" \"m\" 1\nblock 5 0 AA==\n",       // block bytes too short for count
-		persistHeaderV3 + "\nseries \"n\" \"m\" 1\nblock 1 0 !!!!\n",       // bad base64
-		persistHeaderV3 + "\nseries \"n\" \"m\" 1\nblock 0 0 AAAA\n",       // zero count
-		persistHeaderV3 + "\nseries \"n\" \"m\" 1\nblock 2 2 AAAA\n",       // trim >= count
-		persistHeaderV3 + "\nseries \"n\" \"m\" 1\nblock 9999999 0 AAAA\n", // count over bound
-		persistHeaderV3 + "\nseries \"n\" \"m\" 1\nblock 1 0 cAA=\n",       // a changed value that did not change
-		persistHeaderV3 + "\nseries \"n\" \"m\" -1\n",                      // negative count
+	cases := []string{"", "wrong header\n"}
+	// v4 and v3 differ in the stamp reader alone: the framing errors are
+	// the same, and so are these blocks, whose stamps are zeros.
+	for _, header := range []string{persistHeaderV4, persistHeaderV3} {
+		cases = append(cases,
+			header+"\nnot a series line\n",
+			header+"\nseries \"n\" \"m\" 2\nblock 1 0 /////////////w==\n", // truncated
+			header+"\nseries \"n\" \"m\" 1\nnope\n",
+			header+"\nseries \"n\" \"m\" 1\nblock 5 0 AA==\n",       // block bytes too short for count
+			header+"\nseries \"n\" \"m\" 1\nblock 1 0 !!!!\n",       // bad base64
+			header+"\nseries \"n\" \"m\" 1\nblock 0 0 AAAA\n",       // zero count
+			header+"\nseries \"n\" \"m\" 1\nblock 2 2 AAAA\n",       // trim >= count
+			header+"\nseries \"n\" \"m\" 1\nblock 9999999 0 AAAA\n", // count over bound
+			header+"\nseries \"n\" \"m\" 1\nblock 1 0 cAA=\n",       // a changed value that did not change
+			header+"\nseries \"n\" \"m\" -1\n",                      // negative count
+		)
+	}
+	for _, block := range [][]byte{hostileStamp(5, 12), hostileStamp(1<<62, 9)} { // a stamp no encoder writes
+		cases = append(cases, persistHeaderV4+"\nseries \"n\" \"m\" 1\nblock 1 0 "+base64.StdEncoding.EncodeToString(block)+"\n")
 	}
 	for _, c := range cases {
 		st := NewStore(8)
@@ -87,7 +94,7 @@ func TestLoadMergesIntoExisting(t *testing.T) {
 }
 
 // TestSaveLoadV2Exact pins the block format's promise, made by v2 and
-// kept by v3: closed blocks, trim state, and the open block round-trip
+// kept since: closed blocks, trim state, and the open block round-trip
 // bit-exactly — including NaN, ±Inf, denormals, and values a decimal
 // text format destroys.
 func TestSaveLoadV2Exact(t *testing.T) {
@@ -105,7 +112,7 @@ func TestSaveLoadV2Exact(t *testing.T) {
 	if err := st.SaveTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(buf.String(), persistHeaderV3+"\n") {
+	if !strings.HasPrefix(buf.String(), persistHeaderV4+"\n") {
 		t.Fatalf("SaveTo wrote header %q", strings.SplitN(buf.String(), "\n", 2)[0])
 	}
 	back := NewStore(capacity)
@@ -150,7 +157,7 @@ func TestSaveLoadGrowthSteps(t *testing.T) {
 		if got == nil || got.Len() != n {
 			t.Fatalf("%s: loaded series missing or short", node)
 		}
-		if gc, oc := cap(got.open.w.w.buf), cap(orig.open.w.w.buf); gc != oc || got.Bytes() != orig.Bytes() {
+		if gc, oc := cap(got.open.buf), cap(orig.open.buf); gc != oc || got.Bytes() != orig.Bytes() {
 			t.Fatalf("%s: loaded buffer %d B / footprint %d B, saved %d / %d", node, gc, got.Bytes(), oc, orig.Bytes())
 		}
 		a, b := orig.Range(0, 1<<62), got.Range(0, 1<<62)
@@ -202,8 +209,17 @@ func v2FixtureStore() *Store {
 // TestLoadV2Fixture proves snapshots from before the open block still
 // load: the checked-in file, written by the last commit whose SaveTo
 // wrote v2, comes back as the points that commit held, bit for bit.
-func TestLoadV2Fixture(t *testing.T) {
-	f, err := os.Open("testdata/history_v2.txt")
+func TestLoadV2Fixture(t *testing.T) { checkFixture(t, "testdata/history_v2.txt") }
+
+// TestLoadV3Fixture proves the same of snapshots from before the stamp
+// code: history_v3.txt is the same store as the last commit whose SaveTo
+// wrote v3 saved it, plain delta-of-delta stamps in every block.
+func TestLoadV3Fixture(t *testing.T) { checkFixture(t, "testdata/history_v3.txt") }
+
+// checkFixture loads a checked-in snapshot of v2FixtureStore and compares
+// every series with the store rebuilt.
+func checkFixture(t *testing.T, path string) {
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}

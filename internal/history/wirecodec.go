@@ -4,9 +4,11 @@ package history
 // the open block the history store's own block grammar (block.go):
 // exported, allocation-free bit I/O plus the two per-stream coders a
 // timestamp and a value go through. Timestamps take the delta-of-delta
-// code. Values do not take Gorilla XOR as is: a frame — and a series —
-// carries only *changed* values, which is exactly where XOR is weakest,
-// so the coder adds a decimal mode beside it (see ValueState).
+// code — on the wire as it is, in a block scaled to the clock's grid
+// (block.go's stamp code, which reuses DoDState and the tiers). Values do
+// not take Gorilla XOR as is: a frame — and a series — carries only
+// *changed* values, which is exactly where XOR is weakest, so the coder
+// adds a decimal mode beside it (see ValueState).
 //
 // The wire streams one point per metric per frame and a series one point
 // per append, so the per-stream prediction state must live across calls.

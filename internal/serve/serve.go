@@ -96,27 +96,33 @@ func noteGateRebuild(name string) {
 	fltj.Append(0, flight.Entry{Kind: flight.KindGateRebuild, Detail: fltj.Sym(name)})
 }
 
-// Signal is a timer-free broadcast wakeup: writers call Wake after
-// bumping a generation, waiters block until at least one Wake has
-// happened since their last look. Spurious wakeups are possible (waiters
-// recheck generations); lost wakeups are not — Wake sets a pending flag
-// before closing the waiters' channel, and Wait consumes the flag before
-// blocking.
+// Signal is a timer-free wakeup for one waiter — the hub's dispatcher:
+// writers call Wake after bumping a generation, the waiter blocks until
+// at least one Wake has happened since its last look. Spurious wakeups
+// are possible (waiters recheck generations); lost wakeups are not — Wake
+// sets a pending flag before it posts the waiter's token, and Wait
+// consumes the flag before blocking. The token channel is made by the
+// first Wait and kept, so a wake costs its waiter no allocation. A second
+// waiter (a dispatcher outliving its hub's last subscriber for a moment)
+// takes wakes in turn with the first; see Hub.run for how it hands its
+// own back.
 type Signal struct {
 	pending atomic.Bool
-	ch      atomic.Pointer[chan struct{}]
+	ch      atomic.Pointer[chan struct{}] // cap 1: a token means "look at pending"
 }
 
-// Wake marks the signal and releases current waiters. It is called from
-// the ingest hot path: with no waiters it is one atomic store and one
-// atomic load, no allocation.
+// Wake marks the signal and releases the waiter. It is called from the
+// ingest hot path: before any Wait it is one atomic store and one atomic
+// load, after one a non-blocking send that finds the token already
+// posted; no allocation either way.
 //
 //cwx:hotpath
 func (s *Signal) Wake() {
 	s.pending.Store(true)
 	if p := s.ch.Load(); p != nil {
-		if s.ch.CompareAndSwap(p, nil) {
-			close(*p)
+		select {
+		case *p <- struct{}{}:
+		default: // a token is waiting already; whoever takes it sees pending
 		}
 	}
 }
@@ -128,29 +134,28 @@ func (s *Signal) Wait(stop <-chan struct{}) bool {
 	if s.pending.Swap(false) {
 		return true
 	}
-	var ch chan struct{}
-	for {
-		if p := s.ch.Load(); p != nil {
-			ch = *p
-			break
-		}
-		n := make(chan struct{})
+	p := s.ch.Load()
+	if p == nil {
+		n := make(chan struct{}, 1)
 		if s.ch.CompareAndSwap(nil, &n) {
-			ch = n
-			break
+			// A Wake between the flag check and the install saw no
+			// channel to post to; it set pending first.
+			if s.pending.Swap(false) {
+				return true
+			}
 		}
+		p = s.ch.Load()
 	}
-	// A Wake may have landed between the flag check and the channel
-	// install; it set pending first, so consume it rather than blocking
-	// on a channel it may not have seen.
-	if s.pending.Swap(false) {
-		return true
-	}
-	select {
-	case <-ch:
-		s.pending.Store(false)
-		return true
-	case <-stop:
-		return false
+	for {
+		select {
+		case <-*p:
+			// The token of a wake already delivered through the flag
+			// carries no news: keep waiting.
+			if s.pending.Swap(false) {
+				return true
+			}
+		case <-stop:
+			return false
+		}
 	}
 }
