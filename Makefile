@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build lint lint-escape lockgraph test race bench bench-smoke bench-test fuzz-smoke faultinject loc heap-sites
+.PHONY: check fmt vet build lint lint-escape lockgraph test race bench bench-smoke bench-test fuzz-smoke faultinject examples loc heap-sites
 
 check: fmt vet build lint race
 
@@ -72,7 +72,7 @@ bench-test:
 	cd bench && $(GO) test ./...
 
 # Short fuzz run over the wire-protocol parsers, the history block codec
-# and persistence loader (v2, v3 and v4 files), the wire's value coder, the table views' row renderer (against the fmt verbs it replaces),
+# and persistence loader (v3 and v4 files), the wire's value coder, the table views' row renderer (against the fmt verbs it replaces),
 # the event rule-file parser, the ICE Box command core and the ctl request
 # line (any line: no panic, an OK/ERR block, cached ≡ uncached):
 # each target gets ~10s, long enough to re-cover the grammar from the
@@ -96,8 +96,16 @@ fuzz-smoke:
 # detector. Seeds are fixed in the tests, so failures reproduce exactly.
 faultinject:
 	$(GO) test -race -count=1 -v \
-		-run 'TestLossToleranceConverges|TestLegacyProtocolDivergesUnderLoss|TestPartitionHealRetransmits|TestMixedVersionClusterConverges|TestHandleFrameConcurrent|TestFedLossKillRejoinConverges|TestBlackholeDropsEverything|TestScheduleAtDrivesFaults|TestLossDropsFraction' \
+		-run 'TestLossToleranceConverges|TestLegacyProtocolDivergesUnderLoss|TestInProcessSimIsSequenced|TestPartitionHealRetransmits|TestMixedVersionClusterConverges|TestHandleFrameConcurrent|TestFedLossKillRejoinConverges|TestBlackholeDropsEverything|TestScheduleAtDrivesFaults|TestLossDropsFraction' \
 		./internal/core/ ./internal/simnet/
+
+# Runs the examples that drive a whole simulated cluster through the
+# in-process agent link (sequenced frames straight into the server, the
+# path cwxd -sim-nodes hosts); each must exit 0.
+examples:
+	$(GO) run ./examples/quickstart
+	$(GO) run ./examples/thermal-runaway
+	$(GO) run ./examples/rolling-update
 
 # Where a root server's bytes per node go: loads the benchmark's tree
 # (1 024 nodes × 34 values × 16 samples) in process through a real batch

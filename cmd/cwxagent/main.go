@@ -24,7 +24,6 @@ func main() {
 		load        = flag.Float64("load", 0.3, "offered run-queue depth of the simulated node")
 		period      = flag.Duration("period", time.Second, "sampling period")
 		antiEntropy = flag.Duration("anti-entropy", time.Minute, "full-snapshot refresh period (negative disables)")
-		wireV1      = flag.Bool("wire-v1", false, "escape hatch: stay on the v1 text wire protocol, never offer the v2 upgrade")
 	)
 	flag.Parse()
 
@@ -33,9 +32,6 @@ func main() {
 		log.Fatalf("cwxagent: %v", err)
 	}
 	defer conn.Close()
-	if *wireV1 {
-		conn.DisableWireV2()
-	}
 
 	clk := clock.New()
 	n := node.New(clk, node.Config{Name: *name})

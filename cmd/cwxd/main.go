@@ -57,11 +57,9 @@ func main() {
 		selfMon     = flag.Duration("self-monitor", 10*time.Second, "meta-monitor period: ingest the server's own telemetry as node "+core.MetaNodeName+" (0 disables)")
 		flightN     = flag.Int("flight-rate", flight.DefaultRate, "causal-trace sampling: trace 1 in N agent ticks (min 1)")
 		flightOff   = flag.Bool("flight-off", false, "kill switch: disable the flight recorder and all trace sampling")
-		wireV1      = flag.Bool("wire-v1", false, "escape hatch: ignore v2 wire offers so every agent session stays on the v1 text protocol")
 		uplink      = flag.String("uplink", "", "federate: forward this server's consolidated change stream to a parent cwxd's agent port (host:port)")
 		uplinkEvery = flag.Duration("uplink-period", time.Second, "uplink flush cadence: changed nodes are batched upstream this often")
 		uplinkAE    = flag.Duration("uplink-anti-entropy", 5*time.Minute, "periodic full-state uplink flush so a wedged parent re-converges (0 disables)")
-		uplinkV1    = flag.Bool("uplink-v1", false, "pin the uplink to v1 per-node frames (for a parent that predates the batch wire)")
 		rollupSpec  = flag.String("rollup", "", "publish a subtree aggregate node: <agg-name> folds raw children (leaf tier, e.g. rack/leaf0), <agg-name>,<child-prefix> composes child aggregates (upper tier, e.g. grid/root,rack/); ticks with -uplink-period")
 	)
 	flag.Parse()
@@ -72,61 +70,60 @@ func main() {
 		flight.SetRate(*flightN)
 	}
 
-	var srv *core.Server
+	// One driver steps the server's virtual clock along wall time in both
+	// modes, so every history-window end and watch diff is computed
+	// against a single monotone timeline — the same code path the
+	// simulation exercises deterministically. In simulation mode
+	// ctl-initiated cloning sessions execute virtual-clock events too;
+	// clockMu keeps them and the driver exclusive.
+	var (
+		srv     *core.Server
+		clk     *clock.Clock
+		clockMu sync.Mutex
+		t0      = time.Now()
+	)
 	if *simNodes > 0 {
 		sim, err := core.NewSim(core.SimConfig{Nodes: *simNodes, Cluster: *cluster})
 		if err != nil {
 			log.Fatalf("cwxd: %v", err)
 		}
-		srv = sim.Server
+		srv, clk = sim.Server, sim.Clk
 		installRules(srv, *rulesFile)
 		sim.PowerOnAll()
-		// The wall-time clock driver and ctl-initiated cloning sessions
-		// both execute virtual-clock events; a mutex keeps them exclusive.
-		var simMu sync.Mutex
 		srv.SetCloner(func(imageID string, nodeNames []string) (string, error) {
-			simMu.Lock()
-			defer simMu.Unlock()
+			clockMu.Lock()
+			defer clockMu.Unlock()
 			im, ok := srv.Images().Get(imageID)
 			if !ok {
 				return "", fmt.Errorf("unknown image %s", imageID)
 			}
+			before := clk.Now()
 			res, err := sim.Clone(im, nodeNames, 0.01, cloning.Params{})
+			// The session ran to completion on the virtual clock, ahead of
+			// the wall: move the driver's origin back by the virtual time it
+			// took, so the simulation carries on from there instead of
+			// standing still until the wall catches up.
+			t0 = t0.Add(-(clk.Now() - before))
 			if err != nil {
 				return "", err
 			}
 			return fmt.Sprintf("cloned %s to %d node(s) in %s (virtual)",
 				imageID, len(res.NodeUp), res.AllUp.Round(time.Second)), nil
 		})
-		//cwx:daemon simulation time driver runs for the process lifetime
-		go func() {
-			const step = 100 * time.Millisecond
-			for {
-				time.Sleep(step)
-				simMu.Lock()
-				sim.Advance(step)
-				simMu.Unlock()
-			}
-		}()
 		log.Printf("cwxd: hosting %d simulated nodes in %d ICE boxes", *simNodes, len(sim.Boxes))
 	} else {
-		// A hardware deployment also routes the server's time source
-		// through internal/clock rather than reading the wall per call:
-		// one driver goroutine steps virtual time along wall time, so
-		// every history-window end and watch diff is computed against a
-		// single monotone timeline — the same code path the simulation
-		// exercises deterministically.
-		clk := clock.New()
+		clk = clock.New()
 		srv = core.NewServer(core.ServerConfig{Cluster: *cluster, Now: clk.Now})
 		installRules(srv, *rulesFile)
-		//cwx:daemon wall-clock driver steps the virtual clock for the process lifetime
-		go func() {
-			t0 := time.Now()
-			for range time.Tick(clockStep) {
-				stepClock(clk, time.Since(t0))
-			}
-		}()
 	}
+	//cwx:daemon wall-clock driver steps the virtual clock for the process lifetime
+	go func() {
+		for range time.Tick(clockStep) {
+			clockMu.Lock()
+			stepClock(clk, time.Since(t0))
+			clockMu.Unlock()
+		}
+	}()
 
 	if *histFile != "" {
 		if f, err := os.Open(*histFile); err == nil {
@@ -173,10 +170,6 @@ func main() {
 		}()
 	}
 
-	if *wireV1 {
-		srv.SetWireV1Only(true)
-		log.Printf("cwxd: -wire-v1: agent sessions pinned to the v1 text protocol")
-	}
 	var rollup *core.Rollup
 	if *rollupSpec != "" {
 		agg, childPrefix, ok := strings.Cut(*rollupSpec, ",")
@@ -198,7 +191,6 @@ func main() {
 			Addr:        *uplink,
 			Period:      *uplinkEvery,
 			AntiEntropy: *uplinkAE,
-			V1Only:      *uplinkV1,
 			Rollup:      rollup,
 		})
 		defer uc.Close()
@@ -237,9 +229,13 @@ const clockStep = 100 * time.Millisecond
 // spends a bit on a sample a second instead of four bytes on scheduler
 // noise, and makes what a stream of samples costs the same on a fast host
 // and a slow one. A tick that fires late catches up in one call; elapsed
-// is monotone, so the clock never has to run backwards.
+// is monotone, so the clock never has to run backwards; a clock that is
+// already at or past the step (a cloning session ran it ahead) is left
+// alone until the wall reaches the next one.
 func stepClock(clk *clock.Clock, elapsed time.Duration) {
-	clk.RunUntil(elapsed.Truncate(clockStep))
+	if t := elapsed.Truncate(clockStep); t > clk.Now() {
+		clk.RunUntil(t)
+	}
 }
 
 // installRules arms the event rules: the administrator's rule file when

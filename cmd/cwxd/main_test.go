@@ -39,6 +39,28 @@ func TestStepClockStaysOnTheGrid(t *testing.T) {
 	}
 }
 
+// TestStepClockLeavesAClockAhead: in simulation mode a cloning session
+// runs the clock to its own completion, past the wall; the driver must
+// neither run it backwards nor move it off the instant the session left
+// it, and it takes the clock back onto the grid at the next whole step
+// the wall reaches.
+func TestStepClockLeavesAClockAhead(t *testing.T) {
+	clk := clock.New()
+	ms := time.Millisecond
+	stepClock(clk, 200*ms)
+	clk.Advance(1034 * ms) // a cloning session, on the virtual clock
+	for _, c := range []struct{ elapsed, want time.Duration }{
+		{1100 * ms, 1234 * ms},
+		{1200*ms + 7*ms, 1234 * ms},
+		{1300*ms + 3*ms, 1300 * ms},
+	} {
+		stepClock(clk, c.elapsed)
+		if now := clk.Now(); now != c.want {
+			t.Fatalf("after %v of wall time the clock reads %v, want %v", c.elapsed, now, c.want)
+		}
+	}
+}
+
 // TestSaveHistoryFailureKeepsPrevious: a save that fails part-way — a full
 // disk, a store error — leaves the previous snapshot as it was and no temp
 // file behind; a save that succeeds replaces it.

@@ -16,20 +16,13 @@ import (
 	"clusterworx/internal/transmit"
 )
 
-// Transport ships one change set from an agent to the server. In-process
-// simulation wires it straight to Server.HandleValues; the network daemon
-// wires it through the framed, compressed wire protocol.
-//
-// The values slice is backed by the consolidator's reusable scratch
+// FrameTransport ships one sequenced wire frame from an agent to the
+// server — the loss-tolerant §5.3.3 protocol, and the agent's only
+// output. f.Values is backed by the consolidator's reusable scratch
 // buffer (see Consolidator.Delta) and is only valid for the duration of
 // the call: implementations must marshal or deliver it synchronously, and
 // must copy it before retaining it or handing it to another goroutine
 // (e.g. an asynchronous send queue).
-type Transport func(nodeName string, values []consolidate.Value) error
-
-// FrameTransport ships one sequenced wire frame from an agent to the
-// server — the loss-tolerant §5.3.3 protocol. The same scratch-backing
-// caveat as Transport applies to f.Values.
 type FrameTransport func(f transmit.Frame) error
 
 // AgentConfig configures a node agent.
@@ -44,18 +37,14 @@ type AgentConfig struct {
 	Heartbeat time.Duration
 	// Plugins is the optional administrator plug-in set.
 	Plugins *monitor.PluginSet
-	// Transport delivers change sets (the legacy unsequenced protocol).
-	// Ignored when SendFrame is set.
-	Transport Transport
-	// SendFrame delivers sequenced frames. With it set the agent runs the
-	// loss-tolerant protocol: per-frame sequence numbers, full-snapshot
-	// resyncs on request (RequestResync), and a periodic anti-entropy
-	// snapshot refresh.
+	// SendFrame delivers sequenced frames: per-frame sequence numbers,
+	// full-snapshot resyncs on request (RequestResync), and a periodic
+	// anti-entropy snapshot refresh. Nil runs the agent without
+	// transmitting (gathering and consolidation only).
 	SendFrame FrameTransport
 	// AntiEntropy is the period of the unconditional full-snapshot
 	// refresh that heals server-side divergence even when every resync
-	// request is lost in flight (default 60 s; negative disables). Only
-	// meaningful with SendFrame.
+	// request is lost in flight (default 60 s; negative disables).
 	AntiEntropy time.Duration
 	// RetryBase and RetryMax bound the jittered exponential backoff
 	// between attempts after a failed send (defaults 1 s and 30 s).
@@ -228,17 +217,13 @@ func (a *Agent) tick() {
 	a.cons.Tick()
 	now := a.clk.Now()
 	delta := a.cons.Delta()
-	framed := a.cfg.SendFrame != nil
 	// Trace sampling happens at gather time: a sampled tick mints the
 	// trace id that every downstream hop — including the server side of
-	// the wire — will journal under. Only framed transports can carry the
-	// context (the legacy header has no option field).
+	// the wire — will journal under.
 	a.ticks++
 	newTrace := false
-	if framed {
-		if id := flight.NextTrace(a.salt, a.ticks); id != 0 {
-			a.traceID, a.traceNs, newTrace = id, int64(now), true
-		}
+	if id := flight.NextTrace(a.salt, a.ticks); id != 0 {
+		a.traceID, a.traceNs, newTrace = id, int64(now), true
 	}
 	var gather, cons time.Duration
 	var collected int
@@ -253,7 +238,7 @@ func (a *Agent) tick() {
 		fjournal.Append(int(a.salt), flight.Entry{Kind: flight.KindStage, Stage: uint8(telemetry.StageGather), Node: a.fsym, Trace: a.traceID, TimeNs: int64(now), A: int64(gather), B: int64(collected)})
 		fjournal.Append(int(a.salt), flight.Entry{Kind: flight.KindStage, Stage: uint8(telemetry.StageConsolidate), Node: a.fsym, Trace: a.traceID, TimeNs: int64(now), A: int64(cons), B: int64(len(delta))})
 	}
-	if !framed && a.cfg.Transport == nil {
+	if a.cfg.SendFrame == nil {
 		return
 	}
 	// Backoff gate: while waiting out a failed send, bank this tick's
@@ -266,8 +251,8 @@ func (a *Agent) tick() {
 		return
 	}
 	resyncRequested := a.needResync.Load()
-	resync := framed && (resyncRequested ||
-		(a.cfg.AntiEntropy > 0 && now-a.lastSnap >= a.cfg.AntiEntropy))
+	resync := resyncRequested ||
+		(a.cfg.AntiEntropy > 0 && now-a.lastSnap >= a.cfg.AntiEntropy)
 	retrans := len(a.pending) > 0
 	if len(delta) == 0 && !resync && !retrans && now-a.lastSent < a.cfg.Heartbeat {
 		return
@@ -291,15 +276,10 @@ func (a *Agent) tick() {
 	if on {
 		t0 = time.Now() //cwx:allow clockdet -- transmit-latency telemetry measures real delivery cost
 	}
-	var err error
-	if framed {
-		err = a.cfg.SendFrame(transmit.Frame{
-			Node: a.cfg.Node.Name(), Seq: a.seq + 1, Kind: kind, Values: values,
-			TraceID: a.traceID, TraceNs: a.traceNs, SentNs: int64(now),
-		})
-	} else {
-		err = a.cfg.Transport(a.cfg.Node.Name(), values)
-	}
+	err := a.cfg.SendFrame(transmit.Frame{
+		Node: a.cfg.Node.Name(), Seq: a.seq + 1, Kind: kind, Values: values,
+		TraceID: a.traceID, TraceNs: a.traceNs, SentNs: int64(now),
+	})
 	if err != nil {
 		a.sendErrs++
 		mAgentSendFailures.Inc()
@@ -321,9 +301,7 @@ func (a *Agent) tick() {
 		sendDur = time.Since(t0) //cwx:allow clockdet -- closes the wall-clock transmit span
 		a.span.RecordTraced(telemetry.StageTransmit, sendDur, int64(len(values)), a.traceID)
 	}
-	if framed {
-		a.seq++
-	}
+	a.seq++
 	a.sent++
 	a.lastSent = now
 	a.fails = 0
@@ -414,37 +392,3 @@ func (a *Agent) backoff() time.Duration {
 // ErrLinkDown is returned by transports whose local link is down; the
 // agent reacts with banking + backoff like any other send failure.
 var ErrLinkDown = errors.New("core: local network link down")
-
-// WireTransport builds a Transport that frames and compresses change sets
-// through a transmit.Writer (the §5.3.3 wire path); the receiving side
-// decodes with ReadWireValues. This is the legacy unsequenced protocol —
-// new deployments should use WireFrameTransport.
-func WireTransport(w *transmit.Writer) Transport {
-	var buf []byte
-	return func(nodeName string, values []consolidate.Value) error {
-		buf = transmit.MarshalFrame(buf[:0], transmit.Frame{Node: nodeName, Values: values})
-		return w.WriteFrame(buf)
-	}
-}
-
-// WireFrameTransport builds a FrameTransport over a transmit.Writer: the
-// sequenced, loss-tolerant wire path.
-func WireFrameTransport(w *transmit.Writer) FrameTransport {
-	var buf []byte
-	return func(f transmit.Frame) error {
-		buf = transmit.MarshalFrame(buf[:0], f)
-		return w.WriteFrame(buf)
-	}
-}
-
-// ReadWireValues decodes one frame produced by WireTransport (either
-// header form), returning the node and values. Malformed frames —
-// truncated headers, corrupt payloads, node names that are not printable
-// hostnames — return an error rather than a garbage node name.
-func ReadWireValues(frame []byte) (nodeName string, values []consolidate.Value, err error) {
-	f, err := transmit.ParseFrame(frame)
-	if err != nil {
-		return "", nil, err
-	}
-	return f.Node, f.Values, nil
-}

@@ -332,12 +332,11 @@ func TestAgentOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ac.Close()
-	tr := ac.Transport()
 	vals := []consolidate.Value{
 		consolidate.NumValue("load.1", consolidate.Dynamic, 0.75),
 		consolidate.TextValue("cpu.type", consolidate.Static, "Pentium III"),
 	}
-	if err := tr("netnode", vals); err != nil {
+	if err := ac.SendFrame(transmit.Frame{Node: "netnode", Seq: 1, Kind: transmit.FrameSnapshot, Values: vals}); err != nil {
 		t.Fatal(err)
 	}
 	// The server processes asynchronously; poll briefly.
@@ -413,37 +412,6 @@ func TestResyncOverTCP(t *testing.T) {
 	}
 }
 
-func TestReadWireValuesEdge(t *testing.T) {
-	// Frame without newline: name only, no values.
-	name, vals, err := ReadWireValues([]byte("lonely"))
-	if err != nil || name != "lonely" || len(vals) != 0 {
-		t.Fatalf("%q %v %v", name, vals, err)
-	}
-}
-
-func TestReadWireValuesMalformed(t *testing.T) {
-	// A truncated or corrupted frame must surface as an error, never as a
-	// registry entry under a garbage node name.
-	cases := []struct {
-		name  string
-		frame []byte
-	}{
-		{"empty", nil},
-		{"truncated sequenced header", []byte("node042 17\n")},
-		{"missing value separator", []byte("node042\nload.1Dn1.5\n")},
-		{"truncated value line", []byte("node042\nload.1 D\n")},
-		{"binary garbage", []byte{0x1f, 0x8b, 0x00, 0xff, 0xfe}},
-		{"whitespace node name", []byte("\nload.1 D n 1.5\n")},
-		{"corrupt quoted text", []byte("node042\nos.rel S t \"Lin\n")},
-	}
-	for _, tc := range cases {
-		name, _, err := ReadWireValues(tc.frame)
-		if err == nil {
-			t.Errorf("%s: accepted malformed frame, node = %q", tc.name, name)
-		}
-	}
-}
-
 // TestCorruptCompressedWireFrame drives corrupted deflate bodies through
 // the full wire path. Raw deflate carries no checksum, so a flipped byte
 // can decode "successfully" into garbage — the decode+parse pipeline as
@@ -455,8 +423,8 @@ func TestCorruptCompressedWireFrame(t *testing.T) {
 	}
 	for flip := 6; flip < 20; flip++ {
 		var buf bytes.Buffer
-		send := WireFrameTransport(transmit.NewWriter(&buf, true))
-		if err := send(transmit.Frame{Node: "node042", Seq: 3, Kind: transmit.FrameDelta, Values: vals}); err != nil {
+		frame := transmit.MarshalFrame(nil, transmit.Frame{Node: "node042", Seq: 3, Kind: transmit.FrameDelta, Values: vals})
+		if err := transmit.NewWriter(&buf, true).WriteFrame(frame); err != nil {
 			t.Fatal(err)
 		}
 		wire := buf.Bytes()
@@ -465,8 +433,8 @@ func TestCorruptCompressedWireFrame(t *testing.T) {
 		if err != nil {
 			continue // rejected at the framing layer: fine
 		}
-		if name, _, err := ReadWireValues(payload); err == nil && name != "node042" {
-			t.Fatalf("flip at %d: corrupt frame accepted with node name %q", flip, name)
+		if f, err := transmit.ParseFrame(payload); err == nil && f.Node != "node042" {
+			t.Fatalf("flip at %d: corrupt frame accepted with node name %q", flip, f.Node)
 		}
 	}
 }
@@ -528,7 +496,7 @@ func TestAgentSendErrorsCounted(t *testing.T) {
 	fails := 0
 	a, err := NewAgent(clk, AgentConfig{
 		Node: n,
-		Transport: func(string, []consolidate.Value) error {
+		SendFrame: func(transmit.Frame) error {
 			fails++
 			return errTransport
 		},
@@ -538,8 +506,8 @@ func TestAgentSendErrorsCounted(t *testing.T) {
 	}
 	defer a.Stop()
 	clk.Advance(10 * time.Second)
-	if a.SendErrors() == 0 || a.Transmissions() != 0 {
-		t.Fatalf("errors=%d sent=%d", a.SendErrors(), a.Transmissions())
+	if a.SendErrors() == 0 || a.Transmissions() != 0 || a.Seq() != 0 {
+		t.Fatalf("errors=%d sent=%d seq=%d: a failed send must not burn a sequence number", a.SendErrors(), a.Transmissions(), a.Seq())
 	}
 }
 

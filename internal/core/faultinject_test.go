@@ -15,7 +15,7 @@ import (
 // protocol: it drives the full agent→simnet→server stack through seeded
 // loss, blackhole, latency, and partition schedules, then requires the
 // server's view of every node to match the agent's consolidator state
-// byte for byte. A control run over the legacy unsequenced protocol
+// byte for byte. A control run with sequence numbers stripped
 // demonstrates the silent divergence the sequenced protocol exists to
 // fix.
 
@@ -152,13 +152,37 @@ func TestLossToleranceConverges(t *testing.T) {
 	}
 }
 
-// TestLegacyProtocolDivergesUnderLoss is the control run: the same stack
-// minus sequence numbers. Loss from the first transmission means some
-// node's initial full change set — statics included — is dropped, and
-// change suppression guarantees those values are never sent again. The
-// server must be demonstrably, permanently wrong.
+// TestLegacyProtocolDivergesUnderLoss is the control run: the same agents
+// on the same fabric minus sequence numbers. The unsequenced protocol
+// exists only here, as the reference the sequenced one is measured
+// against: each agent's frames leave with Seq stripped, on the v1 text
+// wire (the v2 grammar has no unsequenced frame), with anti-entropy off.
+// Loss from the first transmission means some node's initial full change
+// set — statics included — is dropped, and change suppression guarantees
+// those values are never sent again. The server must be demonstrably,
+// permanently wrong.
 func TestLegacyProtocolDivergesUnderLoss(t *testing.T) {
-	sim := faultSim(t, 16, TransportSimnetLegacy, 0, 7)
+	sim, err := NewSim(SimConfig{
+		Nodes:       16,
+		Cluster:     "faultlab",
+		Transport:   TransportSimnet,
+		AntiEntropy: -1,
+		EchoSweep:   -1,
+		WireV1:      func(int) bool { return true },
+		Seed:        7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sim.Stop)
+	for _, a := range sim.Agents {
+		send := a.cfg.SendFrame
+		a.cfg.SendFrame = func(f transmit.Frame) error {
+			f.Seq = 0
+			return send(f)
+		}
+	}
+	sim.PowerOnAll()
 	sim.Net.SetLoss(0.2) // lossy from the very first frame
 	sim.Advance(60 * time.Second)
 	sim.Net.SetLoss(0)
@@ -170,6 +194,53 @@ func TestLegacyProtocolDivergesUnderLoss(t *testing.T) {
 			"(if a protocol change made this reliable, the sequenced path is redundant)")
 	}
 	t.Logf("legacy protocol diverged as expected: %d mismatches, e.g. %s", len(diffs), diffs[0])
+}
+
+// TestInProcessSimIsSequenced: the in-process link speaks the production
+// protocol. Every node's frames arrive numbered and anti-entropy
+// snapshots land; a regression forced on one node — a forged snapshot far
+// ahead of its agent's numbering, carrying a wrong value — makes the
+// agent's next delta read as a restart, and the synchronous resync
+// back-channel heals the node within two agent periods.
+func TestInProcessSimIsSequenced(t *testing.T) {
+	sim, err := NewSim(SimConfig{Nodes: 4, Cluster: "seqlab", EchoSweep: -1, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sim.Stop)
+	sim.PowerOnAll()
+	sim.Advance(90 * time.Second) // boot, first reports, one anti-entropy refresh
+	state := func(node string) SyncState {
+		for _, st := range sim.Server.SyncStates() {
+			if st.Node == node {
+				return st
+			}
+		}
+		t.Fatalf("no sync state for %s", node)
+		return SyncState{}
+	}
+	for _, n := range sim.Nodes {
+		if st := state(n.Name()); st.Seq == 0 || st.Snapshots < 1 || !st.Synced {
+			t.Errorf("node %s after boot: %+v, want sequenced frames and a snapshot", st.Node, st)
+		}
+	}
+
+	before := state("node001")
+	sim.Server.HandleFrame(transmit.Frame{ //nolint:errcheck // a snapshot never asks for a resync
+		Node: "node001", Seq: before.Seq + 1000, Kind: transmit.FrameSnapshot,
+		Values: []consolidate.Value{consolidate.NumValue("load.1", consolidate.Dynamic, -1)},
+	})
+	sim.Advance(2 * time.Second) // two agent periods
+	after := state("node001")
+	if after.ResyncReqs <= before.ResyncReqs || after.Regressions <= before.Regressions {
+		t.Fatalf("forced regression was not detected: before %+v, after %+v", before, after)
+	}
+	if !after.Synced {
+		t.Fatalf("node001 still diverged two periods after the regression: %+v", after)
+	}
+	if diffs := settleAndCompare(sim); len(diffs) > 0 {
+		t.Fatalf("server diverged from agents (%d diffs):\n%s", len(diffs), joinDiffs(diffs))
+	}
 }
 
 // TestPartitionHealRetransmits pins down the agent-side banking path: a

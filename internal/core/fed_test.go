@@ -292,10 +292,10 @@ func TestFedJournalDifferential(t *testing.T) {
 }
 
 // TestFedV1PinnedUplinkConverges pins one leaf's uplink to the v1
-// per-node wire (a parent that predates the batch format, or an
-// operator escape hatch) and requires the mixed tree to converge all
-// the same: the pinned leaf ships sequenced per-node frames, the other
-// leaf batches, and the root's mirror is right either way.
+// per-node wire (a child that predates the batch format) and requires
+// the mixed tree to converge all the same: the pinned leaf ships
+// sequenced per-node frames, the other leaf batches, and the root's
+// mirror is right either way.
 func TestFedV1PinnedUplinkConverges(t *testing.T) {
 	fed, err := NewFedSim(FedConfig{
 		Fanout: 2, Tiers: 2, NodesPerLeaf: 2, Synthetic: true,

@@ -73,17 +73,9 @@ func DialAgent(addr string, timeout time.Duration) (*AgentConn, error) {
 	return &AgentConn{conn: conn, w: transmit.NewWriter(conn, true), ws: newWireClient("", true)}, nil
 }
 
-// DisableWireV2 pins the connection to the v1 text protocol (the
-// -wire-v1 escape hatch). Call before the first SendFrame.
-func (a *AgentConn) DisableWireV2() { a.ws.disable() }
-
 // WireV2 reports whether the session has negotiated the binary v2 wire
 // format.
 func (a *AgentConn) WireV2() bool { return a.ws.V2() }
-
-// Transport returns the legacy unsequenced Transport shipping through
-// this connection.
-func (a *AgentConn) Transport() Transport { return WireTransport(a.w) }
 
 // SendFrame ships one sequenced frame — wire AgentConfig.SendFrame to it
 // for the loss-tolerant protocol, and install OnResync so the server's
@@ -138,8 +130,6 @@ type UplinkClientConfig struct {
 	Addr string
 	// Period is the flush cadence (0 = 1s).
 	Period time.Duration
-	// V1Only pins the session to v1 per-node frames (-uplink-v1).
-	V1Only bool
 	// AntiEntropy forces periodic snap-all flushes (0 disables).
 	AntiEntropy time.Duration
 	// MaxBatch bounds node sections per batch frame (0 = default).
@@ -189,7 +179,6 @@ func StartUplink(s *Server, cfg UplinkClientConfig) *UplinkClient {
 	}
 	c.u = NewUplink(s, UplinkConfig{
 		Send:        c.send,
-		V1Only:      cfg.V1Only,
 		AntiEntropy: cfg.AntiEntropy,
 		MaxBatch:    cfg.MaxBatch,
 	})

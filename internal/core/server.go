@@ -98,11 +98,6 @@ type Server struct {
 	// watchSig wakes the watch hub's dispatcher after a generation bump.
 	watchSig serve.Signal
 
-	// wireV1Only, when set, makes the receive paths ignore v2 wire
-	// offers so every session stays on the v1 text protocol — the
-	// operator escape hatch behind cwxd's -wire-v1 flag (see wire.go).
-	wireV1Only atomic.Bool
-
 	// uplink, when set, is this server's session to a parent tier: every
 	// applied frame notes its node dirty there so the next flush forwards
 	// the change set upstream (uplink.go). Atomic pointer so the ingest
@@ -297,11 +292,6 @@ func (s *Server) bumpIngest(shard uint32, now time.Duration) {
 
 // Cluster returns the cluster name.
 func (s *Server) Cluster() string { return s.cluster }
-
-// SetWireV1Only pins all agent sessions to the v1 text wire protocol:
-// when on, receive paths stop answering v2 offers, so new sessions never
-// upgrade. Sessions already speaking v2 are unaffected.
-func (s *Server) SetWireV1Only(on bool) { s.wireV1Only.Store(on) }
 
 // Engine exposes the event engine for rule administration.
 func (s *Server) Engine() *events.Engine { return s.engine }

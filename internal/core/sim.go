@@ -6,7 +6,6 @@ import (
 
 	"clusterworx/internal/clock"
 	"clusterworx/internal/cloning"
-	"clusterworx/internal/consolidate"
 	"clusterworx/internal/firmware"
 	"clusterworx/internal/icebox"
 	"clusterworx/internal/image"
@@ -21,9 +20,13 @@ import (
 type SimTransport int
 
 const (
-	// TransportDirect calls Server.HandleValues in-process: no network
-	// between agent and server, nothing can be lost. The default, and the
-	// configuration every pre-existing test and benchmark runs.
+	// TransportDirect hands each sequenced frame to Server.HandleFrame
+	// in-process, on the tick instant, and answers a resync request
+	// straight back to the agent: the production protocol with nothing
+	// between the two ends that could lose a frame. The default. It is a
+	// call rather than a lossless fabric link on purpose: a fabric hop
+	// delays arrival by the link latency, which moves every ingest stamp
+	// off the agents' period grid and costs the history store bytes.
 	TransportDirect SimTransport = iota
 	// TransportSimnet carries sequenced frames over the simulated fabric
 	// on a dedicated monitoring plane ("<node>.mon" -> "master.mon"
@@ -31,11 +34,6 @@ const (
 	// resync requests riding the reverse path. This is the loss-tolerant
 	// protocol under test in the fault-injection harness.
 	TransportSimnet
-	// TransportSimnetLegacy carries the unsequenced legacy protocol over
-	// the same fabric: lost change sets are never detected, reproducing
-	// the silent-divergence bug the sequenced protocol fixes. Exists so
-	// the harness can demonstrate the failure, not for deployment.
-	TransportSimnetLegacy
 )
 
 // simMonAddr is the server's monitoring-plane endpoint address.
@@ -58,8 +56,7 @@ type SimConfig struct {
 	// Transport selects the agent-to-server path (default TransportDirect).
 	Transport SimTransport
 	// AntiEntropy overrides the agents' periodic full-snapshot refresh
-	// interval (TransportSimnet only; zero keeps the agent default,
-	// negative disables).
+	// interval (zero keeps the agent default, negative disables).
 	AntiEntropy time.Duration
 	// Mailer receives notifications (default: a Recording inspectable via
 	// Sim.Mailer).
@@ -175,49 +172,15 @@ func NewSim(cfg SimConfig) (*Sim, error) {
 
 	// The monitoring plane gets its own endpoints so fault injection on
 	// agent traffic cannot disturb the cloning data plane's handlers (and
-	// vice versa). The master side decodes every arriving frame and, for
-	// the sequenced protocol, answers gap detection with a resync-request
-	// control frame to the frame's source.
-	var masterMon *simnet.Endpoint
+	// vice versa). The master side runs one wire session per source
+	// endpoint, exactly like one TCP connection would, and answers gap
+	// detection with a resync-request control frame to the frame's source.
 	switch cfg.Transport {
+	case TransportDirect:
 	case TransportSimnet:
-		masterMon = net.Attach(cfg.MonAddr, simnet.FastEthernet)
-		// One wireServer per source endpoint: each agent session gets its
-		// own decoder and negotiation state, exactly like one TCP
-		// connection would.
-		servers := make(map[simnet.Addr]*wireServer)
-		masterMon.OnReceive(func(p simnet.Packet) {
-			b, ok := p.Payload.([]byte)
-			if !ok {
-				return
-			}
-			ws := servers[p.Src]
-			if ws == nil {
-				ws = &wireServer{s: srv}
-				servers[p.Src] = ws
-			}
-			src := p.Src
-			// fatal (corrupt frame) just drops the datagram — the
-			// sequence gap will tell. Control payloads are scratch-backed
-			// and delivery is asynchronous, so copy before Send.
-			ws.handle(b, func(ctl []byte) {
-				cb := append([]byte(nil), ctl...)
-				masterMon.Send(src, cb, len(cb)+monOverheadBytes)
-			})
-		})
-	case TransportSimnetLegacy:
-		masterMon = net.Attach(cfg.MonAddr, simnet.FastEthernet)
-		masterMon.OnReceive(func(p simnet.Packet) {
-			b, ok := p.Payload.([]byte)
-			if !ok {
-				return
-			}
-			f, err := transmit.ParseFrame(b)
-			if err != nil {
-				return // corrupt frame: drop, the sequence gap will tell
-			}
-			srv.HandleFrame(f) //nolint:errcheck // legacy protocol has no back channel
-		})
+		attachWireReceiver(net, cfg.MonAddr, srv, nil)
+	default:
+		return nil, fmt.Errorf("core: unknown sim transport %d", cfg.Transport)
 	}
 
 	sim := &Sim{
@@ -285,24 +248,25 @@ func NewSim(cfg SimConfig) (*Sim, error) {
 			plugins = cfg.Plugins(i)
 		}
 		acfg := AgentConfig{
-			Node:      n,
-			Period:    cfg.Period,
-			Heartbeat: cfg.Heartbeat,
-			Plugins:   plugins,
+			Node:        n,
+			Period:      cfg.Period,
+			Heartbeat:   cfg.Heartbeat,
+			Plugins:     plugins,
+			AntiEntropy: cfg.AntiEntropy,
 		}
+		var agent *Agent
 		var mon *simnet.Endpoint
 		var wc *wireClient
-		switch cfg.Transport {
-		case TransportDirect:
-			acfg.Transport = func(nodeName string, values []consolidate.Value) error {
-				srv.HandleValues(nodeName, values)
+		if cfg.Transport == TransportDirect {
+			acfg.SendFrame = func(f transmit.Frame) error {
+				if srv.HandleFrame(f) == ErrResyncNeeded {
+					agent.RequestResync()
+				}
 				return nil
 			}
-		case TransportSimnet:
+		} else {
 			mon = net.Attach(simnet.Addr(name+".mon"), simnet.FastEthernet)
-			acfg.AntiEntropy = cfg.AntiEntropy
 			wc = newWireClient(name, cfg.WireV1 == nil || !cfg.WireV1(i))
-			sendWC := wc
 			monAddr := cfg.MonAddr
 			acfg.SendFrame = func(f transmit.Frame) error {
 				// A down local link is an error the agent can see (bank +
@@ -315,32 +279,17 @@ func NewSim(cfg SimConfig) (*Sim, error) {
 				if !mon.Up() {
 					return ErrLinkDown
 				}
-				payload := sendWC.marshal(f)
+				payload := wc.marshal(f)
 				b := append([]byte(nil), payload...)
 				mon.Send(monAddr, b, len(b)+monOverheadBytes)
 				return nil
 			}
-		case TransportSimnetLegacy:
-			mon = net.Attach(simnet.Addr(name+".mon"), simnet.FastEthernet)
-			monAddr := cfg.MonAddr
-			acfg.Transport = func(nodeName string, values []consolidate.Value) error {
-				if !mon.Up() {
-					return ErrLinkDown
-				}
-				b := transmit.MarshalFrame(nil, transmit.Frame{Node: nodeName, Values: values})
-				mon.Send(monAddr, b, len(b)+monOverheadBytes)
-				return nil
-			}
-		default:
-			return nil, fmt.Errorf("core: unknown sim transport %d", cfg.Transport)
 		}
-		agent, err := NewAgent(clk, acfg)
-		if err != nil {
+		var err error
+		if agent, err = NewAgent(clk, acfg); err != nil {
 			return nil, err
 		}
-		if cfg.Transport == TransportSimnet {
-			agent := agent
-			recvWC := wc
+		if mon != nil {
 			mon.OnReceive(func(p simnet.Packet) {
 				b, ok := p.Payload.([]byte)
 				if !ok {
@@ -348,7 +297,7 @@ func NewSim(cfg SimConfig) (*Sim, error) {
 				}
 				// The wire session consumes version answers, dict acks,
 				// and dict resets; resync requests surface to the agent.
-				if recvWC.control(b, int64(clk.Now())) {
+				if wc.control(b, int64(clk.Now())) {
 					agent.RequestResync()
 				}
 			})

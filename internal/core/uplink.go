@@ -105,9 +105,9 @@ type UplinkConfig struct {
 	// means the parent may not have seen the frame; the uplink rebases
 	// and re-marks the affected nodes for snapshots.
 	Send func(payload []byte) error
-	// V1Only pins the session to v1 per-node sequenced frames (the
-	// escape hatch mirroring cwxd's -wire-v1, for a parent that predates
-	// the batch wire).
+	// V1Only pins the session to v1 per-node sequenced frames, as a child
+	// built before the batch wire would send them (FedConfig.UplinkV1
+	// models such peers).
 	V1Only bool
 	// MaxBatch bounds node sections per batch frame (0 = 512).
 	MaxBatch int

@@ -36,8 +36,9 @@ type wireClient struct {
 	sym   flight.Sym
 }
 
-// newWireClient builds the session state. offerV2 false pins the session
-// to the v1 text protocol (the -wire-v1 escape hatch). node may be empty
+// newWireClient builds the session state. offerV2 false keeps the session
+// on the v1 text protocol, as an agent built before v2 would (the
+// simulator's SimConfig.WireV1 models such peers). node may be empty
 // for transports that learn it from the first frame (TCP dial).
 func newWireClient(node string, offerV2 bool) *wireClient {
 	c := &wireClient{offer: offerV2}
@@ -72,14 +73,6 @@ func (c *wireClient) V2() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.v2
-}
-
-// disable pins the session to v1 (stops offering). Only meaningful
-// before the first answer arrives.
-func (c *wireClient) disable() {
-	c.mu.Lock()
-	c.offer = false
-	c.mu.Unlock()
 }
 
 // sendFailed tells the encoder the receiver may not have seen the last
@@ -184,7 +177,7 @@ func (ws *wireServer) handle(payload []byte, send func([]byte)) (fatal bool) {
 		if err != nil {
 			return true
 		}
-		if f.WireOffer >= transmit.WireV2 && !ws.s.wireV1Only.Load() {
+		if f.WireOffer >= transmit.WireV2 {
 			// Answer every offer (not just the first): on a lossy fabric
 			// a dropped answer then costs one frame interval, not the
 			// upgrade. The client stops offering once switched.

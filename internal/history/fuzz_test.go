@@ -81,39 +81,47 @@ func FuzzBlockCodec(f *testing.F) {
 }
 
 // FuzzLoadFrom feeds the persistence loader arbitrary files, seeded from
-// real saves in the three formats it reads. Whatever the bytes, it must return
+// real saves in the two formats it reads. Whatever the bytes, it must return
 // (an error or not) without panicking, decode no block past
 // maxPersistBlockPoints, and leave every series it touched time-ordered
 // and within its capacity.
 func FuzzLoadFrom(f *testing.F) {
 	// Short seeds: the fuzzer minimizes what it finds interesting, and a
-	// 20 KB file eats a smoke run's ten seconds doing it. From the v2
-	// fixture, the all-head series and the one-block series before it.
-	v2, err := os.ReadFile("testdata/history_v2.txt")
+	// 20 KB file eats a smoke run's ten seconds doing it. From the v3
+	// fixture, the five-point series and the counter after it (one block
+	// and a part).
+	v3file, err := os.ReadFile("testdata/history_v3.txt")
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(v2[:bytes.Index(v2, []byte("series \"node a\""))])
+	n3, nodeA := bytes.Index(v3file, []byte("series \"n3\"")), bytes.Index(v3file, []byte("series \"node a\""))
+	f.Add(v3file[:n3])
 	small := NewStore(5) // a block every five points, the oldest trimmed
 	for i := 0; i < 13; i++ {
 		small.Append("a", "load.1", sec(i)+time.Duration(i%3)*time.Millisecond, float64(i%7)/4)
 		small.Append("b", "up", sec(i/5), 1)
 	}
-	var v3 bytes.Buffer
-	if err := small.SaveTo(&v3); err != nil {
+	var v4 bytes.Buffer
+	if err := small.SaveTo(&v4); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(v3.Bytes())
+	f.Add(v4.Bytes())
 	f.Add([]byte(persistHeaderV3 + "\nseries \"n\" \"m\" 1\nblock 3 1 /////////////w==\n"))
-	f.Add([]byte(persistHeaderV2 + "\nseries \"n\" \"m\" 1 1\nblock 1048576 0 AAAA\n5 1\n"))
+	f.Add(append([]byte(persistHeaderV3+"\n"), v3file[n3:nodeA]...))
 	f.Add([]byte("clusterworx-history v1\nseries \"n\" \"m\" 1\n1.0 2.0\n"))
-	// From the v3 fixture the five-point series; and v4 blocks no SaveTo
-	// writes: an exponent field of 12, a scaled product past int64.
-	v3file, err := os.ReadFile("testdata/history_v3.txt")
-	if err != nil {
+	// A file that merges into the series the fuzz body pre-fills, around
+	// its one point.
+	merge := NewStore(5)
+	for i := 0; i < 9; i++ {
+		merge.Append("n", "m", time.Duration(3*i), float64(i))
+	}
+	var mb bytes.Buffer
+	if err := merge.SaveTo(&mb); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(v3file[:bytes.Index(v3file, []byte("series \"n3\""))])
+	f.Add(mb.Bytes())
+	// v4 blocks no SaveTo writes: an exponent field of 12, a scaled
+	// product past int64.
 	for _, block := range [][]byte{hostileStamp(5, 12), hostileStamp(1<<62, 9)} {
 		f.Add([]byte(persistHeaderV4 + "\nseries \"n\" \"m\" 1\nblock 2 0 " + base64.StdEncoding.EncodeToString(block) + "\n"))
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strconv"
 	"strings"
 	"time"
 )
@@ -24,18 +23,14 @@ import (
 //	block <count> <trim> <base64-data>
 //	...
 //
-// Two older formats are still read, so snapshots taken before load
-// unchanged. v3 is the same file around blocks whose stamps are the plain
-// delta-of-delta code: the same iterator reads them, the wire's ReadDoD
-// for its stamp reader. v2 is the same framing around blocks in the
-// grammar before the open block (a raw first point, then delta-of-delta
-// timestamps and plain XOR values — blockIter, kept for this alone), a
-// fourth series field <nhead>, and after the blocks that many raw head
-// points, one "<nanoseconds> <value>" line each. Loading re-appends, so a
+// One older format is still read, so a snapshot taken before the stamp
+// code loads unchanged: v3 is the same file around blocks whose stamps
+// are the plain delta-of-delta code, which the same iterator reads with
+// the wire's ReadDoD for its stamp reader. Loading re-appends, so a
 // loaded store is in the current grammar and SaveTo always writes v4.
+// Older files (v2, v1) are rejected with an error naming what loads.
 
 const (
-	persistHeaderV2 = "clusterworx-history v2"
 	persistHeaderV3 = "clusterworx-history v3"
 	persistHeaderV4 = "clusterworx-history v4"
 
@@ -76,8 +71,8 @@ func (st *Store) SaveTo(w io.Writer) error {
 	return bw.Flush()
 }
 
-// LoadFrom merges persisted history into the store, reading the v4, v3
-// and v2 block formats. Existing series receive the loaded points subject
+// LoadFrom merges persisted history into the store, reading the v4 and v3
+// block formats. Existing series receive the loaded points subject
 // to the usual ordering rule (older points than what is already present
 // are dropped).
 func (st *Store) LoadFrom(r io.Reader) error {
@@ -88,20 +83,17 @@ func (st *Store) LoadFrom(r io.Reader) error {
 	}
 	switch sc.Text() {
 	case persistHeaderV4:
-		return st.load(sc, 4)
+		return st.load(sc, false)
 	case persistHeaderV3:
-		return st.load(sc, 3)
-	case persistHeaderV2:
-		return st.load(sc, 2)
+		return st.load(sc, true)
 	default:
-		return fmt.Errorf("history: unsupported format %q (this build reads %q, %q and %q)",
-			sc.Text(), persistHeaderV4, persistHeaderV3, persistHeaderV2)
+		return fmt.Errorf("history: unsupported format %q (this build reads %q and %q)",
+			sc.Text(), persistHeaderV4, persistHeaderV3)
 	}
 }
 
-// load reads the series of a file in the given format version.
-func (st *Store) load(sc *bufio.Scanner, version int) error {
-	v2 := version == 2
+// load reads the series of a file; plainDoD selects v3's stamp reader.
+func (st *Store) load(sc *bufio.Scanner, plainDoD bool) error {
 	lineNo := 1
 	for sc.Scan() {
 		lineNo++
@@ -110,18 +102,12 @@ func (st *Store) load(sc *bufio.Scanner, version int) error {
 			continue
 		}
 		var nodeName, metric string
-		var nblocks, nhead int
-		var err error
-		if v2 {
-			_, err = fmt.Sscanf(line, "series %q %q %d %d", &nodeName, &metric, &nblocks, &nhead)
-		} else {
-			_, err = fmt.Sscanf(line, "series %q %q %d", &nodeName, &metric, &nblocks)
-		}
-		if err != nil {
+		var nblocks int
+		if _, err := fmt.Sscanf(line, "series %q %q %d", &nodeName, &metric, &nblocks); err != nil {
 			return fmt.Errorf("history: line %d: bad series header %q: %v", lineNo, line, err)
 		}
-		if nblocks < 0 || nhead < 0 {
-			return fmt.Errorf("history: line %d: negative series counts", lineNo)
+		if nblocks < 0 {
+			return fmt.Errorf("history: line %d: negative block count", lineNo)
 		}
 		for i := 0; i < nblocks; i++ {
 			if !sc.Scan() {
@@ -140,20 +126,8 @@ func (st *Store) load(sc *bufio.Scanner, version int) error {
 			if err != nil {
 				return fmt.Errorf("history: line %d: bad block data: %v", lineNo, err)
 			}
-			var it interface {
-				next() (int64, float64, bool)
-				failed() bool
-			}
-			if v2 {
-				old := newBlockIter(data, count)
-				it = &old
-			} else {
-				cur := newPointIter(data, count)
-				if version == 3 {
-					cur.plainDoD = true
-				}
-				it = &cur
-			}
+			it := newPointIter(data, count)
+			it.plainDoD = plainDoD
 			decoded := 0
 			for {
 				t, v, ok := it.next()
@@ -169,83 +143,6 @@ func (st *Store) load(sc *bufio.Scanner, version int) error {
 				return fmt.Errorf("history: line %d: block decodes %d of %d points", lineNo, decoded, count)
 			}
 		}
-		for i := 0; i < nhead; i++ {
-			if !sc.Scan() {
-				return fmt.Errorf("history: truncated series %s/%s at head point %d", nodeName, metric, i)
-			}
-			lineNo++
-			nsStr, valStr, ok := strings.Cut(sc.Text(), " ")
-			if !ok {
-				return fmt.Errorf("history: line %d: bad point %q", lineNo, sc.Text())
-			}
-			ns, err := strconv.ParseInt(nsStr, 10, 64)
-			if err != nil {
-				return fmt.Errorf("history: line %d: bad timestamp: %v", lineNo, err)
-			}
-			v, err := strconv.ParseFloat(valStr, 64)
-			if err != nil {
-				return fmt.Errorf("history: line %d: bad value: %v", lineNo, err)
-			}
-			st.Append(nodeName, metric, time.Duration(ns), v)
-		}
 	}
 	return sc.Err()
 }
-
-// blockIter reads a v2 file's blocks, and nothing else: the grammar
-// sealed blocks had before the open block — a raw first point (64+64
-// bits), then delta-of-delta timestamps and Gorilla XOR values. count
-// bounds the iteration, so arbitrary (corrupt) bytes always terminate;
-// after a short read next reports done and failed reports true.
-type blockIter struct {
-	r        bitReader
-	count    int
-	i        int
-	t        int64
-	delta    int64
-	v        uint64
-	leading  int
-	trailing int
-}
-
-func newBlockIter(data []byte, count int) blockIter {
-	return blockIter{r: bitReader{data: data}, count: count, leading: -1, trailing: -1}
-}
-
-// next returns the following point; ok is false at the end of the block
-// or on a truncated/corrupt bit stream.
-func (it *blockIter) next() (t int64, v float64, ok bool) {
-	if it.i >= it.count || it.r.err {
-		return 0, 0, false
-	}
-	if it.i == 0 {
-		it.t = int64(it.r.readBits(64))
-		it.v = it.r.readBits(64)
-	} else {
-		dod := readDoD(&it.r)
-		it.delta += dod
-		it.t += it.delta
-		if it.r.readBit() == 1 {
-			if it.r.readBit() == 1 {
-				it.leading = int(it.r.readBits(5))
-				sig := int(it.r.readBits(6)) + 1
-				it.trailing = 64 - it.leading - sig
-			}
-			if it.trailing < 0 || it.leading < 0 {
-				// Only reachable on corrupt input: a window-reuse code
-				// before any window was defined, or sig overflowing it.
-				it.r.err = true
-				return 0, 0, false
-			}
-			width := uint(64 - it.leading - it.trailing)
-			it.v ^= it.r.readBits(width) << uint(it.trailing)
-		}
-	}
-	if it.r.err {
-		return 0, 0, false
-	}
-	it.i++
-	return it.t, math.Float64frombits(it.v), true
-}
-
-func (it *blockIter) failed() bool { return it.r.err }

@@ -179,12 +179,12 @@ func TestSaveLoadGrowthSteps(t *testing.T) {
 	}
 }
 
-// v2FixtureStore rebuilds the store the parent commit saved as
-// testdata/history_v2.txt (capacity 700): a series that has evicted a
-// whole block and trimmed the next, with two-decimal readings on a
-// jittered clock and special values mixed in; an integer counter one
-// block and a part long; and a five-point series that was all head.
-func v2FixtureStore() *Store {
+// fixtureStore rebuilds the store saved as testdata/history_v3.txt
+// (capacity 700): a series that has evicted a whole block and trimmed the
+// next, with two-decimal readings on a jittered clock and special values
+// mixed in; an integer counter one block and a part long; and a
+// five-point series.
+func fixtureStore() *Store {
 	st := NewStore(700)
 	rng := rand.New(rand.NewSource(20))
 	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 5e-324, 0.30000000000000004}
@@ -206,25 +206,17 @@ func v2FixtureStore() *Store {
 	return st
 }
 
-// TestLoadV2Fixture proves snapshots from before the open block still
-// load: the checked-in file, written by the last commit whose SaveTo
-// wrote v2, comes back as the points that commit held, bit for bit.
-func TestLoadV2Fixture(t *testing.T) { checkFixture(t, "testdata/history_v2.txt") }
-
-// TestLoadV3Fixture proves the same of snapshots from before the stamp
-// code: history_v3.txt is the same store as the last commit whose SaveTo
-// wrote v3 saved it, plain delta-of-delta stamps in every block.
-func TestLoadV3Fixture(t *testing.T) { checkFixture(t, "testdata/history_v3.txt") }
-
-// checkFixture loads a checked-in snapshot of v2FixtureStore and compares
-// every series with the store rebuilt.
-func checkFixture(t *testing.T, path string) {
-	f, err := os.Open(path)
+// TestLoadV3Fixture proves snapshots from before the stamp code still
+// load: history_v3.txt is fixtureStore as the last commit whose SaveTo
+// wrote v3 saved it, plain delta-of-delta stamps in every block, and it
+// comes back as the points that commit held, bit for bit.
+func TestLoadV3Fixture(t *testing.T) {
+	f, err := os.Open("testdata/history_v3.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	got, want := NewStore(700), v2FixtureStore()
+	got, want := NewStore(700), fixtureStore()
 	if err := got.LoadFrom(f); err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +272,7 @@ func (w *failAfter) Write(p []byte) (int, error) {
 // TestSaveToReportsWriteError: a writer that fails anywhere in the file —
 // the header, a buffered block line, the final flush — fails SaveTo.
 func TestSaveToReportsWriteError(t *testing.T) {
-	st := v2FixtureStore()
+	st := fixtureStore()
 	var whole bytes.Buffer
 	if err := st.SaveTo(&whole); err != nil {
 		t.Fatal(err)
@@ -292,25 +284,24 @@ func TestSaveToReportsWriteError(t *testing.T) {
 	}
 }
 
+// TestLoadV2Errors: the v2 reader is retired, so every v2 file — a
+// well-formed one included — fails with an error that names the version
+// and the formats that load, and loads nothing.
 func TestLoadV2Errors(t *testing.T) {
-	cases := []string{
-		persistHeaderV2 + "\nnot a series line\n",
-		persistHeaderV2 + "\nseries \"n\" \"m\" 1 0\n",                       // truncated: no block line
-		persistHeaderV2 + "\nseries \"n\" \"m\" 1 0\nblock 5 0 AA==\n",       // block bytes too short for count
-		persistHeaderV2 + "\nseries \"n\" \"m\" 1 0\nblock 4 0 !!!!\n",       // bad base64
-		persistHeaderV2 + "\nseries \"n\" \"m\" 1 0\nblock 0 0 AAAA\n",       // zero count
-		persistHeaderV2 + "\nseries \"n\" \"m\" 1 0\nblock 2 5 AAAA\n",       // trim >= count
-		persistHeaderV2 + "\nseries \"n\" \"m\" 1 0\nblock 9999999 0 AAAA\n", // count over bound
-		persistHeaderV2 + "\nseries \"n\" \"m\" 0 1\n",                       // truncated: no head line
-		persistHeaderV2 + "\nseries \"n\" \"m\" 0 1\nbadpoint\n",             // unsplittable head point
-		persistHeaderV2 + "\nseries \"n\" \"m\" 0 1\nx 1\n",                  // bad timestamp
-		persistHeaderV2 + "\nseries \"n\" \"m\" 0 1\n1 x\n",                  // bad value
-		persistHeaderV2 + "\nseries \"n\" \"m\" -1 0\n",                      // negative counts
-	}
-	for _, c := range cases {
+	const header = "clusterworx-history v2"
+	for _, c := range []string{
+		header + "\n",
+		header + "\nseries \"n\" \"m\" 0 1\n5 1\n",
+		header + "\nseries \"n\" \"m\" 1 0\nblock 5 0 AA==\n",
+	} {
 		st := NewStore(8)
-		if err := st.LoadFrom(strings.NewReader(c)); err == nil {
-			t.Errorf("LoadFrom(%q) succeeded", c)
+		err := st.LoadFrom(strings.NewReader(c))
+		if err == nil || !strings.Contains(err.Error(), `"`+header+`"`) ||
+			!strings.Contains(err.Error(), persistHeaderV4) || !strings.Contains(err.Error(), persistHeaderV3) {
+			t.Errorf("LoadFrom(%q): %v, want an error naming v2 and the formats that load", c, err)
+		}
+		if len(st.Nodes()) != 0 {
+			t.Errorf("a rejected file loaded %v", st.Nodes())
 		}
 	}
 }

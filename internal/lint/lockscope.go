@@ -146,7 +146,7 @@ func reentrantEntry(p *pass, call *ast.CallExpr) string {
 		return ""
 	}
 	// A call of a function-typed struct field: the administrator
-	// plugin/callback shape (Rule.Plugin, Config.Transport, onError).
+	// plugin/callback shape (Rule.Plugin, AgentConfig.SendFrame, onError).
 	if v := funcValuedField(p, call.Fun); v != nil {
 		return "func-valued field " + v.Name()
 	}

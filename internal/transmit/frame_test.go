@@ -49,6 +49,11 @@ func TestParseFrameRejectsMalformed(t *testing.T) {
 		{"name with del byte", "node\x7f\n"},
 		{"bad value line", "node042 7 D\ncpu.load\n"},
 		{"truncated quoted text", "node042\nos.release S t \"Linu\n"},
+		// Unsequenced (name-only) headers reach the same value parser.
+		{"missing value separator", "node042\nload.1Dn1.5\n"},
+		{"truncated value line", "node042\nload.1 D\n"},
+		{"whitespace node name", "\nload.1 D n 1.5\n"},
+		{"binary garbage", "\x1f\x8b\x00\xff\xfe"},
 	}
 	for _, tc := range cases {
 		if _, err := ParseFrame([]byte(tc.payload)); err == nil {
