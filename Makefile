@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build lint lint-escape lockgraph test race bench bench-smoke bench-test fuzz-smoke faultinject examples loc heap-sites
+.PHONY: check fmt vet build lint lint-escape lockgraph test race determinism bench bench-smoke bench-test fuzz-smoke faultinject examples loc heap-sites
 
 check: fmt vet build lint race
 
@@ -51,6 +51,14 @@ test:
 race:
 	$(GO) test -race ./...
 
+# Run-to-run determinism: one seed, one outcome. Each test compares
+# runs of the same input (a reimaged sim, the ctl transcript, a tree
+# against its flat control, an uplink's payloads); -count=3 repeats them
+# under fresh map-iteration seeds, so any result that leans on Go map
+# order fails here instead of flaking later.
+determinism:
+	$(GO) test -count=3 -run 'TestSimSameSeedSameState|TestGoldenCtl|TestFedLossKillRejoinConverges|TestUplinkSameInputSameBytes' ./internal/core/
+
 # Regenerate the benchmark tables behind EXPERIMENTS.md.
 bench:
 	$(GO) test -bench=. -benchmem .
@@ -80,7 +88,7 @@ bench-test:
 # replays on every plain `go test` as regression inputs.
 fuzz-smoke:
 	$(GO) test ./internal/transmit/ -fuzz FuzzParseFrame -fuzztime 10s -run NONE
-	$(GO) test ./internal/transmit/ -fuzz FuzzReadWireValues -fuzztime 10s -run NONE
+	$(GO) test ./internal/transmit/ -fuzz FuzzReadFrame -fuzztime 10s -run NONE
 	$(GO) test ./internal/transmit/ -fuzz FuzzDecodeFrameV2 -fuzztime 10s -run NONE
 	$(GO) test ./internal/transmit/ -fuzz FuzzDecodeBatchV2 -fuzztime 10s -run NONE
 	$(GO) test ./internal/history/ -fuzz FuzzBlockCodec -fuzztime 10s -run NONE

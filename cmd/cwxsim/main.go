@@ -47,17 +47,12 @@ func main() {
 			fmt.Fprintln(os.Stderr, "cwxsim:", err)
 			os.Exit(1)
 		}
-	case *run > 0 && *topo != "":
+	case *run > 0:
 		fanout, tiers, err := parseTopology(*topo)
 		if err == nil {
-			err = runTree(*nodes, fanout, tiers, *run)
+			err = runSim(*nodes, fanout, tiers, *run)
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "cwxsim:", err)
-			os.Exit(1)
-		}
-	case *run > 0:
-		if err := runCluster(*nodes, *run); err != nil {
 			fmt.Fprintln(os.Stderr, "cwxsim:", err)
 			os.Exit(1)
 		}
@@ -136,86 +131,46 @@ func runExperiments(list string, full bool, benchtime time.Duration) error {
 	return nil
 }
 
-// parseTopology parses a "tree:<fanout>,<tiers>" topology spec.
+// parseTopology parses a "tree:<fanout>,<tiers>" topology spec; the
+// empty spec is the flat cluster, one tier.
 func parseTopology(s string) (fanout, tiers int, err error) {
+	if s == "" {
+		return 0, 1, nil
+	}
 	if _, serr := fmt.Sscanf(s, "tree:%d,%d", &fanout, &tiers); serr != nil || fanout < 1 || tiers < 2 {
 		return 0, 0, fmt.Errorf("bad -topology %q (want tree:<fanout>,<tiers> with fanout >= 1, tiers >= 2)", s)
 	}
 	return fanout, tiers, nil
 }
 
-// runTree boots a federated server tree on one simulated fabric: leaf
-// servers ingest real agents, every tier forwards batched change-only
-// deltas up its uplink, and the root mirrors the whole grid plus
-// per-subtree aggregates.
-func runTree(perLeaf, fanout, tiers int, dur time.Duration) error {
-	fed, err := core.NewFedSim(core.FedConfig{
-		Fanout: fanout, Tiers: tiers, NodesPerLeaf: perLeaf, Seed: 1,
-	})
-	if err != nil {
-		return err
-	}
-	defer fed.Stop()
-
-	fmt.Printf("powering on %d nodes under %d leaf servers (%d tiers, fanout %d)...\n",
-		fed.TotalNodes(), len(fed.Leaves), tiers, fanout)
-	fed.PowerOnAll()
-	fed.Advance(30 * time.Second)
-	for _, leaf := range fed.Leaves {
-		for i, n := range leaf.Sim.Nodes {
-			n.SetLoad(float64(i%4) * 0.5)
-		}
-	}
-	fed.Advance(dur)
-
-	fmt.Printf("\n== root: whole-grid view ==\n%s\n", fed.Root.Server.HandleCtl("status"))
-	fmt.Printf("== root: subtree aggregates (%s) ==\n", core.RootAggNode)
-	for _, v := range fed.Root.Server.NodeValues(core.RootAggNode) {
-		if !v.IsText {
-			fmt.Printf("  %-28s %g\n", v.Name, v.Num)
-		}
-	}
-
-	var up core.UplinkStats
-	sessions := 0
-	for _, lvl := range fed.Levels[:tiers-1] {
-		for _, fs := range lvl {
-			st := fs.Uplink.Stats()
-			up.Frames += st.Frames
-			up.V1Frames += st.V1Frames
-			up.Nodes += st.Nodes
-			up.Bytes += st.Bytes
-			sessions++
-		}
-	}
-	in := fed.Root.Server.UplinkInStats()
-	fmt.Printf("\nuplinks: %d sessions forwarded %d node sections in %d batch frames (%d B on the wire); root ingested %d frames, %d desyncs\n",
-		sessions, up.Nodes, up.Frames, up.Bytes, in.Frames, in.Desyncs)
-	return nil
-}
-
-// runCluster boots a simulated cluster, injects a little life, and prints
-// the monitoring screen plus event activity.
-func runCluster(nodes int, dur time.Duration) error {
-	sim, err := core.NewSim(core.SimConfig{Nodes: nodes, Cluster: "cwxsim"})
+// runSim boots a simulated cluster — one server, or a tree whose leaf
+// servers host perLeaf nodes each and forward batched change-only
+// deltas up their uplinks to a root mirroring the whole grid plus
+// per-subtree aggregates — injects a little life and one fault, and
+// prints the root's monitoring screen plus event activity.
+func runSim(perLeaf, fanout, tiers int, dur time.Duration) error {
+	sim, err := core.NewSim(core.SimConfig{Nodes: perLeaf, Cluster: "cwxsim", Tiers: tiers, Fanout: fanout})
 	if err != nil {
 		return err
 	}
 	defer sim.Stop()
 
-	// The standard protective rule set.
+	// The standard protective rule set, on every server that has nodes.
 	rules := []events.Rule{
 		{Name: "overtemp", Metric: "hw.temp.cpu", Op: events.GT, Threshold: 85, Action: events.ActPowerOff, Notify: true},
 		{Name: "fan-failure", Metric: "hw.fan.ok", Op: events.LT, Threshold: 1, Sustain: 2, Notify: true},
 		{Name: "swap-storm", Metric: "swap.used.pct", Op: events.GT, Threshold: 90, Notify: true},
 	}
-	for _, r := range rules {
-		if err := sim.Server.Engine().AddRule(r); err != nil {
-			return err
+	for _, leaf := range sim.Leaves {
+		for _, r := range rules {
+			if err := leaf.Server.Engine().AddRule(r); err != nil {
+				return err
+			}
 		}
 	}
 
-	fmt.Printf("powering on %d nodes across %d ICE boxes (sequenced)...\n", nodes, len(sim.Boxes))
+	fmt.Printf("powering on %d nodes across %d ICE boxes under %d leaf server(s), %d tier(s) (sequenced)...\n",
+		sim.TotalNodes(), len(sim.Boxes), len(sim.Leaves), tiers)
 	sim.PowerOnAll()
 	sim.Advance(30 * time.Second)
 
@@ -223,7 +178,7 @@ func runCluster(nodes int, dur time.Duration) error {
 	for i, n := range sim.Nodes {
 		n.SetLoad(float64(i%4) * 0.5)
 	}
-	if nodes > 2 {
+	if len(sim.Nodes) > 2 {
 		sim.Nodes[2].SetLoad(1)
 		sim.Advance(2 * time.Minute)
 		sim.Nodes[2].FailFan()
@@ -232,17 +187,45 @@ func runCluster(nodes int, dur time.Duration) error {
 
 	fmt.Printf("\n%s\n", sim.Server.HandleCtl("status"))
 	fmt.Printf("\n%s\n", sim.Server.HandleCtl("efficiency"))
-	fmt.Printf("\n%s\n", sim.Server.HandleCtl("eventlog"))
+	for _, leaf := range sim.Leaves {
+		fmt.Printf("\n%s\n", leaf.Server.HandleCtl("eventlog"))
+	}
+	if tiers > 1 {
+		printTree(sim)
+	}
 	st := serve.ReadStats()
 	fmt.Printf("\nserving plane: %d hits, %d rebuilds, %d coalesced\n", st.Hits, st.Misses, st.Coalesced)
 	fj := flight.Default()
 	fmt.Printf("flight recorder: %d records journaled (ring retains %d); newest:\n", fj.Cursor(), flight.Capacity())
 	fmt.Print(dashboard.FlightPanel(fj.Since(0, 5)))
-	if sim.Mailer != nil {
-		fmt.Printf("\nnotifications sent: %d\n", sim.Mailer.Count())
-		for _, m := range sim.Mailer.Messages() {
-			fmt.Printf("--- %s\n%s\n", m.Subject, m.Body)
-		}
+	fmt.Printf("\nnotifications sent: %d\n", sim.Mailer.Count())
+	for _, m := range sim.Mailer.Messages() {
+		fmt.Printf("--- %s\n%s\n", m.Subject, m.Body)
 	}
 	return nil
+}
+
+// printTree prints a tree's root aggregates and its uplinks' traffic.
+func printTree(sim *core.Sim) {
+	fmt.Printf("\n== root: subtree aggregates (%s) ==\n", core.RootAggNode)
+	for _, v := range sim.Server.NodeValues(core.RootAggNode) {
+		if !v.IsText {
+			fmt.Printf("  %-28s %g\n", v.Name, v.Num)
+		}
+	}
+	var up core.UplinkStats
+	sessions := 0
+	for _, lvl := range sim.Levels[:len(sim.Levels)-1] {
+		for _, ts := range lvl {
+			st := ts.Uplink.Stats()
+			up.Frames += st.Frames
+			up.V1Frames += st.V1Frames
+			up.Nodes += st.Nodes
+			up.Bytes += st.Bytes
+			sessions++
+		}
+	}
+	in := sim.Server.UplinkInStats()
+	fmt.Printf("\nuplinks: %d sessions forwarded %d node sections in %d batch frames (%d B on the wire); root ingested %d frames, %d desyncs\n",
+		sessions, up.Nodes, up.Frames, up.Bytes, in.Frames, in.Desyncs)
 }

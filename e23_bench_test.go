@@ -29,8 +29,8 @@ const e23Period = 100 * time.Millisecond
 // virtual clock event by event until the root has applied every node's
 // change, and charge the virtual latency and top-link bytes.
 func benchFedPropagation(b *testing.B, fanout, tiers, perLeaf int) {
-	fed, err := core.NewFedSim(core.FedConfig{
-		Fanout: fanout, Tiers: tiers, NodesPerLeaf: perLeaf,
+	fed, err := core.NewSim(core.SimConfig{
+		Fanout: fanout, Tiers: tiers, Nodes: perLeaf,
 		Synthetic: true, Seed: 1,
 	})
 	if err != nil {

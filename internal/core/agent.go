@@ -46,12 +46,6 @@ type AgentConfig struct {
 	// refresh that heals server-side divergence even when every resync
 	// request is lost in flight (default 60 s; negative disables).
 	AntiEntropy time.Duration
-	// RetryBase and RetryMax bound the jittered exponential backoff
-	// between attempts after a failed send (defaults 1 s and 30 s).
-	RetryBase, RetryMax time.Duration
-	// RetrySeed seeds the backoff jitter (default: a hash of the node
-	// name, so a fleet that fails together still spreads its retries).
-	RetrySeed int64
 }
 
 // Agent is the per-node monitoring daemon: gathering + consolidation +
@@ -121,17 +115,12 @@ func NewAgent(clk *clock.Clock, cfg AgentConfig) (*Agent, error) {
 	if cfg.AntiEntropy == 0 {
 		cfg.AntiEntropy = 60 * time.Second
 	}
-	if cfg.RetryBase <= 0 {
-		cfg.RetryBase = time.Second
-	}
-	if cfg.RetryMax <= 0 {
-		cfg.RetryMax = 30 * time.Second
-	}
 	n := cfg.Node
-	if cfg.RetrySeed == 0 {
-		for i := 0; i < len(n.Name()); i++ {
-			cfg.RetrySeed = cfg.RetrySeed*131 + int64(n.Name()[i])
-		}
+	// The backoff jitter is seeded by a hash of the node name, so a fleet
+	// that fails together still spreads its retries.
+	var retrySeed int64
+	for i := 0; i < len(n.Name()); i++ {
+		retrySeed = retrySeed*131 + int64(n.Name()[i])
 	}
 	set, err := monitor.NewSet(monitor.Config{
 		FS:       n.FS(),
@@ -150,7 +139,7 @@ func NewAgent(clk *clock.Clock, cfg AgentConfig) (*Agent, error) {
 		return nil, err
 	}
 	a := &Agent{cfg: cfg, clk: clk, cons: cons, set: set,
-		rng:  rand.New(rand.NewSource(cfg.RetrySeed)),
+		rng:  rand.New(rand.NewSource(retrySeed)),
 		span: telemetry.Spans.Slot(n.Name()),
 		salt: flight.Salt(n.Name()),
 		fsym: fjournal.Sym(n.Name())}
@@ -375,19 +364,24 @@ func (a *Agent) clearPending() {
 }
 
 // backoff is the delay before the next attempt after a.fails consecutive
-// failures: RetryBase doubled per failure, capped at RetryMax, with ±25%
+// failures: retryBase doubled per failure, capped at retryMax, with ±25%
 // deterministic jitter so a fleet that failed together (a server restart)
 // does not retry in lockstep.
 func (a *Agent) backoff() time.Duration {
-	d := a.cfg.RetryBase
-	for i := 1; i < a.fails && d < a.cfg.RetryMax; i++ {
+	d := retryBase
+	for i := 1; i < a.fails && d < retryMax; i++ {
 		d *= 2
 	}
-	if d > a.cfg.RetryMax {
-		d = a.cfg.RetryMax
-	}
+	d = min(d, retryMax)
 	return time.Duration(float64(d) * (0.75 + 0.5*a.rng.Float64()))
 }
+
+// retryBase and retryMax bound the jittered exponential backoff between
+// attempts after a failed send.
+const (
+	retryBase = time.Second
+	retryMax  = 30 * time.Second
+)
 
 // ErrLinkDown is returned by transports whose local link is down; the
 // agent reacts with banking + backoff like any other send failure.

@@ -183,8 +183,9 @@ func goldenCtlScript() []ctlStep {
 		{on: "*", req: "eventlog 3"},
 		{on: "*", req: "history node001 load.1 4"},
 
-		// Cloning last: when the reimaged nodes come back up is the one thing
-		// in the sim that differs from run to run, so nothing reads them after.
+		// Cloning last. A reimage is as seeded as the rest of the sim, but it
+		// moves virtual time and reboots nodes, so any step after it would
+		// read different bytes from the ones this fixture pins.
 		{on: "*", req: "clone lnxi-nfs@2.1 node001 node002"},
 		{on: "*", req: "clone ghost@1 node001"},
 		{on: "*", req: "clone lnxi-nfs@2.1 ghost"},

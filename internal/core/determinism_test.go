@@ -5,10 +5,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
+	"clusterworx/internal/cloning"
 	"clusterworx/internal/consolidate"
+	"clusterworx/internal/image"
 	"clusterworx/internal/transmit"
 )
 
@@ -97,6 +100,57 @@ func TestUplinkSameInputSameBytes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// cloneUnderLoss boots an 8-node sim, reimages every node through 10 %
+// fabric loss, lets the cluster report for half a minute, and renders
+// the clone result, every node's values and the sync table.
+func cloneUnderLoss(t *testing.T, seed int64) string {
+	t.Helper()
+	sim, err := NewSim(SimConfig{Nodes: 8, Cluster: "det", Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sim.Stop)
+	sim.PowerOnAll()
+	sim.Advance(30 * time.Second)
+	names := make([]string, len(sim.Nodes))
+	for i, n := range sim.Nodes {
+		names[i] = n.Name()
+	}
+	res, err := sim.Clone(image.New("lnxi-node", "2.1", image.BootDisk, 16<<20), names, 0.10, cloning.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.Advance(30 * time.Second)
+	var b strings.Builder
+	fmt.Fprintf(&b, "%+v\n", res)
+	for _, name := range names {
+		for _, v := range sim.Server.NodeValues(name) {
+			fmt.Fprintf(&b, "%s %s %s\n", name, v.Name, v.Render())
+		}
+	}
+	for _, st := range sim.Server.SyncStates() {
+		fmt.Fprintf(&b, "%+v\n", st)
+	}
+	return b.String()
+}
+
+// Same seed, same state: a sim is a function of its config, reimaging
+// under loss included — which receiver of a multicast loses which chunk
+// must not depend on map iteration order.
+func TestSimSameSeedSameState(t *testing.T) {
+	a, b := cloneUnderLoss(t, 1), cloneUnderLoss(t, 1)
+	if a == b {
+		return
+	}
+	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := range al {
+		if i >= len(bl) || al[i] != bl[i] {
+			t.Fatalf("two builds with one seed diverged at line %d:\n  %s\n  %s", i, al[i], bl[min(i, len(bl)-1)])
+		}
+	}
+	t.Fatalf("two builds with one seed diverged: %d vs %d lines", len(al), len(bl))
 }
 
 // An untouched tree must fold to the same aggregate every time. Sums of

@@ -433,7 +433,7 @@ func TestMixedVersionClusterConverges(t *testing.T) {
 // topology — down/up only toggle state, never advance the clock — so
 // the runs end at the same virtual instant with identical
 // (clock-driven) agent state.
-func fedFaultSchedule(fed *FedSim, down, up func(*FedSim)) {
+func fedFaultSchedule(fed *Sim, down, up func(*Sim)) {
 	fed.PowerOnAll()
 	fed.Advance(30 * time.Second) // lossless boot: registration + first uplink snap-alls
 	fed.Net.SetLoss(0.15)
@@ -461,8 +461,8 @@ func fedFaultSchedule(fed *FedSim, down, up func(*FedSim)) {
 // healing machinery (link desync -> "!uresync" -> snap-all, per-node
 // resync on the v1 leaf, restart renegotiation) add no divergence.
 func TestFedLossKillRejoinConverges(t *testing.T) {
-	fed, err := NewFedSim(FedConfig{
-		Fanout: 2, Tiers: 2, NodesPerLeaf: 3,
+	fed, err := NewSim(SimConfig{
+		Fanout: 2, Tiers: 2, Nodes: 3, Transport: TransportSimnet,
 		EchoSweep: -1, AntiEntropy: 20 * time.Second,
 		UplinkAntiEntropy: 20 * time.Second,
 		UplinkV1:          func(leaf int) bool { return leaf == 1 },
@@ -476,8 +476,8 @@ func TestFedLossKillRejoinConverges(t *testing.T) {
 	// rejoin as a fresh process (Restart drops all session state —
 	// negotiation, sequences, dictionary).
 	fedFaultSchedule(fed,
-		func(f *FedSim) { f.Leaves[0].UpEp.SetUp(false) },
-		func(f *FedSim) {
+		func(f *Sim) { f.Leaves[0].UpEp.SetUp(false) },
+		func(f *Sim) {
 			f.Leaves[0].UpEp.SetUp(true)
 			f.Leaves[0].Uplink.Restart()
 		})
@@ -485,8 +485,8 @@ func TestFedLossKillRejoinConverges(t *testing.T) {
 	// The flat control: the same six agents, same seeds, same timeline,
 	// one server, no federation. Its converged state is the ground truth
 	// the federated root must reproduce byte for byte.
-	flat, err := NewFedSim(FedConfig{
-		Tiers: 1, NodesPerLeaf: 6,
+	flat, err := NewSim(SimConfig{
+		Nodes: 6, Transport: TransportSimnet,
 		EchoSweep: -1, AntiEntropy: 20 * time.Second,
 		Seed: 42,
 	})
@@ -527,8 +527,8 @@ func TestFedLossKillRejoinConverges(t *testing.T) {
 	// byte on every raw node.
 	var diffs []string
 	for _, leaf := range fed.Leaves {
-		for i, agent := range leaf.Sim.Agents {
-			name := leaf.Sim.Nodes[i].Name()
+		for i, agent := range leaf.Agents {
+			name := leaf.Nodes[i].Name()
 			diffs = append(diffs, syncDiff(fed.Root.Server, name, agent.Consolidator().Snapshot())...)
 		}
 	}
@@ -536,8 +536,8 @@ func TestFedLossKillRejoinConverges(t *testing.T) {
 		t.Fatalf("federated root diverged from agents after heal (%d diffs):\n%s", len(diffs), joinDiffs(diffs))
 	}
 	flatSrv := flat.Root.Server
-	for i, agent := range flat.Root.Sim.Agents {
-		name := flat.Root.Sim.Nodes[i].Name()
+	for i, agent := range flat.Agents {
+		name := flat.Nodes[i].Name()
 		if d := syncDiff(flatSrv, name, agent.Consolidator().Snapshot()); len(d) > 0 {
 			t.Fatalf("flat control diverged from its own agents:\n%s", joinDiffs(d))
 		}

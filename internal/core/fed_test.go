@@ -37,7 +37,7 @@ func fedNodeNum(t *testing.T, srv *Server, node, metric string) float64 {
 }
 
 // fedSettle runs quiet uplink periods so in-flight flushes land.
-func fedSettle(f *FedSim, periods int) {
+func fedSettle(f *Sim, periods int) {
 	f.Advance(time.Duration(periods) * 100 * time.Millisecond)
 }
 
@@ -48,7 +48,7 @@ func fedSettle(f *FedSim, periods int) {
 // fold its subtree exactly, and (c) an idle cluster to cost zero uplink
 // bytes (per-hop suppression).
 func TestFedSyntheticMirrorsAndAggregates(t *testing.T) {
-	fed, err := NewFedSim(FedConfig{Fanout: 2, Tiers: 3, NodesPerLeaf: 4, Synthetic: true, Seed: 1})
+	fed, err := NewSim(SimConfig{Fanout: 2, Tiers: 3, Nodes: 4, Synthetic: true, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,8 +143,8 @@ func TestFedSyntheticMirrorsAndAggregates(t *testing.T) {
 // agent's own consolidator state byte for byte — the same invariant the
 // single-tier fault suite pins, now across two hops.
 func TestFedRealAgentsConverge(t *testing.T) {
-	fed, err := NewFedSim(FedConfig{
-		Fanout: 2, Tiers: 2, NodesPerLeaf: 3,
+	fed, err := NewSim(SimConfig{
+		Fanout: 2, Tiers: 2, Nodes: 3, Transport: TransportSimnet,
 		EchoSweep: -1, AntiEntropy: 20 * time.Second,
 		Seed: 3,
 	})
@@ -163,8 +163,8 @@ func TestFedRealAgentsConverge(t *testing.T) {
 		if !st.V2 || st.Frames == 0 {
 			t.Errorf("%s uplink never negotiated the batch wire: %+v", leaf.Name, st)
 		}
-		for i, agent := range leaf.Sim.Agents {
-			name := leaf.Sim.Nodes[i].Name()
+		for i, agent := range leaf.Agents {
+			name := leaf.Nodes[i].Name()
 			agentVals := agent.Consolidator().Snapshot()
 			if diffs := syncDiff(leaf.Server, name, agentVals); len(diffs) > 0 {
 				t.Errorf("leaf diverged from agent:\n%s", joinDiffs(diffs))
@@ -180,12 +180,49 @@ func TestFedRealAgentsConverge(t *testing.T) {
 	}
 }
 
+// TestTreeWithInProcessAgentsConverges runs a two-tier tree whose agents
+// use the default in-process link into their leaf: the tree and the
+// agent link are independent choices, so the root must mirror every
+// agent byte for byte here too.
+func TestTreeWithInProcessAgentsConverges(t *testing.T) {
+	sim, err := NewSim(SimConfig{Fanout: 2, Tiers: 2, Nodes: 3, EchoSweep: -1, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sim.Stop)
+	sim.PowerOnAll()
+	sim.Advance(30 * time.Second)
+	sim.Stop()
+	sim.Advance(time.Second) // a few uplink periods carry the last frames up
+
+	if len(sim.Agents) != 6 || sim.TotalNodes() != 6 {
+		t.Fatalf("tree built %d agents for %d nodes, want 6", len(sim.Agents), sim.TotalNodes())
+	}
+	for _, leaf := range sim.Leaves {
+		for i, agent := range leaf.Agents {
+			name := leaf.Nodes[i].Name()
+			agentVals := agent.Consolidator().Snapshot()
+			if diffs := syncDiff(leaf.Server, name, agentVals); len(diffs) > 0 {
+				t.Errorf("leaf diverged from agent:\n%s", joinDiffs(diffs))
+			}
+			if diffs := syncDiff(sim.Server, name, agentVals); len(diffs) > 0 {
+				t.Errorf("root diverged from agent:\n%s", joinDiffs(diffs))
+			}
+		}
+	}
+	for _, st := range sim.Leaves[0].Server.SyncStates() {
+		if strings.HasPrefix(st.Node, "node") && (st.Seq == 0 || !st.Synced) {
+			t.Errorf("in-process link was not sequenced: %+v", st)
+		}
+	}
+}
+
 // TestFedWatchAtRootStreams subscribes a watch client at the ROOT tier
 // and requires a change injected at a leaf to reach the client as an
 // incremental diff whose reconstruction matches what a polling client
 // would read — serve-plane fan-out per hop, end to end.
 func TestFedWatchAtRootStreams(t *testing.T) {
-	fed, err := NewFedSim(FedConfig{Fanout: 2, Tiers: 2, NodesPerLeaf: 2, Synthetic: true, Seed: 5})
+	fed, err := NewSim(SimConfig{Fanout: 2, Tiers: 2, Nodes: 2, Synthetic: true, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,8 +269,8 @@ func TestFedJournalDifferential(t *testing.T) {
 	prevRate := flight.SetRate(1)
 	defer flight.SetRate(prevRate)
 
-	fed, err := NewFedSim(FedConfig{
-		Fanout: 2, Tiers: 2, NodesPerLeaf: 2,
+	fed, err := NewSim(SimConfig{
+		Fanout: 2, Tiers: 2, Nodes: 2, Transport: TransportSimnet,
 		EchoSweep: -1, Seed: 9,
 	})
 	if err != nil {
@@ -297,8 +334,8 @@ func TestFedJournalDifferential(t *testing.T) {
 // sequenced per-node frames, the other leaf batches, and the root's
 // mirror is right either way.
 func TestFedV1PinnedUplinkConverges(t *testing.T) {
-	fed, err := NewFedSim(FedConfig{
-		Fanout: 2, Tiers: 2, NodesPerLeaf: 2, Synthetic: true,
+	fed, err := NewSim(SimConfig{
+		Fanout: 2, Tiers: 2, Nodes: 2, Synthetic: true,
 		UplinkV1: func(leaf int) bool { return leaf == 0 },
 		Seed:     11,
 	})

@@ -132,11 +132,9 @@ type UplinkClientConfig struct {
 	Period time.Duration
 	// AntiEntropy forces periodic snap-all flushes (0 disables).
 	AntiEntropy time.Duration
-	// MaxBatch bounds node sections per batch frame (0 = default).
-	MaxBatch int
 	// Rollup, if set, is Ticked immediately before every flush so the
 	// tier's subtree aggregate rides the same uplink batch as the raw
-	// deltas it summarizes (cwxd -rollup; FedSim orders its virtual
+	// deltas it summarizes (cwxd -rollup; a simulated tree orders its virtual
 	// timer chains the same way).
 	Rollup *Rollup
 }
@@ -180,7 +178,6 @@ func StartUplink(s *Server, cfg UplinkClientConfig) *UplinkClient {
 	c.u = NewUplink(s, UplinkConfig{
 		Send:        c.send,
 		AntiEntropy: cfg.AntiEntropy,
-		MaxBatch:    cfg.MaxBatch,
 	})
 	s.SetUplink(c.u)
 	go c.run()
@@ -208,7 +205,7 @@ func (c *UplinkClient) send(payload []byte) error {
 // one connect attempt per second, not a hot loop.
 func (c *UplinkClient) run() {
 	defer close(c.done)
-	t := time.NewTicker(c.cfg.Period) //cwx:allow clockdet -- daemon-only transport (cwxd -uplink): flush cadence is real wall time; simulations drive uplinks from FedSim's virtual timer chains instead
+	t := time.NewTicker(c.cfg.Period) //cwx:allow clockdet -- daemon-only transport (cwxd -uplink): flush cadence is real wall time; simulations drive uplinks from the simulator's virtual timer chains instead
 	defer t.Stop()
 	for {
 		select {
@@ -291,7 +288,7 @@ func StartRollup(r *Rollup, period time.Duration) *RollupRunner {
 	rr := &RollupRunner{stop: make(chan struct{}), done: make(chan struct{})}
 	go func() {
 		defer close(rr.done)
-		t := time.NewTicker(period) //cwx:allow clockdet -- daemon-only (cwxd -rollup without -uplink): aggregate cadence is real wall time; simulations drive rollups from FedSim's virtual timer chains instead
+		t := time.NewTicker(period) //cwx:allow clockdet -- daemon-only (cwxd -rollup without -uplink): aggregate cadence is real wall time; simulations drive rollups from the simulator's virtual timer chains instead
 		defer t.Stop()
 		for {
 			select {

@@ -224,8 +224,7 @@ type ServerConfig struct {
 	// HistoryCapacity is the default retained-point capacity — the ring
 	// depth — of new history series (0 = history.DefaultCapacity). It
 	// bounds how much a series may come to hold, not what it costs while
-	// young. Federated tiers mirroring large subtrees shrink it and
-	// deepen only their aggregate series via History().SetCapacityFunc.
+	// young.
 	HistoryCapacity int
 }
 

@@ -74,7 +74,7 @@ func (b *SlurmBridge) addLoad(nodeNames []string, delta float64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for _, name := range nodeNames {
-		n := b.sim.byName[name]
+		n := b.sim.Node(name)
 		if n == nil {
 			continue
 		}

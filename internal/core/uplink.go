@@ -46,10 +46,10 @@ import (
 // shard hash as its dirty-stripe index.
 const uplinkStripes = ingestShards
 
-// defaultMaxBatch bounds node sections per batch frame: big enough to
+// maxBatch bounds node sections per batch frame: big enough to
 // amortize the header, small enough that one frame is not megabytes on a
 // 10k-leaf subtree.
-const defaultMaxBatch = 512
+const maxBatch = 512
 
 // uplinkDirtyNode accumulates one node's not-yet-forwarded changes. The
 // entry persists for the node's lifetime (maps and slices are reused),
@@ -106,11 +106,9 @@ type UplinkConfig struct {
 	// and re-marks the affected nodes for snapshots.
 	Send func(payload []byte) error
 	// V1Only pins the session to v1 per-node sequenced frames, as a child
-	// built before the batch wire would send them (FedConfig.UplinkV1
+	// built before the batch wire would send them (SimConfig.UplinkV1
 	// models such peers).
 	V1Only bool
-	// MaxBatch bounds node sections per batch frame (0 = 512).
-	MaxBatch int
 	// AntiEntropy, when non-zero, forces a periodic snap-all flush so a
 	// silently wedged parent re-converges without waiting for a chain
 	// break to be noticed.
@@ -180,9 +178,6 @@ type flushEnt struct {
 func NewUplink(s *Server, cfg UplinkConfig) *Uplink {
 	if cfg.Send == nil {
 		panic("core: UplinkConfig.Send is required")
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = defaultMaxBatch
 	}
 	if cfg.Name == "" {
 		cfg.Name = s.cluster
@@ -405,7 +400,7 @@ func (u *Uplink) build() {
 }
 
 // sendBatches ships the assembled sub-frames as v2 batch frames, at most
-// MaxBatch node sections each. A failed send rebases the chain (the next
+// maxBatch node sections each. A failed send rebases the chain (the next
 // frame decodes standalone) and queues the chunk's nodes for re-marking.
 func (u *Uplink) sendBatches(nowNs int64) (int, error) {
 	u.mu.Lock()
@@ -415,8 +410,8 @@ func (u *Uplink) sendBatches(nowNs int64) (int, error) {
 	}
 	var firstErr error
 	sent := 0
-	for lo := 0; lo < len(u.frames); lo += u.cfg.MaxBatch {
-		hi := min(lo+u.cfg.MaxBatch, len(u.frames))
+	for lo := 0; lo < len(u.frames); lo += maxBatch {
+		hi := min(lo+maxBatch, len(u.frames))
 		chunk := u.frames[lo:hi]
 		u.seq++
 		u.buf = u.enc.Encode(u.buf[:0], u.seq, nowNs, chunk)

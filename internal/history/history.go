@@ -540,7 +540,6 @@ type NodeSeries struct {
 // (Series queries, Compare) may freely race appends from agent ingest.
 type Store struct {
 	capacity int
-	capFn    func(nodeName string) int
 	stripes  [storeStripes]storeStripe
 	// created counts series creations: while it holds, the set of
 	// (node, metric) pairs — every Comparison's roster — is unchanged.
@@ -559,30 +558,6 @@ func NewStore(capacity int) *Store {
 		st.stripes[i].nodes = make(map[string]*NodeSeries)
 	}
 	return st
-}
-
-// SetCapacityFunc installs a per-node capacity rule consulted when a
-// node's first series is created: fn returns the retained-point capacity
-// for that node's series, or <= 0 to use the store default. Memory
-// follows the points a series holds, so capacity is the bound it grows
-// to, not an up-front cost. A federated tier mirrors per-node series for
-// the whole subtree below it — long-lived, they fill to capacity × nodes
-// × metrics points at ~1.6 B each — while its own aggregate series
-// ("rack/*", "row/*") are few and deserve full depth; the rule lets one
-// store hold both. Call before the first Append; existing series keep
-// the capacity they were created with.
-func (st *Store) SetCapacityFunc(fn func(nodeName string) int) {
-	st.capFn = fn
-}
-
-// capacityFor resolves the retained-point capacity for a new node's series.
-func (st *Store) capacityFor(nodeName string) int {
-	if st.capFn != nil {
-		if c := st.capFn(nodeName); c > 0 {
-			return c
-		}
-	}
-	return st.capacity
 }
 
 // stripe hashes a node name to its stripe with FNV-1a. The index is
@@ -662,7 +637,7 @@ func (ns *NodeSeries) create(id uint32) *Series {
 	if ok {
 		return ns.series[i]
 	}
-	s := NewSeries(ns.st.capacityFor(ns.name))
+	s := NewSeries(ns.st.capacity)
 	ns.ids, ns.series = insertExact(ns.ids, i, id), insertExact(ns.series, i, s)
 	ns.st.created.Add(1) // under the stripe lock: a walk that read the new count sees the series
 	return s

@@ -317,31 +317,34 @@ func seriesFootprint(s *Series) int64 {
 func TestBytesAccounting(t *testing.T) {
 	gauge0 := storeBytes.Load()
 	st := NewStore(700) // a block's worth plus change: closes, then evicts
-	st.SetCapacityFunc(func(node string) int {
-		if node == "tiny" {
-			return 5 // block capped by retention; every 5th append closes
-		}
-		return 0
-	})
-	fill := map[string]int{"young": 3, "grown": 40, "full": 512, "sealed": 600, "evicting": 2000, "tiny": 23}
+	tiny := NewStore(5) // block capped by retention; every 5th append closes
+	fill := map[string]int{"young": 3, "grown": 40, "full": 512, "sealed": 600, "evicting": 2000}
 	for node, n := range fill {
 		for i := 0; i < n; i++ {
 			st.Append(node, "m", sec(i), float64(i%13))
 			st.Append(node, "m2", sec(i), 1)
 		}
 	}
+	for i := 0; i < 23; i++ {
+		tiny.Append("tiny", "m", sec(i), float64(i%13))
+		tiny.Append("tiny", "m2", sec(i), 1)
+	}
 	var sum, want int64
-	for node := range fill {
+	add := func(st *Store, node string) {
 		for _, m := range st.Metrics(node) {
 			s := st.Series(node, m)
 			sum += s.Bytes()
 			want += seriesFootprint(s)
 		}
 	}
+	for node := range fill {
+		add(st, node)
+	}
+	add(tiny, "tiny")
 	if sum != want {
 		t.Fatalf("sum of Series.Bytes = %d, structures hold %d", sum, want)
 	}
-	if got := st.Bytes(); got != sum {
+	if got := st.Bytes() + tiny.Bytes(); got != sum {
 		t.Fatalf("Store.Bytes = %d, sum of Series.Bytes = %d", got, sum)
 	}
 	if got := storeBytes.Load() - gauge0; got != sum {

@@ -15,6 +15,7 @@ package simnet
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -59,10 +60,12 @@ type Stats struct {
 
 // Network is the fabric. Create with New, then Attach endpoints.
 type Network struct {
-	mu      sync.Mutex
-	clk     *clock.Clock
-	eps     map[Addr]*Endpoint
-	groups  map[string]map[Addr]struct{}
+	mu  sync.Mutex
+	clk *clock.Clock
+	eps map[Addr]*Endpoint
+	// groups holds each multicast group's members in address order, so a
+	// multicast draws its per-receiver loss in the same order every run.
+	groups  map[string][]Addr
 	rng     *rand.Rand
 	loss    float64
 	latency time.Duration
@@ -73,7 +76,7 @@ func New(clk *clock.Clock, latency time.Duration) *Network {
 	return &Network{
 		clk:     clk,
 		eps:     make(map[Addr]*Endpoint),
-		groups:  make(map[string]map[Addr]struct{}),
+		groups:  make(map[string][]Addr),
 		rng:     rand.New(rand.NewSource(1)),
 		latency: latency,
 	}
@@ -146,20 +149,19 @@ func (n *Network) Endpoint(addr Addr) *Endpoint {
 func (n *Network) Join(group string, addr Addr) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	g, ok := n.groups[group]
-	if !ok {
-		g = make(map[Addr]struct{})
-		n.groups[group] = g
+	g := n.groups[group]
+	if i, found := slices.BinarySearch(g, addr); !found {
+		n.groups[group] = slices.Insert(g, i, addr)
 	}
-	g[addr] = struct{}{}
 }
 
 // Leave removes addr from a multicast group.
 func (n *Network) Leave(group string, addr Addr) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if g, ok := n.groups[group]; ok {
-		delete(g, addr)
+	g := n.groups[group]
+	if i, found := slices.BinarySearch(g, addr); found {
+		n.groups[group] = slices.Delete(g, i, i+1)
 	}
 }
 
@@ -239,8 +241,9 @@ func (e *Endpoint) Send(dst Addr, payload any, size int) time.Duration {
 }
 
 // Multicast transmits one packet to every member of group except the
-// sender. The sender's uplink is occupied exactly once regardless of group
-// size; each receiver suffers loss independently.
+// sender, walking members in address order. The sender's uplink is
+// occupied exactly once regardless of group size; each receiver suffers
+// loss independently.
 func (e *Endpoint) Multicast(group string, payload any, size int) time.Duration {
 	n := e.net
 	n.mu.Lock()
@@ -252,7 +255,7 @@ func (e *Endpoint) Multicast(group string, payload any, size int) time.Duration 
 	e.stats.TxPackets++
 	e.stats.TxBytes += int64(size)
 	pkt := Packet{Src: e.addr, Group: group, Payload: payload, Size: size}
-	for addr := range n.groups[group] {
+	for _, addr := range n.groups[group] {
 		if addr == e.addr {
 			continue
 		}

@@ -123,11 +123,12 @@ func FuzzParseFrame(f *testing.F) {
 	})
 }
 
-// FuzzReadWireValues drives the byte-level framing layer (header parse,
-// length bound, optional deflate) and then the payload parser over
-// arbitrary wire bytes: no panics, no oversized payloads, and whatever
-// decodes cleanly must satisfy the ParseFrame contract.
-func FuzzReadWireValues(f *testing.F) {
+// FuzzReadFrame drives the byte-level framing layer (Reader.ReadFrame:
+// header parse, length bound, optional deflate) and then the payload
+// parser (ParseFrame) over arbitrary wire bytes: no panics, no oversized
+// payloads, and whatever decodes cleanly must satisfy the ParseFrame
+// contract.
+func FuzzReadFrame(f *testing.F) {
 	// Well-formed wire in both modes.
 	for _, compress := range []bool{false, true} {
 		var wire bytes.Buffer
