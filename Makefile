@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build lint lint-escape lockgraph test race determinism bench bench-smoke bench-test fuzz-smoke faultinject examples loc heap-sites
+.PHONY: check fmt vet build lint lint-escape lockgraph test race determinism bench bench-smoke bench-test fuzz-smoke faultinject examples loc heap-sites alloc-sites
 
 check: fmt vet build lint race
 
@@ -67,10 +67,11 @@ bench:
 # path still runs with 0 allocs/update, the telemetry ablation pair
 # still compiles and executes, the history engine's append, summary
 # queries and young-series footprint (E19) still run, and the table views
-# still rebuild after one write at 1 024 nodes (E20Rebuild*). Not a
-# performance measurement (-benchtime 10x), just a smoke test.
+# and a node's chart still rebuild after one write at 1 024 nodes
+# (E20Rebuild*). Not a performance measurement (-benchtime 10x), just a
+# smoke test.
 bench-smoke:
-	$(GO) test -run NONE -bench 'E15IngestParallel64$$|AblationTelemetry|E19HistoryAppend$$|E19HistoryStatsFull$$|E19HistoryCompare$$|E19HistoryYoungStore$$|E19HistoryBytesPerSample$$|E20StatusHit$$|E20MixedReadWriteCached$$|E20Rebuild(Status|Compare|Efficiency)1k$$|E21Flight|E21JournalAppend$$|E22Wire|E23FedPropagationSmall$$|E23FlatPropagationSmall$$|E23UplinkEncode' -benchtime 10x -benchmem .
+	$(GO) test -run NONE -bench 'E15IngestParallel64$$|AblationTelemetry|E19HistoryAppend$$|E19HistoryStatsFull$$|E19HistoryCompare$$|E19HistoryYoungStore$$|E19HistoryBytesPerSample$$|E20StatusHit$$|E20MixedReadWriteCached$$|E20Rebuild(Status|Compare|Efficiency|Chart)1k$$|E21Flight|E21JournalAppend$$|E22Wire|E23FedPropagationSmall$$|E23FlatPropagationSmall$$|E23UplinkEncode' -benchtime 10x -benchmem .
 
 # The benchmark harness is a module of its own (bench/go.mod), so neither
 # tier-1 `go test ./...` nor `make check` reaches its tests: the contract
@@ -80,9 +81,10 @@ bench-test:
 	cd bench && $(GO) test ./...
 
 # Short fuzz run over the wire-protocol parsers, the history block codec
-# and persistence loader (v3 and v4 files), the wire's value coder, the table views' row renderer (against the fmt verbs it replaces),
-# the event rule-file parser, the ICE Box command core and the ctl request
-# line (any line: no panic, an OK/ERR block, cached ≡ uncached):
+# and persistence loader (v3 and v4 files), the wire's value coder, the
+# table views' row renderer and the chart (against the fmt verbs they
+# replace), the event rule-file parser, the ICE Box command core and the
+# ctl request line (any line: no panic, an OK/ERR block, cached ≡ uncached):
 # each target gets ~10s, long enough to re-cover the grammar from the
 # checked-in seeds without stalling CI. The saved corpus under internal/transmit/testdata/fuzz
 # replays on every plain `go test` as regression inputs.
@@ -95,6 +97,7 @@ fuzz-smoke:
 	$(GO) test ./internal/history/ -fuzz FuzzLoadFrom -fuzztime 10s -run NONE
 	$(GO) test ./internal/history/ -fuzz FuzzValueCodec -fuzztime 10s -run NONE
 	$(GO) test ./internal/dashboard/ -fuzz FuzzRowMatchesFmt -fuzztime 10s -run NONE
+	$(GO) test ./internal/dashboard/ -fuzz FuzzChartMatchesFmt -fuzztime 10s -run NONE
 	$(GO) test ./internal/events/ -fuzz FuzzParseRules -fuzztime 10s -run NONE
 	$(GO) test ./internal/icebox/ -fuzz FuzzHandleCommand -fuzztime 10s -run NONE
 	$(GO) test ./internal/core/ -fuzz FuzzHandleCtl -fuzztime 10s -run NONE
@@ -123,6 +126,16 @@ examples:
 heap-sites:
 	$(GO) test -run 'TestHeapSites$$' -count=1 -memprofilerate 1 . -args -heap-sites cwx-heap-sites.txt
 	@cat cwx-heap-sites.txt
+
+# What a read allocates: runs the benchmark's query_churn round in process
+# (1 024 nodes, a watcher of the sentinel's values, the 8-request script
+# after each write) with every allocation sampled, and prints each
+# allocation site of the counted rounds with its count per round
+# (TestAllocSites, alloc_sites_test.go). CI uploads the table; a read-path
+# PR quotes it before and after.
+alloc-sites:
+	$(GO) test -run 'TestAllocSites$$' -count=1 -memprofilerate 1 . -args -alloc-sites cwx-alloc-sites.txt
+	@cat cwx-alloc-sites.txt
 
 # Non-test Go lines per package and in total, for the root module and for
 # the benchmark module: the number simplicity acceptances quote ("non-test

@@ -5,6 +5,7 @@
 package clusterworx
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"math"
@@ -22,6 +23,7 @@ import (
 	"clusterworx/internal/core"
 	"clusterworx/internal/flight"
 	"clusterworx/internal/history"
+	"clusterworx/internal/serve"
 	"clusterworx/internal/transmit"
 )
 
@@ -565,23 +567,38 @@ func TestAllocGateServeHit(t *testing.T) {
 // and row ends — and nothing per row: at most 16 allocations, where
 // formatting every row through fmt cost 5 152 (status), 6 180 (compare)
 // and 4 158 (efficiency). Each answer still equals the from-scratch one.
+// The touched node's chart and values draw in stack scratch and publish
+// one string: at most 3 each, the gate's entry included (measured 2 and 2;
+// 39 and 4 when the chart drew into a heap grid through fmt and the values
+// were copied out into a slice of their own).
 func TestAllocGateServeRebuild(t *testing.T) {
 	skipUnderRace(t)
 	const nodes = 1024
 	srv, touch := e20Cluster(nodes, 10)
 	i := 0
-	for _, verb := range []string{"status", "compare load.1", "efficiency"} {
-		srv.HandleCtl(verb)
+	for _, c := range []struct {
+		verb  string
+		touch func() int // the node to touch
+		most  float64
+		rows  int
+	}{
+		{"status", func() int { return i * 7 % nodes }, 16, nodes},
+		{"compare load.1", func() int { return i * 7 % nodes }, 16, nodes},
+		{"efficiency", func() int { return i * 7 % nodes }, 16, nodes},
+		{"chart " + e20NodeName(5) + " load.1", func() int { return 5 }, 3, 14},
+		{"values " + e20NodeName(5), func() int { return 5 }, 3, 4},
+	} {
+		srv.HandleCtl(c.verb)
 		allocs := testing.AllocsPerRun(20, func() {
 			i++
-			touch(i * 7 % nodes)
-			srv.HandleCtl(verb)
+			touch(c.touch())
+			srv.HandleCtl(c.verb)
 		})
-		if allocs > 16 {
-			t.Errorf("touch one node + %q allocates %.1f times per rebuild, want <= 16", verb, allocs)
+		if allocs > c.most {
+			t.Errorf("touch one node + %q allocates %.1f times per rebuild, want <= %.0f", c.verb, allocs, c.most)
 		}
-		if got, want := srv.HandleCtl(verb), srv.HandleCtlUncached(verb); got != want || strings.Count(got, "\n") < nodes {
-			t.Errorf("rebuilt %q differs from the uncached answer (%d and %d bytes)", verb, len(got), len(want))
+		if got, want := srv.HandleCtl(c.verb), srv.HandleCtlUncached(c.verb); got != want || strings.Count(got, "\n") < c.rows {
+			t.Errorf("rebuilt %q differs from the uncached answer (%d and %d bytes)", c.verb, len(got), len(want))
 		}
 	}
 }
@@ -603,22 +620,40 @@ func (l *pipeListener) Accept() (net.Conn, error) {
 func (l *pipeListener) Close() error   { close(l.done); return nil }
 func (l *pipeListener) Addr() net.Addr { return nil }
 
-// TestAllocGateCtlConnHit pins the control connection's own cost around a
-// cached answer: reading the request line is the one allocation a hit may
-// make (the limit of 2 leaves one for the runtime). The loop used to split
-// every line into fields to look for "watch", scan the whole response for
-// lines to dot-stuff into a copy, and box it through fmt.Fprintf.
-func TestAllocGateCtlConnHit(t *testing.T) {
-	skipUnderRace(t)
-	srv, _ := e20Cluster(e20Nodes, 4)
-	l := &pipeListener{conn: make(chan net.Conn, 1), done: make(chan struct{})}
-	server, client := net.Pipe()
-	l.conn <- server
+// servePipes serves srv's control protocol on n net.Pipe connections and
+// returns their client ends; stop closes them and waits for ServeCtl.
+func servePipes(srv *core.Server, n int) (clients []net.Conn, stop func()) {
+	l := &pipeListener{conn: make(chan net.Conn, n), done: make(chan struct{})}
+	for i := 0; i < n; i++ {
+		server, client := net.Pipe()
+		l.conn <- server
+		clients = append(clients, client)
+	}
 	served := make(chan struct{})
 	go func() {
 		defer close(served)
 		srv.ServeCtl(l) //nolint:errcheck // ends with the listener
 	}()
+	return clients, func() {
+		for _, c := range clients {
+			c.Close()
+		}
+		l.Close()
+		<-served
+	}
+}
+
+// TestAllocGateCtlConnHit pins the control connection's own cost around a
+// cached answer at 0: the request line is read, trimmed, tested for "quit"
+// and "watch" and looked up in the gate table in the scanner's buffer. The
+// loop used to split every line into fields to look for "watch", scan the
+// whole response for lines to dot-stuff into a copy, box it through
+// fmt.Fprintf, and, until reading in place, make a string of every line.
+func TestAllocGateCtlConnHit(t *testing.T) {
+	skipUnderRace(t)
+	srv, _ := e20Cluster(e20Nodes, 4)
+	clients, stop := servePipes(srv, 1)
+	client := clients[0]
 	req, end := []byte("status\n"), []byte("\n.\n")
 	buf := make([]byte, 0, 64<<10)
 	exchange := func() {
@@ -637,12 +672,86 @@ func TestAllocGateCtlConnHit(t *testing.T) {
 	if want := srv.HandleCtl("status") + "\n.\n"; string(buf) != want {
 		t.Fatalf("status over the connection:\n%s\nwant:\n%s", buf, want)
 	}
-	if allocs := testing.AllocsPerRun(200, exchange); allocs > 2 {
-		t.Errorf("a cached status over a ctl connection allocates %.1f times per request, want <= 2", allocs)
+	if allocs := testing.AllocsPerRun(200, exchange); allocs != 0 {
+		t.Errorf("a cached status over a ctl connection allocates %.1f times per request, want 0", allocs)
 	}
-	client.Close()
-	l.Close()
-	<-served
+	stop()
+}
+
+// readBlocks reads n dot-terminated blocks from r without allocating.
+func readBlocks(t *testing.T, r *bufio.Reader, n int) {
+	t.Helper()
+	for ; n > 0; n-- {
+		for {
+			line, err := r.ReadSlice('\n')
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(line) == 2 && line[0] == '.' {
+				break
+			}
+		}
+	}
+}
+
+// queryChurn sets up cwxbench's query_churn round in process: 1 024
+// nodes, one connection watching the sentinel's values and one running
+// the benchmark's 8-request script after the sentinel reports. The
+// round's five rebuilds are status, compare, efficiency, and the
+// sentinel's values and chart; value and history answer live and the
+// other node's values hit. The first rounds, run here, build every gate
+// and grow every buffer.
+func queryChurn(t *testing.T) (round func(), stop func()) {
+	const nodes = 1024
+	srv, touch := e20Cluster(nodes, 16)
+	a, b := e20NodeName(0), e20NodeName(3)
+	clients, stop := servePipes(srv, 2)
+	watch, ctl := bufio.NewReader(clients[0]), bufio.NewReader(clients[1])
+	if _, err := clients[0].Write([]byte("watch values " + a + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	readBlocks(t, watch, 1) // the initial snapshot
+	var script []byte
+	for _, req := range []string{
+		"status", "values " + a, "compare load.1", "values " + b, "chart " + a + " load.1",
+		"value " + a + " load.1", "history " + a + " load.1 50", "efficiency",
+	} {
+		script = append(append(script, req...), '\n')
+	}
+	round = func() {
+		touch(0)
+		readBlocks(t, watch, 1) // the push of the sentinel's new values
+		if _, err := clients[1].Write(script); err != nil {
+			t.Fatal(err)
+		}
+		readBlocks(t, ctl, 8)
+	}
+	for i := 0; i < 4; i++ {
+		round()
+	}
+	return round, stop
+}
+
+// TestAllocGateQueryChurnRound pins a whole query_churn round (queryChurn)
+// at what its rebuilds publish — each a string and a gate entry, and the
+// status snapshot's rows and offsets — plus the two live requests' lines:
+// 15.0 measured, at most 24. It was 87.0 while the chart drew into a heap
+// grid through fmt, every request line, watch op and live answer was a
+// string of its own and a watch block was built in a Builder and copied
+// (`make alloc-sites` lists the sites).
+func TestAllocGateQueryChurnRound(t *testing.T) {
+	skipUnderRace(t)
+	round, stop := queryChurn(t)
+	defer stop()
+	before := serve.ReadStats()
+	allocs := testing.AllocsPerRun(24, round)
+	if after := serve.ReadStats(); after.Misses-before.Misses != 5*25 {
+		t.Fatalf("%d rebuilds in 25 rounds, want 5 a round", after.Misses-before.Misses)
+	}
+	t.Logf("query_churn round: %.1f allocations", allocs)
+	if allocs > 24 {
+		t.Errorf("a query_churn round allocates %.1f times, want <= 24", allocs)
+	}
 }
 
 // TestAllocGateWireRoundtrip pins the compressed wire path (E6's shape):

@@ -43,7 +43,7 @@ func main() {
 
 	fmt.Println("\n== load.1 history on node004 ==")
 	series := sim.Server.History().Series("node004", "load.1")
-	for _, p := range series.Downsample(0, sim.Clk.Now(), 6) {
+	for _, p := range series.Downsample(nil, 0, sim.Clk.Now(), 6) {
 		fmt.Printf("  t=%-8s load=%.2f\n", p.T.Round(time.Second), p.V)
 	}
 

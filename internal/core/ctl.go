@@ -2,6 +2,8 @@ package core
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
 	"net"
 	"slices"
@@ -49,62 +51,101 @@ func (s *Server) ServeCtl(l net.Listener) error {
 	}
 }
 
+// maxCtlLine bounds a request line. A longer one is answered "ERR request
+// line too long", counted in cwx_ctl_long_lines_total, and its connection
+// closed: the scanner cannot resynchronize on the next line.
+const maxCtlLine = 1 << 20
+
+// keepCtlBuf is the most a connection's answer buffer keeps between
+// requests; one large answer (a long history, the telemetry page) does not
+// pin its size for the connection's lifetime.
+const keepCtlBuf = 64 << 10
+
+// ctlScratch is what answering a request reuses: the request's fields and
+// the buffer a live answer is appended into. A connection and a watch
+// subscription each keep one for their lifetime.
+type ctlScratch struct {
+	fields []string
+	out    []byte
+}
+
+// serveCtlConn reads request lines in place: a line is a slice of the
+// scanner's buffer, trimmed and tested for "quit" and "watch" as bytes and
+// looked up in the gate table as bytes, so a cached read allocates nothing
+// at all. Only a line the table does not hold becomes a string, once.
 func (s *Server) serveCtlConn(conn net.Conn) {
 	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 4096), 1<<20)
+	sc.Buffer(make([]byte, 4096), maxCtlLine)
 	w := bufio.NewWriter(conn)
+	var c ctlScratch
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
 			continue
 		}
-		if strings.EqualFold(line, "quit") {
-			writeCtlBlock(w, "OK bye") //nolint:errcheck // the connection closes either way
+		if bytes.EqualFold(line, []byte("quit")) {
+			writeCtlBlock(w, "OK bye", nil) //nolint:errcheck // the connection closes either way
 			return
 		}
-		// The verb is tested in place: a cached read pays for nothing here
-		// but the request line itself.
-		verb, args := line, ""
-		if i := strings.IndexFunc(line, unicode.IsSpace); i >= 0 {
+		verb, args := line, []byte(nil)
+		if i := bytes.IndexFunc(line, unicode.IsSpace); i >= 0 {
 			verb, args = line[:i], line[i:]
 		}
-		if strings.EqualFold(verb, "watch") {
-			if s.serveWatch(sc, w, strings.Join(strings.Fields(args), " ")) {
+		if bytes.EqualFold(verb, []byte("watch")) {
+			if s.serveWatch(sc, w, strings.Join(strings.Fields(string(args)), " ")) {
 				return // the watch stream consumed the connection
 			}
 			continue // rejected with an ERR block; keep serving requests
 		}
-		resp, ok := s.guardedCtl(line)
-		if writeCtlBlock(w, resp) != nil || !ok {
+		pub, ok := s.answer(&c, line)
+		if writeCtlBlock(w, pub, c.out) != nil || !ok {
 			return
 		}
+		if cap(c.out) > keepCtlBuf {
+			c.out = nil
+		}
+	}
+	if errors.Is(sc.Err(), bufio.ErrTooLong) {
+		mCtlLongLines.Inc()
+		writeCtlBlock(w, "ERR request line too long", nil) //nolint:errcheck // the connection closes either way
 	}
 }
 
-// writeCtlBlock sends one response block and its terminating dot line.
-// Lines that start with a dot are dot-stuffed; a response has none
-// unless "\n." occurs in it, so the common one is written as it is.
-func writeCtlBlock(w *bufio.Writer, block string) error {
-	if strings.Contains(block, "\n.") {
-		block = strings.ReplaceAll(block, "\n.", "\n..")
+// writeCtlBlock sends one response block — pub followed by out, one of
+// them empty — and its terminating dot line. Lines that start with a dot
+// are dot-stuffed; a response has none unless "\n." occurs in it, so the
+// common one is written as it is.
+func writeCtlBlock(w *bufio.Writer, pub string, out []byte) error {
+	switch {
+	case strings.Contains(pub, "\n."):
+		pub = strings.ReplaceAll(pub, "\n.", "\n..")
+	case bytes.Contains(out, []byte("\n.")):
+		out = bytes.ReplaceAll(out, []byte("\n."), []byte("\n.."))
 	}
-	w.WriteString(block)   //nolint:errcheck // bufio errors are sticky: Flush reports them
+	w.WriteString(pub)     //nolint:errcheck // bufio errors are sticky: Flush reports them
+	w.Write(out)           //nolint:errcheck
 	w.WriteString("\n.\n") //nolint:errcheck
 	return w.Flush()
 }
 
-// guardedCtl is HandleCtl for the connection loops: a request whose
-// handler panics is answered "ERR internal: …" and counted, and ok is
-// false so the caller closes that connection — a read must never take
-// the daemon down with it.
-func (s *Server) guardedCtl(line string) (resp string, ok bool) {
+// answer answers one request line for a connection loop: as a string,
+// pub — a cached verb's rendering as its gate published it, or the ERR
+// line of a request in error — or, for a live verb, appended into c.out,
+// with pub "". A request whose handler panics is answered "ERR internal:
+// …" and counted, and ok is false so the caller closes that connection —
+// a read must never take the daemon down with it.
+func (s *Server) answer(c *ctlScratch, line []byte) (pub string, ok bool) {
+	c.out = c.out[:0]
 	defer func() {
 		if r := recover(); r != nil {
 			mCtlPanics.Inc()
-			resp, ok = fmt.Sprint("ERR internal: ", r), false
+			pub, ok, c.out = fmt.Sprint("ERR internal: ", r), false, c.out[:0]
 		}
 	}()
-	return s.HandleCtl(line), true
+	if view := s.plane.viewBytes(line); view != nil {
+		return view(), true
+	}
+	return s.dispatchCtl(c, string(line), s.plane.ensure), true
 }
 
 // appendCtlBody appends a response's payload lines to dst — everything
@@ -133,39 +174,58 @@ func appendCtlBody(dst []string, resp string) []string {
 // wakes a subscription for every applied frame, most of which leave its
 // view alone: the gate then hands back the very string it handed back
 // before, and next answers from that without splitting or diffing it. The
-// two line slices swap roles each push and are reused for the
-// subscription's lifetime.
+// two line slices swap roles each push; they, the request scratch and the
+// block buffer are reused for the subscription's lifetime, so a push
+// allocates nothing but what a rebuild publishes.
 type watchStream struct {
 	srv   *Server
 	verb  *ctlVerb
-	inner string   // the watched request
+	inner []byte   // the watched request
 	resp  string   // the response last diffed against
 	last  []string // its payload lines
 	cur   []string // scratch for the next response's
+	req   ctlScratch
+	block []byte // the block being pushed
+}
+
+// answer renders the watched request. A live verb's answer (journal) is
+// kept as a string only when it moved: its lines must outlive the buffer.
+func (ws *watchStream) answer() (resp string, ok bool) {
+	pub, ok := ws.srv.answer(&ws.req, ws.inner)
+	switch {
+	case pub != "":
+		return pub, ok
+	case string(ws.req.out) == ws.resp:
+		return ws.resp, ok // a live answer that did not move: no copy
+	}
+	return string(ws.req.out), ok
 }
 
 // start takes the initial snapshot's response and returns the block that
 // answers the watch request.
-func (ws *watchStream) start(first string) string {
+func (ws *watchStream) start(first string) []byte {
 	ws.resp, ws.last = first, appendCtlBody(ws.last[:0], first)
-	return watchBlock("OK watch "+ws.inner, ws.srv.Generation(), ws.last)
+	ws.block = append(append(ws.block[:0], "OK watch "...), ws.inner...)
+	ws.block = appendPayload(appendWatchGen(ws.block, ws.srv.Generation()), ws.last)
+	return ws.block
 }
 
 // next renders the view after a hub wake and returns the block to push,
-// "" when the view did not move. lost is the hub's word that wakes were
-// dropped: the client's view may have silently diverged, so the push is
-// the full rendering whether it moved or not. alive is false after a
+// empty when the view did not move. lost is the hub's word that wakes
+// were dropped: the client's view may have silently diverged, so the push
+// is the full rendering whether it moved or not. alive is false after a
 // panic: the block is its error and the connection is to be closed.
-func (ws *watchStream) next(gen uint64, lost bool) (block string, alive bool) {
-	resp, ok := ws.srv.guardedCtl(ws.inner)
+func (ws *watchStream) next(gen uint64, lost bool) (block []byte, alive bool) {
+	resp, ok := ws.answer()
 	if !ok {
-		return resp, false
+		ws.block = append(ws.block[:0], resp...)
+		return ws.block, false
 	}
 	if resp == ws.resp && !lost {
-		return "", true // the same rendering: generation moved but this view did not
+		return nil, true // the same rendering: generation moved but this view did not
 	}
 	ws.cur = appendCtlBody(ws.cur[:0], resp)
-	kind, payload, moved := serve.BlockUpdate, ws.cur, true
+	kind, moved := serve.BlockUpdate, true
 	switch {
 	case lost:
 		kind = serve.BlockResync
@@ -173,31 +233,50 @@ func (ws *watchStream) next(gen uint64, lost bool) (block string, alive bool) {
 		fjournal.Append(0, flight.Entry{Kind: flight.KindWatchResync, Detail: fjournal.Sym(ws.verb.name), TimeNs: int64(ws.srv.now())})
 	case ws.verb.watch == watchRefresh:
 		kind, moved = serve.BlockRefresh, !slices.Equal(ws.last, ws.cur)
-	default:
-		payload = serve.Diff(ws.last, ws.cur)
-		moved = payload != nil
+	}
+	ws.block = appendWatchGen(append(ws.block[:0], kind...), gen)
+	if kind == serve.BlockUpdate {
+		head := len(ws.block)
+		ws.block = serve.Diff(ws.block, ws.last, ws.cur)
+		moved = len(ws.block) > head
+	} else {
+		ws.block = appendPayload(ws.block, ws.cur)
 	}
 	ws.resp, ws.last, ws.cur = resp, ws.cur, ws.last
 	if !moved {
-		return "", true // rebuilt to the same lines
+		return nil, true // rebuilt to the same lines
 	}
 	serve.NoteWatchPush()
-	return watchBlock(kind, gen, payload), true
+	return ws.block, true
+}
+
+// appendWatchGen appends a pushed block's generation to its header.
+func appendWatchGen(dst []byte, gen uint64) []byte {
+	return strconv.AppendUint(append(dst, " gen="...), gen, 10)
+}
+
+// appendPayload appends a pushed block's payload lines, a '\n' before
+// each.
+func appendPayload(dst []byte, lines []string) []byte {
+	for _, l := range lines {
+		dst = append(append(dst, '\n'), l...)
+	}
+	return dst
 }
 
 // serveWatch runs one watch subscription until the client sends "quit"
 // or hangs up. It reports false when the request was rejected (an ERR
 // block has been written and the request loop should continue).
 func (s *Server) serveWatch(sc *bufio.Scanner, w *bufio.Writer, inner string) bool {
-	writeBlock := func(block string) bool { return writeCtlBlock(w, block) == nil }
+	writeBlock := func(block []byte) bool { return writeCtlBlock(w, "", block) == nil }
 	fields := strings.Fields(inner)
 	if len(fields) == 0 {
-		writeBlock(ctlByName["watch"].usage())
+		writeCtlBlock(w, ctlByName["watch"].usage(), nil) //nolint:errcheck // the request loop sees the error on its next write
 		return false
 	}
 	verb := ctlByName[strings.ToLower(fields[0])]
 	if verb == nil || verb.watch == watchNone {
-		writeBlock("ERR verb " + fields[0] + " is not watchable")
+		writeCtlBlock(w, "ERR verb "+fields[0]+" is not watchable", nil) //nolint:errcheck // as above
 		return false
 	}
 	// Subscribe before rendering the initial snapshot: a generation bump
@@ -206,22 +285,26 @@ func (s *Server) serveWatch(sc *bufio.Scanner, w *bufio.Writer, inner string) bo
 	hub := s.plane.watchHub()
 	sub := hub.Register()
 	defer hub.Unregister(sub)
-	first, ok := s.guardedCtl(inner)
+	ws := watchStream{srv: s, verb: verb, inner: []byte(inner)}
+	first, ok := ws.answer()
 	if strings.HasPrefix(first, "ERR") {
-		writeBlock(first)
-		return !ok // after a panic the connection is closed, not kept
+		// After a panic the connection is closed, not kept.
+		writeCtlBlock(w, first, nil) //nolint:errcheck // as above
+		return !ok
 	}
-	ws := watchStream{srv: s, verb: verb, inner: inner}
 	// The subscription outlives the request loop; watch the connection
 	// for EOF or a "quit" line from a goroutine that owns the scanner
-	// from here on.
+	// from here on. A line too long to scan ends the subscription too.
 	connStop := make(chan struct{})
 	go func() {
 		defer close(connStop)
 		for sc.Scan() {
-			if strings.EqualFold(strings.TrimSpace(sc.Text()), "quit") {
+			if bytes.EqualFold(bytes.TrimSpace(sc.Bytes()), []byte("quit")) {
 				return
 			}
+		}
+		if errors.Is(sc.Err(), bufio.ErrTooLong) {
+			mCtlLongLines.Inc()
 		}
 	}()
 	if !writeBlock(ws.start(first)) {
@@ -233,24 +316,10 @@ func (s *Server) serveWatch(sc *bufio.Scanner, w *bufio.Writer, inner string) bo
 			return true
 		}
 		block, alive := ws.next(gen, lost)
-		if block != "" && !writeBlock(block) || !alive {
+		if len(block) > 0 && !writeBlock(block) || !alive {
 			return true
 		}
 	}
-}
-
-// watchBlock assembles one pushed block: a header carrying the
-// generation, then the payload lines.
-func watchBlock(head string, gen uint64, payload []string) string {
-	var b strings.Builder
-	b.WriteString(head)
-	b.WriteString(" gen=")
-	b.WriteString(strconv.FormatUint(gen, 10))
-	for _, l := range payload {
-		b.WriteByte('\n')
-		b.WriteString(l)
-	}
-	return b.String()
 }
 
 // HandleCtl executes one control request and returns the response block
@@ -258,14 +327,16 @@ func watchBlock(head string, gen uint64, payload []string) string {
 // against the serving plane before any parsing, so the steady-state hit
 // on a cached view costs a map read and an atomic load — no fields split,
 // no allocation. Any other spelling of the request is parsed and answered
-// from the same rendering, registered under the canonical one.
+// from the same rendering, registered under the canonical one. It is the
+// API form of what a connection answers; a live verb's answer is copied
+// out of the scratch it was appended into.
 //
 //cwx:hotpath
 func (s *Server) HandleCtl(line string) string {
 	if view := s.plane.view(line); view != nil {
 		return view()
 	}
-	return s.dispatchCtl(line, s.plane.ensure)
+	return s.handleParsed(line, s.plane.ensure)
 }
 
 // HandleCtlUncached executes one control request with the serving plane
@@ -273,18 +344,27 @@ func (s *Server) HandleCtl(line string) string {
 // history. It is the benchmarks' ablation arm and the differential
 // test's oracle — cached answers must match it byte for byte.
 func (s *Server) HandleCtlUncached(line string) string {
-	return s.dispatchCtl(line, func(v *ctlVerb, args []string) func() string { return v.open(s.plane, args) })
+	return s.handleParsed(line, func(v *ctlVerb, args []string) func() string { return v.open(s.plane, args) })
+}
+
+func (s *Server) handleParsed(line string, view func(*ctlVerb, []string) func() string) string {
+	var c ctlScratch
+	if pub := s.dispatchCtl(&c, line, view); pub != "" {
+		return pub
+	}
+	return string(c.out)
 }
 
 // dispatchCtl parses a request line against the verb table and answers
-// it: a request in error or for a live verb here, one for a cached verb
-// from what view returns — the plane's gate for it, or a fresh builder.
-func (s *Server) dispatchCtl(line string, view func(*ctlVerb, []string) func() string) string {
-	fields := strings.Fields(line)
-	if len(fields) == 0 {
+// it as answer does: a cached verb with what view returns — the plane's
+// gate for it, or a fresh builder — and a request in error with its ERR
+// line, both as pub; a live verb by appending to c.out, with pub "".
+func (s *Server) dispatchCtl(c *ctlScratch, line string, view func(*ctlVerb, []string) func() string) (pub string) {
+	c.fields = appendFields(c.fields[:0], line)
+	if len(c.fields) == 0 {
 		return "ERR empty request"
 	}
-	name, args := strings.ToLower(fields[0]), fields[1:]
+	name, args := strings.ToLower(c.fields[0]), c.fields[1:]
 	v := ctlByName[name]
 	switch {
 	case v == nil:
@@ -294,10 +374,29 @@ func (s *Server) dispatchCtl(line string, view func(*ctlVerb, []string) func() s
 	case v.gen != nil:
 		return view(v, args)()
 	}
-	if resp := v.run(s, args); resp != "" {
-		return resp
+	if c.out = v.run(s, c.out[:0], args); len(c.out) == 0 {
+		return v.usage()
 	}
-	return v.usage()
+	return ""
+}
+
+// appendFields appends the fields of line — strings.Fields(line) — to dst.
+func appendFields(dst []string, line string) []string {
+	start := -1
+	for i, r := range line {
+		switch {
+		case !unicode.IsSpace(r):
+			if start < 0 {
+				start = i
+			}
+		case start >= 0:
+			dst, start = append(dst, line[start:i]), -1
+		}
+	}
+	if start >= 0 {
+		dst = append(dst, line[start:])
+	}
+	return dst
 }
 
 // CtlClient is the client side of the control protocol.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -273,5 +274,47 @@ func TestCtlPanicClosesConnectionOnly(t *testing.T) {
 	cl := pipeClient(t, s)
 	if resp, err := cl.Do("nodes"); err != nil || resp != "OK\nnode000" {
 		t.Fatalf("after the panics: nodes = %q, %v", resp, err)
+	}
+}
+
+// TestCtlOverlongLineAnswered: a request line past maxCtlLine used to
+// close the connection with no answer and no count. It is answered "ERR
+// request line too long", counted, and the connection closed (the scanner
+// cannot find the next line), after the requests before it were answered;
+// a line just inside the bound is an ordinary unknown request.
+func TestCtlOverlongLineAnswered(t *testing.T) {
+	s, _ := planeServer()
+	planeIngest(s, "node000", 1, 50, 20)
+	before := mCtlLongLines.Load()
+
+	cl := pipeClient(t, s)
+	long := append(bytes.Repeat([]byte{'x'}, maxCtlLine), '\n')
+	sent := make(chan error, 1)
+	go func() {
+		_, err := cl.conn.Write(append([]byte("ping\n"), long...))
+		sent <- err // the server stops reading mid-line: the pipe's write fails when it closes
+	}()
+	cl.conn.SetReadDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck // net.Pipe deadlines cannot fail
+	for _, want := range []string{"OK pong", "ERR request line too long"} {
+		if block, err := cl.ReadBlock(); err != nil || block != want {
+			t.Fatalf("answered %q, %v; want %q", block, err, want)
+		}
+	}
+	if _, err := cl.ReadBlock(); err != io.EOF {
+		t.Fatalf("after the long line the connection gave %v, want EOF", err)
+	}
+	<-sent
+	if got := mCtlLongLines.Load() - before; got != 1 {
+		t.Fatalf("cwx_ctl_long_lines_total moved by %d, want 1", got)
+	}
+
+	cl = pipeClient(t, s)
+	go cl.conn.Write(append(bytes.Repeat([]byte{'x'}, maxCtlLine-1), '\n')) //nolint:errcheck // read back below
+	cl.conn.SetReadDeadline(time.Now().Add(10 * time.Second))               //nolint:errcheck // net.Pipe deadlines cannot fail
+	if block, err := cl.ReadBlock(); err != nil || !strings.HasPrefix(block, "ERR unknown request xxx") {
+		t.Fatalf("a line of maxCtlLine-1 bytes answered %.40q, %v", block, err)
+	}
+	if resp, err := cl.Do("ping"); err != nil || resp != "OK pong" {
+		t.Fatalf("after it: ping = %q, %v", resp, err)
 	}
 }

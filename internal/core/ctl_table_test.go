@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -157,11 +158,14 @@ func TestCtlOneViewOneGate(t *testing.T) {
 }
 
 // FuzzHandleCtl throws arbitrary request lines at a bare loaded server:
-// no panic, every answer is an OK or ERR block, and a verb with a
-// generation source answers the same through the plane as past it. The
-// seeds — the golden script and the lines the old quick-check property
-// test pinned — replay on every plain go test.
+// no panic, every answer is an OK or ERR block, a connection's answer from
+// the line's bytes is HandleCtl's, the request's fields are
+// strings.Fields', and a verb with a generation source answers the same
+// through the plane as past it. The seeds — the golden script and the
+// lines the old quick-check property test pinned — replay on every plain
+// go test.
 func FuzzHandleCtl(f *testing.F) {
+	selfReporting := map[string]bool{"telemetry": true, "journal": true}
 	for _, st := range goldenCtlScript() {
 		f.Add(st.req)
 	}
@@ -179,6 +183,17 @@ func FuzzHandleCtl(f *testing.F) {
 			t.Fatalf("%q -> %q", line, firstLine(resp))
 		}
 		fields := strings.Fields(line)
+		if got := appendFields(nil, line); !slices.Equal(got, fields) {
+			t.Fatalf("%q splits into %q, strings.Fields gives %q", line, got, fields)
+		}
+		// The verbs that report the server's own counters and journal
+		// move with every request, this one included.
+		if len(fields) == 0 || !selfReporting[strings.ToLower(fields[0])] {
+			var c ctlScratch
+			if pub, _ := s.answer(&c, []byte(line)); pub+string(c.out) != resp {
+				t.Fatalf("%q from a connection:\n%s\nfrom HandleCtl:\n%s", line, pub+string(c.out), resp)
+			}
+		}
 		if len(fields) == 0 {
 			return
 		}

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strconv"
 	"strings"
 
 	"clusterworx/internal/dashboard"
+	"clusterworx/internal/history"
 )
 
 // watchKind says how "watch <verb>" streams a view.
@@ -33,9 +35,11 @@ type ctlVerb struct {
 	// under its name and its first min arguments.
 	min, max int
 	watch    watchKind
-	// run answers a live verb from the registry and history as they are
-	// now; "" asks for the usage line.
-	run func(s *Server, args []string) string
+	// run appends a live verb's answer to dst, from the registry and
+	// history as they are now; appending nothing asks for the usage line.
+	// A connection hands it the buffer it writes the answer from, so the
+	// answer is never a string of its own.
+	run func(s *Server, dst []byte, args []string) []byte
 	// gen is the generation source of a cached verb: the counter its
 	// rendering stays valid under. open returns the rendering's builder,
 	// which owns whatever it keeps between rebuilds; HandleCtlUncached
@@ -78,43 +82,44 @@ var ctlVerbs = []ctlVerb{
 		}},
 	{name: "correlate", args: "<node> <metric1> <metric2>", help: "Pearson correlation of two metrics", min: 3, max: 3, run: ctlCorrelate},
 	{name: "power", args: "on|off|cycle <node>", help: "outlet control via the node's ICE Box", min: 2, max: 2, run: ctlPower},
-	{name: "reset", args: "<node>", help: "reset line", min: 1, max: 1, run: func(s *Server, a []string) string {
-		return errOr(s.Reset(a[0]), "OK "+a[0]+" reset")
+	{name: "reset", args: "<node>", help: "reset line", min: 1, max: 1, run: func(s *Server, dst []byte, a []string) []byte {
+		return errOr(dst, s.Reset(a[0]), "OK "+a[0]+" reset")
 	}},
-	{name: "console", args: "<node>", help: "post-mortem serial buffer", min: 1, max: 1, run: func(s *Server, a []string) string {
+	{name: "console", args: "<node>", help: "post-mortem serial buffer", min: 1, max: 1, run: func(s *Server, dst []byte, a []string) []byte {
 		data, err := s.Console(a[0])
-		return errOr(err, "OK console dump follows\n"+string(data))
+		if err != nil {
+			return errOr(dst, err, "")
+		}
+		return append(append(dst, "OK console dump follows\n"...), data...)
 	}},
 	{name: "bios", args: "settings|set|flash <node> [...]", help: "remote LinuxBIOS management (§2)", min: 2, max: -1, run: ctlBIOS},
-	{name: "clone", args: "<imageID> <node> [node...]", help: "multicast-clone an image to nodes (§4)", min: 2, max: -1, run: func(s *Server, a []string) string {
+	{name: "clone", args: "<imageID> <node> [node...]", help: "multicast-clone an image to nodes (§4)", min: 2, max: -1, run: func(s *Server, dst []byte, a []string) []byte {
 		summary, err := s.CloneNodes(a[0], a[1:])
-		return errOr(err, "OK "+summary)
+		return errOr(dst, err, "OK "+summary)
 	}},
-	{name: "images", help: "image library", max: -1, run: func(s *Server, _ []string) string {
+	{name: "images", help: "image library", max: -1, run: func(s *Server, dst []byte, _ []string) []byte {
 		ids := s.images.List()
 		sort.Strings(ids)
-		return "OK\n" + strings.Join(ids, "\n")
+		return append(append(dst, "OK\n"...), strings.Join(ids, "\n")...)
 	}},
 	{name: "efficiency", help: "cluster utilization report", max: -1, watch: watchRefresh, gen: genCluster,
 		open: func(p *plane, _ []string) func() string {
 			view := new(dashboard.View) // the table between rebuilds; a gate builds one at a time
 			return func() string { return p.buildEfficiency(view) }
 		}},
-	{name: "rules", help: "event rules", max: -1, run: func(s *Server, _ []string) string {
-		var b strings.Builder
-		b.WriteString("OK")
+	{name: "rules", help: "event rules", max: -1, run: func(s *Server, dst []byte, _ []string) []byte {
+		dst = append(dst, "OK"...)
 		for _, r := range s.engine.Rules() {
-			fmt.Fprintf(&b, "\n%s", r)
+			dst = fmt.Appendf(dst, "\n%s", r)
 		}
-		return b.String()
+		return dst
 	}},
 	{name: "eventlog", args: "[n]", help: "most recent firings (default 20)", max: -1, run: ctlEventlog},
-	{name: "ping", help: "liveness check", max: -1, run: func(*Server, []string) string { return "OK pong" }},
-	{name: "telemetry", help: "self-monitoring metrics (Prometheus text)", max: -1, run: func(s *Server, _ []string) string {
-		var b strings.Builder
-		b.WriteString("OK\n")
-		s.WriteTelemetry(&b) //nolint:errcheck // strings.Builder cannot fail
-		return strings.TrimRight(b.String(), "\n")
+	{name: "ping", help: "liveness check", max: -1, run: func(_ *Server, dst []byte, _ []string) []byte { return append(dst, "OK pong"...) }},
+	{name: "telemetry", help: "self-monitoring metrics (Prometheus text)", max: -1, run: func(s *Server, dst []byte, _ []string) []byte {
+		b := bytes.NewBuffer(append(dst, "OK\n"...))
+		s.WriteTelemetry(b) //nolint:errcheck // bytes.Buffer cannot fail
+		return bytes.TrimRight(b.Bytes(), "\n")
 	}},
 	{name: "trace", args: "[-json] [node]", help: "latest pipeline span breakdown per node, with the worst-traced-ingest exemplar", max: -1, run: ctlTrace},
 	{name: "selfmon", help: "meta-monitor series panel (sparklines)", max: -1, watch: watchDiff, gen: genCluster,
@@ -124,8 +129,8 @@ var ctlVerbs = []ctlVerb{
 		open: func(p *plane, _ []string) func() string { return p.buildSync }},
 	{name: "journal", args: "[-json] [since <seq>]", help: "flight-recorder ring, oldest first (internal/flight)", max: -1, watch: watchDiff, run: ctlJournal},
 	{name: "flight", args: "[-json] <trace-id|node>", help: "span tree of one sampled frame, or of the node's latest", max: -1, run: ctlFlight},
-	{name: "watch", args: "<verb> [args]", help: "stream a watchable view as it changes; \"quit\" ends it", max: -1, run: func(*Server, []string) string {
-		return "ERR watch needs a streaming connection (use cwxctl watch)"
+	{name: "watch", args: "<verb> [args]", help: "stream a watchable view as it changes; \"quit\" ends it", max: -1, run: func(_ *Server, dst []byte, _ []string) []byte {
+		return append(dst, "ERR watch needs a streaming connection (use cwxctl watch)"...)
 	}},
 }
 
@@ -149,12 +154,12 @@ func CtlUsage() string {
 	return b.String()
 }
 
-// errOr is an actuator's answer: the error if there is one, else ok.
-func errOr(err error, ok string) string {
+// errOr appends an actuator's answer: the error if there is one, else ok.
+func errOr(dst []byte, err error, ok string) []byte {
 	if err != nil {
-		return "ERR " + err.Error()
+		return append(append(dst, "ERR "...), err.Error()...)
 	}
-	return ok
+	return append(dst, ok...)
 }
 
 // ctlCount reads the optional count argument: 20 unless a[i] is the last
@@ -167,52 +172,55 @@ func ctlCount(a []string, i int) (n int, ok bool) {
 	return n, err == nil && n > 0
 }
 
-func ctlValue(s *Server, a []string) string {
+func ctlValue(s *Server, dst []byte, a []string) []byte {
 	v, ok := s.NodeValue(a[0], a[1])
 	if !ok {
-		return fmt.Sprintf("ERR no value %s on %s", a[1], a[0])
+		return fmt.Appendf(dst, "ERR no value %s on %s", a[1], a[0])
 	}
-	var scratch [64]byte
-	return string(appendValue(append(scratch[:0], "OK "...), v))
+	return appendValue(append(dst, "OK "...), v)
 }
 
-func ctlHistory(s *Server, a []string) string {
+// ctlHistory decodes the points into stack scratch: the default and the
+// usual counts take no allocation beside what dst grows by.
+func ctlHistory(s *Server, dst []byte, a []string) []byte {
 	n, ok := ctlCount(a, 2)
 	if !ok {
-		return "ERR bad count " + a[2]
+		return append(append(dst, "ERR bad count "...), a[2]...)
 	}
 	series := s.hist.Series(a[0], a[1])
 	if series == nil {
-		return fmt.Sprintf("ERR no history for %s %s", a[0], a[1])
+		return fmt.Appendf(dst, "ERR no history for %s %s", a[0], a[1])
 	}
-	pts := series.Tail(n)
-	b := make([]byte, 0, 2+24*len(pts))
-	b = append(b, "OK"...)
-	for _, p := range pts {
-		b = dashboard.AppendFloat(append(b, '\n'), p.T.Seconds(), 0, 3)
-		b = strconv.AppendFloat(append(b, ' '), p.V, 'g', -1, 64)
+	var scratch [64]history.Point
+	dst = append(dst, "OK"...)
+	for _, p := range series.Tail(scratch[:0], n) {
+		dst = dashboard.AppendFloat(append(dst, '\n'), p.T.Seconds(), 0, 3)
+		dst = strconv.AppendFloat(append(dst, ' '), p.V, 'g', -1, 64)
 	}
-	return string(b)
+	return dst
 }
 
-func ctlTrend(s *Server, a []string) string {
+func ctlTrend(s *Server, dst []byte, a []string) []byte {
 	series := s.hist.Series(a[0], a[1])
 	if series == nil {
-		return fmt.Sprintf("ERR no history for %s %s", a[0], a[1])
+		return fmt.Appendf(dst, "ERR no history for %s %s", a[0], a[1])
 	}
 	slope, ok := series.Trend(0, 1<<62)
 	if !ok {
-		return "ERR not enough points"
+		return append(dst, "ERR not enough points"...)
 	}
-	return fmt.Sprintf("OK %g per hour", slope)
+	return fmt.Appendf(dst, "OK %g per hour", slope)
 }
 
-func ctlCorrelate(s *Server, a []string) string {
+func ctlCorrelate(s *Server, dst []byte, a []string) []byte {
 	r, err := dashboard.Correlate(s.hist, a[0], a[1], a[2], 0, s.now())
-	return errOr(err, fmt.Sprintf("OK r=%.3f", r))
+	if err != nil {
+		return errOr(dst, err, "")
+	}
+	return fmt.Appendf(dst, "OK r=%.3f", r)
 }
 
-func ctlPower(s *Server, a []string) string {
+func ctlPower(s *Server, dst []byte, a []string) []byte {
 	var err error
 	how := strings.ToLower(a[0])
 	switch how {
@@ -223,56 +231,58 @@ func ctlPower(s *Server, a []string) string {
 	case "cycle":
 		err = s.PowerCycle(a[1])
 	default:
-		return "ERR unknown power verb " + a[0]
+		return append(append(dst, "ERR unknown power verb "...), a[0]...)
 	}
-	return errOr(err, "OK "+a[1]+" power "+how)
+	return errOr(dst, err, "OK "+a[1]+" power "+how)
 }
 
-func ctlBIOS(s *Server, a []string) string {
+func ctlBIOS(s *Server, dst []byte, a []string) []byte {
 	switch strings.ToLower(a[0]) {
 	case "settings":
 		settings, err := s.BIOSSettings(a[1])
-		return errOr(err, "OK\n"+strings.Join(settings, "\n"))
+		if err != nil {
+			return errOr(dst, err, "")
+		}
+		return append(append(dst, "OK\n"...), strings.Join(settings, "\n")...)
 	case "set":
 		if len(a) != 4 {
-			return "ERR usage: bios set <node> <key> <value>"
+			return append(dst, "ERR usage: bios set <node> <key> <value>"...)
 		}
-		return errOr(s.BIOSSet(a[1], a[2], a[3]), "OK set; active after next reboot")
+		return errOr(dst, s.BIOSSet(a[1], a[2], a[3]), "OK set; active after next reboot")
 	case "flash":
 		if len(a) != 3 {
-			return "ERR usage: bios flash <node> <version>"
+			return append(dst, "ERR usage: bios flash <node> <version>"...)
 		}
-		return errOr(s.BIOSFlash(a[1], a[2]), "OK flashed; active after next reboot")
+		return errOr(dst, s.BIOSFlash(a[1], a[2]), "OK flashed; active after next reboot")
 	}
-	return "ERR unknown bios verb " + a[0]
+	return append(append(dst, "ERR unknown bios verb "...), a[0]...)
 }
 
 // ctlEventlog takes its count only when it is the one argument; anything
 // else reads the default.
-func ctlEventlog(s *Server, a []string) string {
+func ctlEventlog(s *Server, dst []byte, a []string) []byte {
 	n, ok := ctlCount(a, 0)
 	if !ok {
-		return "ERR bad count " + a[0]
+		return append(append(dst, "ERR bad count "...), a[0]...)
 	}
 	log := s.engine.Log()
 	if len(log) > n {
 		log = log[len(log)-n:]
 	}
-	var b strings.Builder
-	b.WriteString("OK")
+	dst = append(dst, "OK"...)
 	for _, f := range log {
-		fmt.Fprintf(&b, "\n%.1fs %s %s value=%g action=%s", f.At.Seconds(), f.Rule, f.Node, f.Value, f.Action)
+		dst = fmt.Appendf(dst, "\n%.1fs %s %s value=%g action=%s", f.At.Seconds(), f.Rule, f.Node, f.Value, f.Action)
 		if f.ActionErr != nil {
-			fmt.Fprintf(&b, " error=%q", f.ActionErr)
+			dst = fmt.Appendf(dst, " error=%q", f.ActionErr)
 		}
 	}
-	return b.String()
+	return dst
 }
 
-func ctlHistmem(s *Server, a []string) string {
+func ctlHistmem(s *Server, dst []byte, a []string) []byte {
 	n, ok := ctlCount(a, 0)
 	if !ok {
-		return ""
+		return dst
 	}
-	return "OK\n" + strings.TrimRight(dashboard.HistoryFootprint(s.hist, n), "\n")
+	return append(append(dst, "OK\n"...), strings.TrimRight(dashboard.HistoryFootprint(s.hist, n), "\n")...)
 }

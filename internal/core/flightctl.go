@@ -85,7 +85,7 @@ func marshalOK(v any) string {
 // ctlJournal handles "journal [-json] [since <seq>]": the flight
 // recorder's ring, oldest first, each line led by the zero-padded global
 // sequence number so watch streams can diff the view.
-func ctlJournal(_ *Server, fields []string) string {
+func ctlJournal(_ *Server, dst []byte, fields []string) []byte {
 	fields, asJSON := stripJSONFlag(fields)
 	since := uint64(0)
 	max := journalDefaultMax
@@ -94,44 +94,44 @@ func ctlJournal(_ *Server, fields []string) string {
 	case len(fields) == 2 && strings.EqualFold(fields[0], "since"):
 		parsed, err := strconv.ParseUint(fields[1], 10, 64)
 		if err != nil {
-			return ""
+			return dst
 		}
 		since, max = parsed, 0
 	default:
-		return ""
+		return dst
 	}
 	recs := fjournal.Since(since, max)
 	if asJSON {
-		return marshalOK(struct {
+		return append(dst, marshalOK(struct {
 			Cursor  uint64              `json:"cursor"`
 			Records []journalRecordJSON `json:"records"`
-		}{fjournal.Cursor(), journalJSON(recs)})
+		}{fjournal.Cursor(), journalJSON(recs)})...)
 	}
-	head := "OK journal cursor=" + strconv.FormatUint(fjournal.Cursor(), 10) +
-		" records=" + strconv.Itoa(len(recs))
-	return head + "\n" + strings.TrimRight(dashboard.FlightPanel(recs), "\n")
+	dst = strconv.AppendUint(append(dst, "OK journal cursor="...), fjournal.Cursor(), 10)
+	dst = strconv.AppendInt(append(dst, " records="...), int64(len(recs)), 10)
+	return append(append(dst, '\n'), strings.TrimRight(dashboard.FlightPanel(recs), "\n")...)
 }
 
 // ctlFlight handles "flight [-json] <trace-id|node>": the span tree of
 // one sampled frame — every journal record stamped with the trace id,
 // pipeline hops first in stage order, then the detours in journal
 // order. A node name argument resolves to the node's most recent trace.
-func ctlFlight(_ *Server, fields []string) string {
+func ctlFlight(_ *Server, dst []byte, fields []string) []byte {
 	fields, asJSON := stripJSONFlag(fields)
 	if len(fields) != 1 {
-		return ""
+		return dst
 	}
 	arg := fields[0]
 	id, isID := flight.ParseTrace(arg)
 	if !isID {
 		id = fjournal.LastTrace(arg)
 		if id == 0 {
-			return "ERR no trace records for " + arg
+			return append(append(dst, "ERR no trace records for "...), arg...)
 		}
 	}
 	recs := fjournal.TraceRecords(id)
 	if len(recs) == 0 {
-		return "ERR no records retained for trace " + arg
+		return append(append(dst, "ERR no records retained for trace "...), arg...)
 	}
 	// Pipeline hops in stage order tell the story top to bottom
 	// (gather→…→notify) even though with an in-process transport the
@@ -149,13 +149,14 @@ func ctlFlight(_ *Server, fields []string) string {
 		return recs[i].Seq < recs[j].Seq
 	})
 	if asJSON {
-		return marshalOK(struct {
+		return append(dst, marshalOK(struct {
 			Trace   string              `json:"trace"`
 			Records []journalRecordJSON `json:"records"`
-		}{flight.FormatTrace(id), journalJSON(recs)})
+		}{flight.FormatTrace(id), journalJSON(recs)})...)
 	}
-	head := "OK flight " + flight.FormatTrace(id) + " records=" + strconv.Itoa(len(recs))
-	return head + "\n" + strings.TrimRight(dashboard.FlightPanel(recs), "\n")
+	dst = append(append(dst, "OK flight "...), flight.FormatTrace(id)...)
+	dst = strconv.AppendInt(append(dst, " records="...), int64(len(recs)), 10)
+	return append(append(dst, '\n'), strings.TrimRight(dashboard.FlightPanel(recs), "\n")...)
 }
 
 // spanJSON is the scripting view of one node's pipeline span for
@@ -195,28 +196,29 @@ func spansJSON(snaps []telemetry.SpanSnapshot) []spanJSON {
 
 // ctlTrace handles "trace [-json] [node]": the latest span breakdown of
 // one node or of all.
-func ctlTrace(_ *Server, fields []string) string {
+func ctlTrace(_ *Server, dst []byte, fields []string) []byte {
 	args, asJSON := stripJSONFlag(fields)
 	if len(args) > 1 {
-		return ""
+		return dst
 	}
 	var snaps []telemetry.SpanSnapshot
 	if len(args) == 1 {
 		snap, ok := telemetry.Spans.Lookup(args[0])
 		if !ok {
-			return "ERR no trace for node " + args[0]
+			return append(append(dst, "ERR no trace for node "...), args[0]...)
 		}
 		snaps = []telemetry.SpanSnapshot{snap}
 	} else {
 		snaps = telemetry.Spans.Snapshot()
 	}
 	if asJSON {
-		return ctlTraceJSON(snaps)
+		return append(dst, ctlTraceJSON(snaps)...)
 	}
 	if len(snaps) == 0 {
-		return "OK (no spans recorded)"
+		return append(dst, "OK (no spans recorded)"...)
 	}
-	return "OK\n" + strings.TrimRight(renderSpans(snaps), "\n") + traceExemplarFooter()
+	dst = append(append(dst, "OK\n"...), strings.TrimRight(renderSpans(snaps), "\n")...)
+	return append(dst, traceExemplarFooter()...)
 }
 
 // ctlTraceJSON is the -json form of the trace verb: the span snapshots

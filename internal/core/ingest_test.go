@@ -208,7 +208,7 @@ func TestIngestConcurrentHammer(t *testing.T) {
 					srv.History().Compare(&c, "load.1", 0, 1<<62)
 				case 9:
 					if s := srv.History().Series(name, "load.1"); s != nil {
-						s.Downsample(0, 1<<62, 8)
+						s.Downsample(nil, 0, 1<<62, 8)
 						s.Last()
 					}
 				case 10:

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -108,15 +110,31 @@ func (p *plane) view(line string) func() string {
 	return get
 }
 
+// viewBytes is view for a request line still in the connection's read
+// buffer: the map index converts it without allocating.
+//
+//cwx:hotpath
+func (p *plane) viewBytes(line []byte) func() string {
+	p.kmu.RLock()
+	get := p.keyed[string(line)]
+	p.kmu.RUnlock()
+	return get
+}
+
 // ensure returns (creating if needed) the rendering of a cached verb for
 // parsed arguments, registered under the canonical request so that every
 // spelling of one request shares one gate. At capacity the new gate is
 // returned unregistered: the answer is built for this request alone.
 func (p *plane) ensure(v *ctlVerb, args []string) func() string {
-	key := strings.Join(append([]string{v.name}, args[:v.min]...), " ")
-	if get := p.view(key); get != nil {
+	var scratch [128]byte
+	canon := append(scratch[:0], v.name...)
+	for _, a := range args[:v.min] {
+		canon = append(append(canon, ' '), a...)
+	}
+	if get := p.viewBytes(canon); get != nil {
 		return get
 	}
+	key := string(canon)
 	args = strings.Fields(key)[1:] // the gate keeps its key, not the caller's request line
 	get := (&serve.Gate[string]{Name: v.name, GenFn: v.gen(p, args), Build: v.open(p, args)}).Get
 	p.kmu.Lock()
@@ -251,14 +269,22 @@ func (p *plane) buildNodes() string {
 	return "OK\n" + strings.Join(p.s.NodeNames(), "\n")
 }
 
+// buildValues copies the node's values out of its record and renders
+// them in stack scratch sized for a benchmark node's 34 values: the
+// published string is the rebuild's one allocation.
 func (p *plane) buildValues(node string) string {
-	vals := p.s.NodeValues(node)
-	if vals == nil {
+	rec, ok := p.s.lookup(node)
+	if !ok {
 		return "ERR unknown node " + node
 	}
-	b := make([]byte, 0, 2+48*len(vals))
-	b = append(b, "OK"...)
-	for _, v := range vals {
+	var vals [48]consolidate.Value
+	var text [4096]byte
+	rec.mu.RLock()
+	rows := p.s.appendValuesLocked(vals[:0], rec)
+	rec.mu.RUnlock()
+	slices.SortFunc(rows, func(a, b consolidate.Value) int { return strings.Compare(a.Name, b.Name) })
+	b := append(text[:0], "OK"...)
+	for _, v := range rows {
 		b = dashboard.AppendStr(append(b, '\n'), v.Name, -28)
 		b = appendValue(append(b, ' '), v)
 	}
@@ -279,14 +305,19 @@ func (p *plane) buildCompare(view *dashboard.View, metric string) string {
 	return view.CompareNodes("OK\n", p.s.hist, metric, 0, p.lastData(), 30)
 }
 
+// buildChart draws in stack scratch that holds the 60 × 12 chart: the
+// published string is the rebuild's one allocation.
 func (p *plane) buildChart(node, metric string) string {
 	series := p.s.hist.Series(node, metric)
 	if series == nil {
 		return fmt.Sprintf("ERR no history for %s %s", node, metric)
 	}
 	last, _ := series.Last()
-	return "OK " + node + " " + metric + "\n" +
-		strings.TrimRight(dashboard.Chart(series, 0, last.T, 60, 12), "\n")
+	var text [2048]byte
+	b := append(append(append(text[:0], "OK "...), node...), ' ')
+	b = append(append(b, metric...), '\n')
+	b = dashboard.AppendChart(b, series, 0, last.T, 60, 12)
+	return string(bytes.TrimRight(b, "\n"))
 }
 
 func (p *plane) buildSpark(node, metric string) string {
@@ -295,7 +326,8 @@ func (p *plane) buildSpark(node, metric string) string {
 		return fmt.Sprintf("ERR no history for %s %s", node, metric)
 	}
 	last, _ := series.Last()
-	return "OK " + dashboard.Sparkline(series, 0, last.T, 40)
+	var text [256]byte
+	return string(dashboard.AppendSparkline(append(text[:0], "OK "...), series, 0, last.T, 40))
 }
 
 func (p *plane) buildEfficiency(view *dashboard.View) string {

@@ -22,6 +22,7 @@ var (
 	mEventsDwellNs    = telemetry.Default().Histogram("cwx_ingest_events_dwell_ns")
 	mDownDetections   = telemetry.Default().Counter("cwx_server_down_detections_total")
 	mCtlPanics        = telemetry.Default().Counter("cwx_ctl_panics_total")
+	mCtlLongLines     = telemetry.Default().Counter("cwx_ctl_long_lines_total")
 	gNodes            = telemetry.Default().Gauge("cwx_server_nodes")
 	gNodesDown        = telemetry.Default().Gauge("cwx_server_nodes_down")
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"net"
 	"strings"
 	"testing"
@@ -212,8 +213,8 @@ func TestWatchIdleWakeAllocs(t *testing.T) {
 	hub := s.plane.watchHub()
 	sub := hub.Register()
 	defer hub.Unregister(sub)
-	ws := watchStream{srv: s, verb: ctlByName["values"], inner: "values node000"}
-	ws.start(s.HandleCtl(ws.inner))
+	ws := watchStream{srv: s, verb: ctlByName["values"], inner: []byte("values node000")}
+	ws.start(s.HandleCtl(string(ws.inner)))
 	stop := make(chan struct{})
 	before := serve.ReadStats().WatchPushes
 	wakes := 0
@@ -224,7 +225,7 @@ func TestWatchIdleWakeAllocs(t *testing.T) {
 		if !ok || lost {
 			t.Fatalf("wake %d: Next = (%d, lost %v, ok %v)", wakes, gen, lost, ok)
 		}
-		if block, alive := ws.next(gen, lost); block != "" || !alive {
+		if block, alive := ws.next(gen, lost); len(block) != 0 || !alive {
 			t.Fatalf("wake %d moved a view it did not touch: %q", wakes, block)
 		}
 	})
@@ -235,8 +236,8 @@ func TestWatchIdleWakeAllocs(t *testing.T) {
 	planeIngest(s, "node000", 2, 50, 20)
 	for {
 		gen, lost, _ := sub.Next(stop)
-		if block, _ := ws.next(gen, lost); block != "" {
-			if !strings.HasPrefix(block, serve.BlockUpdate) || !strings.Contains(block, "\n=load.1") {
+		if block, _ := ws.next(gen, lost); len(block) != 0 {
+			if !bytes.HasPrefix(block, []byte(serve.BlockUpdate)) || !bytes.Contains(block, []byte("\n=load.1")) {
 				t.Fatalf("pushed block %q, want an UPDATE of load.1", block)
 			}
 			break

@@ -13,6 +13,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -23,26 +24,52 @@ import (
 // dimensions (columns × rows of plot area, plus axes). Points are
 // bucket-averaged to the width.
 func Chart(s *history.Series, t0, t1 time.Duration, width, height int) string {
+	return string(AppendChart(nil, s, t0, t1, width, height))
+}
+
+// A chart is drawn on the stack up to chartStackCols columns and
+// chartStackCells cells of plot area (the ctl chart is 60 × 12); a larger
+// one draws into the heap.
+const (
+	chartStackCols  = 128
+	chartStackCells = 2048
+)
+
+// AppendChart appends Chart's rendering to b. The plot area is one flat
+// grid of cells and each column's plotted row sits in a slice indexed by
+// column, so drawing allocates nothing beside what b grows by.
+func AppendChart(b []byte, s *history.Series, t0, t1 time.Duration, width, height int) []byte {
 	if width < 8 {
 		width = 8
 	}
 	if height < 3 {
 		height = 3
 	}
-	pts := s.Downsample(t0, t1, width)
+	var ptsStack [chartStackCols]history.Point
+	pts := s.Downsample(ptsStack[:0], t0, t1, width)
 	lo, hi, ok := finiteRange(pts)
 	if !ok {
-		return "(no data)\n"
+		return append(b, "(no data)\n"...)
 	}
 	if hi == lo {
 		hi = lo + 1 // flat line: give it one row of headroom
 	}
 
-	grid := make([][]byte, height)
-	for r := range grid {
-		grid[r] = []byte(strings.Repeat(" ", width))
+	var cellStack [chartStackCells]byte
+	var rowStack [chartStackCols]int
+	grid, rowOf := cellStack[:0], rowStack[:0]
+	if width*height > len(cellStack) {
+		grid = make([]byte, 0, width*height)
 	}
-	col := make(map[int]int, len(pts)) // column -> row, for connecting strokes
+	if width > len(rowStack) {
+		rowOf = make([]int, 0, width)
+	}
+	for range width * height {
+		grid = append(grid, ' ')
+	}
+	for range width {
+		rowOf = append(rowOf, -1) // column -> row, for connecting strokes
+	}
 	span := t1 - t0
 	for _, p := range pts {
 		if !finite(p.V) {
@@ -50,71 +77,85 @@ func Chart(s *history.Series, t0, t1 time.Duration, width, height int) string {
 		}
 		c := min(max(int(float64(p.T-t0)/float64(span)*float64(width)), 0), width-1)
 		row := height - 1 - level(p.V, lo, hi, height)
-		grid[row][c] = '*'
-		col[c] = row
+		grid[row*width+c] = '*'
+		rowOf[c] = row
 	}
 	// Vertical strokes between adjacent plotted columns.
-	cols := make([]int, 0, len(col))
-	for c := range col {
-		cols = append(cols, c)
-	}
-	sort.Ints(cols)
-	for i := 1; i < len(cols); i++ {
-		a, b := cols[i-1], cols[i]
-		ra, rb := col[a], col[b]
-		if ra == rb {
+	for a, c := -1, 0; c < width; c++ {
+		rb := rowOf[c]
+		if rb < 0 {
 			continue
 		}
-		step := 1
-		if rb < ra {
-			step = -1
-		}
-		for r := ra + step; r != rb; r += step {
-			if grid[r][b] == ' ' {
-				grid[r][b] = '|'
+		if a >= 0 && rowOf[a] != rb {
+			step := 1
+			if rb < rowOf[a] {
+				step = -1
+			}
+			for r := rowOf[a] + step; r != rb; r += step {
+				if grid[r*width+c] == ' ' {
+					grid[r*width+c] = '|'
+				}
 			}
 		}
+		a = c
 	}
 
-	var out strings.Builder
-	label0 := fmt.Sprintf("%.4g", hi)
-	label1 := fmt.Sprintf("%.4g", lo)
-	pad := len(label0)
-	if len(label1) > pad {
-		pad = len(label1)
-	}
+	// The labels are %.4g and the axis times Duration strings, rendered
+	// by hand: TestChartMatchesFmt, FuzzChartMatchesFmt.
+	var hiBuf, loBuf, t1Buf [32]byte
+	label0 := strconv.AppendFloat(hiBuf[:0], hi, 'g', 4, 64)
+	label1 := strconv.AppendFloat(loBuf[:0], lo, 'g', 4, 64)
+	lw := max(len(label0), len(label1))
 	for r := 0; r < height; r++ {
+		var label []byte
 		switch r {
 		case 0:
-			fmt.Fprintf(&out, "%*s |", pad, label0)
+			label = label0
 		case height - 1:
-			fmt.Fprintf(&out, "%*s |", pad, label1)
-		default:
-			fmt.Fprintf(&out, "%*s |", pad, "")
+			label = label1
 		}
-		out.Write(grid[r])
-		out.WriteByte('\n')
+		b = pad(append(b, label...), len(b), lw)
+		b = append(append(b, " |"...), grid[r*width:(r+1)*width]...)
+		b = append(b, '\n')
 	}
-	fmt.Fprintf(&out, "%*s +%s\n", pad, "", strings.Repeat("-", width))
-	fmt.Fprintf(&out, "%*s  %-*s%s\n", pad, "", width-len(fmtT(t1)), fmtT(t0), fmtT(t1))
-	return out.String()
+	b = append(pad(b, len(b), lw), " +"...)
+	for range width {
+		b = append(b, '-')
+	}
+	b = append(b, '\n')
+	b = append(pad(b, len(b), lw), "  "...)
+	end := appendSeconds(t1Buf[:0], t1)
+	w := width - len(end) // %-*s: a negative width pads on the right too
+	if w < 0 {
+		w = -w
+	}
+	b = pad(appendSeconds(b, t0), len(b), -w)
+	return append(append(b, end...), '\n')
 }
 
 // Sparkline renders a compact one-line view of a series using eight block
 // levels, for the status screen.
 func Sparkline(s *history.Series, t0, t1 time.Duration, width int) string {
-	levels := []rune("▁▂▃▄▅▆▇█")
-	pts := s.Downsample(t0, t1, width)
+	return string(AppendSparkline(nil, s, t0, t1, width))
+}
+
+// sparkLevels are the eight block levels, three UTF-8 bytes each.
+const sparkLevels = "▁▂▃▄▅▆▇█"
+
+// AppendSparkline appends Sparkline's rendering to b.
+func AppendSparkline(b []byte, s *history.Series, t0, t1 time.Duration, width int) []byte {
+	var ptsStack [chartStackCols]history.Point
+	pts := s.Downsample(ptsStack[:0], t0, t1, width)
 	lo, hi, _ := finiteRange(pts)
-	var out strings.Builder
 	for _, p := range pts {
 		if finite(p.V) {
-			out.WriteRune(levels[level(p.V, lo, hi, len(levels))])
+			l := 3 * level(p.V, lo, hi, len(sparkLevels)/3)
+			b = append(b, sparkLevels[l:l+3]...)
 		} else {
-			out.WriteByte(' ')
+			b = append(b, ' ')
 		}
 	}
-	return out.String()
+	return b
 }
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
@@ -205,6 +246,9 @@ func CompareNodes(store *history.Store, metric string, t0, t1 time.Duration, bar
 	return v.CompareNodes("", store, metric, t0, t1, barWidth) + "\n"
 }
 
+// compareHead is CompareNodes' header line up to the metric name.
+var compareHead = fmt.Sprintf("%-12s %8s %8s %8s  ", "node", "min", "mean", "max")
+
 // CompareNodes draws the view of that name. Every bar is scaled to the
 // largest maximum: a draw in which that moved formats every row.
 func (v *View) CompareNodes(head string, store *history.Store, metric string, t0, t1 time.Duration, barWidth int) string {
@@ -226,7 +270,8 @@ func (v *View) CompareNodes(head string, store *history.Store, metric string, t0
 	if math.Float64bits(globalMax) != math.Float64bits(v.max) {
 		old, v.max = "", globalMax
 	}
-	fmt.Fprintf(&sb, "%-12s %8s %8s %8s  %s", "node", "min", "mean", "max", metric)
+	sb.WriteString(compareHead)
+	sb.WriteString(metric)
 	row := func(b []byte, n *history.NodeStats) []byte {
 		if n.N == 0 {
 			return b
@@ -254,8 +299,8 @@ func Correlate(store *history.Store, nodeName, metricA, metricB string, t0, t1 t
 		return 0, fmt.Errorf("dashboard: missing history for %s/%s on %s", metricA, metricB, nodeName)
 	}
 	const buckets = 64
-	pa := sa.Downsample(t0, t1, buckets)
-	pb := sb.Downsample(t0, t1, buckets)
+	pa := sa.Downsample(nil, t0, t1, buckets)
+	pb := sb.Downsample(nil, t0, t1, buckets)
 	// Align on bucket timestamps present in both.
 	bv := make(map[time.Duration]float64, len(pb))
 	for _, p := range pb {
@@ -295,8 +340,28 @@ func pearson(xs, ys []float64) (float64, error) {
 	return sxy / math.Sqrt(sxx*syy), nil
 }
 
-func fmtT(d time.Duration) string {
-	return d.Round(time.Second).String()
+// appendSeconds appends d.Round(time.Second).String(): h, m and s fields,
+// the leading zero ones left out, as Duration.String prints a whole
+// number of seconds.
+func appendSeconds(b []byte, d time.Duration) []byte {
+	d = d.Round(time.Second)
+	if d%time.Second != 0 { // Round saturated at the int64 range: a fraction is left to print
+		return append(b, d.String()...)
+	}
+	if d == 0 {
+		return append(b, "0s"...)
+	}
+	sec := uint64(d / time.Second)
+	if d < 0 {
+		b, sec = append(b, '-'), -sec
+	}
+	if sec >= 3600 {
+		b = append(strconv.AppendUint(b, sec/3600, 10), 'h')
+	}
+	if sec >= 60 {
+		b = append(strconv.AppendUint(b, sec/60%60, 10), 'm')
+	}
+	return append(strconv.AppendUint(b, sec%60, 10), 's')
 }
 
 // HistoryFootprint renders the history engine's memory ledger: per-series
@@ -428,7 +493,10 @@ func (v *View) EfficiencyReport(head string, store *history.Store, t0, t1 time.D
 		}
 		return cmp.Compare(i, j)
 	})
-	fmt.Fprintf(&sb, "cluster efficiency: %.1f%% over %s..%s", sum/float64(live), fmtT(t0), fmtT(t1))
+	var line [96]byte
+	h := AppendFloat(append(line[:0], "cluster efficiency: "...), sum/float64(live), 0, 1)
+	h = appendSeconds(append(h, "% over "...), t0)
+	sb.Write(appendSeconds(append(h, ".."...), t1))
 	row := func(b []byte, n *history.NodeStats) []byte {
 		eff := efficiency(n)
 		b = AppendStr(append(b, '\n'), n.Node, -12)

@@ -99,6 +99,7 @@ const (
 	bufGrowth    = 2
 	bufMax       = 4096
 	pointReserve = 20
+	openCopyMax  = bufMax + 1 // an open block's bytes and its pending bits
 )
 
 // openBlock is the block a series appends into: the bit stream so far,
@@ -169,13 +170,16 @@ func (o *openBlock) summary() summary {
 
 // bytes returns a copy of the stream so far, the pending bits flushed
 // into a zero-padded last byte: exactly what a closed block holds.
-func (o *openBlock) bytes() []byte {
-	data := make([]byte, len(o.buf), len(o.buf)+1)
-	copy(data, o.buf)
+func (o *openBlock) bytes() []byte { return o.appendBytes(make([]byte, 0, len(o.buf)+1)) }
+
+// appendBytes appends that copy to dst. At most openCopyMax bytes: a
+// query's stack scratch of that size takes any open block.
+func (o *openBlock) appendBytes(dst []byte) []byte {
+	dst = append(dst, o.buf...)
 	if o.npend > 0 {
-		data = append(data, o.pend)
+		dst = append(dst, o.pend)
 	}
-	return data
+	return dst
 }
 
 // rewind empties the block, keeping its buffer.

@@ -416,7 +416,7 @@ func checkDifferential(t *testing.T, s *Series, ref *refRing, rng *rand.Rand, no
 	// Tail: the newest n points, for n inside the open block, across
 	// closed blocks, at the trimmed front and past everything stored.
 	for _, n := range []int{0, 1, rng.Intn(blockPoints) + 1, rng.Intn(ref.size+1) + 1, ref.size, ref.size + 3} {
-		got := s.Tail(n)
+		got := s.Tail(nil, n)
 		if want := min(n, ref.size); len(got) != want {
 			t.Fatalf("Tail(%d) len %d, want %d", n, len(got), want)
 		}
@@ -457,7 +457,7 @@ func checkDifferential(t *testing.T, s *Series, ref *refRing, rng *rand.Rand, no
 		}
 
 		n := rng.Intn(64) + 1
-		gotD, wantD := s.Downsample(t0, t1, n), ref.downsample(t0, t1, n)
+		gotD, wantD := s.Downsample(nil, t0, t1, n), ref.downsample(t0, t1, n)
 		if len(gotD) != len(wantD) {
 			t.Fatalf("Downsample(%v,%v,%d) len %d, ref %d", t0, t1, n, len(gotD), len(wantD))
 		}
@@ -654,13 +654,22 @@ func TestSummaryFastPath(t *testing.T) {
 	}
 
 	// Stats never copies the open block when it is wholly inside the
-	// window: the whole query is allocation-free. Trend's one allocation
-	// is its copy.
+	// window, and Trend copies it into stack scratch: both queries are
+	// allocation-free.
 	if allocs := testing.AllocsPerRun(100, func() { s.Stats(0, full) }); allocs != 0 {
 		t.Fatalf("full-range Stats allocates %.1f times, want 0", allocs)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { s.Trend(0, full) }); allocs != 1 {
-		t.Fatalf("full-range Trend allocates %.1f times, want 1 (the open block's copy)", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { s.Trend(0, full) }); allocs != 0 {
+		t.Fatalf("full-range Trend allocates %.1f times, want 0 (the open block's copy is on the stack)", allocs)
+	}
+	// Tail and Downsample append to the caller's slice: with room in it,
+	// a chart's or the history verb's read allocates nothing either.
+	pts := make([]Point, 0, 64)
+	if allocs := testing.AllocsPerRun(100, func() { pts = s.Tail(pts[:0], 50) }); allocs != 0 || len(pts) != 50 {
+		t.Fatalf("Tail(50) into room allocates %.1f times and returns %d points, want 0 and 50", allocs, len(pts))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { pts = s.Downsample(pts[:0], 0, full, 60) }); allocs != 0 || len(pts) != 60 {
+		t.Fatalf("Downsample(60) into room allocates %.1f times and returns %d buckets, want 0 and 60", allocs, len(pts))
 	}
 
 	// Once eviction trims the front block, it is the only extra decode.
@@ -715,10 +724,10 @@ func TestConcurrentReaderAcrossClose(t *testing.T) {
 					}
 					check("Range", pts)
 				case 1:
-					check("Tail", s.Tail(blockPoints/2+i%blockPoints))
+					check("Tail", s.Tail(nil, blockPoints/2+i%blockPoints))
 				case 2:
 					s.Trend(0, time.Duration(appends)*time.Second)
-					s.Downsample(0, time.Duration(appends)*time.Second, 16)
+					s.Downsample(nil, 0, time.Duration(appends)*time.Second, 16)
 				case 3:
 					var buf bytes.Buffer
 					back := NewStore(capacity)

@@ -242,12 +242,14 @@ type qsnap struct {
 }
 
 // snapshot captures the series for a query over [lo, hi]. An open block
-// that misses the window is left out. With points set (Range, Downsample,
-// Trend, SaveTo) an overlapping one is copied — written bytes plus the
-// pending bits, one allocation; without (Stats) one wholly inside the
-// window is represented by its running summary — no copy, no allocation —
-// and only one the window cuts is copied.
-func (s *Series) snapshot(lo, hi int64, points bool) qsnap {
+// that misses the window is left out. A query that needs the points
+// (Range, Downsample, Tail, Trend, SaveTo) passes a non-nil into, and an
+// overlapping open block is copied into it — written bytes plus the
+// pending bits; a stack array of openCopyMax bytes takes any open block,
+// so the copy allocates nothing. With into nil (Stats) one wholly inside
+// the window is represented by its running summary — no copy — and only
+// one the window cuts is copied, into a fresh slice.
+func (s *Series) snapshot(lo, hi int64, into []byte) qsnap {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	o := &s.open
@@ -255,10 +257,12 @@ func (s *Series) snapshot(lo, hi int64, points bool) qsnap {
 	switch {
 	case o.count == 0 || o.ts.Prev < lo || o.firstT > hi:
 		// nothing of the open block is in the window
-	case !points && o.firstT >= lo && o.ts.Prev <= hi:
+	case into == nil && o.firstT >= lo && o.ts.Prev <= hi:
 		q.open.sum = o.summary()
-	default:
+	case into == nil:
 		q.open = block{data: o.bytes(), sum: o.summary()}
+	default:
+		q.open = block{data: o.appendBytes(into), sum: o.summary()}
 	}
 	return q
 }
@@ -329,7 +333,8 @@ func (q *qsnap) each(t0, t1 time.Duration, fn func(t int64, v float64)) {
 
 // Range returns the points with t0 <= T <= t1, oldest first.
 func (s *Series) Range(t0, t1 time.Duration) []Point {
-	q := s.snapshot(int64(t0), int64(t1), true)
+	var open [openCopyMax]byte
+	q := s.snapshot(int64(t0), int64(t1), open[:0])
 	var out []Point
 	q.each(t0, t1, func(t int64, v float64) {
 		out = append(out, Point{T: time.Duration(t), V: v})
@@ -337,12 +342,15 @@ func (s *Series) Range(t0, t1 time.Duration) []Point {
 	return out
 }
 
-// Tail returns the newest n points, oldest first. Where Range decodes
-// every block of its window, Tail decodes only the trailing blocks the n
-// points lie in — the open one alone when it holds them.
-func (s *Series) Tail(n int) []Point {
+// Tail appends the newest n points to dst, oldest first. Where Range
+// decodes every block of its window, Tail decodes only the trailing blocks
+// the n points lie in — the open one alone when it holds them — and
+// appends no point it then drops, so a dst with room for n allocates
+// nothing.
+func (s *Series) Tail(dst []Point, n int) []Point {
 	n = max(n, 0)
-	q := s.snapshot(math.MinInt64, math.MaxInt64, true)
+	var open [openCopyMax]byte
+	q := s.snapshot(math.MinInt64, math.MaxInt64, open[:0])
 	have, first := q.open.sum.count, len(q.blocks)
 	for ; first > 0 && have < n; first-- {
 		have += q.blocks[first-1].sum.count - q.blockTrim(first-1)
@@ -350,11 +358,15 @@ func (s *Series) Tail(n int) []Point {
 	if first > 0 {
 		q.blocks, q.trim = q.blocks[first:], 0
 	}
-	out := make([]Point, 0, have)
+	skip := have - n // the older points of the first block decoded
 	q.each(math.MinInt64, math.MaxInt64, func(t int64, v float64) {
-		out = append(out, Point{T: time.Duration(t), V: v})
+		if skip > 0 {
+			skip--
+			return
+		}
+		dst = append(dst, Point{T: time.Duration(t), V: v})
 	})
-	return out[max(0, len(out)-n):]
+	return dst
 }
 
 // Stats aggregates the range [t0, t1].
@@ -383,7 +395,7 @@ func (s *Series) Stats(t0, t1 time.Duration) Stats {
 // series' newest point, whose Stats a later window end would change.
 func (s *Series) statsGen(t0, t1 time.Duration) (Stats, uint64) {
 	lo, hi := int64(t0), int64(t1)
-	q := s.snapshot(lo, hi, false)
+	q := s.snapshot(lo, hi, nil)
 	var st Stats
 	var sum float64
 	add := func(t int64, v float64) {
@@ -441,7 +453,8 @@ func (s *Series) statsGen(t0, t1 time.Duration) (Stats, uint64) {
 // O(blocks) plus the boundary decodes; the open block has no moments yet
 // and is decoded when the window reaches it.
 func (s *Series) Trend(t0, t1 time.Duration) (perHour float64, ok bool) {
-	q := s.snapshot(int64(t0), int64(t1), true)
+	var open [openCopyMax]byte
+	q := s.snapshot(int64(t0), int64(t1), open[:0])
 	var n int
 	var sumY float64
 	var m moments
@@ -469,41 +482,39 @@ func (s *Series) Trend(t0, t1 time.Duration) (perHour float64, ok bool) {
 	return (nf*m.sumXY - m.sumX*sumY) / den, true
 }
 
-// Downsample buckets [t0, t1] into n equal intervals and returns the mean
-// of each non-empty bucket, timestamped at the bucket midpoint — the chart
-// renderer's input. Points stream straight from the compressed blocks
-// into the bucket accumulators; no intermediate range slice is built.
-func (s *Series) Downsample(t0, t1 time.Duration, n int) []Point {
+// Downsample buckets [t0, t1] into n equal intervals and appends to dst
+// the mean of each non-empty bucket, timestamped at the bucket midpoint —
+// the chart renderer's input. Points stream straight from the compressed
+// blocks in time order, so buckets fill one after another and a single
+// running sum serves them all: nothing is allocated beside what dst
+// grows by.
+func (s *Series) Downsample(dst []Point, t0, t1 time.Duration, n int) []Point {
 	if n <= 0 || t1 <= t0 {
-		return nil
+		return dst
 	}
 	width := (t1 - t0) / time.Duration(n)
 	if width <= 0 {
-		return nil
+		return dst
 	}
 	mDownsample.Inc()
-	q := s.snapshot(int64(t0), int64(t1), true)
-	sums := make([]float64, n)
-	counts := make([]int, n)
-	q.each(t0, t1, func(t int64, v float64) {
-		b := int((time.Duration(t) - t0) / width)
-		if b >= n {
-			b = n - 1
+	var open [openCopyMax]byte
+	q := s.snapshot(int64(t0), int64(t1), open[:0])
+	bucket, count, sum := 0, 0, 0.0
+	flush := func() {
+		if count > 0 {
+			dst = append(dst, Point{T: t0 + width*time.Duration(bucket) + width/2, V: sum / float64(count)})
 		}
-		sums[b] += v
-		counts[b]++
-	})
-	out := make([]Point, 0, n)
-	for b := 0; b < n; b++ {
-		if counts[b] == 0 {
-			continue
-		}
-		out = append(out, Point{
-			T: t0 + width*time.Duration(b) + width/2,
-			V: sums[b] / float64(counts[b]),
-		})
 	}
-	return out
+	q.each(t0, t1, func(t int64, v float64) {
+		if b := min(int((time.Duration(t)-t0)/width), n-1); b != bucket {
+			flush()
+			bucket, count, sum = b, 0, 0
+		}
+		sum += v
+		count++
+	})
+	flush()
+	return dst
 }
 
 // storeStripes is the lock-stripe count for the store's node map. A power

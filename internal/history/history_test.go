@@ -116,7 +116,7 @@ func TestDownsample(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		s.Append(time.Duration(i)*time.Second, float64(i%10))
 	}
-	pts := s.Downsample(0, sec(100), 10)
+	pts := s.Downsample(nil, 0, sec(100), 10)
 	if len(pts) != 10 {
 		t.Fatalf("Downsample returned %d buckets", len(pts))
 	}
@@ -125,10 +125,10 @@ func TestDownsample(t *testing.T) {
 			t.Fatalf("bucket mean = %v, want 4.5", p.V)
 		}
 	}
-	if s.Downsample(0, sec(100), 0) != nil {
+	if s.Downsample(nil, 0, sec(100), 0) != nil {
 		t.Fatal("zero buckets not rejected")
 	}
-	if s.Downsample(sec(5), sec(5), 4) != nil {
+	if s.Downsample(nil, sec(5), sec(5), 4) != nil {
 		t.Fatal("empty interval not rejected")
 	}
 }
@@ -137,7 +137,7 @@ func TestDownsampleSparse(t *testing.T) {
 	s := NewSeries(16)
 	s.Append(sec(1), 10)
 	s.Append(sec(99), 20)
-	pts := s.Downsample(0, sec(100), 10)
+	pts := s.Downsample(nil, 0, sec(100), 10)
 	if len(pts) != 2 {
 		t.Fatalf("sparse downsample = %v", pts)
 	}
@@ -449,7 +449,7 @@ func TestStoreConcurrentReadsDuringAppend(t *testing.T) {
 				case 1:
 					if s := st.Series(nodeName(r*5+i), "load.1"); s != nil {
 						s.Range(0, sec(iters))
-						s.Downsample(0, sec(iters), 8)
+						s.Downsample(nil, 0, sec(iters), 8)
 						s.Last()
 						s.Trend(0, sec(iters))
 					}

@@ -46,13 +46,14 @@ func (st *Store) SaveTo(w io.Writer) error {
 	if _, err := fmt.Fprintln(bw, persistHeaderV4); err != nil {
 		return err
 	}
+	open := make([]byte, 0, openCopyMax) // every series' open-block copy, in turn
 	for _, nodeName := range st.Nodes() {
 		for _, metric := range st.Metrics(nodeName) {
 			s := st.Series(nodeName, metric)
 			if s == nil {
 				continue // deleted between listing and lookup: nothing to save
 			}
-			q := s.snapshot(math.MinInt64, math.MaxInt64, true)
+			q := s.snapshot(math.MinInt64, math.MaxInt64, open[:0])
 			blocks := q.blocks
 			if q.open.sum.count > 0 {
 				blocks = append(blocks[:len(blocks):len(blocks)], &q.open)

@@ -27,6 +27,7 @@ func checkHotFunc(p *pass, fd *ast.FuncDecl) {
 	info := p.pkg.Info
 	blessed := blessedSlices(p, fd)
 	nowCalls := 0
+	inPlace := map[*ast.CallExpr]bool{} // conversions indexing a map
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
@@ -34,8 +35,18 @@ func checkHotFunc(p *pass, fd *ast.FuncDecl) {
 				p.report(n.Pos(), "hotpath", "closure capturing %q allocates on the hot path", name)
 			}
 			return false // the literal runs later; its body is not this call's hot path
+		case *ast.IndexExpr:
+			// m[string(b)] reads the key in place: the compiler does not
+			// allocate a conversion that indexes a map.
+			if _, ok := info.TypeOf(n.X).Underlying().(*types.Map); ok {
+				if conv, ok := ast.Unparen(n.Index).(*ast.CallExpr); ok && info.Types[ast.Unparen(conv.Fun)].IsType() {
+					inPlace[conv] = true
+				}
+			}
 		case *ast.CallExpr:
-			checkHotCall(p, n, blessed, &nowCalls)
+			if !inPlace[n] {
+				checkHotCall(p, n, blessed, &nowCalls)
+			}
 		case *ast.BinaryExpr:
 			if n.Op == token.ADD && info.Types[n].Value == nil && (isStringType(info, n.X) || isStringType(info, n.Y)) {
 				p.report(n.Pos(), "hotpath", "string concatenation allocates on the hot path (append to a reusable []byte instead)")

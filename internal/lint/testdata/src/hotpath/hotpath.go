@@ -26,6 +26,11 @@ func conversions(b []byte, s string) (string, []byte) {
 }
 
 //cwx:hotpath
+func mapKeys(m map[string]int, b []byte) int {
+	return m[string(b)] // the compiler reads the key in place: no finding
+}
+
+//cwx:hotpath
 func literals() int {
 	m := map[string]int{} // want `hotpath: map literal allocates`
 	s := []int{1, 2, 3}   // want `hotpath: slice literal allocates`

@@ -35,18 +35,25 @@ func LineKey(line string) string {
 	return line
 }
 
-// Diff computes the keyed ops turning old into cur. It returns nil when
-// the renderings are identical — the caller pushes nothing, which is the
-// whole point of change-only streams.
-func Diff(old, cur []string) []string {
-	if ops, ok := diffSameKeys(old, cur); ok {
+// Diff appends to dst the keyed ops turning old into cur, each as a
+// '\n'-prefixed line: the payload of an UPDATE block, appended straight
+// after its header. It appends nothing when the renderings are identical —
+// the caller pushes nothing, which is the whole point of change-only
+// streams.
+func Diff(dst []byte, old, cur []string) []byte {
+	if ops, ok := diffSameKeys(dst, old, cur); ok {
 		return ops
 	}
-	return diffByKey(old, cur)
+	return diffByKey(dst, old, cur)
+}
+
+// appendOp appends one op line: the '\n', the op's kind and its text.
+func appendOp(dst []byte, kind byte, text string) []byte {
+	return append(append(dst, '\n', kind), text...)
 }
 
 // diffByKey is Diff for any two renderings: keys matched through maps.
-func diffByKey(old, cur []string) []string {
+func diffByKey(dst []byte, old, cur []string) []byte {
 	oldByKey := make(map[string]string, len(old))
 	for _, l := range old {
 		oldByKey[LineKey(l)] = l
@@ -55,22 +62,21 @@ func diffByKey(old, cur []string) []string {
 	for _, l := range cur {
 		curKeys[LineKey(l)] = struct{}{}
 	}
-	var ops []string
 	for _, l := range old {
 		if _, ok := curKeys[LineKey(l)]; !ok {
-			ops = append(ops, "-"+LineKey(l))
+			dst = appendOp(dst, '-', LineKey(l))
 		}
 	}
 	for i, l := range cur {
 		prev, existed := oldByKey[LineKey(l)]
 		switch {
 		case !existed:
-			ops = append(ops, "+"+strconv.Itoa(i)+" "+l)
+			dst = append(append(strconv.AppendInt(append(dst, '\n', '+'), int64(i), 10), ' '), l...)
 		case prev != l:
-			ops = append(ops, "="+l)
+			dst = appendOp(dst, '=', l)
 		}
 	}
-	return ops
+	return dst
 }
 
 // diffSameKeys is Diff for the push that moved values and not the roster —
@@ -79,20 +85,22 @@ func diffByKey(old, cur []string) []string {
 // changed lines and no key needs a map. Keys must also strictly ascend,
 // which every key-sorted view's do: that is what proves them unique, and
 // with unique keys these are the ops the maps would have produced, byte
-// for byte. ok is false when the walk cannot tell.
-func diffSameKeys(old, cur []string) (ops []string, ok bool) {
+// for byte. ok is false when the walk cannot tell; ops is then dst as it
+// came in.
+func diffSameKeys(dst []byte, old, cur []string) (ops []byte, ok bool) {
 	if len(old) != len(cur) {
-		return nil, false
+		return dst, false
 	}
+	ops = dst
 	prev := ""
 	for i, l := range cur {
 		key := LineKey(l)
 		if key != LineKey(old[i]) || i > 0 && key <= prev {
-			return nil, false
+			return dst, false
 		}
 		prev = key
 		if l != old[i] {
-			ops = append(ops, "="+l)
+			ops = appendOp(ops, '=', l)
 		}
 	}
 	return ops, true

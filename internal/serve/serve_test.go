@@ -1,9 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -169,7 +169,7 @@ func TestDiffRoundtrip(t *testing.T) {
 	v.SetFull(old)
 	cur := old
 	for i, next := range steps {
-		ops := Diff(cur, next)
+		ops := diffOps(cur, next)
 		if err := v.Apply(ops); err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
@@ -178,9 +178,19 @@ func TestDiffRoundtrip(t *testing.T) {
 		}
 		cur = next
 	}
-	if ops := Diff(cur, cur); ops != nil {
+	if ops := Diff([]byte("UPDATE gen=1"), cur, cur); string(ops) != "UPDATE gen=1" {
 		t.Fatalf("identical renderings produced ops %q", ops)
 	}
+}
+
+// diffOps is Diff's payload as the op lines a client's ParseBlock hands
+// View.Apply.
+func diffOps(old, cur []string) []string {
+	payload := Diff(nil, old, cur)
+	if len(payload) == 0 {
+		return nil
+	}
+	return strings.Split(string(payload[1:]), "\n")
 }
 
 // TestDiffFastPathMatchesMapPath: over random renderings — the same
@@ -222,11 +232,11 @@ func TestDiffFastPathMatchesMapPath(t *testing.T) {
 			rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
 		}
 		cur := render(keys)
-		got, want := Diff(old, cur), diffByKey(old, cur)
-		if !slices.Equal(got, want) || (got == nil) != (want == nil) {
+		got, want := Diff([]byte("h"), old, cur), diffByKey([]byte("h"), old, cur)
+		if !bytes.Equal(got, want) {
 			t.Fatalf("trial %d:\nold %q\ncur %q\nDiff      %q\ndiffByKey %q", trial, old, cur, got, want)
 		}
-		if _, ok := diffSameKeys(old, cur); ok {
+		if _, ok := diffSameKeys(nil, old, cur); ok {
 			fast++
 		}
 	}
