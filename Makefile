@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build lint lint-escape lockgraph test race determinism bench bench-smoke bench-test fuzz-smoke faultinject examples loc heap-sites alloc-sites
+.PHONY: check fmt vet build lint lockgraph test race determinism bench bench-smoke bench-test fuzz-smoke faultinject examples loc heap-sites alloc-sites
 
 check: fmt vet build lint race
 
@@ -23,21 +23,15 @@ build:
 	$(GO) build ./...
 
 # cwxlint: the dependency-free invariant analyzers — per-function
-# (hotpath, clockdet, lockscope, atomicmix) and whole-program
-# (lockorder, golife, staticalloc) — see internal/lint. Runs all seven:
-# the staticalloc escape gate is on by default (-escapes). Accepted
-# pre-existing findings live in .cwxlint-baseline; regenerate it with
-# `go run ./cmd/cwxlint -update-baseline`. Exit codes: 0 clean,
+# (clockdet, lockscope, atomicmix) and whole-program (lockorder, golife,
+# staticalloc) — see internal/lint. staticalloc reads a fresh
+# -gcflags=-m build on every run; the TestAllocGate* tests (`make test`:
+# they skip under -race) count the allocations that do not escape.
+# Accepted pre-existing findings live in .cwxlint-baseline; regenerate
+# it with `go run ./cmd/cwxlint -update-baseline`. Exit codes: 0 clean,
 # 1 findings, 2 analysis failed.
 lint:
 	$(GO) run ./cmd/cwxlint
-
-# Escape-regression gate in isolation: staticalloc against a fresh
-# -gcflags=-m build, with the six source analyzers still applied (they
-# are cheap; the build dominates). CI runs this as its own step so an
-# escape regression is named in the job list, not buried in `check`.
-lint-escape:
-	$(GO) run ./cmd/cwxlint -escapes
 
 # Render the whole-program lock-acquisition graph (lock classes with
 # their //cwx:lockrank levels, acquired-while-held edges, inversions in
@@ -81,12 +75,12 @@ bench-test:
 	cd bench && $(GO) test ./...
 
 # Short fuzz run over the wire-protocol parsers, the history block codec
-# and persistence loader (v3 and v4 files), the wire's value coder, the
-# table views' row renderer and the chart (against the fmt verbs they
-# replace), the event rule-file parser, the ICE Box command core and the
-# ctl request line (any line: no panic, an OK/ERR block, cached ≡ uncached):
-# each target gets ~10s, long enough to re-cover the grammar from the
-# checked-in seeds without stalling CI. The saved corpus under internal/transmit/testdata/fuzz
+# and persistence loader (v4 files, and the older ones it rejects), the
+# wire's value coder, the table views' row renderer and the chart (against
+# the fmt verbs they replace), the event rule-file parser, the ICE Box
+# command core and the ctl request line (any line: no panic, an OK/ERR
+# block, cached ≡ uncached): each target gets ~10s, long enough to
+# re-cover the grammar from the checked-in seeds without stalling CI. The saved corpus under internal/transmit/testdata/fuzz
 # replays on every plain `go test` as regression inputs.
 fuzz-smoke:
 	$(GO) test ./internal/transmit/ -fuzz FuzzParseFrame -fuzztime 10s -run NONE

@@ -1,7 +1,16 @@
-// Allocation-regression gates: the structural side of this invariant is
-// cwxlint's hotpath analyzer; these tests are the empirical side, pinning
-// the numbers the E6/E15/E18 benchmarks report so a regression fails
-// `go test` rather than silently shifting a benchmark.
+// Allocation-regression gates: cwxlint's staticalloc analyzer proves at
+// compile time that no //cwx:hotpath function makes a value escape; these
+// tests count every allocation at run time, the ones that do not escape
+// included, pinning the numbers the E6/E15/E18 benchmarks report so a
+// regression fails `go test` rather than silently shifting a benchmark.
+// They skip under -race, so `make check` does not run them; `make test`
+// does.
+//
+// Every //cwx:hotpath function runs inside at least one gate. List the
+// ones that do not (a 0.0% line whose function carries the marker):
+//
+//	go test -run TestAllocGate -coverpkg=./internal/... -coverprofile=c.out .
+//	go tool cover -func=c.out
 package clusterworx
 
 import (
@@ -24,6 +33,7 @@ import (
 	"clusterworx/internal/flight"
 	"clusterworx/internal/history"
 	"clusterworx/internal/serve"
+	"clusterworx/internal/telemetry"
 	"clusterworx/internal/transmit"
 )
 
@@ -94,7 +104,9 @@ func TestAllocGateLosslessIngest(t *testing.T) {
 // TestAllocGateSequencedIngest pins the loss-tolerant protocol's happy
 // path (E18's shape): in-order sequenced deltas must also be
 // allocation-free — the gap-detection bookkeeping is integer compares
-// under the per-node lock already held.
+// under the per-node lock already held — and so must every eighth frame,
+// a snapshot refreshing the known node (anti-entropy), which compares
+// each value with its slot and appends only the changes.
 func TestAllocGateSequencedIngest(t *testing.T) {
 	skipUnderRace(t)
 	srv := core.NewServer(core.ServerConfig{Cluster: "allocgate"})
@@ -109,6 +121,9 @@ func TestAllocGateSequencedIngest(t *testing.T) {
 	allocs := steadyStateAllocs(func() {
 		seq++
 		f := transmit.Frame{Node: node, Seq: seq, Kind: transmit.FrameDelta, Values: deltas[i%len(deltas)]}
+		if i%8 == 7 {
+			f.Kind, f.Values = transmit.FrameSnapshot, full
+		}
 		if err := srv.HandleFrame(f); err != nil {
 			t.Fatal(err)
 		}
@@ -603,7 +618,7 @@ func TestAllocGateServeRebuild(t *testing.T) {
 	}
 }
 
-// pipeListener hands ServeCtl the server end of one net.Pipe.
+// pipeListener hands a Serve loop the server ends of net.Pipes.
 type pipeListener struct {
 	conn chan net.Conn
 	done chan struct{}
@@ -620,9 +635,10 @@ func (l *pipeListener) Accept() (net.Conn, error) {
 func (l *pipeListener) Close() error   { close(l.done); return nil }
 func (l *pipeListener) Addr() net.Addr { return nil }
 
-// servePipes serves srv's control protocol on n net.Pipe connections and
-// returns their client ends; stop closes them and waits for ServeCtl.
-func servePipes(srv *core.Server, n int) (clients []net.Conn, stop func()) {
+// servePipes runs serve (a server's ServeCtl or ServeAgents) on n net.Pipe
+// connections and returns their client ends; stop closes them and waits
+// for serve to return.
+func servePipes(serve func(net.Listener) error, n int) (clients []net.Conn, stop func()) {
 	l := &pipeListener{conn: make(chan net.Conn, n), done: make(chan struct{})}
 	for i := 0; i < n; i++ {
 		server, client := net.Pipe()
@@ -632,7 +648,7 @@ func servePipes(srv *core.Server, n int) (clients []net.Conn, stop func()) {
 	served := make(chan struct{})
 	go func() {
 		defer close(served)
-		srv.ServeCtl(l) //nolint:errcheck // ends with the listener
+		serve(l) //nolint:errcheck // ends with the listener
 	}()
 	return clients, func() {
 		for _, c := range clients {
@@ -652,7 +668,7 @@ func servePipes(srv *core.Server, n int) (clients []net.Conn, stop func()) {
 func TestAllocGateCtlConnHit(t *testing.T) {
 	skipUnderRace(t)
 	srv, _ := e20Cluster(e20Nodes, 4)
-	clients, stop := servePipes(srv, 1)
+	clients, stop := servePipes(srv.ServeCtl, 1)
 	client := clients[0]
 	req, end := []byte("status\n"), []byte("\n.\n")
 	buf := make([]byte, 0, 64<<10)
@@ -705,7 +721,7 @@ func queryChurn(t *testing.T) (round func(), stop func()) {
 	const nodes = 1024
 	srv, touch := e20Cluster(nodes, 16)
 	a, b := e20NodeName(0), e20NodeName(3)
-	clients, stop := servePipes(srv, 2)
+	clients, stop := servePipes(srv.ServeCtl, 2)
 	watch, ctl := bufio.NewReader(clients[0]), bufio.NewReader(clients[1])
 	if _, err := clients[0].Write([]byte("watch values " + a + "\n")); err != nil {
 		t.Fatal(err)
@@ -758,26 +774,39 @@ func TestAllocGateQueryChurnRound(t *testing.T) {
 // marshal + frame + deflate on the agent side, decode + inflate on the
 // server side, at zero allocations per roundtrip. (This was 1 until the
 // Reader's header scratch moved into the struct — a local escaped to the
-// heap through the io.ReadFull interface call on every frame.)
+// heap through the io.ReadFull interface call on every frame.) The same
+// roundtrip carries a v2 payload down the raw path, which skips deflate,
+// and the two control frames the server writes back uncompressed: a
+// dictionary ack and a resync request.
 func TestAllocGateWireRoundtrip(t *testing.T) {
 	skipUnderRace(t)
-	payload := transmit.MarshalFrame(nil, transmit.Frame{
-		Node: "node042", Seq: 1, Kind: transmit.FrameSnapshot, Values: ingestFullSet(),
-	})
+	snap := transmit.Frame{Node: "node042", Seq: 1, Kind: transmit.FrameSnapshot, Values: ingestFullSet()}
+	payload := transmit.MarshalFrame(nil, snap)
+	v2 := transmit.NewEncoderV2().Encode(nil, snap)
 	var wire bytes.Buffer
 	w := transmit.NewWriter(&wire, true)
+	back := transmit.NewWriter(&wire, false)
 	r := transmit.NewReader(&wire)
-	roundtrip := func() {
-		if err := w.WriteFrame(payload); err != nil {
+	var ctl []byte
+	frame := func(write func([]byte) error, p []byte) {
+		if err := write(p); err != nil {
 			t.Fatal(err)
 		}
 		out, err := r.ReadFrame()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(out) != len(payload) {
-			t.Fatalf("roundtrip returned %d bytes, want %d", len(out), len(payload))
+		if len(out) != len(p) {
+			t.Fatalf("roundtrip returned %d bytes, want %d", len(out), len(p))
 		}
+	}
+	roundtrip := func() {
+		frame(w.WriteFrame, payload)
+		frame(w.WriteFrameRaw, v2)
+		ctl = transmit.MarshalDictAck(ctl[:0], len(snap.Values))
+		frame(back.WriteFrame, ctl)
+		ctl = transmit.MarshalResync(ctl[:0], snap.Node)
+		frame(back.WriteFrame, ctl)
 	}
 	roundtrip() // warm the reader's scratch buffers off the measured path
 	allocs := testing.AllocsPerRun(200, roundtrip)
@@ -804,16 +833,19 @@ func TestAllocGateFlightAppend(t *testing.T) {
 }
 
 // TestAllocGateFlightUnsampledTick pins the cost a NON-sampled agent
-// tick pays for tracing — one modular check — at zero allocations, and
-// the sampled path's id mint at zero too (it is pure integer mixing).
+// tick pays for tracing — one modular check and an untraced stage record
+// on the node's span — at zero allocations, and the sampled path's id
+// mint at zero too (it is pure integer mixing).
 func TestAllocGateFlightUnsampledTick(t *testing.T) {
 	skipUnderRace(t)
 	salt := flight.Salt("node042")
+	span := telemetry.NewTracer().Slot("node042")
 	var n uint64
 	var sink uint64
 	allocs := testing.AllocsPerRun(200, func() {
 		n++
 		sink += flight.NextTrace(salt, n)
+		span.Record(telemetry.StageGather, time.Duration(n), 34)
 	})
 	if allocs != 0 {
 		t.Fatalf("trace sampling decision allocates %.1f times, want 0", allocs)
@@ -851,40 +883,54 @@ func TestAllocGateTracedIngest(t *testing.T) {
 
 // TestAllocGateTracedMarshal pins the wire cost of carrying the trace
 // option: marshaling a traced frame into a reused buffer allocates
-// nothing beyond the untraced path.
+// nothing beyond the untraced path, in v1 text and in v2 binary.
 func TestAllocGateTracedMarshal(t *testing.T) {
 	skipUnderRace(t)
 	f := transmit.Frame{Node: "node042", Seq: 9, Kind: transmit.FrameDelta,
 		Values: ingestFullSet(), TraceID: 0xabcdef0123456789, TraceNs: 1 << 40}
 	buf := transmit.MarshalFrame(nil, f) // size the scratch off the measured path
+	enc := transmit.NewEncoderV2()
+	v2 := enc.Encode(nil, f)
+	enc.Ack(enc.TableLen())
 	allocs := testing.AllocsPerRun(200, func() {
 		buf = transmit.MarshalFrame(buf[:0], f)
+		f.Seq++
+		v2 = enc.Encode(v2[:0], f)
 	})
 	if allocs != 0 {
 		t.Fatalf("traced marshal allocates %.1f times, want 0", allocs)
 	}
 }
 
-// TestAllocGateV2Marshal pins the v2 binary encoder's steady state (the
-// E22 shape) at zero allocations: once the dictionary is interned and
-// the scratch buffers are sized, a delta frame is varint appends and
-// XOR bit-writes into reused memory.
+// TestAllocGateV2Marshal pins the agent's send path in the v2 binary
+// format (the E22 shape) at zero allocations: once the dictionary is
+// interned and the scratch buffers are sized, a tick consolidates the
+// sample, takes the change set (Delta) and encodes it — varint appends
+// and XOR bit-writes into reused memory.
 func TestAllocGateV2Marshal(t *testing.T) {
 	skipUnderRace(t)
 	enc := transmit.NewEncoderV2()
 	deltas := ingestDeltaSets()
 	const node = "fnode0001"
+	sample := ingestFullSet()
+	cons := consolidate.New()
+	cons.AddSource(consolidate.FuncSource{SourceName: "gate", Fn: func(dst []consolidate.Value) ([]consolidate.Value, error) {
+		return append(dst, sample...), nil
+	}}, 1)
 	// Warmup interns every name, sizes the scratch, and drains the tail.
-	f := transmit.Frame{Node: node, Seq: 1, Kind: transmit.FrameSnapshot, Values: ingestFullSet(), SentNs: 0}
+	cons.Tick()
+	f := transmit.Frame{Node: node, Seq: 1, Kind: transmit.FrameSnapshot, Values: cons.Delta(), SentNs: 0}
 	buf := enc.Encode(nil, f)
 	enc.Ack(enc.TableLen())
 	seq := uint64(1)
 	i := 0
 	allocs := testing.AllocsPerRun(200, func() {
 		seq++
+		sample = deltas[i%len(deltas)]
+		cons.Tick()
 		buf = enc.Encode(buf[:0], transmit.Frame{
 			Node: node, Seq: seq, Kind: transmit.FrameDelta,
-			Values: deltas[i%len(deltas)], SentNs: int64(seq) * 15_000_000_000,
+			Values: cons.Delta(), SentNs: int64(seq) * 15_000_000_000,
 		})
 		i++
 	})
@@ -983,9 +1029,10 @@ func TestAllocGateUplinkBatchMarshal(t *testing.T) {
 }
 
 // TestAllocGateUplinkBatchIngest pins the parent tier's receive path —
-// batch decode into the decoder's scratch, then one unsequenced ingest
-// per node section — at zero allocations per batch frame, matching the
-// per-node v2 gate. This is what keeps a root ingesting 100k mirrored
+// the agent port's connection loop reading a batch frame the child wrote
+// raw, batch decode into the decoder's scratch, then one unsequenced
+// ingest per node section — at zero allocations per batch frame, matching
+// the per-node v2 gate. This is what keeps a root ingesting 100k mirrored
 // nodes from touching the allocator at all in steady state: every cycle
 // appends to the same 8 × 8 history series, whose heads are grown to
 // full size before the measured window (see headWarmCycles).
@@ -1014,21 +1061,20 @@ func TestAllocGateUplinkBatchIngest(t *testing.T) {
 		snapAll[i] = transmit.Frame{Node: name, Kind: transmit.FrameSnapshot, Values: full}
 	}
 	// open starts a session with the snap-all; its cycle sends one delta
-	// frame, through emit.
-	open := func(emit func(transmit.Frame)) (sendSnapAll func(), cycle func(nodes int)) {
+	// frame. deliver carries an encoded frame to the receiver and returns
+	// the receiver's dictionary ack, which is owed when tail is set (the
+	// frame carried entries the receiver had not acked).
+	open := func(deliver func(payload []byte, tail bool) (ack int, ok bool)) (sendSnapAll func(), cycle func(nodes int)) {
 		enc := transmit.NewBatchEncoderV2()
-		dec := transmit.NewBatchDecoderV2()
 		var frames []transmit.Frame
 		var buf []byte
-		seq := uint64(0)
+		seq, acked := uint64(0), 0
 		send := func(frames []transmit.Frame) {
 			seq++
 			buf = enc.Encode(buf[:0], seq, int64(seq)*100_000_000, frames)
-			if _, err := dec.Decode(buf, emit); err != nil {
-				t.Fatal(err)
-			}
-			if n, ok := dec.PendingAck(); ok {
+			if n, ok := deliver(buf, enc.TableLen() > acked); ok {
 				enc.Ack(n)
+				acked = n
 			}
 		}
 		return func() { send(snapAll) }, func(nodes int) {
@@ -1041,7 +1087,13 @@ func TestAllocGateUplinkBatchIngest(t *testing.T) {
 	// holds. Two empty frames make the decoder let go of all scratch — the
 	// first leaves none in use, the second finds it so — which shows how
 	// much it still held.
-	sendSnapAll, cycle := open(func(transmit.Frame) {})
+	dec := transmit.NewBatchDecoderV2()
+	sendSnapAll, cycle := open(func(payload []byte, _ bool) (int, bool) {
+		if _, err := dec.Decode(payload, func(transmit.Frame) {}); err != nil {
+			t.Fatal(err)
+		}
+		return dec.PendingAck()
+	})
 	sendSnapAll()
 	_, afterDeltas := measureOnce(func() {
 		for i := 0; i < 8; i++ {
@@ -1063,12 +1115,30 @@ func TestAllocGateUplinkBatchIngest(t *testing.T) {
 		t.Fatalf("the decoder gave back %d B of scratch in all; the snap-all alone needed %d", released, snapAllNeeds)
 	}
 
-	// Then the same session into a server.
+	// Then the same session into a server's agent port. A frame is
+	// applied when the server's batch count reaches it; the snap-all's
+	// dictionary comes back acked.
 	srv := core.NewServer(core.ServerConfig{Cluster: "allocgate"})
-	sendSnapAll, cycle = open(func(f transmit.Frame) {
-		if err := srv.HandleFrame(f); err != nil {
+	clients, stop := servePipes(srv.ServeAgents, 1)
+	defer stop()
+	w, r := transmit.NewWriter(clients[0], false), transmit.NewReader(clients[0])
+	sent := int64(0)
+	sendSnapAll, cycle = open(func(payload []byte, tail bool) (int, bool) {
+		if err := w.WriteFrameRaw(payload); err != nil {
 			t.Fatal(err)
 		}
+		sent++
+		if tail {
+			ctl, err := r.ReadFrame()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return transmit.ParseDictAck(ctl)
+		}
+		for srv.UplinkInStats().Frames < sent {
+			runtime.Gosched()
+		}
+		return 0, false
 	})
 	sendSnapAll()
 	if allocs := steadyStateAllocs(func() { cycle(8) }); allocs != 0 {
@@ -1080,7 +1150,10 @@ func TestAllocGateUplinkBatchIngest(t *testing.T) {
 // the dirty stripes (noteFrame under the ingest hot path), and Flush
 // drains, reads the registry, assembles sub-frames, and encodes one
 // batch — all in reused scratch, zero allocations per flush cycle once
-// the history heads the ingest half appends to are at full size.
+// the history heads the ingest half appends to are at full size. A
+// connectivity sweep whose every echo flips marks each node through the
+// server-side path (noteValue); it and the flush that ships the flips
+// cost what the sweep's name list costs (NodeNames), nothing more.
 func TestAllocGateUplinkFlush(t *testing.T) {
 	skipUnderRace(t)
 	srv := core.NewServer(core.ServerConfig{Cluster: "allocgate"})
@@ -1122,5 +1195,20 @@ func TestAllocGateUplinkFlush(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("uplink mark+flush allocates %.1f times per cycle, want 0", allocs)
+	}
+
+	reach := false
+	probe := func(string) bool { return reach }
+	list := testing.AllocsPerRun(20, func() { srv.NodeNames() })
+	allocs = steadyStateAllocs(func() {
+		reach = !reach
+		srv.ProbeConnectivity(probe)
+		now += 100_000_000
+		if sent, err := u.Flush(now); err != nil || sent != len(names) {
+			t.Fatalf("flush after a sweep sent %d (%v), want %d", sent, err, len(names))
+		}
+	})
+	if allocs != list {
+		t.Fatalf("probe sweep+flush allocates %.1f times per cycle, want the %.1f of its name list", allocs, list)
 	}
 }

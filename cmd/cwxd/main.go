@@ -25,6 +25,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -43,6 +44,7 @@ import (
 	"clusterworx/internal/core"
 	"clusterworx/internal/events"
 	"clusterworx/internal/flight"
+	"clusterworx/internal/history"
 )
 
 func main() {
@@ -79,16 +81,27 @@ func main() {
 	var (
 		srv     *core.Server
 		clk     *clock.Clock
+		sim     *core.Sim
 		clockMu sync.Mutex
-		t0      = time.Now()
 	)
 	if *simNodes > 0 {
-		sim, err := core.NewSim(core.SimConfig{Nodes: *simNodes, Cluster: *cluster})
-		if err != nil {
+		var err error
+		if sim, err = core.NewSim(core.SimConfig{Nodes: *simNodes, Cluster: *cluster}); err != nil {
 			log.Fatalf("cwxd: %v", err)
 		}
 		srv, clk = sim.Server, sim.Clk
-		installRules(srv, *rulesFile)
+	} else {
+		clk = clock.New()
+		srv = core.NewServer(core.ServerConfig{Cluster: *cluster, Now: clk.Now})
+	}
+	// History loads before anything runs on the clock, and the clock
+	// resumes where the restored history ends: t0 is the wall instant at
+	// which it would have read 0.
+	origin := restoreHistory(srv.History(), *histFile)
+	clk.RunUntil(origin)
+	t0 := time.Now().Add(-origin)
+	installRules(srv, *rulesFile)
+	if sim != nil {
 		sim.PowerOnAll()
 		srv.SetCloner(func(imageID string, nodeNames []string) (string, error) {
 			clockMu.Lock()
@@ -111,10 +124,6 @@ func main() {
 				imageID, len(res.NodeUp), res.AllUp.Round(time.Second)), nil
 		})
 		log.Printf("cwxd: hosting %d simulated nodes in %d ICE boxes", *simNodes, len(sim.Boxes))
-	} else {
-		clk = clock.New()
-		srv = core.NewServer(core.ServerConfig{Cluster: *cluster, Now: clk.Now})
-		installRules(srv, *rulesFile)
 	}
 	//cwx:daemon wall-clock driver steps the virtual clock for the process lifetime
 	go func() {
@@ -126,14 +135,6 @@ func main() {
 	}()
 
 	if *histFile != "" {
-		if f, err := os.Open(*histFile); err == nil {
-			if err := srv.History().LoadFrom(f); err != nil {
-				log.Printf("cwxd: history load: %v", err)
-			} else {
-				log.Printf("cwxd: history restored from %s", *histFile)
-			}
-			f.Close()
-		}
 		//cwx:daemon periodic history persistence runs for the process lifetime
 		go func() {
 			for range time.Tick(time.Minute) {
@@ -236,6 +237,44 @@ func stepClock(clk *clock.Clock, elapsed time.Duration) {
 	if t := elapsed.Truncate(clockStep); t > clk.Now() {
 		clk.RunUntil(t)
 	}
+}
+
+// restoreHistory merges the snapshot at path (if any) into st and returns
+// where the server's clock resumes: the newest restored stamp, rounded up
+// to the clock's step. A clock that restarted at 0 would stamp every
+// sample older than its series' newest point, and a series drops those,
+// so history would stand still until the process had been up as long as
+// the last one. A file that does not load is renamed to path+".unreadable"
+// before anything can save over it — the first save would otherwise
+// replace it with whatever merged before the error.
+func restoreHistory(st *history.Store, path string) time.Duration {
+	if path == "" {
+		return 0
+	}
+	f, err := os.Open(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return 0
+	}
+	if err == nil {
+		err = st.LoadFrom(f)
+		f.Close()
+	}
+	if err == nil {
+		log.Printf("cwxd: history restored from %s", path)
+	} else if rerr := os.Rename(path, path+".unreadable"); rerr != nil {
+		log.Printf("cwxd: history load: %v; keeping the file failed: %v", err, rerr)
+	} else {
+		log.Printf("cwxd: history load: %v; kept the file as %s.unreadable", err, path)
+	}
+	var newest time.Duration
+	for _, node := range st.Nodes() {
+		for _, metric := range st.Metrics(node) {
+			if p, ok := st.Series(node, metric).Last(); ok && p.T > newest {
+				newest = p.T
+			}
+		}
+	}
+	return (newest + clockStep - 1).Truncate(clockStep)
 }
 
 // installRules arms the event rules: the administrator's rule file when

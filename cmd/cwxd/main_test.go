@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"clusterworx/internal/clock"
+	"clusterworx/internal/history"
 )
 
 // TestStepClockStaysOnTheGrid drives the wall-clock driver's loop body with
@@ -100,5 +102,89 @@ func TestSaveHistoryFailureKeepsPrevious(t *testing.T) {
 	}
 	if got := read(); got != "second\n" {
 		t.Fatalf("after a good save the snapshot reads %q", got)
+	}
+}
+
+// TestRestartResumesHistory: history saved by one process keeps growing in
+// the next. The old process saved 100 samples at 1…100 s; the new one
+// restores them, starts its clock where they end, and appends a sample
+// each second for 50 s, as ingest does. A clock that started again at 0
+// stamps all 50 before the newest saved point, and the series drops them.
+func TestRestartResumesHistory(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "history.txt")
+	old := history.NewStore(0)
+	for i := 1; i <= 100; i++ {
+		old.Append("node001", "load.1", time.Duration(i)*time.Second, float64(i))
+	}
+	if err := saveHistory(old.SaveTo, path); err != nil {
+		t.Fatal(err)
+	}
+
+	st := history.NewStore(0)
+	clk := clock.New()
+	origin := restoreHistory(st, path)
+	clk.RunUntil(origin)
+	for i := 1; i <= 50; i++ {
+		stepClock(clk, origin+time.Duration(i)*time.Second)
+		st.Append("node001", "load.1", clk.Now(), float64(100+i))
+	}
+	s := st.Series("node001", "load.1")
+	last, _ := s.Last()
+	if origin != 100*time.Second || s.Len() != 150 || last.T != 150*time.Second {
+		t.Fatalf("clock resumed at %v; the series holds %d points ending at %v, want 150 ending at 150s", origin, s.Len(), last.T)
+	}
+
+	// A newest stamp between two steps (a free-running clock's) resumes
+	// the clock at the next step, not the one before it.
+	old.Append("node001", "load.1", 100*time.Second+1234*time.Microsecond, 0)
+	if err := saveHistory(old.SaveTo, path); err != nil {
+		t.Fatal(err)
+	}
+	if origin := restoreHistory(history.NewStore(0), path); origin != 100100*time.Millisecond {
+		t.Fatalf("after an off-grid stamp the clock resumes at %v, want 100.1s", origin)
+	}
+}
+
+// TestUnreadableHistoryKept: a snapshot that does not load — cut short
+// mid-block, or in a format this build does not read — is kept byte for
+// byte as <path>.unreadable, and the next save writes a fresh snapshot
+// beside it instead of over it.
+func TestUnreadableHistoryKept(t *testing.T) {
+	saved := history.NewStore(0)
+	for i := 1; i <= 40; i++ {
+		for _, node := range []string{"a", "b", "c"} {
+			saved.Append(node, "load.1", time.Duration(i)*time.Second, float64(i%9))
+		}
+	}
+	var good bytes.Buffer
+	if err := saved.SaveTo(&good); err != nil {
+		t.Fatal(err)
+	}
+	body := good.Bytes()
+	for name, bad := range map[string][]byte{
+		"truncated":    body[:bytes.LastIndex(body, []byte("block "))+10],
+		"wrong header": append([]byte("clusterworx-history v3"), body[bytes.IndexByte(body, '\n'):]...),
+	} {
+		path := filepath.Join(t.TempDir(), "history.txt")
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st := history.NewStore(0)
+		restoreHistory(st, path)
+		if err := saveHistory(st.SaveTo, path); err != nil {
+			t.Fatal(err)
+		}
+		if kept, err := os.ReadFile(path + ".unreadable"); err != nil || !bytes.Equal(kept, bad) {
+			t.Fatalf("%s: the unreadable file was not kept as it was (%v)", name, err)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = history.NewStore(0).LoadFrom(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: the save after it does not load: %v", name, err)
+		}
 	}
 }

@@ -1,12 +1,12 @@
 // Command cwxlint runs the repository's invariant analyzers — the
-// per-function checks (hotpath, clockdet, lockscope, atomicmix) and the
+// per-function checks (clockdet, lockscope, atomicmix) and the
 // whole-program ones (lockorder, golife, staticalloc) — see
 // internal/lint.
 //
 // Usage:
 //
 //	go run ./cmd/cwxlint [-root dir] [-baseline file] [-update-baseline]
-//	    [-json] [-escapes] [-lockgraph file.dot]
+//	    [-json] [-lockgraph file.dot]
 //
 // Exit code contract (stable, for CI and editor integration):
 //
@@ -15,11 +15,11 @@
 //	2 — the analysis itself failed (load / type-check / build error)
 //
 // -json emits one self-contained JSON object per finding per line on
-// stdout instead of the file:line:col text form. -escapes (on by
-// default) feeds `go build -gcflags=-m` output to the staticalloc
-// analyzer; disable it when no build cache is available. -lockgraph
-// writes the whole-program lock-acquisition graph as Graphviz DOT and
-// exits (CI uploads it as a build artifact).
+// stdout instead of the file:line:col text form. Every run builds the
+// module with `go build -gcflags=-m` and feeds the compiler's escape
+// decisions to staticalloc. -lockgraph writes the whole-program
+// lock-acquisition graph as Graphviz DOT and exits (CI uploads it as a
+// build artifact).
 //
 // Accepted pre-existing findings live in .cwxlint-baseline at the module
 // root; -update-baseline rewrites it from the current findings.
@@ -39,17 +39,16 @@ func main() {
 	baseline := flag.String("baseline", "", "baseline file (default <root>/"+lint.BaselineName+")")
 	update := flag.Bool("update-baseline", false, "rewrite the baseline from current findings and exit")
 	jsonOut := flag.Bool("json", false, "emit findings as JSON, one object per line")
-	escapes := flag.Bool("escapes", true, "run staticalloc against go build -gcflags=-m output")
 	lockgraph := flag.String("lockgraph", "", "write the lock-acquisition graph as DOT to this file and exit")
 	flag.Parse()
 
-	if err := run(*root, *baseline, *lockgraph, *update, *jsonOut, *escapes); err != nil {
+	if err := run(*root, *baseline, *lockgraph, *update, *jsonOut); err != nil {
 		fmt.Fprintln(os.Stderr, "cwxlint:", err)
 		os.Exit(2)
 	}
 }
 
-func run(root, baselinePath, lockgraph string, update, jsonOut, escapes bool) error {
+func run(root, baselinePath, lockgraph string, update, jsonOut bool) error {
 	absRoot, err := filepath.Abs(root)
 	if err != nil {
 		return err
@@ -77,12 +76,8 @@ func run(root, baselinePath, lockgraph string, update, jsonOut, escapes bool) er
 		return nil
 	}
 
-	if escapes {
-		esc, err := lint.GoBuildEscapes(absRoot, "./...")
-		if err != nil {
-			return err
-		}
-		cfg.Escapes = esc
+	if cfg.Escapes, err = lint.GoBuildEscapes(absRoot, "./..."); err != nil {
+		return err
 	}
 
 	diags := lint.Run(pkgs, cfg)

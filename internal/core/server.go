@@ -479,7 +479,7 @@ func (s *Server) HandleFrame(f transmit.Frame) error {
 	var t1 time.Time
 	var lat time.Duration
 	if on {
-		t1 = time.Now() //cwx:allow clockdet,hotpath -- one deliberate second read: ingest-latency end doubles as events-dwell start
+		t1 = time.Now() //cwx:allow clockdet -- one deliberate second read: ingest-latency end doubles as events-dwell start
 		lat = t1.Sub(t0)
 		stripe := int(rec.shard)
 		mIngestUpdates.IncAt(stripe)

@@ -217,7 +217,7 @@ func (u *Uplink) noteFrame(f *transmit.Frame) {
 	dn := st.getLocked(f.Node) //cwx:allow staticalloc -- inlined first-sight registration; the entry persists for the node's lifetime and steady-state marking hits the map
 	if !dn.queued {
 		dn.queued = true
-		st.pending = append(st.pending, dn) //cwx:allow hotpath -- pending's capacity is reused across flushes (drain reslices to zero), so growth is amortized setup
+		st.pending = append(st.pending, dn)
 	}
 	if f.Kind == transmit.FrameSnapshot {
 		// A snapshot replaced state wholesale; the precise change set is
@@ -244,7 +244,7 @@ func (u *Uplink) noteValue(node, metric string) {
 	dn := st.getLocked(node) //cwx:allow staticalloc -- inlined first-sight registration; the entry persists for the node's lifetime and steady-state marking hits the map
 	if !dn.queued {
 		dn.queued = true
-		st.pending = append(st.pending, dn) //cwx:allow hotpath -- pending's capacity is reused across flushes (drain reslices to zero), so growth is amortized setup
+		st.pending = append(st.pending, dn)
 	}
 	if !dn.snap {
 		dn.names[metric] = struct{}{}

@@ -427,17 +427,13 @@ func readStamp(r *bitReader, s *DoDState, exp *uint8) int64 {
 // pointIter streams a block's points without materializing a slice.
 // count bounds the iteration, so arbitrary (corrupt) bytes always
 // terminate; after a short or impossible read next reports done and
-// failed reports true. plainDoD selects the stamp reader of a block from a
-// v3 file, whose stamps are the wire's plain delta-of-delta code (ReadDoD)
-// with no exponent; a field, not a reader passed in, because a call through
-// a function value would move every query's iterator to the heap.
+// failed reports true.
 type pointIter struct {
-	r        BitReader
-	ts       DoDState
-	vs       ValueState
-	exp      uint8
-	plainDoD bool
-	left     int
+	r    BitReader
+	ts   DoDState
+	vs   ValueState
+	exp  uint8
+	left int
 }
 
 func newPointIter(data []byte, count int) pointIter {
@@ -450,11 +446,7 @@ func (it *pointIter) next() (t int64, v float64, ok bool) {
 	if it.left <= 0 || it.r.Failed() {
 		return 0, 0, false
 	}
-	if it.plainDoD {
-		t = it.r.ReadDoD(&it.ts)
-	} else {
-		t = readStamp(&it.r.r, &it.ts, &it.exp)
-	}
+	t = readStamp(&it.r.r, &it.ts, &it.exp)
 	if v, ok = it.r.ReadValue(&it.vs); !ok {
 		return 0, 0, false
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/base64"
 	"encoding/binary"
 	"math"
-	"os"
 	"testing"
 	"time"
 )
@@ -81,21 +80,22 @@ func FuzzBlockCodec(f *testing.F) {
 }
 
 // FuzzLoadFrom feeds the persistence loader arbitrary files, seeded from
-// real saves in the two formats it reads. Whatever the bytes, it must return
-// (an error or not) without panicking, decode no block past
-// maxPersistBlockPoints, and leave every series it touched time-ordered
-// and within its capacity.
+// real saves in the format it reads and from older ones it rejects.
+// Whatever the bytes, it must return (an error or not) without panicking,
+// decode no block past maxPersistBlockPoints, and leave every series it
+// touched time-ordered and within its capacity.
 func FuzzLoadFrom(f *testing.F) {
 	// Short seeds: the fuzzer minimizes what it finds interesting, and a
-	// 20 KB file eats a smoke run's ten seconds doing it. From the v3
-	// fixture, the five-point series and the counter after it (one block
-	// and a part).
-	v3file, err := os.ReadFile("testdata/history_v3.txt")
-	if err != nil {
+	// 20 KB file eats a smoke run's ten seconds doing it. From a save of
+	// fixtureStore, the five-point series and the counter after it (one
+	// block and a part).
+	var fixture bytes.Buffer
+	if err := fixtureStore().SaveTo(&fixture); err != nil {
 		f.Fatal(err)
 	}
-	n3, nodeA := bytes.Index(v3file, []byte("series \"n3\"")), bytes.Index(v3file, []byte("series \"node a\""))
-	f.Add(v3file[:n3])
+	file := fixture.Bytes()
+	n3, nodeA := bytes.Index(file, []byte("series \"n3\"")), bytes.Index(file, []byte("series \"node a\""))
+	f.Add(file[:n3])
 	small := NewStore(5) // a block every five points, the oldest trimmed
 	for i := 0; i < 13; i++ {
 		small.Append("a", "load.1", sec(i)+time.Duration(i%3)*time.Millisecond, float64(i%7)/4)
@@ -106,8 +106,8 @@ func FuzzLoadFrom(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(v4.Bytes())
-	f.Add([]byte(persistHeaderV3 + "\nseries \"n\" \"m\" 1\nblock 3 1 /////////////w==\n"))
-	f.Add(append([]byte(persistHeaderV3+"\n"), v3file[n3:nodeA]...))
+	f.Add([]byte("clusterworx-history v3\nseries \"n\" \"m\" 1\nblock 3 1 /////////////w==\n"))
+	f.Add(append([]byte(persistHeaderV4+"\n"), file[n3:nodeA]...))
 	f.Add([]byte("clusterworx-history v1\nseries \"n\" \"m\" 1\n1.0 2.0\n"))
 	// A file that merges into the series the fuzz body pre-fills, around
 	// its one point.

@@ -23,15 +23,11 @@ import (
 //	block <count> <trim> <base64-data>
 //	...
 //
-// One older format is still read, so a snapshot taken before the stamp
-// code loads unchanged: v3 is the same file around blocks whose stamps
-// are the plain delta-of-delta code, which the same iterator reads with
-// the wire's ReadDoD for its stamp reader. Loading re-appends, so a
-// loaded store is in the current grammar and SaveTo always writes v4.
-// Older files (v2, v1) are rejected with an error naming what loads.
+// Loading re-appends, so a loaded store is in the current grammar. Older
+// files (v3, v2, v1) are rejected with an error naming what loads: every
+// build since v4 re-saved what it loaded as v4.
 
 const (
-	persistHeaderV3 = "clusterworx-history v3"
 	persistHeaderV4 = "clusterworx-history v4"
 
 	// maxPersistBlockPoints bounds a block line's declared point count, so
@@ -72,29 +68,18 @@ func (st *Store) SaveTo(w io.Writer) error {
 	return bw.Flush()
 }
 
-// LoadFrom merges persisted history into the store, reading the v4 and v3
-// block formats. Existing series receive the loaded points subject
-// to the usual ordering rule (older points than what is already present
-// are dropped).
+// LoadFrom merges persisted history into the store, reading the v4 block
+// format. Existing series receive the loaded points subject to the usual
+// ordering rule (older points than what is already present are dropped).
 func (st *Store) LoadFrom(r io.Reader) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), 16<<20)
 	if !sc.Scan() {
 		return fmt.Errorf("history: empty input")
 	}
-	switch sc.Text() {
-	case persistHeaderV4:
-		return st.load(sc, false)
-	case persistHeaderV3:
-		return st.load(sc, true)
-	default:
-		return fmt.Errorf("history: unsupported format %q (this build reads %q and %q)",
-			sc.Text(), persistHeaderV4, persistHeaderV3)
+	if sc.Text() != persistHeaderV4 {
+		return fmt.Errorf("history: unsupported format %q (this build reads %q)", sc.Text(), persistHeaderV4)
 	}
-}
-
-// load reads the series of a file; plainDoD selects v3's stamp reader.
-func (st *Store) load(sc *bufio.Scanner, plainDoD bool) error {
 	lineNo := 1
 	for sc.Scan() {
 		lineNo++
@@ -128,7 +113,6 @@ func (st *Store) load(sc *bufio.Scanner, plainDoD bool) error {
 				return fmt.Errorf("history: line %d: bad block data: %v", lineNo, err)
 			}
 			it := newPointIter(data, count)
-			it.plainDoD = plainDoD
 			decoded := 0
 			for {
 				t, v, ok := it.next()

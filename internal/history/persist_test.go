@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -46,22 +45,20 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadErrors(t *testing.T) {
-	cases := []string{"", "wrong header\n"}
-	// v4 and v3 differ in the stamp reader alone: the framing errors are
-	// the same, and so are these blocks, whose stamps are zeros.
-	for _, header := range []string{persistHeaderV4, persistHeaderV3} {
-		cases = append(cases,
-			header+"\nnot a series line\n",
-			header+"\nseries \"n\" \"m\" 2\nblock 1 0 /////////////w==\n", // truncated
-			header+"\nseries \"n\" \"m\" 1\nnope\n",
-			header+"\nseries \"n\" \"m\" 1\nblock 5 0 AA==\n",       // block bytes too short for count
-			header+"\nseries \"n\" \"m\" 1\nblock 1 0 !!!!\n",       // bad base64
-			header+"\nseries \"n\" \"m\" 1\nblock 0 0 AAAA\n",       // zero count
-			header+"\nseries \"n\" \"m\" 1\nblock 2 2 AAAA\n",       // trim >= count
-			header+"\nseries \"n\" \"m\" 1\nblock 9999999 0 AAAA\n", // count over bound
-			header+"\nseries \"n\" \"m\" 1\nblock 1 0 cAA=\n",       // a changed value that did not change
-			header+"\nseries \"n\" \"m\" -1\n",                      // negative count
-		)
+	const header = persistHeaderV4
+	cases := []string{
+		"",
+		"wrong header\n",
+		header + "\nnot a series line\n",
+		header + "\nseries \"n\" \"m\" 2\nblock 1 0 /////////////w==\n", // truncated
+		header + "\nseries \"n\" \"m\" 1\nnope\n",
+		header + "\nseries \"n\" \"m\" 1\nblock 5 0 AA==\n",       // block bytes too short for count
+		header + "\nseries \"n\" \"m\" 1\nblock 1 0 !!!!\n",       // bad base64
+		header + "\nseries \"n\" \"m\" 1\nblock 0 0 AAAA\n",       // zero count
+		header + "\nseries \"n\" \"m\" 1\nblock 2 2 AAAA\n",       // trim >= count
+		header + "\nseries \"n\" \"m\" 1\nblock 9999999 0 AAAA\n", // count over bound
+		header + "\nseries \"n\" \"m\" 1\nblock 1 0 cAA=\n",       // a changed value that did not change
+		header + "\nseries \"n\" \"m\" -1\n",                      // negative count
 	}
 	for _, block := range [][]byte{hostileStamp(5, 12), hostileStamp(1<<62, 9)} { // a stamp no encoder writes
 		cases = append(cases, persistHeaderV4+"\nseries \"n\" \"m\" 1\nblock 1 0 "+base64.StdEncoding.EncodeToString(block)+"\n")
@@ -179,11 +176,10 @@ func TestSaveLoadGrowthSteps(t *testing.T) {
 	}
 }
 
-// fixtureStore rebuilds the store saved as testdata/history_v3.txt
-// (capacity 700): a series that has evicted a whole block and trimmed the
-// next, with two-decimal readings on a jittered clock and special values
-// mixed in; an integer counter one block and a part long; and a
-// five-point series.
+// fixtureStore builds a store (capacity 700) with a series that has
+// evicted a whole block and trimmed the next, with two-decimal readings on
+// a jittered clock and special values mixed in; an integer counter one
+// block and a part long; and a five-point series.
 func fixtureStore() *Store {
 	st := NewStore(700)
 	rng := rand.New(rand.NewSource(20))
@@ -206,42 +202,6 @@ func fixtureStore() *Store {
 	return st
 }
 
-// TestLoadV3Fixture proves snapshots from before the stamp code still
-// load: history_v3.txt is fixtureStore as the last commit whose SaveTo
-// wrote v3 saved it, plain delta-of-delta stamps in every block, and it
-// comes back as the points that commit held, bit for bit.
-func TestLoadV3Fixture(t *testing.T) {
-	f, err := os.Open("testdata/history_v3.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	got, want := NewStore(700), fixtureStore()
-	if err := got.LoadFrom(f); err != nil {
-		t.Fatal(err)
-	}
-	if g, w := got.Nodes(), want.Nodes(); fmt.Sprint(g) != fmt.Sprint(w) {
-		t.Fatalf("loaded nodes %v, want %v", g, w)
-	}
-	for _, node := range want.Nodes() {
-		for _, metric := range want.Metrics(node) {
-			a := want.Series(node, metric).Range(math.MinInt64, math.MaxInt64)
-			var b []Point
-			if s := got.Series(node, metric); s != nil {
-				b = s.Range(math.MinInt64, math.MaxInt64)
-			}
-			if len(a) != len(b) {
-				t.Fatalf("%s/%s: loaded %d points, want %d", node, metric, len(b), len(a))
-			}
-			for i := range a {
-				if !samePoint(a[i], b[i]) {
-					t.Fatalf("%s/%s point %d: loaded %v, want %v", node, metric, i, b[i], a[i])
-				}
-			}
-		}
-	}
-}
-
 // TestLoadV1Rejected: the point-per-line format has had no writer since
 // the block engine; a v1 file fails with an error that says which format
 // it is and which ones load.
@@ -249,7 +209,7 @@ func TestLoadV1Rejected(t *testing.T) {
 	in := "clusterworx-history v1\nseries \"node a\" \"load.1\" 1\n1.000000 0.50\n"
 	st := NewStore(16)
 	err := st.LoadFrom(strings.NewReader(in))
-	if err == nil || !strings.Contains(err.Error(), `"clusterworx-history v1"`) || !strings.Contains(err.Error(), persistHeaderV3) {
+	if err == nil || !strings.Contains(err.Error(), `"clusterworx-history v1"`) || !strings.Contains(err.Error(), persistHeaderV4) {
 		t.Fatalf("v1 load: %v, want an error naming the version", err)
 	}
 	if len(st.Nodes()) != 0 {
@@ -284,21 +244,27 @@ func TestSaveToReportsWriteError(t *testing.T) {
 	}
 }
 
-// TestLoadV2Errors: the v2 reader is retired, so every v2 file — a
-// well-formed one included — fails with an error that names the version
-// and the formats that load, and loads nothing.
+// TestLoadV2Errors: the v2 and v3 readers are retired, so every file in
+// either format — a well-formed one included — fails with an error that
+// names its version and the format that loads, and loads nothing.
 func TestLoadV2Errors(t *testing.T) {
-	const header = "clusterworx-history v2"
-	for _, c := range []string{
-		header + "\n",
-		header + "\nseries \"n\" \"m\" 0 1\n5 1\n",
-		header + "\nseries \"n\" \"m\" 1 0\nblock 5 0 AA==\n",
+	var v4 bytes.Buffer
+	if err := fixtureStore().SaveTo(&v4); err != nil {
+		t.Fatal(err)
+	}
+	body := strings.TrimPrefix(v4.String(), persistHeaderV4+"\n") // v3 framed its blocks the same way
+	for _, c := range []struct{ header, body string }{
+		{"clusterworx-history v2", ""},
+		{"clusterworx-history v2", "series \"n\" \"m\" 0 1\n5 1\n"},
+		{"clusterworx-history v2", "series \"n\" \"m\" 1 0\nblock 5 0 AA==\n"},
+		{"clusterworx-history v3", ""},
+		{"clusterworx-history v3", body},
 	} {
 		st := NewStore(8)
-		err := st.LoadFrom(strings.NewReader(c))
-		if err == nil || !strings.Contains(err.Error(), `"`+header+`"`) ||
-			!strings.Contains(err.Error(), persistHeaderV4) || !strings.Contains(err.Error(), persistHeaderV3) {
-			t.Errorf("LoadFrom(%q): %v, want an error naming v2 and the formats that load", c, err)
+		in := c.header + "\n" + c.body
+		err := st.LoadFrom(strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), `"`+c.header+`"`) || !strings.Contains(err.Error(), persistHeaderV4) {
+			t.Errorf("LoadFrom(%.60q): %v, want an error naming %s and the format that loads", in, err, c.header)
 		}
 		if len(st.Nodes()) != 0 {
 			t.Errorf("a rejected file loaded %v", st.Nodes())

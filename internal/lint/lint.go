@@ -1,15 +1,13 @@
 // Package lint is cwxlint: a dependency-free static-analysis suite that
-// mechanically enforces the repository's performance, determinism, and
-// concurrency invariants — the properties the §5.3 "minimal
-// intrusiveness" claim rests on, which PRs 1–3 established by hand.
+// mechanically enforces the repository's determinism, concurrency and
+// allocation invariants — the properties the §5.3 "minimal
+// intrusiveness" claim rests on. It keeps only the checks no other
+// referee makes: an analyzer stays while a mutation it catches passes
+// the race detector, the alloc gates and the determinism suites alike
+// (DESIGN.md records the audit).
 //
 // Per-function analyzers:
 //
-//   - hotpath: a function marked //cwx:hotpath must not contain
-//     allocating constructs (fmt calls, string<->[]byte conversions,
-//     string concatenation, map/slice literals, capturing closures,
-//     append without preallocated-cap evidence) and at most one direct
-//     time.Now read per call.
 //   - clockdet: simulation-scoped packages must go through
 //     internal/clock and seeded rand.Rand instances, never the wall
 //     clock or the global math/rand state, so every simulation and
@@ -37,8 +35,10 @@
 //     goroutine must be select-guarded or provably buffered.
 //   - staticalloc: heap escapes reported by the compiler
 //     (go build -gcflags=-m) inside //cwx:hotpath functions fail the
-//     lint run, turning the runtime alloc-gate tests into a
-//     compile-time proof.
+//     lint run. It is the compile-time half of the allocation
+//     invariant; the TestAllocGate* tests count every allocation a hot
+//     function makes at run time, escaping or not, and are the only
+//     referee for the ones that do not escape.
 //
 // Findings are suppressed either inline ("//cwx:allow <analyzers> --
 // reason" on the flagged line or the line above) or through a baseline
@@ -198,7 +198,6 @@ func Run(pkgs []*Package, cfg Config) []Diagnostic {
 		passes = append(passes, &pass{pkg: pkg, cfg: &cfg, allows: collectAllows(pkg), diags: &diags})
 	}
 	for _, p := range passes {
-		runHotpath(p)
 		runClockdet(p)
 		runLockscope(p)
 	}

@@ -94,9 +94,7 @@ func collectWants(t *testing.T, pkg *Package) []*want {
 	return wants
 }
 
-func TestHotpathAnalyzer(t *testing.T)  { runTestdata(t, "hotpath", nil) }
-func TestClockdetAnalyzer(t *testing.T) { runTestdata(t, "clockdet", clockScoped) }
-
+func TestClockdetAnalyzer(t *testing.T)  { runTestdata(t, "clockdet", clockScoped) }
 func TestLockscopeAnalyzer(t *testing.T) { runTestdata(t, "lockscope", nil) }
 func TestAtomicmixAnalyzer(t *testing.T) { runTestdata(t, "atomicmix", nil) }
 func TestGolifeAnalyzer(t *testing.T)    { runTestdata(t, "golife", nil) }
@@ -205,7 +203,7 @@ func TestBaselineRoundTrip(t *testing.T) {
 	accepted := []Diagnostic{
 		mk("a.go", "clockdet", "wall clock"),
 		mk("a.go", "clockdet", "wall clock"), // same key twice: multiset
-		mk("b.go", "hotpath", "fmt allocates"),
+		mk("b.go", "staticalloc", "heap escape"),
 	}
 	path := filepath.Join(root, BaselineName)
 	if err := WriteBaseline(path, root, accepted); err != nil {
@@ -223,7 +221,7 @@ func TestBaselineRoundTrip(t *testing.T) {
 	// brand-new finding appeared (fresh).
 	now := []Diagnostic{
 		mk("a.go", "clockdet", "wall clock"),
-		mk("b.go", "hotpath", "fmt allocates"),
+		mk("b.go", "staticalloc", "heap escape"),
 		mk("c.go", "lockscope", "pool leak"),
 	}
 	fresh, stale := ApplyBaseline(now, root, base)

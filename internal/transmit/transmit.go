@@ -139,7 +139,7 @@ func (t *Writer) WriteFrame(p []byte) error {
 		// TestDeflaterPoolDropsPoisoned).
 		defer releaseDeflater(d, err)
 		if err != nil {
-			return fmt.Errorf("transmit: compress: %w", err) //cwx:allow hotpath,lockscope -- cold error path; deferred releaseDeflater drops the poisoned compressor
+			return fmt.Errorf("transmit: compress: %w", err) //cwx:allow lockscope -- deferred releaseDeflater drops the poisoned compressor
 		}
 		// Raw fallback: ship the original bytes whenever deflate did not
 		// strictly shrink them (see NewWriter).
@@ -240,11 +240,11 @@ func (t *Reader) ReadFrame() ([]byte, error) {
 	defer inflaterPool.Put(fr)
 	t.br.Reset(body)
 	if err := fr.(flate.Resetter).Reset(&t.br, nil); err != nil {
-		return nil, fmt.Errorf("transmit: decompress: %w", err) //cwx:allow hotpath -- cold error path
+		return nil, fmt.Errorf("transmit: decompress: %w", err)
 	}
 	out, err := readAllInto(t.dbuf[:0], fr)
 	if err != nil {
-		return nil, fmt.Errorf("transmit: decompress: %w", err) //cwx:allow hotpath -- cold error path
+		return nil, fmt.Errorf("transmit: decompress: %w", err)
 	}
 	t.dbuf = out
 	mFramesRead.Inc()
