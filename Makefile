@@ -104,13 +104,17 @@ faultinject:
 		-run 'TestLossToleranceConverges|TestLegacyProtocolDivergesUnderLoss|TestInProcessSimIsSequenced|TestPartitionHealRetransmits|TestMixedVersionClusterConverges|TestHandleFrameConcurrent|TestFedLossKillRejoinConverges|TestBlackholeDropsEverything|TestScheduleAtDrivesFaults|TestLossDropsFraction' \
 		./internal/core/ ./internal/simnet/
 
-# Runs the examples that drive a whole simulated cluster through the
-# in-process agent link (sequenced frames straight into the server, the
-# path cwxd -sim-nodes hosts); each must exit 0.
+# Runs every example; each must exit 0. Three drive a whole simulated
+# cluster through the in-process agent link (sequenced frames straight
+# into the server, the path cwxd -sim-nodes hosts); batch-scheduler runs
+# the SLURM substrate with a controller failure, and cluster-clone the
+# multicast image clone against its unicast baseline.
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/thermal-runaway
 	$(GO) run ./examples/rolling-update
+	$(GO) run ./examples/batch-scheduler
+	$(GO) run ./examples/cluster-clone
 
 # Where a root server's bytes per node go: loads the benchmark's tree
 # (1 024 nodes × 34 values × 16 samples) in process through a real batch

@@ -271,7 +271,7 @@ func BenchmarkAblationIngestSharded64(b *testing.B)    { benchAblationIngestShar
 // --- telemetry recording on/off ------------------------------------------------------
 //
 // The self-monitoring instrumentation rides the ingest hot path (striped
-// atomic counters, histogram observes, span records). This pair measures
+// atomic counters and histogram observes). This pair measures
 // its full cost on the identical workload as the E15/sharding benchmarks:
 // the Off variant flips the global kill switch, reducing every record to
 // one atomic load and a branch. The observability budget is < 5%

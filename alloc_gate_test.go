@@ -33,7 +33,6 @@ import (
 	"clusterworx/internal/flight"
 	"clusterworx/internal/history"
 	"clusterworx/internal/serve"
-	"clusterworx/internal/telemetry"
 	"clusterworx/internal/transmit"
 )
 
@@ -345,10 +344,10 @@ func gateMetricSet(prefix string) []consolidate.Value {
 // registryBytesPerNode ingests frames(i) for node i of names into a fresh
 // server and returns what the registry then holds per node: the live heap
 // the server added, less the history engine's own — the series' buffers
-// (Store.Bytes) and the Series structs. The process-wide tables a
-// registration also writes to (the telemetry span slot and the flight
-// journal symbol, a name each) are filled by a server that is thrown
-// away first, so they are not counted either.
+// (Store.Bytes) and the Series structs. The process-wide table a
+// registration also writes to (the flight journal's symbol, a name each)
+// is filled by a server that is thrown away first, so it is not counted
+// either.
 func registryBytesPerNode(t *testing.T, names []string, frames func(i int) []transmit.Frame) float64 {
 	t.Helper()
 	warm := core.NewServer(core.ServerConfig{Cluster: "allocgate"})
@@ -833,19 +832,16 @@ func TestAllocGateFlightAppend(t *testing.T) {
 }
 
 // TestAllocGateFlightUnsampledTick pins the cost a NON-sampled agent
-// tick pays for tracing — one modular check and an untraced stage record
-// on the node's span — at zero allocations, and the sampled path's id
-// mint at zero too (it is pure integer mixing).
+// tick pays for tracing — one modular check — at zero allocations, and
+// the sampled path's id mint at zero too (it is pure integer mixing).
 func TestAllocGateFlightUnsampledTick(t *testing.T) {
 	skipUnderRace(t)
 	salt := flight.Salt("node042")
-	span := telemetry.NewTracer().Slot("node042")
 	var n uint64
 	var sink uint64
 	allocs := testing.AllocsPerRun(200, func() {
 		n++
 		sink += flight.NextTrace(salt, n)
-		span.Record(telemetry.StageGather, time.Duration(n), 34)
 	})
 	if allocs != 0 {
 		t.Fatalf("trace sampling decision allocates %.1f times, want 0", allocs)

@@ -57,19 +57,15 @@ func main() {
 		histFile    = flag.String("history-file", "", "persist monitor history to this file (loaded at start, saved every minute)")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof and Prometheus /metrics on this address (e.g. localhost:6060; empty disables)")
 		selfMon     = flag.Duration("self-monitor", 10*time.Second, "meta-monitor period: ingest the server's own telemetry as node "+core.MetaNodeName+" (0 disables)")
-		flightN     = flag.Int("flight-rate", flight.DefaultRate, "causal-trace sampling: trace 1 in N agent ticks (min 1)")
-		flightOff   = flag.Bool("flight-off", false, "kill switch: disable the flight recorder and all trace sampling")
+		flightN     = flag.Int("flight-rate", flight.DefaultRate, "causal-trace sampling: trace 1 in N agent ticks; 0 turns the flight recorder off")
 		uplink      = flag.String("uplink", "", "federate: forward this server's consolidated change stream to a parent cwxd's agent port (host:port)")
 		uplinkEvery = flag.Duration("uplink-period", time.Second, "uplink flush cadence: changed nodes are batched upstream this often")
 		uplinkAE    = flag.Duration("uplink-anti-entropy", 5*time.Minute, "periodic full-state uplink flush so a wedged parent re-converges (0 disables)")
 		rollupSpec  = flag.String("rollup", "", "publish a subtree aggregate node: <agg-name> folds raw children (leaf tier, e.g. rack/leaf0), <agg-name>,<child-prefix> composes child aggregates (upper tier, e.g. grid/root,rack/); ticks with -uplink-period")
 	)
 	flag.Parse()
-	if *flightOff {
-		flight.Default().SetEnabled(false)
-	}
-	if *flightN > 0 {
-		flight.SetRate(*flightN)
+	if err := setFlightRate(*flightN); err != nil {
+		log.Fatalf("cwxd: %v", err)
 	}
 
 	// One driver steps the server's virtual clock along wall time in both
@@ -275,6 +271,19 @@ func restoreHistory(st *history.Store, path string) time.Duration {
 		}
 	}
 	return (newest + clockStep - 1).Truncate(clockStep)
+}
+
+// setFlightRate applies -flight-rate: N >= 1 traces 1 agent tick in N,
+// 0 turns the flight recorder off, and with it all trace sampling.
+func setFlightRate(n int) error {
+	if n < 0 {
+		return fmt.Errorf("-flight-rate %d: want 0 (recorder off) or N >= 1", n)
+	}
+	flight.Default().SetEnabled(n > 0)
+	if n > 0 {
+		flight.SetRate(n)
+	}
+	return nil
 }
 
 // installRules arms the event rules: the administrator's rule file when

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"clusterworx/internal/clock"
+	"clusterworx/internal/flight"
 	"clusterworx/internal/history"
 )
 
@@ -186,5 +187,22 @@ func TestUnreadableHistoryKept(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: the save after it does not load: %v", name, err)
 		}
+	}
+}
+
+// TestFlightRateFlag: -flight-rate N samples 1 tick in N, 0 turns the
+// flight recorder off, and a negative rate is refused, not ignored.
+func TestFlightRateFlag(t *testing.T) {
+	j := flight.Default()
+	defer flight.SetRate(flight.Rate())
+	defer j.SetEnabled(j.Enabled())
+	if err := setFlightRate(0); err != nil || j.Enabled() {
+		t.Fatalf("-flight-rate 0: err %v, recorder on %v; want it off", err, j.Enabled())
+	}
+	if err := setFlightRate(8); err != nil || !j.Enabled() || flight.Rate() != 8 {
+		t.Fatalf("-flight-rate 8: err %v, recorder on %v, rate %d", err, j.Enabled(), flight.Rate())
+	}
+	if err := setFlightRate(-1); err == nil || flight.Rate() != 8 {
+		t.Fatalf("-flight-rate -1: err %v, rate %d; want an error and the rate kept", err, flight.Rate())
 	}
 }

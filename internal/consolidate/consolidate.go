@@ -149,7 +149,7 @@ type Consolidator struct {
 	deltaBuf   []Value  // Delta scratch: returned slice, reused per call
 
 	// Most recent Tick's wall-clock split, recorded only while telemetry
-	// is enabled; the agent copies it into the node's pipeline span.
+	// is enabled; the agent journals it on a sampled tick's first hops.
 	lastGather    time.Duration
 	lastCons      time.Duration
 	lastCollected int

@@ -64,11 +64,6 @@ type Agent struct {
 	set     *monitor.Set
 	timer   *clock.Timer
 	stopped bool
-	// span is the node's pipeline trace slot; the agent writes the three
-	// §5.3 stages, the server side fills in the rest. In in-process
-	// simulation both halves meet in the same span, giving a full
-	// six-stage breakdown per node.
-	span *telemetry.Span
 
 	lastSent time.Duration
 	sendErrs int
@@ -140,7 +135,6 @@ func NewAgent(clk *clock.Clock, cfg AgentConfig) (*Agent, error) {
 	}
 	a := &Agent{cfg: cfg, clk: clk, cons: cons, set: set,
 		rng:  rand.New(rand.NewSource(retrySeed)),
-		span: telemetry.Spans.Slot(n.Name()),
 		salt: flight.Salt(n.Name()),
 		fsym: fjournal.Sym(n.Name())}
 	a.timer = clk.AfterFunc(cfg.Period, a.tick)
@@ -210,22 +204,17 @@ func (a *Agent) tick() {
 	// trace id that every downstream hop — including the server side of
 	// the wire — will journal under.
 	a.ticks++
-	newTrace := false
 	if id := flight.NextTrace(a.salt, a.ticks); id != 0 {
-		a.traceID, a.traceNs, newTrace = id, int64(now), true
-	}
-	var gather, cons time.Duration
-	var collected int
-	if on {
-		gather, cons, collected = a.cons.TickTelemetry()
-		a.span.RecordTraced(telemetry.StageGather, gather, int64(collected), a.traceID)
-		a.span.RecordTraced(telemetry.StageConsolidate, cons, int64(len(delta)), a.traceID)
-	}
-	if newTrace {
+		a.traceID, a.traceNs = id, int64(now)
 		// The agent-local hops of the sampled tick. Durations are zero
 		// when telemetry is off; the hops still anchor the span tree.
-		fjournal.Append(int(a.salt), flight.Entry{Kind: flight.KindStage, Stage: uint8(telemetry.StageGather), Node: a.fsym, Trace: a.traceID, TimeNs: int64(now), A: int64(gather), B: int64(collected)})
-		fjournal.Append(int(a.salt), flight.Entry{Kind: flight.KindStage, Stage: uint8(telemetry.StageConsolidate), Node: a.fsym, Trace: a.traceID, TimeNs: int64(now), A: int64(cons), B: int64(len(delta))})
+		var gather, cons time.Duration
+		var collected int
+		if on {
+			gather, cons, collected = a.cons.TickTelemetry()
+		}
+		fjournal.Append(int(a.salt), flight.Entry{Kind: flight.KindStage, Stage: flight.StageGather, Node: a.fsym, Trace: a.traceID, TimeNs: int64(now), A: int64(gather), B: int64(collected)})
+		fjournal.Append(int(a.salt), flight.Entry{Kind: flight.KindStage, Stage: flight.StageConsolidate, Node: a.fsym, Trace: a.traceID, TimeNs: int64(now), A: int64(cons), B: int64(len(delta))})
 	}
 	if a.cfg.SendFrame == nil {
 		return
@@ -260,9 +249,11 @@ func (a *Agent) tick() {
 	}
 	// Transmit timing covers delivery end to end: over the wire that is
 	// marshal + compress + send; with the in-process transport it also
-	// includes the server's synchronous ingest.
+	// includes the server's synchronous ingest. Only a traced frame's
+	// transmit hop is journaled, so only a traced send is timed.
+	timed := on && a.traceID != 0
 	var t0 time.Time
-	if on {
+	if timed {
 		t0 = time.Now() //cwx:allow clockdet -- transmit-latency telemetry measures real delivery cost
 	}
 	err := a.cfg.SendFrame(transmit.Frame{
@@ -286,9 +277,8 @@ func (a *Agent) tick() {
 		return
 	}
 	var sendDur time.Duration
-	if on {
+	if timed {
 		sendDur = time.Since(t0) //cwx:allow clockdet -- closes the wall-clock transmit span
-		a.span.RecordTraced(telemetry.StageTransmit, sendDur, int64(len(values)), a.traceID)
 	}
 	a.seq++
 	a.sent++
@@ -313,7 +303,7 @@ func (a *Agent) tick() {
 		// Close out the sampled frame's transmit hop. With the in-process
 		// transport the server's ingest ran inside SendFrame, so its
 		// journal records precede this one; sendDur covers them.
-		fjournal.Append(int(a.salt), flight.Entry{Kind: flight.KindStage, Stage: uint8(telemetry.StageTransmit), Node: a.fsym, Trace: a.traceID, TimeNs: int64(now), A: int64(sendDur), B: int64(len(values))})
+		fjournal.Append(int(a.salt), flight.Entry{Kind: flight.KindStage, Stage: flight.StageTransmit, Node: a.fsym, Trace: a.traceID, TimeNs: int64(now), A: int64(sendDur), B: int64(len(values))})
 		a.traceID, a.traceNs = 0, 0
 	}
 }

@@ -121,7 +121,7 @@ var ctlVerbs = []ctlVerb{
 		s.WriteTelemetry(b) //nolint:errcheck // bytes.Buffer cannot fail
 		return bytes.TrimRight(b.Bytes(), "\n")
 	}},
-	{name: "trace", args: "[-json] [node]", help: "latest pipeline span breakdown per node, with the worst-traced-ingest exemplar", max: -1, run: ctlTrace},
+	{name: "trace", args: "[-json] [node]", help: "newest retained trace per node, its hop per stage, with the worst-traced-ingest exemplar", max: -1, run: ctlTrace},
 	{name: "selfmon", help: "meta-monitor series panel (sparklines)", max: -1, watch: watchDiff, gen: genCluster,
 		open: func(p *plane, _ []string) func() string { return p.buildSelfmon }},
 	{name: "histmem", args: "[n]", help: "history memory ledger (top n series, default 20)", max: 1, run: ctlHistmem},

@@ -9,7 +9,6 @@ import (
 
 	"clusterworx/internal/flight"
 	"clusterworx/internal/serve"
-	"clusterworx/internal/telemetry"
 )
 
 // This file is the correctness suite for hierarchical federation: every
@@ -314,7 +313,7 @@ func TestFedJournalDifferential(t *testing.T) {
 		}
 		ingests := 0
 		for _, tr := range flight.Default().TraceRecords(r.Trace) {
-			if tr.Kind == flight.KindStage && tr.Stage == uint8(telemetry.StageIngest) {
+			if tr.Kind == flight.KindStage && tr.Stage == flight.StageIngest {
 				ingests++
 			}
 		}

@@ -9,7 +9,6 @@ import (
 
 	"clusterworx/internal/dashboard"
 	"clusterworx/internal/flight"
-	"clusterworx/internal/telemetry"
 )
 
 // This file is the control-plane surface of the flight recorder
@@ -65,7 +64,7 @@ func journalJSON(recs []flight.Record) []journalRecordJSON {
 			B:      r.B,
 		}
 		if r.Kind == flight.KindStage {
-			out[i].Stage = telemetry.Stage(r.Stage).String()
+			out[i].Stage = r.Stage.String()
 		}
 		if r.Trace != 0 {
 			out[i].Trace = flight.FormatTrace(r.Trace)
@@ -159,11 +158,11 @@ func ctlFlight(_ *Server, dst []byte, fields []string) []byte {
 	return append(append(dst, '\n'), strings.TrimRight(dashboard.FlightPanel(recs), "\n")...)
 }
 
-// spanJSON is the scripting view of one node's pipeline span for
-// "trace -json".
+// spanJSON is the scripting view of one node's row for "trace -json":
+// its newest retained trace and that trace's hop per stage.
 type spanJSON struct {
 	Node   string          `json:"node"`
-	Seq    int64           `json:"seq"`
+	Trace  string          `json:"trace"`
 	Stages []spanStageJSON `json:"stages"`
 }
 
@@ -171,60 +170,50 @@ type spanStageJSON struct {
 	Stage string `json:"stage"`
 	DurNs int64  `json:"dur_ns"`
 	Size  int64  `json:"size"`
-	Trace string `json:"trace,omitempty"`
 }
 
-func spansJSON(snaps []telemetry.SpanSnapshot) []spanJSON {
-	out := make([]spanJSON, len(snaps))
-	for i, sn := range snaps {
-		sp := spanJSON{Node: sn.Node, Seq: sn.Seq, Stages: make([]spanStageJSON, telemetry.NumStages)}
-		for st := 0; st < telemetry.NumStages; st++ {
-			sample := sn.Stages[st]
-			sp.Stages[st] = spanStageJSON{
-				Stage: telemetry.Stage(st).String(),
-				DurNs: int64(sample.Dur),
-				Size:  sample.Size,
-			}
-			if sample.Trace != 0 {
-				sp.Stages[st].Trace = flight.FormatTrace(sample.Trace)
-			}
+func spansJSON(rows []flight.NodeTrace) []spanJSON {
+	out := make([]spanJSON, len(rows))
+	for i, row := range rows {
+		sp := spanJSON{Node: row.Node, Trace: flight.FormatTrace(row.Trace), Stages: make([]spanStageJSON, flight.NumStages)}
+		for st, r := range row.Stages {
+			sp.Stages[st] = spanStageJSON{Stage: flight.Stage(st).String(), DurNs: r.A, Size: r.B}
 		}
 		out[i] = sp
 	}
 	return out
 }
 
-// ctlTrace handles "trace [-json] [node]": the latest span breakdown of
-// one node or of all.
+// ctlTrace handles "trace [-json] [node]": per node, the newest trace
+// the flight journal retains and its hop per stage, for one node or
+// all of them.
 func ctlTrace(_ *Server, dst []byte, fields []string) []byte {
 	args, asJSON := stripJSONFlag(fields)
 	if len(args) > 1 {
 		return dst
 	}
-	var snaps []telemetry.SpanSnapshot
+	rows := fjournal.LatestTraces()
 	if len(args) == 1 {
-		snap, ok := telemetry.Spans.Lookup(args[0])
-		if !ok {
+		i := sort.Search(len(rows), func(i int) bool { return rows[i].Node >= args[0] })
+		if i == len(rows) || rows[i].Node != args[0] {
 			return append(append(dst, "ERR no trace for node "...), args[0]...)
 		}
-		snaps = []telemetry.SpanSnapshot{snap}
-	} else {
-		snaps = telemetry.Spans.Snapshot()
+		rows = rows[i : i+1]
 	}
 	if asJSON {
-		return append(dst, ctlTraceJSON(snaps)...)
+		return append(dst, ctlTraceJSON(rows)...)
 	}
-	if len(snaps) == 0 {
-		return append(dst, "OK (no spans recorded)"...)
+	if len(rows) == 0 {
+		return append(dst, "OK (no traces retained)"...)
 	}
-	dst = append(append(dst, "OK\n"...), strings.TrimRight(renderSpans(snaps), "\n")...)
+	dst = append(append(dst, "OK\n"...), strings.TrimRight(renderTraces(rows), "\n")...)
 	return append(dst, traceExemplarFooter()...)
 }
 
-// ctlTraceJSON is the -json form of the trace verb: the span snapshots
-// plus the ingest-latency exemplar (the worst traced observation and
-// its trace id, the drill-down target for "flight <trace>").
-func ctlTraceJSON(snaps []telemetry.SpanSnapshot) string {
+// ctlTraceJSON is the -json form of the trace verb: the rows plus the
+// ingest-latency exemplar (the worst traced observation and its trace
+// id, the drill-down target for "flight <trace>").
+func ctlTraceJSON(rows []flight.NodeTrace) string {
 	resp := struct {
 		Spans    []spanJSON `json:"spans"`
 		Exemplar *struct {
@@ -232,7 +221,7 @@ func ctlTraceJSON(snaps []telemetry.SpanSnapshot) string {
 			ValueNs int64  `json:"value_ns"`
 			Trace   string `json:"trace"`
 		} `json:"exemplar,omitempty"`
-	}{Spans: spansJSON(snaps)}
+	}{Spans: spansJSON(rows)}
 	if v, tr := mIngestLatencyNs.Exemplar(); tr != 0 {
 		resp.Exemplar = &struct {
 			Metric  string `json:"metric"`

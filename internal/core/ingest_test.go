@@ -159,8 +159,9 @@ func TestIngestPluginReingestsSameNode(t *testing.T) {
 
 // TestIngestConcurrentHammer drives HandleValues, Status, NodeValue,
 // NodeValues, NodeNames, the history read side (Compare, Downsample —
-// the dashboard's queries), telemetry scraping (WriteTelemetry, span
-// snapshots, registry walks), and the meta-monitor's self-ingest from 32
+// the dashboard's queries), telemetry scraping (WriteTelemetry, the
+// trace verb's journal scan, registry walks), and the meta-monitor's
+// self-ingest from 32
 // goroutines over 256 nodes. Run under -race this is the regression gate
 // for the sharded ingest path: no global-lock serialization means every
 // interleaving must still be clean, including history reads racing
@@ -217,7 +218,7 @@ func TestIngestConcurrentHammer(t *testing.T) {
 						panic(err)
 					}
 				case 11:
-					telemetry.Spans.Snapshot()
+					srv.HandleCtl("trace")
 					telemetry.Default().Walk(func(string, float64) {})
 				case 12:
 					meta.Tick()

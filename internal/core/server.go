@@ -145,10 +145,6 @@ type nodeRec struct {
 	// shard is the record's stripe index, cached so telemetry on the
 	// ingest path can stripe its counters without re-hashing the name.
 	shard uint32
-	// span is the node's pipeline trace slot, resolved once at
-	// registration; recording through it is atomics only, preserving the
-	// no-new-locks contract of the sharded path.
-	span *telemetry.Span
 	// fsym is the node's interned flight-journal symbol, resolved once at
 	// registration so journal appends on the ingest path never touch the
 	// intern table (or any string).
@@ -343,7 +339,6 @@ func (s *Server) node(name string) *nodeRec {
 			name:  name,
 			hist:  hist,
 			shard: idx,
-			span:  telemetry.Spans.Slot(name),
 			fsym:  fjournal.Sym(name),
 		}
 		sh.nodes[name] = rec
@@ -486,12 +481,11 @@ func (s *Server) HandleFrame(f transmit.Frame) error {
 		mIngestValues.AddAt(stripe, int64(len(f.Values)))
 		mIngestLatencyNs.ObserveTraceAt(stripe, int64(lat), f.TraceID)
 		mIngestBatch.ObserveAt(stripe, int64(len(f.Values)))
-		rec.span.RecordTraced(telemetry.StageIngest, lat, int64(len(f.Values)), f.TraceID)
 	}
 	if f.TraceID != 0 {
 		// The sampled frame's ingest hop. lat is 0 with telemetry off —
 		// the journal still places the hop in the tree, just unmeasured.
-		fjournal.Append(int(rec.shard), flight.Entry{Kind: flight.KindStage, Stage: uint8(telemetry.StageIngest), Node: rec.fsym, Trace: f.TraceID, TimeNs: int64(now), A: int64(lat), B: int64(len(f.Values))})
+		fjournal.Append(int(rec.shard), flight.Entry{Kind: flight.KindStage, Stage: flight.StageIngest, Node: rec.fsym, Trace: f.TraceID, TimeNs: int64(now), A: int64(lat), B: int64(len(f.Values))})
 	}
 	s.observe(f.Node, rec, snap, t1, on, f.TraceID)
 	if resync {
@@ -597,28 +591,27 @@ func (s *Server) observationSnapshot(rec *nodeRec) map[string]float64 {
 }
 
 // observe runs the event engine over a snapshot and recycles it. The
-// engine does not retain the map past ObserveMap, so it can go straight
-// back to the pool. The dwell — how long rule evaluation (including any
-// inline actions) held up this ingest goroutine, measured from e0 (the
-// caller's post-ingest timestamp, when on) — lands in the node's
-// pipeline span and a striped histogram.
+// engine does not retain the map past ObserveTraced, so it can go
+// straight back to the pool. trace is the frame's flight trace id; the
+// engine stamps the frame's firings with it. The dwell — how long rule
+// evaluation (including any inline actions) held up this ingest
+// goroutine, measured from e0 (the caller's post-ingest timestamp, when
+// on) — lands in a striped histogram and, for a traced frame, in its
+// events hop.
 //
 //cwx:hotpath
 func (s *Server) observe(nodeName string, rec *nodeRec, snap map[string]float64, e0 time.Time, on bool, trace uint64) {
 	if snap == nil {
 		return
 	}
+	s.engine.ObserveTraced(nodeName, snap, trace)
 	var dwell time.Duration
 	if on {
-		s.engine.ObserveMap(nodeName, snap)
 		dwell = time.Since(e0) //cwx:allow clockdet -- dwell measures real rule-evaluation cost, paired with HandleFrame's t1
 		mEventsDwellNs.ObserveAt(int(rec.shard), int64(dwell))
-		rec.span.RecordTraced(telemetry.StageEvents, dwell, int64(len(snap)), trace)
-	} else {
-		s.engine.ObserveMap(nodeName, snap)
 	}
 	if trace != 0 {
-		fjournal.Append(int(rec.shard), flight.Entry{Kind: flight.KindStage, Stage: uint8(telemetry.StageEvents), Node: rec.fsym, Trace: trace, TimeNs: int64(s.now()), A: int64(dwell), B: int64(len(snap))})
+		fjournal.Append(int(rec.shard), flight.Entry{Kind: flight.KindStage, Stage: flight.StageEvents, Node: rec.fsym, Trace: trace, TimeNs: int64(s.now()), A: int64(dwell), B: int64(len(snap))})
 	}
 	clear(snap)
 	samplePool.Put(snap)

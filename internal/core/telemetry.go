@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"clusterworx/internal/flight"
 	"clusterworx/internal/telemetry"
 )
 
@@ -57,24 +58,24 @@ func (s *Server) WriteTelemetry(w io.Writer) error {
 	return telemetry.Default().WritePrometheus(w)
 }
 
-// renderSpans renders per-node pipeline span breakdowns as an aligned
-// table, one column per stage showing duration/size.
-func renderSpans(snaps []telemetry.SpanSnapshot) string {
+// renderTraces renders trace rows as an aligned table: a node's newest
+// retained trace id, then one column per stage showing the hop's
+// duration/size ("-" where the journal holds no record of it).
+func renderTraces(rows []flight.NodeTrace) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-16s %5s", "node", "seq")
-	for st := 0; st < telemetry.NumStages; st++ {
-		fmt.Fprintf(&b, " %14s", telemetry.Stage(st).String())
+	fmt.Fprintf(&b, "%-16s %-16s", "node", "trace")
+	for st := flight.Stage(0); st < flight.NumStages; st++ {
+		fmt.Fprintf(&b, " %14s", st.String())
 	}
 	b.WriteByte('\n')
-	for _, sp := range snaps {
-		fmt.Fprintf(&b, "%-16s %5d", sp.Node, sp.Seq)
-		for st := 0; st < telemetry.NumStages; st++ {
-			sample := sp.Stages[st]
-			if sample.Dur == 0 && sample.Size == 0 {
+	for _, row := range rows {
+		fmt.Fprintf(&b, "%-16s %-16s", row.Node, flight.FormatTrace(row.Trace))
+		for _, r := range row.Stages {
+			if r.Seq == 0 {
 				fmt.Fprintf(&b, " %14s", "-")
 				continue
 			}
-			fmt.Fprintf(&b, " %14s", fmtDur(sample.Dur)+"/"+fmt.Sprintf("%d", sample.Size))
+			fmt.Fprintf(&b, " %14s", fmtDur(time.Duration(r.A))+"/"+fmt.Sprintf("%d", r.B))
 		}
 		b.WriteByte('\n')
 	}

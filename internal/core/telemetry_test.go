@@ -78,9 +78,10 @@ func TestWriteTelemetryCoversPipeline(t *testing.T) {
 	}
 }
 
-// TestCtlTelemetryAndTrace exercises the new control verbs end to end on
-// a live sim: telemetry returns a Prometheus document, trace renders the
-// per-node span table, and bad arguments get ERR.
+// TestCtlTelemetryAndTrace exercises the control verbs end to end on a
+// live sim at the default sampling rate: telemetry returns a Prometheus
+// document, trace renders each node's newest retained trace from the
+// flight journal, and bad arguments get ERR.
 func TestCtlTelemetryAndTrace(t *testing.T) {
 	sim := bootSim(t, 2)
 	sim.Advance(time.Minute)
@@ -94,7 +95,7 @@ func TestCtlTelemetryAndTrace(t *testing.T) {
 	if !strings.HasPrefix(resp, "OK") {
 		t.Fatalf("trace response:\n%s", resp)
 	}
-	for _, col := range []string{"node", "gather", "consolidate", "transmit", "ingest", "events", "node000"} {
+	for _, col := range []string{"node", "trace", "gather", "consolidate", "transmit", "ingest", "events", "node000"} {
 		if !strings.Contains(resp, col) {
 			t.Fatalf("trace output missing %q:\n%s", col, resp)
 		}

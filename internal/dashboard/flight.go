@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"clusterworx/internal/flight"
-	"clusterworx/internal/telemetry"
 )
 
 // FlightPanel renders flight-recorder records, one per line, in the
@@ -34,7 +33,7 @@ func writeFlightLine(b *strings.Builder, r flight.Record) {
 	fmt.Fprintf(b, "%012d %9s %-12s", r.Seq, flightTime(r.TimeNs), flightName(r))
 	switch r.Kind {
 	case flight.KindStage:
-		fmt.Fprintf(b, " %-17s dur=%-8s size=%d", "stage:"+telemetry.Stage(r.Stage).String(), flightDur(r.A), r.B)
+		fmt.Fprintf(b, " %-17s dur=%-8s size=%d", "stage:"+r.Stage.String(), flightDur(r.A), r.B)
 	case flight.KindGap, flight.KindRegression:
 		fmt.Fprintf(b, " %-17s seq %d->%d", r.Kind, r.A, r.B)
 	case flight.KindResyncSnap:

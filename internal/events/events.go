@@ -153,9 +153,10 @@ type Actuator interface {
 }
 
 // Notifier receives trigger/clear edges; notify.Notifier implements the
-// paper's smart e-mail semantics on top of them.
+// paper's smart e-mail semantics on top of them. trace is the flight
+// trace id of the frame that fired the rule, 0 when it was not sampled.
 type Notifier interface {
-	EventTriggered(rule Rule, node string, value float64, actionErr error)
+	EventTriggered(rule Rule, node string, value float64, actionErr error, trace uint64)
 	EventCleared(rule Rule, node string)
 }
 
@@ -281,6 +282,14 @@ func (e *Engine) Observe(node string, values []consolidate.Value) []Firing {
 // map leave rule state untouched (a metric that stopped arriving is not a
 // violation — pair it with a connectivity rule).
 func (e *Engine) ObserveMap(node string, values map[string]float64) []Firing {
+	return e.ObserveTraced(node, values, 0)
+}
+
+// ObserveTraced is ObserveMap for the samples of one frame whose flight
+// trace id is trace (0: not sampled). The id stamps the event-fired
+// journal records and reaches the notifier, so a firing joins the tree
+// of the frame that caused it and of no other.
+func (e *Engine) ObserveTraced(node string, values map[string]float64, trace uint64) []Firing {
 	if e.nrules.Load() == 0 {
 		return nil
 	}
@@ -357,19 +366,16 @@ func (e *Engine) ObserveMap(node string, values map[string]float64) []Firing {
 			e.log = e.log[len(e.log)-e.logCap:]
 		}
 		e.mu.Unlock()
-		// Journal the firing. The trace id (if the triggering frame was
-		// sampled) comes from the node's span: the ingest hop for this
-		// very frame was recorded moments ago on the same goroutine.
 		fltj.Append(int(flight.Salt(node)), flight.Entry{
 			Kind:   flight.KindEventFired,
 			Node:   fltj.Sym(node),
 			Detail: fltj.Sym(w.rule.Name),
-			Trace:  telemetry.Spans.StageTrace(node, telemetry.StageIngest),
+			Trace:  trace,
 			TimeNs: int64(f.At),
 			A:      int64(w.val),
 		})
 		if w.rule.Notify && e.notifier != nil {
-			e.notifier.EventTriggered(w.rule, node, w.val, actionErr)
+			e.notifier.EventTriggered(w.rule, node, w.val, actionErr, trace)
 		}
 		fired = append(fired, f)
 	}

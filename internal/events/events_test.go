@@ -30,7 +30,7 @@ type fakeNotifier struct {
 	clears   []string
 }
 
-func (n *fakeNotifier) EventTriggered(r Rule, node string, v float64, actionErr error) {
+func (n *fakeNotifier) EventTriggered(r Rule, node string, v float64, actionErr error, _ uint64) {
 	n.triggers = append(n.triggers, fmt.Sprintf("%s@%s=%g", r.Name, node, v))
 }
 

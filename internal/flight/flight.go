@@ -93,6 +93,32 @@ func (k Kind) String() string {
 	return "?"
 }
 
+// Stage names the pipeline hop a KindStage record measures, in pipeline
+// order: the paper's three agent-side stages (§5.3 gathering →
+// consolidation → transmission) followed by the server-side ones
+// (ingest → event evaluation → notification).
+type Stage uint8
+
+const (
+	StageGather Stage = iota
+	StageConsolidate
+	StageTransmit
+	StageIngest
+	StageEvents
+	StageNotify
+	NumStages
+)
+
+var stageNames = [NumStages]string{"gather", "consolidate", "transmit", "ingest", "events", "notify"}
+
+// String returns the short lower-case stage name.
+func (s Stage) String() string {
+	if s < NumStages {
+		return stageNames[s]
+	}
+	return "unknown"
+}
+
 // Sym is an interned string id. Sym 0 is always the empty string.
 // Interning happens on cold paths (node registration, rule setup);
 // hot-path appenders carry pre-resolved Syms.
@@ -105,7 +131,7 @@ type Sym uint32
 // (the serving plane) pass 0.
 type Entry struct {
 	Kind   Kind
-	Stage  uint8 // telemetry.Stage index; meaningful for KindStage only
+	Stage  Stage // meaningful for KindStage only
 	Node   Sym
 	Detail Sym
 	Trace  uint64 // causal trace id; 0 = not tied to a sampled frame
@@ -119,7 +145,7 @@ type Record struct {
 	Seq    uint64
 	TimeNs int64
 	Kind   Kind
-	Stage  uint8
+	Stage  Stage
 	Trace  uint64
 	Node   string
 	Detail string
@@ -283,7 +309,7 @@ func (j *Journal) read(s *slot) (Record, bool) {
 			return Record{}, false
 		}
 		r.Kind = Kind(ks >> 8)
-		r.Stage = uint8(ks)
+		r.Stage = Stage(ks)
 		r.Node = j.name(Sym(ids >> 32))
 		r.Detail = j.name(Sym(uint32(ids)))
 		return r, true
@@ -349,6 +375,42 @@ func (j *Journal) LastTrace(node string) uint64 {
 		}
 	}
 	return best.Trace
+}
+
+// NodeTrace is one node's newest retained trace: its id and, per
+// pipeline stage, the newest KindStage record the node holds under it
+// (the zero Record where that hop left none or the ring evicted it).
+type NodeTrace struct {
+	Node   string
+	Trace  uint64
+	Stages [NumStages]Record
+}
+
+// LatestTraces returns, for every node a retained traced record names,
+// the trace LastTrace would pick and that trace's stage records, sorted
+// by node name. One scan of the ring serves every node.
+func (j *Journal) LatestTraces() []NodeTrace {
+	recs := j.collect(func(r *Record) bool { return r.Trace != 0 && r.Node != "" })
+	rows := make(map[string]*NodeTrace)
+	for _, r := range recs { // ascending seq: the newest trace wins
+		row := rows[r.Node]
+		if row == nil {
+			row = &NodeTrace{Node: r.Node}
+			rows[r.Node] = row
+		}
+		row.Trace = r.Trace
+	}
+	for _, r := range recs {
+		if row := rows[r.Node]; r.Kind == KindStage && r.Trace == row.Trace && r.Stage < NumStages {
+			row.Stages[r.Stage] = r
+		}
+	}
+	out := make([]NodeTrace, 0, len(rows))
+	for _, row := range rows {
+		out = append(out, *row)
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a].Node < out[b].Node })
+	return out
 }
 
 // Capacity is the number of records the ring retains.

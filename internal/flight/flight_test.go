@@ -81,6 +81,54 @@ func TestTraceAndNodeQueries(t *testing.T) {
 	}
 }
 
+// TestLatestTraces: a node's row is the trace of its newest traced
+// record, whatever the kind, and carries only that trace's stage
+// records, the newest per stage; untraced and nameless records make no
+// row.
+func TestLatestTraces(t *testing.T) {
+	j := NewJournal()
+	a, b := j.Sym("alpha"), j.Sym("beta")
+	j.Append(0, Entry{Kind: KindStage, Stage: StageGather, Node: a, Trace: 7, A: 1, B: 2})
+	j.Append(1, Entry{Kind: KindStage, Stage: StageGather, Node: a, Trace: 8, A: 3, B: 4})
+	j.Append(2, Entry{Kind: KindStage, Stage: StageIngest, Node: a, Trace: 7, A: 5, B: 6})
+	j.Append(3, Entry{Kind: KindStage, Stage: StageIngest, Node: a, Trace: 7, A: 9, B: 10})
+	j.Append(4, Entry{Kind: KindStage, Stage: StageEvents, Node: b, Trace: 9, A: 11, B: 12})
+	j.Append(5, Entry{Kind: KindEventFired, Node: b, Trace: 10})
+	j.Append(6, Entry{Kind: KindGap, Node: b})
+	j.Append(7, Entry{Kind: KindGateRebuild, Trace: 11})
+
+	rows := j.LatestTraces()
+	if len(rows) != 2 || rows[0].Node != "alpha" || rows[1].Node != "beta" {
+		t.Fatalf("LatestTraces = %+v", rows)
+	}
+	al := rows[0]
+	if al.Trace != 7 || al.Trace != j.LastTrace("alpha") {
+		t.Fatalf("alpha trace = %d, want 7 (LastTrace %d)", al.Trace, j.LastTrace("alpha"))
+	}
+	if g := al.Stages[StageGather]; g.A != 1 || g.B != 2 {
+		t.Fatalf("alpha gather = %+v, want trace 7's (1/2), not trace 8's", g)
+	}
+	if in := al.Stages[StageIngest]; in.A != 9 || in.B != 10 {
+		t.Fatalf("alpha ingest = %+v, want the newest (9/10)", in)
+	}
+	be := rows[1]
+	if be.Trace != 10 || be.Stages[StageEvents].Seq != 0 {
+		t.Fatalf("beta = %+v, want trace 10 with no stage records", be)
+	}
+}
+
+func TestStageStrings(t *testing.T) {
+	want := []string{"gather", "consolidate", "transmit", "ingest", "events", "notify"}
+	for i := Stage(0); i < NumStages; i++ {
+		if i.String() != want[i] {
+			t.Fatalf("Stage(%d) = %q, want %q", i, i, want[i])
+		}
+	}
+	if Stage(99).String() != "unknown" {
+		t.Fatal("out-of-range stage must be unknown")
+	}
+}
+
 func TestKillSwitch(t *testing.T) {
 	j := NewJournal()
 	if !j.Enabled() {
@@ -126,7 +174,7 @@ func TestConcurrentAppendAndRead(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				j.Append(w, Entry{Kind: KindStage, Stage: uint8(i % 6), Node: syms[w%4], Trace: uint64(w + 1), TimeNs: int64(i)})
+				j.Append(w, Entry{Kind: KindStage, Stage: Stage(i % 6), Node: syms[w%4], Trace: uint64(w + 1), TimeNs: int64(i)})
 			}
 		}(w)
 	}

@@ -133,7 +133,7 @@ func reentrantEntry(p *pass, call *ast.CallExpr) string {
 		switch name {
 		case "EventTriggered", "EventCleared":
 			return "notifier " + name
-		case "Observe", "ObserveMap":
+		case "Observe", "ObserveMap", "ObserveTraced":
 			if recvTypeName(fn) == "Engine" {
 				return "event engine " + name
 			}

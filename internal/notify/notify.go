@@ -152,30 +152,24 @@ func New(clk *clock.Clock, mailer Mailer, cfg Config) *Notifier {
 
 var _ events.Notifier = (*Notifier)(nil)
 
-// EventTriggered implements events.Notifier.
-func (n *Notifier) EventTriggered(rule events.Rule, node string, value float64, actionErr error) {
-	// The notify hop is the tail of the node's pipeline span. Cold path:
-	// the tracer's locked slot lookup is fine here.
-	start := time.Now() //cwx:allow clockdet -- notify-hop telemetry measures real delivery cost; incidents are stamped with n.clk
-	defer func() {
-		d := time.Since(start) //cwx:allow clockdet -- closes the wall-clock notify span
-		// Tail hop of the causal trace: the ingest hop for the triggering
-		// frame was recorded on this same goroutine, so its trace id (zero
-		// when the frame was unsampled) links the whole gather→notify tree.
-		trace := telemetry.Spans.StageTrace(node, telemetry.StageIngest)
-		telemetry.Spans.RecordTraced(node, telemetry.StageNotify, d, 1, trace)
-		if trace != 0 {
+// EventTriggered implements events.Notifier. When the firing frame was
+// sampled, the notify hop closes its trace: the delivery cost is
+// journaled under the frame's trace id.
+func (n *Notifier) EventTriggered(rule events.Rule, node string, value float64, actionErr error, trace uint64) {
+	if trace != 0 {
+		start := time.Now() //cwx:allow clockdet -- notify-hop telemetry measures real delivery cost; incidents are stamped with n.clk
+		defer func() {
 			fltj.Append(int(flight.Salt(node)), flight.Entry{
 				Kind:   flight.KindStage,
-				Stage:  uint8(telemetry.StageNotify),
+				Stage:  flight.StageNotify,
 				Node:   fltj.Sym(node),
 				Trace:  trace,
 				TimeNs: int64(n.clk.Now()),
-				A:      int64(d),
+				A:      int64(time.Since(start)), //cwx:allow clockdet -- closes the wall-clock notify span
 				B:      1,
 			})
-		}
-	}()
+		}()
+	}
 	n.mu.Lock()
 	inc, active := n.incidents[rule.Name]
 	if active {

@@ -25,7 +25,7 @@ func newNotifier(clk *clock.Clock, cfg Config) (*Notifier, *Recording) {
 func TestSingleTriggerSingleMail(t *testing.T) {
 	clk := clock.New()
 	n, rec := newNotifier(clk, Config{Cluster: "llnl", Admin: "ops@llnl.gov"})
-	n.EventTriggered(rule("overheat"), "node007", 91.5, nil)
+	n.EventTriggered(rule("overheat"), "node007", 91.5, nil, 0)
 	if rec.Count() != 1 {
 		t.Fatalf("mails = %d", rec.Count())
 	}
@@ -44,10 +44,10 @@ func TestOneMailForManyNodes(t *testing.T) {
 	clk := clock.New()
 	n, rec := newNotifier(clk, Config{})
 	r := rule("overheat")
-	n.EventTriggered(r, "n01", 90, nil)
+	n.EventTriggered(r, "n01", 90, nil, 0)
 	for i := 0; i < 30; i++ {
-		n.EventTriggered(r, "n02", 92, nil)
-		n.EventTriggered(r, "n03", 95, nil)
+		n.EventTriggered(r, "n02", 92, nil, 0)
+		n.EventTriggered(r, "n03", 95, nil, 0)
 	}
 	if rec.Count() != 1 {
 		t.Fatalf("mails = %d, paper says one per triggered event", rec.Count())
@@ -58,11 +58,11 @@ func TestBatchWindowCollectsNodes(t *testing.T) {
 	clk := clock.New()
 	n, rec := newNotifier(clk, Config{Batch: 5 * time.Second})
 	r := rule("overheat")
-	n.EventTriggered(r, "n01", 90, nil)
+	n.EventTriggered(r, "n01", 90, nil, 0)
 	clk.Advance(time.Second)
-	n.EventTriggered(r, "n02", 91, nil)
+	n.EventTriggered(r, "n02", 91, nil, 0)
 	clk.Advance(time.Second)
-	n.EventTriggered(r, "n03", 92, nil)
+	n.EventTriggered(r, "n03", 92, nil, 0)
 	if rec.Count() != 0 {
 		t.Fatal("mail sent before batch window closed")
 	}
@@ -85,9 +85,9 @@ func TestRefireSendsSecondMail(t *testing.T) {
 	clk := clock.New()
 	n, rec := newNotifier(clk, Config{})
 	r := rule("overheat")
-	n.EventTriggered(r, "n01", 90, nil)
+	n.EventTriggered(r, "n01", 90, nil, 0)
 	n.EventCleared(r, "n01") // admin fixed it
-	n.EventTriggered(r, "n01", 93, nil)
+	n.EventTriggered(r, "n01", 93, nil, 0)
 	if rec.Count() != 2 {
 		t.Fatalf("mails = %d, want re-fire to send again", rec.Count())
 	}
@@ -97,10 +97,10 @@ func TestNoRefireWhileOtherNodesStillFailing(t *testing.T) {
 	clk := clock.New()
 	n, rec := newNotifier(clk, Config{})
 	r := rule("overheat")
-	n.EventTriggered(r, "n01", 90, nil)
-	n.EventTriggered(r, "n02", 91, nil)
+	n.EventTriggered(r, "n01", 90, nil, 0)
+	n.EventTriggered(r, "n02", 91, nil, 0)
 	n.EventCleared(r, "n01")
-	n.EventTriggered(r, "n01", 92, nil) // rejoins the still-open incident
+	n.EventTriggered(r, "n01", 92, nil, 0) // rejoins the still-open incident
 	if rec.Count() != 1 {
 		t.Fatalf("mails = %d", rec.Count())
 	}
@@ -118,7 +118,7 @@ func TestSelfHealingWithinBatchSendsNothing(t *testing.T) {
 	clk := clock.New()
 	n, rec := newNotifier(clk, Config{Batch: 10 * time.Second})
 	r := rule("flap")
-	n.EventTriggered(r, "n01", 90, nil)
+	n.EventTriggered(r, "n01", 90, nil, 0)
 	clk.Advance(2 * time.Second)
 	n.EventCleared(r, "n01") // healed before the window expired
 	clk.Advance(time.Minute)
@@ -130,8 +130,8 @@ func TestSelfHealingWithinBatchSendsNothing(t *testing.T) {
 func TestIndependentRulesIndependentIncidents(t *testing.T) {
 	clk := clock.New()
 	n, rec := newNotifier(clk, Config{})
-	n.EventTriggered(rule("overheat"), "n01", 90, nil)
-	n.EventTriggered(rule("fanfail"), "n01", 0, nil)
+	n.EventTriggered(rule("overheat"), "n01", 90, nil, 0)
+	n.EventTriggered(rule("fanfail"), "n01", 0, nil, 0)
 	if rec.Count() != 2 {
 		t.Fatalf("mails = %d for two distinct events", rec.Count())
 	}
@@ -140,7 +140,7 @@ func TestIndependentRulesIndependentIncidents(t *testing.T) {
 func TestActionFailureShownInMail(t *testing.T) {
 	clk := clock.New()
 	n, rec := newNotifier(clk, Config{})
-	n.EventTriggered(rule("overheat"), "n01", 90, errors.New("icebox port dead"))
+	n.EventTriggered(rule("overheat"), "n01", 90, errors.New("icebox port dead"), 0)
 	body := rec.Messages()[0].Body
 	if !strings.Contains(body, "ACTION FAILED") || !strings.Contains(body, "icebox port dead") {
 		t.Fatalf("body = %s", body)
@@ -151,7 +151,7 @@ func TestWirelessFormat(t *testing.T) {
 	clk := clock.New()
 	n, rec := newNotifier(clk, Config{Cluster: "c1", Wireless: true})
 	r := rule("overheat")
-	n.EventTriggered(r, "n01", 90, nil)
+	n.EventTriggered(r, "n01", 90, nil, 0)
 	m := rec.Messages()[0]
 	if strings.Contains(m.Body, "\n") {
 		t.Fatalf("wireless body not single-line: %q", m.Body)
@@ -175,7 +175,7 @@ func TestClearWithoutIncidentIgnored(t *testing.T) {
 func TestMailerFailureCounted(t *testing.T) {
 	clk := clock.New()
 	n := New(clk, MailerFunc(func(Message) error { return errors.New("smtp down") }), Config{})
-	n.EventTriggered(rule("overheat"), "n01", 90, nil)
+	n.EventTriggered(rule("overheat"), "n01", 90, nil, 0)
 	if n.SendFailures() != 1 {
 		t.Fatalf("send failures = %d", n.SendFailures())
 	}
@@ -193,7 +193,7 @@ func TestSendRetriedAfterTransientFailure(t *testing.T) {
 		return nil
 	})
 	n := New(clk, mailer, Config{Retry: 10 * time.Second})
-	n.EventTriggered(rule("overheat"), "n01", 90, nil)
+	n.EventTriggered(rule("overheat"), "n01", 90, nil, 0)
 	if sent != 0 {
 		t.Fatalf("mail delivered despite failing mailer")
 	}
@@ -221,7 +221,7 @@ func TestSendRetriesAreBounded(t *testing.T) {
 	attempts := 0
 	mailer := MailerFunc(func(Message) error { attempts++; return errors.New("smtp dead") })
 	n := New(clk, mailer, Config{Retry: time.Second})
-	n.EventTriggered(rule("overheat"), "n01", 90, nil)
+	n.EventTriggered(rule("overheat"), "n01", 90, nil, 0)
 	clk.Advance(time.Hour)
 	if attempts != maxSendAttempts {
 		t.Fatalf("attempts = %d, want %d (bounded retry)", attempts, maxSendAttempts)
@@ -237,7 +237,7 @@ func TestNoRetryAfterIncidentClears(t *testing.T) {
 	mailer := MailerFunc(func(Message) error { attempts++; return errors.New("smtp down") })
 	n := New(clk, mailer, Config{Retry: time.Second})
 	r := rule("overheat")
-	n.EventTriggered(r, "n01", 90, nil)
+	n.EventTriggered(r, "n01", 90, nil, 0)
 	// The node heals before the retry fires: the incident closes, and the
 	// pending retry must not mail about a problem that no longer exists.
 	n.EventCleared(r, "n01")
@@ -250,7 +250,7 @@ func TestNoRetryAfterIncidentClears(t *testing.T) {
 func TestDefaults(t *testing.T) {
 	clk := clock.New()
 	n, rec := newNotifier(clk, Config{})
-	n.EventTriggered(rule("r"), "n01", 1, nil)
+	n.EventTriggered(rule("r"), "n01", 1, nil, 0)
 	m := rec.Messages()[0]
 	if m.To != "root@localhost" || !strings.Contains(m.Subject, "[cluster]") {
 		t.Fatalf("defaults not applied: %+v", m)

@@ -1,9 +1,6 @@
 package telemetry
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestHistogramExemplar(t *testing.T) {
 	var h Histogram
@@ -23,34 +20,5 @@ func TestHistogramExemplar(t *testing.T) {
 	}
 	if s := h.Snapshot(); s.Count != 4 {
 		t.Fatalf("observations not all counted: %d", s.Count)
-	}
-}
-
-func TestSpanRecordTraced(t *testing.T) {
-	tr := NewTracer()
-	sp := tr.Slot("node001")
-	sp.RecordTraced(StageIngest, 10*time.Microsecond, 4, 0x1234)
-	sp.Record(StageIngest, 20*time.Microsecond, 5) // unsampled tick keeps the trace
-	snap, ok := tr.Lookup("node001")
-	if !ok {
-		t.Fatal("span missing")
-	}
-	st := snap.Stages[StageIngest]
-	if st.Dur != 20*time.Microsecond || st.Trace != 0x1234 {
-		t.Fatalf("ingest sample = %+v, want fresh dur + retained trace", st)
-	}
-	if got := sp.StageTrace(StageIngest); got != 0x1234 {
-		t.Fatalf("StageTrace = %x", got)
-	}
-	if got := tr.StageTrace("node001", StageIngest); got != 0x1234 {
-		t.Fatalf("Tracer.StageTrace = %x", got)
-	}
-	if got := tr.StageTrace("ghost", StageIngest); got != 0 {
-		t.Fatalf("ghost StageTrace = %x", got)
-	}
-	var nilSpan *Span
-	nilSpan.RecordTraced(StageIngest, time.Second, 1, 1) // must not panic
-	if nilSpan.StageTrace(StageIngest) != 0 {
-		t.Fatal("nil span StageTrace")
 	}
 }

@@ -1,7 +1,9 @@
 // Package telemetry is the management stack's self-monitoring core: a
 // dependency-free set of atomic counters, gauges and fixed-bucket
-// histograms with snapshot-on-read, plus a stage-span tracer (trace.go)
-// that follows one sample batch through the monitoring pipeline.
+// histograms with snapshot-on-read. It holds aggregates only: what one
+// sampled frame did at each pipeline stage is recorded once, in the
+// flight journal (internal/flight), and a histogram's exemplar names
+// such a frame by its trace id.
 //
 // Production monitoring stacks instrument themselves — a monitor that
 // cannot quantify its own intrusiveness cannot keep the promise that it

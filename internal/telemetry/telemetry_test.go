@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterStriping(t *testing.T) {
@@ -241,76 +240,5 @@ func TestConcurrentRecordAndScrape(t *testing.T) {
 	}
 	if got := r.Histogram("lat_ns").Snapshot().Count; got != workers*iters {
 		t.Fatalf("lat_ns count = %d, want %d", got, workers*iters)
-	}
-}
-
-func TestTracer(t *testing.T) {
-	tr := NewTracer()
-	sp := tr.Slot("n1")
-	if sp != tr.Slot("n1") {
-		t.Fatal("Slot not idempotent")
-	}
-	sp.Record(StageGather, 5*time.Microsecond, 42)
-	tr.Record("n1", StageNotify, time.Millisecond, 1)
-	tr.Record("n0", StageIngest, time.Microsecond, 8)
-
-	snap, ok := tr.Lookup("n1")
-	if !ok {
-		t.Fatal("Lookup(n1) missing")
-	}
-	if snap.Seq != 2 {
-		t.Fatalf("Seq = %d, want 2", snap.Seq)
-	}
-	if g := snap.Stages[StageGather]; g.Dur != 5*time.Microsecond || g.Size != 42 {
-		t.Fatalf("gather stage = %+v", g)
-	}
-	if n := snap.Stages[StageNotify]; n.Dur != time.Millisecond || n.Size != 1 {
-		t.Fatalf("notify stage = %+v", n)
-	}
-	if _, ok := tr.Lookup("missing"); ok {
-		t.Fatal("Lookup(missing) should fail")
-	}
-	all := tr.Snapshot()
-	if len(all) != 2 || all[0].Node != "n0" || all[1].Node != "n1" {
-		t.Fatalf("Snapshot = %+v", all)
-	}
-
-	var nilSpan *Span
-	nilSpan.Record(StageEvents, time.Second, 1) // must not panic
-}
-
-func TestStageStrings(t *testing.T) {
-	want := []string{"gather", "consolidate", "transmit", "ingest", "events", "notify"}
-	for i := 0; i < NumStages; i++ {
-		if Stage(i).String() != want[i] {
-			t.Fatalf("Stage(%d) = %q, want %q", i, Stage(i), want[i])
-		}
-	}
-	if Stage(99).String() != "unknown" {
-		t.Fatal("out-of-range stage must be unknown")
-	}
-}
-
-func TestTracerConcurrent(t *testing.T) {
-	tr := NewTracer()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sp := tr.Slot("node")
-			for i := 0; i < 500; i++ {
-				sp.Record(Stage(i%NumStages), time.Duration(i), int64(w))
-				if i%50 == 0 {
-					tr.Snapshot()
-					tr.Lookup("node")
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	snap, _ := tr.Lookup("node")
-	if snap.Seq != 8*500 {
-		t.Fatalf("Seq = %d, want %d", snap.Seq, 8*500)
 	}
 }
