@@ -75,7 +75,10 @@ bench-test:
 	cd bench && $(GO) test ./...
 
 # Short fuzz run over the wire-protocol parsers, the history block codec
-# and persistence loader (v4 files, and the older ones it rejects), the
+# and persistence loader (v4 files, and the older ones it rejects), a
+# node's history under a node-level op stream (frames over its metrics,
+# metrics arriving in chunks of their own, queries through handles taken
+# before those chunks, against a reference ring per metric), the
 # wire's value coder, the table views' row renderer and the chart (against
 # the fmt verbs they replace), the event rule-file parser, the ICE Box
 # command core and the ctl request line (any line: no panic, an OK/ERR
@@ -89,6 +92,7 @@ fuzz-smoke:
 	$(GO) test ./internal/transmit/ -fuzz FuzzDecodeBatchV2 -fuzztime 10s -run NONE
 	$(GO) test ./internal/history/ -fuzz FuzzBlockCodec -fuzztime 10s -run NONE
 	$(GO) test ./internal/history/ -fuzz FuzzLoadFrom -fuzztime 10s -run NONE
+	$(GO) test ./internal/history/ -fuzz FuzzNodeSeries -fuzztime 10s -run NONE
 	$(GO) test ./internal/history/ -fuzz FuzzValueCodec -fuzztime 10s -run NONE
 	$(GO) test ./internal/dashboard/ -fuzz FuzzRowMatchesFmt -fuzztime 10s -run NONE
 	$(GO) test ./internal/dashboard/ -fuzz FuzzChartMatchesFmt -fuzztime 10s -run NONE

@@ -31,7 +31,9 @@ import (
 	"clusterworx/internal/consolidate"
 	"clusterworx/internal/core"
 	"clusterworx/internal/flight"
+	"clusterworx/internal/gather"
 	"clusterworx/internal/history"
+	"clusterworx/internal/procfs"
 	"clusterworx/internal/serve"
 	"clusterworx/internal/transmit"
 )
@@ -222,9 +224,10 @@ func TestAllocGateHistoryHeadGrowth(t *testing.T) {
 // what it holds, not what it might: each series' 16 changed values sit
 // coded in a 128 B buffer (256 B on the ×4 ladder, 512 B of raw head
 // arrays before the open block, 8 KiB when every series preallocated a
-// 512-point head, ≈270 MB of live heap in all) behind a 160 B Series, and
-// the registry beside it costs columns and a series slab per node, not two
-// maps and a map of series. The server here stamps with its default
+// 512-point head, ≈270 MB of live heap in all) behind a 104 B slot of its
+// node's slab (a 160 B Series of its own and a pointer to it before: 10.3
+// MB), and the registry beside it costs columns per node, not two maps
+// and a map of series. The server here stamps with its default
 // free-running clock, the costliest stamps there are, and the footprint is
 // still exact on any host: 16 points of at most 38 + 13 bits are 102 B,
 // inside the 108 B a 128 B buffer takes before it doubles, and a
@@ -263,9 +266,9 @@ func TestAllocGateHistoryYoungStoreHeap(t *testing.T) {
 		t.Fatalf("history accounts %d B, want %d (a 128 B open block for each of %d series)", got, want, nodes*numeric)
 	}
 	mb := float64(heap) / (1 << 20)
-	t.Logf("young tree: %.1f MB", mb)
-	if mb > 14 {
-		t.Fatalf("a %d-node × %d-metric × %d-sample tree retains %.1f MB of heap, want <= 14", nodes, numeric, samples, mb)
+	t.Logf("young tree: %.2f MB", mb)
+	if mb > 8.7 {
+		t.Fatalf("a %d-node × %d-metric × %d-sample tree retains %.2f MB of heap, want <= 8.7", nodes, numeric, samples, mb)
 	}
 }
 
@@ -344,7 +347,9 @@ func gateMetricSet(prefix string) []consolidate.Value {
 // registryBytesPerNode ingests frames(i) for node i of names into a fresh
 // server and returns what the registry then holds per node: the live heap
 // the server added, less the history engine's own — the series' buffers
-// (Store.Bytes) and the Series structs. The process-wide table a
+// (Store.Bytes) and the slab chunks the series live in, each frame that
+// brought a node numeric metrics it had no series for one chunk of them,
+// at the size class its malloc takes. The process-wide table a
 // registration also writes to (the flight journal's symbol, a name each)
 // is filled by a server that is thrown away first, so it is not counted
 // either.
@@ -365,19 +370,48 @@ func registryBytesPerNode(t *testing.T, names []string, frames func(i int) []tra
 			}
 		}
 	})
-	series := 0
-	for _, name := range names {
-		series += len(srv.History().Metrics(name))
+	var slabs int64
+	for i := range names {
+		held := map[string]bool{}
+		for _, f := range frames(i) {
+			fresh := 0
+			for _, v := range f.Values {
+				if !v.IsText && !held[v.Name] {
+					held[v.Name] = true
+					fresh++
+				}
+			}
+			if fresh > 0 {
+				slabs += chunkAlloc(fresh)
+			}
+		}
 	}
-	own := heap - srv.History().Bytes() - int64(series)*int64(unsafe.Sizeof(history.Series{}))
+	own := heap - srv.History().Bytes() - slabs
 	return float64(own) / float64(len(names))
+}
+
+// chunkAllocs memoizes chunkAlloc.
+var chunkAllocs = map[int]int64{}
+
+// chunkAlloc returns the live heap a slab chunk of n series takes: n
+// slots rounded up to their malloc size class.
+func chunkAlloc(n int) int64 {
+	if b, ok := chunkAllocs[n]; ok {
+		return b
+	}
+	var chunk []history.Series
+	_, heap := measureOnce(func() { chunk = make([]history.Series, n) })
+	runtime.KeepAlive(chunk)
+	chunkAllocs[n] = heap
+	return heap
 }
 
 // TestAllocGateRegistryBytesPerNode pins what the node registry itself
 // costs: 4 096 nodes × 34 values through HandleFrame must leave at most
 // 1.5 KB per node beside the series — the record, its value columns, the
-// node's series slab and the two table entries that find them (9.3 KB
-// when the record was two string-keyed maps and the slab a third).
+// node's history with its id column, and the two table entries that find
+// them (9.3 KB when the record was two string-keyed maps and the history
+// index a third).
 func TestAllocGateRegistryBytesPerNode(t *testing.T) {
 	skipUnderRace(t)
 	names := gateNodeNames(4096)
@@ -1207,4 +1241,114 @@ func TestAllocGateUplinkFlush(t *testing.T) {
 	if allocs != list {
 		t.Fatalf("probe sweep+flush allocates %.1f times per cycle, want the %.1f of its name list", allocs, list)
 	}
+}
+
+// TestAllocGateRollupTick pins the aggregate's idle cost: a tier's rollup
+// ticks on the wall clock whatever the tree does, so an allocation there
+// is charged to whichever round it lands in. A steady Reset, Observe,
+// AppendValues cycle over 32 metrics, and a Rollup.Tick over 64 children
+// whose fold did not change, both allocate nothing: the four names of a
+// metric's fold are built when its entry is made, not on every tick.
+func TestAllocGateRollupTick(t *testing.T) {
+	skipUnderRace(t)
+	full := gateMetricSet("a")
+	acc := consolidate.NewRollupAcc()
+	var dst []consolidate.Value
+	cycle := func() {
+		acc.Reset()
+		for i := range full[:32] {
+			acc.Observe(full[i].Name, full[i].Num)
+		}
+		dst = acc.AppendValues(dst[:0])
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 || len(dst) != 4*32 {
+		t.Fatalf("a fold cycle allocates %.1f times and emits %d values, want 0 and %d", allocs, len(dst), 4*32)
+	}
+
+	srv := core.NewServer(core.ServerConfig{Cluster: "allocgate"})
+	for _, name := range gateNodeNames(64) {
+		srv.HandleValues(name, full)
+	}
+	roll := core.NewRollup(srv, "rack/leaf0", "")
+	// The first tick publishes the aggregate, registering its node; the
+	// second re-reads the roster that registration moved.
+	roll.Tick()
+	roll.Tick()
+	gen := srv.Generation()
+	if allocs := testing.AllocsPerRun(100, func() { roll.Tick() }); allocs != 0 || srv.Generation() != gen {
+		t.Fatalf("an unchanged tick allocates %.1f times (generation %d → %d), want 0 and no emission", allocs, gen, srv.Generation())
+	}
+}
+
+// TestAllocGateKeepOpenMeminfo pins the monitor's meminfo sample — rewind,
+// one read, the a-priori parse with its line-tag checks — at zero
+// allocations.
+func TestAllocGateKeepOpenMeminfo(t *testing.T) {
+	skipUnderRace(t)
+	fs := procfs.NewFS()
+	procfs.RegisterStd(fs, procfs.Frozen())
+	g, err := gather.NewKeepOpenMeminfo(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	var m gather.MemStats
+	var gerr error
+	if allocs := testing.AllocsPerRun(200, func() { gerr = g.Gather(&m) }); allocs != 0 || gerr != nil {
+		t.Fatalf("a keep-open meminfo sample allocates %.1f times (%v), want 0", allocs, gerr)
+	}
+}
+
+// TestAllocGateRestoredStoreHeap: a history store restored by LoadFrom
+// costs no more heap per series than the store that was saved. 1 024
+// nodes × 32 metrics × 16 samples are appended a frame at a time, saved,
+// and loaded into a fresh store; beside the series' buffers (Bytes), the
+// restored store must hold what the ingested one holds — its nodes'
+// series in one slab chunk each, as a node whose first frame was a
+// snapshot has them — within the 4 B a series that two measurements of
+// one build differ by, and at most 168 B: before the slab, a 160 B Series
+// and its slot in the node's pointer column alone came to that (177 B in
+// all, measured this way).
+func TestAllocGateRestoredStoreHeap(t *testing.T) {
+	skipUnderRace(t)
+	const nodes, metrics, samples = 1024, 32, 16
+	names := gateNodeNames(nodes)
+	vals := gateMetricSet("a")[:metrics]
+	perSeries := func(st *history.Store, heap int64) float64 {
+		return float64(heap-st.Bytes()) / (nodes * metrics)
+	}
+	var ingested *history.Store
+	_, heap := measureOnce(func() {
+		ingested = history.NewStore(0)
+		for s := 0; s < samples; s++ {
+			for _, name := range names {
+				ingested.Node(name).AppendFrame(time.Duration(s)*time.Second, metrics, func(k int) (uint32, float64, bool) {
+					return ingested.MetricID(vals[k].Name), float64(s) + float64(k)/4, true
+				})
+			}
+		}
+	})
+	in := perSeries(ingested, heap)
+	var saved bytes.Buffer
+	if err := ingested.SaveTo(&saved); err != nil {
+		t.Fatal(err)
+	}
+	file := saved.Bytes()
+	var restored *history.Store
+	_, heap = measureOnce(func() {
+		restored = history.NewStore(0)
+		if err := restored.LoadFrom(bytes.NewReader(file)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	back := perSeries(restored, heap)
+	t.Logf("per series beside its buffer: ingested %.1f B, restored %.1f B", in, back)
+	if restored.Bytes() != ingested.Bytes() || back > in+4 || back > 168 {
+		t.Fatalf("restored: %d B of buffers and %.1f B a series beside them; ingested: %d B and %.1f B; want the same buffers and <= %.1f B (and <= 168 B)",
+			restored.Bytes(), back, ingested.Bytes(), in, in+4)
+	}
+	runtime.KeepAlive(ingested)
+	runtime.KeepAlive(restored)
+	runtime.KeepAlive(file)
 }

@@ -42,10 +42,13 @@ func SplitRollup(name string) (base, suffix string, ok bool) {
 
 // rollupEnt is one base metric's fold state. The ordering folds carry
 // first-observation flags because suffixed child values arrive in any
-// order within a tick, so cnt cannot double as the emptiness test.
+// order within a tick, so cnt cannot double as the emptiness test. names
+// are the four metric names the fold is emitted under, built once when
+// the entry is made, so a tick allocates none.
 type rollupEnt struct {
 	cnt, min, max, sum float64
 	minSeen, maxSeen   bool
+	names              [4]string // base + RollupCount, RollupMin, RollupMax, RollupSum
 }
 
 // RollupAcc folds observations into per-metric count/min/max/sum. One
@@ -61,10 +64,12 @@ func NewRollupAcc() *RollupAcc {
 	return &RollupAcc{m: make(map[string]*rollupEnt)}
 }
 
-// Reset clears the fold state, keeping the entries for reuse.
+// Reset clears the fold state, keeping the entries (and their names)
+// for reuse.
 func (a *RollupAcc) Reset() {
 	for _, k := range a.order {
-		*a.m[k] = rollupEnt{}
+		e := a.m[k]
+		*e = rollupEnt{names: e.names}
 	}
 }
 
@@ -73,7 +78,7 @@ func (a *RollupAcc) Reset() {
 func (a *RollupAcc) ent(base string) *rollupEnt {
 	e := a.m[base]
 	if e == nil {
-		e = &rollupEnt{}
+		e = &rollupEnt{names: [4]string{base + RollupCount, base + RollupMin, base + RollupMax, base + RollupSum}}
 		a.m[base] = e
 		a.order = append(a.order, base)
 	}
@@ -122,7 +127,8 @@ func (a *RollupAcc) ObserveRolled(metric string, v float64) bool {
 
 // AppendValues emits the fold as dynamic numeric values, sorted by
 // metric name, four per touched base metric. Entries untouched this
-// tick (cnt 0 with zero fold) are skipped.
+// tick (cnt 0 with zero fold) are skipped. With room in dst it allocates
+// nothing.
 func (a *RollupAcc) AppendValues(dst []Value) []Value {
 	sort.Strings(a.order)
 	for _, base := range a.order {
@@ -131,10 +137,10 @@ func (a *RollupAcc) AppendValues(dst []Value) []Value {
 			continue
 		}
 		dst = append(dst,
-			NumValue(base+RollupCount, Dynamic, e.cnt),
-			NumValue(base+RollupMin, Dynamic, e.min),
-			NumValue(base+RollupMax, Dynamic, e.max),
-			NumValue(base+RollupSum, Dynamic, e.sum),
+			NumValue(e.names[0], Dynamic, e.cnt),
+			NumValue(e.names[1], Dynamic, e.min),
+			NumValue(e.names[2], Dynamic, e.max),
+			NumValue(e.names[3], Dynamic, e.sum),
 		)
 	}
 	return dst

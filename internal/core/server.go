@@ -139,8 +139,9 @@ type nodeRec struct {
 	flags []uint8
 	nums  []float64
 	texts []textSlot
-	// hist is the node's series slab in the history store, resolved once
-	// at registration so an append is a search of the node's own id column.
+	// hist is the node's history, resolved once at registration so a
+	// frame's appends are one call under the node's history lock, each a
+	// search of the node's own id column.
 	hist *history.NodeSeries
 	// shard is the record's stripe index, cached so telemetry on the
 	// ingest path can stripe its counters without re-hashing the name.
@@ -453,13 +454,13 @@ func (s *Server) HandleFrame(f transmit.Frame) error {
 	} else {
 		for k := range f.Values {
 			v := &f.Values[k]
-			id := s.hist.MetricID(v.Name)
-			i, _ := s.slotLocked(rec, id, f.Values[k:])
+			i, _ := s.slotLocked(rec, s.hist.MetricID(v.Name), f.Values[k:])
 			rec.store(i, v)
-			if !v.IsText {
-				rec.hist.Append(id, now, v.Num)
-			}
 		}
+		rec.hist.AppendFrame(now, len(f.Values), func(k int) (uint32, float64, bool) {
+			v := &f.Values[k]
+			return s.hist.MetricID(v.Name), v.Num, !v.IsText
+		})
 	}
 	snap := s.observationSnapshot(rec)
 	rec.mu.Unlock()
@@ -532,16 +533,19 @@ func (s *Server) openSlotLocked(rec *nodeRec, i int, id uint32, rest []consolida
 // snapshot: present values are upserted (history only records actual
 // changes, so an anti-entropy refresh of an idle node appends nothing),
 // and metrics the snapshot no longer carries are dropped — they vanished
-// on the agent — except the server-side probe metric. Caller holds
-// rec.mu.
+// on the agent — except the server-side probe metric. History goes
+// first, while the registry still holds what the snapshot changes.
+// Caller holds rec.mu.
 func (s *Server) applySnapshotLocked(rec *nodeRec, values []consolidate.Value, now time.Duration) {
-	for k := range values {
+	rec.hist.AppendFrame(now, len(values), func(k int) (uint32, float64, bool) {
 		v := &values[k]
 		id := s.hist.MetricID(v.Name)
-		i, had := s.slotLocked(rec, id, values[k:])
-		if !v.IsText && !(had && rec.sameAt(i, v)) {
-			rec.hist.Append(id, now, v.Num)
-		}
+		i, had := rec.find(id)
+		return id, v.Num, !v.IsText && !(had && rec.sameAt(i, v))
+	})
+	for k := range values {
+		v := &values[k]
+		i, _ := s.slotLocked(rec, s.hist.MetricID(v.Name), values[k:])
 		rec.store(i, v)
 		rec.flags[i] |= slotMarked
 	}

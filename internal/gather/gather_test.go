@@ -2,6 +2,9 @@ package gather
 
 import (
 	"bytes"
+	"errors"
+	"os"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -270,6 +273,50 @@ func TestParseErrors(t *testing.T) {
 	perr := &ParseError{File: "/proc/x", Detail: "boom"}
 	if perr.Error() != "gather: parse /proc/x: boom" {
 		t.Errorf("ParseError.Error() = %q", perr.Error())
+	}
+}
+
+// TestMeminfoAprioriChecksTags: the a-priori parser takes a number only
+// from the line whose tag its 2.4 position holds. It reads the 2.4 layout
+// (testdata/meminfo-linux-2.4, procfs's render of the baseline) and
+// refuses a Linux 6.18 /proc/meminfo (testdata/meminfo-linux-6.18, read
+// off a running kernel) with a ParseError naming the tag it expected and
+// the one it found. Without the check it returned no error and a MemTotal
+// read off the Buffers line.
+func TestMeminfoAprioriChecksTags(t *testing.T) {
+	old, err := os.ReadFile("testdata/meminfo-linux-2.4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var render bytes.Buffer
+	base := procfs.BaselineStat()
+	procfs.RenderMeminfo(&render, &base)
+	if !bytes.Equal(old, render.Bytes()) {
+		t.Fatal("testdata/meminfo-linux-2.4 is not procfs's render of the baseline")
+	}
+	var m MemStats
+	if err := parseMeminfoApriori(old, &m); err != nil {
+		t.Fatal(err)
+	}
+	wantMem(t, m)
+
+	modern, err := os.ReadFile("testdata/meminfo-linux-6.18")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got MemStats
+	err = parseMeminfoApriori(modern, &got)
+	var perr *ParseError
+	if !errors.As(err, &perr) || !strings.Contains(perr.Detail, `"MemTotal:"`) || !strings.Contains(perr.Detail, `"Buffers:"`) {
+		t.Fatalf("a 6.18 meminfo parses to %+v, error %v; want a ParseError naming MemTotal: expected and Buffers: found", got, err)
+	}
+	if got != (MemStats{}) {
+		t.Fatalf("a refused meminfo wrote %+v", got)
+	}
+	// One line out of place in the 2.4 layout is refused the same way.
+	swapped := bytes.Replace(old, []byte("Active:  "), []byte("Active(anon):"), 1)
+	if err := parseMeminfoApriori(swapped, &got); !errors.As(err, &perr) || !strings.Contains(perr.Detail, `"Active(anon):"`) {
+		t.Fatalf("a renamed Active line: %v, want a ParseError naming it", err)
 	}
 }
 

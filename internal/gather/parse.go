@@ -74,23 +74,36 @@ func nextDigitValue(b []byte, i int) (uint64, int) {
 
 // --- meminfo ---------------------------------------------------------------
 
-// meminfoFieldCount is the number of kB lines in the 2.4 format.
-const meminfoFieldCount = 14
+// meminfoTags are the 2.4 format's fourteen kB lines, in their fixed
+// order, each as the line's leading tag.
+var meminfoTags = [...][]byte{
+	[]byte("MemTotal:"), []byte("MemFree:"), []byte("MemShared:"), []byte("Buffers:"),
+	[]byte("Cached:"), []byte("SwapCached:"), []byte("Active:"), []byte("Inactive:"),
+	[]byte("HighTotal:"), []byte("HighFree:"), []byte("LowTotal:"), []byte("LowFree:"),
+	[]byte("SwapTotal:"), []byte("SwapFree:"),
+}
 
 // parseMeminfoApriori decodes the 2.4 /proc/meminfo with full knowledge of
 // its layout: three header lines, then fourteen "Name: value kB" lines in
-// fixed order.
+// fixed order. Each line's tag is checked against the one its position
+// holds in 2.4 before its number is taken, so another layout — a modern
+// kernel's, which has no header table and puts MemTotal first — is a
+// ParseError naming the tag expected and the one found, never a value
+// read off the wrong line.
 func parseMeminfoApriori(b []byte, out *MemStats) error {
 	i := 0
 	for l := 0; l < 3; l++ { // header table: "total: used: ...", Mem:, Swap:
 		i = skipLine(b, i)
 	}
-	var v [meminfoFieldCount]uint64
-	for f := 0; f < meminfoFieldCount; f++ {
+	var v [len(meminfoTags)]uint64
+	for f, tag := range meminfoTags {
 		if i >= len(b) {
 			return &ParseError{File: "/proc/meminfo", Detail: "truncated kB block"}
 		}
-		v[f], i = nextDigitValue(b, i)
+		if !bytes.HasPrefix(b[i:], tag) {
+			return meminfoTagError(b, i, tag)
+		}
+		v[f], i = nextDigitValue(b, i+len(tag))
 		i = skipLine(b, i)
 	}
 	out.MemTotal, out.MemFree, out.MemShared = v[0], v[1], v[2]
@@ -99,6 +112,17 @@ func parseMeminfoApriori(b []byte, out *MemStats) error {
 	// v[8..11] are HighTotal/HighFree/LowTotal/LowFree, not monitored.
 	out.SwapTotal, out.SwapFree = v[12], v[13]
 	return nil
+}
+
+// meminfoTagError reports the line at i, whose tag is not the expected
+// one. Kept out of line: only a layout mismatch allocates.
+func meminfoTagError(b []byte, i int, want []byte) error {
+	line := b[i:skipLine(b, i)]
+	found := bytes.TrimRight(line, "\n")
+	if colon := bytes.IndexByte(found, ':'); colon >= 0 {
+		found = found[:colon+1]
+	}
+	return &ParseError{File: "/proc/meminfo", Detail: fmt.Sprintf("line tag %q, want %q (not the 2.4 layout)", found, want)}
 }
 
 // parseMeminfoGeneric decodes /proc/meminfo by scanning for known field

@@ -20,6 +20,7 @@ package history
 // of panicking.
 
 import (
+	"encoding/binary"
 	"math"
 	"time"
 )
@@ -105,23 +106,30 @@ const (
 // openBlock is the block a series appends into: the bit stream so far,
 // the two predictors that continue it, and the running aggregate. It
 // holds nothing twice: the newest point is the predictors' state (ts.Prev,
-// vs.bits), the stream's pending bits are one byte and a count, not a
-// writer's 64-bit accumulator, and the small fields share a word — a root
-// holds one of these per (node, metric) pair.
+// vbits), the first point is the stream's own first code (first), the
+// stream's pending bits are one byte and a count, not a writer's 64-bit
+// accumulator, and the value predictor's small fields sit flattened
+// beside the block's, so they share one word — a root holds one of these
+// per (node, metric) pair.
 type openBlock struct {
-	buf    []byte     // the stream's whole bytes; its capacity is the ladder step
-	ts     DoDState   // Prev is the newest timestamp
-	vs     ValueState // bits is the newest value
-	minV   float64    // as summary's, over the points so far
+	buf    []byte   // the stream's whole bytes; its capacity is the ladder step
+	ts     DoDState // Prev is the newest timestamp
+	vbits  uint64   // the value predictor's newest value (ValueState.bits)
+	minV   float64  // as summary's, over the points so far
 	maxV   float64
 	sumV   float64
-	firstT int64
-	firstV float64
 	count  uint16 // points so far, at most blockPoints
 	pend   uint8  // the stream's last, partial byte, filled from the top bit
 	npend  uint8  // bits of pend in use, at most 7
 	exp    uint8  // the stamp code's sticky exponent
+	vlead  uint8  // the value predictor's window: leading zeros, winSet once it has one
+	vtrail uint8  // and trailing zeros
+	vexp   uint8  // the value code's sticky exponent
 }
+
+// winSet marks vlead once the value predictor has an XOR window
+// (ValueState.hasWin); the leading-zero count it sits beside is at most 31.
+const winSet = 0x80
 
 // room reports whether one more point is sure to fit the buffer as it is.
 //
@@ -139,10 +147,15 @@ func (o *openBlock) put(t int64, v float64) {
 	var w BitWriter
 	w.w.buf, w.w.acc, w.w.nacc = o.buf, uint64(o.pend)<<56, uint(o.npend)
 	writeStamp(&w.w, &o.ts, &o.exp, t)
-	w.WriteValue(&o.vs, v)
+	var vs ValueState
+	vs.bits, vs.leading, vs.trailing, vs.hasWin, vs.exp = o.vbits, o.vlead&^winSet, o.vtrail, o.vlead&winSet != 0, o.vexp
+	w.WriteValue(&vs, v)
+	o.vbits, o.vlead, o.vtrail, o.vexp = vs.bits, vs.leading, vs.trailing, vs.exp
+	if vs.hasWin {
+		o.vlead |= winSet
+	}
 	o.buf, o.pend, o.npend = w.w.buf, uint8(w.w.acc>>56), uint8(w.w.nacc)
 	if o.count == 0 {
-		o.firstT, o.firstV = t, v
 		o.minV, o.maxV = math.NaN(), math.NaN()
 	}
 	o.count++
@@ -158,13 +171,31 @@ func (o *openBlock) put(t int64, v float64) {
 	}
 }
 
+// first decodes the block's first point, which the stream's first code
+// holds: at most pointReserve bytes of it, read in place, or from a stack
+// copy with the pending bits after them while the stream is shorter. The
+// block holds a point.
+func (o *openBlock) first() (int64, float64) {
+	data := o.buf
+	var head [pointReserve + 1]byte
+	if len(data) < pointReserve { // the first code may run into the pending bits
+		n := copy(head[:], data)
+		head[n] = o.pend
+		data = head[:n+1]
+	}
+	it := newPointIter(data, 1)
+	t, v, _ := it.next()
+	return t, v
+}
+
 // summary returns the aggregate of the points so far, the newest point
-// read off the predictors.
-func (o *openBlock) summary() summary {
+// read off the predictors and the first one, which the caller decoded
+// (first), passed in.
+func (o *openBlock) summary(firstT int64, firstV float64) summary {
 	return summary{
 		count: int(o.count), minV: o.minV, maxV: o.maxV, sumV: o.sumV,
-		firstT: o.firstT, lastT: o.ts.Prev,
-		firstV: o.firstV, lastV: math.Float64frombits(o.vs.bits),
+		firstT: firstT, lastT: o.ts.Prev,
+		firstV: firstV, lastV: math.Float64frombits(o.vbits),
 	}
 }
 
@@ -238,8 +269,21 @@ type bitReader struct {
 }
 
 // readBits returns the next n bits, MSB-first. Past the end it sets err
-// and returns 0; callers check err once per decoded point.
+// and returns 0; callers check err once per decoded point. With eight
+// bytes left from the current one, up to 56 bits are one big-endian load
+// and two shifts, inlined into the caller; readBitsSlow takes the rest.
 func (r *bitReader) readBits(n uint) uint64 {
+	if at := r.pos >> 3; n <= 56 && at+8 <= uint(len(r.data)) {
+		v := binary.BigEndian.Uint64(r.data[at:]) << (r.pos & 7) >> (64 - n)
+		r.pos += n
+		return v
+	}
+	return r.readBitsSlow(n)
+}
+
+// readBitsSlow is readBits byte by byte: the last seven bytes of the
+// data, and fields wider than 56 bits.
+func (r *bitReader) readBitsSlow(n uint) uint64 {
 	var v uint64
 	for n > 0 {
 		byteIdx := r.pos >> 3
@@ -261,7 +305,16 @@ func (r *bitReader) readBits(n uint) uint64 {
 	return v
 }
 
-func (r *bitReader) readBit() uint64 { return r.readBits(1) }
+// readBit returns the next bit; past the end it sets err and returns 0.
+func (r *bitReader) readBit() uint64 {
+	if at := r.pos >> 3; at < uint(len(r.data)) {
+		b := uint64(r.data[at]>>(7-r.pos&7)) & 1
+		r.pos++
+		return b
+	}
+	r.err = true
+	return 0
+}
 
 // --- timestamp delta-of-delta coding --------------------------------------------
 

@@ -301,7 +301,7 @@ func summarize(ts []int64, vs []float64) summary {
 	for i, t := range ts {
 		o.put(t, vs[i])
 	}
-	return o.summary()
+	return o.summary(o.first())
 }
 
 func TestSummarizeNaNSemantics(t *testing.T) {

@@ -493,10 +493,14 @@ func checkDifferential(t *testing.T, s *Series, ref *refRing, rng *rand.Rand, no
 // all of it: windows that contain it (exactly, and with the closed
 // chain), cut it at either end, and miss it on either side.
 func headWindows(s *Series) [][2]time.Duration {
-	s.mu.Lock()
+	s.node.mu.Lock()
 	n := s.open.count
-	first, last := time.Duration(s.open.firstT), time.Duration(s.open.ts.Prev)
-	s.mu.Unlock()
+	var firstT int64
+	if n > 0 {
+		firstT, _ = s.open.first()
+	}
+	first, last := time.Duration(firstT), time.Duration(s.open.ts.Prev)
+	s.node.mu.Unlock()
 	if n == 0 {
 		return nil
 	}
@@ -537,9 +541,9 @@ func TestDifferentialHeadNaN(t *testing.T) {
 				for _, v := range head {
 					put(v) // the first of these closes the full block
 				}
-				if int(s.open.count) != len(head) || len(s.blocks) != sealed/blockPoints {
+				if int(s.open.count) != len(head) || len(testBlocks(s)) != sealed/blockPoints {
 					t.Fatalf("open block holds %d points behind %d blocks, want %d behind %d",
-						int(s.open.count), len(s.blocks), len(head), sealed/blockPoints)
+						int(s.open.count), len(testBlocks(s)), len(head), sealed/blockPoints)
 				}
 				checkDifferential(t, s, ref, rand.New(rand.NewSource(1)), now, &diffTally{})
 			})

@@ -18,10 +18,15 @@
 // at-most-two blocks straddling the query boundaries; Range and
 // Downsample prune non-overlapping blocks by summary and stream-decode
 // the rest without materializing intermediate slices. Closed blocks are
-// immutable, so queries run on a snapshot taken under the series lock —
+// immutable, so queries run on a snapshot taken under the node lock —
 // the chain plus, when its points are needed, a copy of the open block's
 // bytes — and do all decoding with no lock held: a dashboard scan never
 // stalls agent ingest.
+//
+// A node's history is one object (NodeSeries): its series live by value
+// in one slab under one lock, so an ingested frame takes the history lock
+// once, and a young series — most of a root's — is a 104-byte slab slot
+// and an open block's buffer.
 //
 // Retention is point-exact: a series holds the last `capacity` points,
 // logically trimming the oldest closed block one point at a time (the
@@ -76,67 +81,86 @@ type Point struct {
 const DefaultCapacity = 4096
 
 // Series is a bounded time-ordered sample store, safe for concurrent
-// use: appends mutate only the open block under the series lock, and
+// use. It lives by value in its node's slab (NodeSeries) and is guarded by
+// the node's lock: appends mutate only the open block under it, and
 // queries snapshot the closed-block chain (immutable) plus the open
 // block's summary — or, when they need its points, a copy of its bytes —
-// under that lock, then decode and aggregate with no lock held.
+// under that lock, then decode and aggregate with no lock held. A *Series
+// stays valid for its store's lifetime: slab chunks never move.
 type Series struct {
 	// gen counts accepted appends: the serving plane's chart/spark
 	// caches tag their renderings with it and short-circuit while it
 	// holds (a dropped out-of-order append changes nothing, so it does
-	// not bump). Atomic so cache validity checks never take the series
+	// not bump). Atomic so cache validity checks never take the node
 	// lock.
 	gen atomic.Uint64
 
-	mu sync.Mutex //cwx:lockrank series 30
+	node *NodeSeries // whose mu guards everything below
 
 	// The open block. It is closed by the append that finds it full, so
 	// once a series holds a point it is never empty and its stamp
 	// predictor's Prev is the series' newest timestamp.
 	open openBlock
 
-	// Closed immutable blocks, oldest first. trim is the count of
-	// logically expired points at the front of blocks[0], fewer than a
-	// block's blockPoints.
-	blocks []*block
+	// closed is the chain of closed blocks, nil until the first closes:
+	// most of a root's series are young and never pay for one.
+	closed *chain
+}
 
-	capacity uint32 // retained points (the ring's size, not a block's)
-	total    uint32 // stored points across blocks (minus trim) and the open block
-	trim     uint16
+// chain is a series' closed immutable blocks, oldest first, with the
+// point-exact retention state that only they carry.
+type chain struct {
+	blocks []*block
+	points uint32 // stored points across blocks, trim deducted
+	trim   uint16 // logically expired points at the front of blocks[0], fewer than a block's blockPoints
 }
 
 // NewSeries returns a series retaining the last capacity points (at most
-// math.MaxInt32 of them).
+// math.MaxInt32 of them): a one-series node of its own.
 func NewSeries(capacity int) *Series {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	s := &Series{capacity: uint32(min(capacity, math.MaxInt32))}
-	s.open.buf = make([]byte, 0, bufInitial)
-	storeBytes.Add(bufInitial)
+	s := &Series{node: &NodeSeries{capacity: uint32(min(capacity, math.MaxInt32))}}
+	s.init()
 	return s
 }
 
+// init gives a fresh slab slot its open block's first buffer.
+func (s *Series) init() {
+	s.open.buf = make([]byte, 0, bufInitial)
+	storeBytes.Add(bufInitial)
+}
+
 // Append adds a point. Out-of-order appends (clock skew after an agent
-// restart) are dropped rather than corrupting the series' ordering. The
-// steady-state path packs the point's code into the open block and folds
-// it into the summary; a block out of room is grown, or at its full size
-// closed (once per blockPoints appends).
+// restart) are dropped rather than corrupting the series' ordering.
 //
 //cwx:hotpath
 func (s *Series) Append(t time.Duration, v float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.total > 0 && int64(t) < s.open.ts.Prev {
+	ns := s.node
+	ns.mu.Lock()
+	defer ns.mu.Unlock()
+	mAppends.IncAt(int(ns.stripe))
+	s.appendLocked(t, v)
+}
+
+// appendLocked is Append under the node lock. The steady-state path packs
+// the point's code into the open block and folds it into the summary; a
+// block out of room is grown, or at its full size closed (once per
+// blockPoints appends).
+//
+//cwx:hotpath
+func (s *Series) appendLocked(t time.Duration, v float64) {
+	if s.open.count > 0 && int64(t) < s.open.ts.Prev {
 		mDropped.Inc()
 		return
 	}
-	if uint32(s.open.count) == min(s.capacity, blockPoints) || !s.open.room() {
+	capacity := s.node.capacity
+	if uint32(s.open.count) == min(capacity, blockPoints) || !s.open.room() {
 		s.makeRoomLocked()
 	}
 	s.open.put(int64(t), v)
-	s.total++
-	if s.total > s.capacity {
+	if c := s.closed; c != nil && c.points+uint32(s.open.count) > capacity {
 		s.evictOneLocked()
 	}
 	s.gen.Add(1)
@@ -154,10 +178,10 @@ func (s *Series) Gen() uint64 { return s.gen.Load() }
 // block alone never outgrows the ring) and of the top step, the buffer
 // grows by bufGrowth; otherwise the block closes. Kept out of line (it is
 // too big to inline) so Append's own body never allocates. Caller holds
-// s.mu.
+// the node lock.
 func (s *Series) makeRoomLocked() {
 	o := &s.open
-	if uint32(o.count) == min(s.capacity, blockPoints) || cap(o.buf) == bufMax {
+	if uint32(o.count) == min(s.node.capacity, blockPoints) || cap(o.buf) == bufMax {
 		s.closeLocked()
 		return
 	}
@@ -168,9 +192,9 @@ func (s *Series) makeRoomLocked() {
 // closeLocked copies the open block's bytes into an immutable block,
 // which takes over its summary and gets its trend moments folded, and
 // rewinds the buffer — kept at the size it reached — for the next block.
-// Caller holds s.mu.
+// Caller holds the node lock.
 func (s *Series) closeLocked() {
-	b := &block{data: s.open.bytes(), sum: s.open.summary()}
+	b := &block{data: s.open.bytes(), sum: s.open.summary(s.open.first())}
 	for it := newPointIter(b.data, b.sum.count); ; {
 		t, v, ok := it.next()
 		if !ok {
@@ -178,7 +202,11 @@ func (s *Series) closeLocked() {
 		}
 		b.mom.add(t, v)
 	}
-	s.blocks = append(s.blocks, b)
+	if s.closed == nil {
+		s.closed = new(chain)
+	}
+	s.closed.blocks = append(s.closed.blocks, b)
+	s.closed.points += uint32(b.sum.count)
 	s.open.rewind()
 	storeBytes.Add(b.bytes())
 	mSealed.Inc()
@@ -186,24 +214,38 @@ func (s *Series) closeLocked() {
 
 // evictOneLocked expires the oldest stored point: the front block's trim
 // advances, and when every point in it has expired the block's bytes are
-// released. Caller holds s.mu; blocks is never empty here because the
-// open block alone holds at most capacity points.
+// released. Caller holds the node lock; the chain holds a point here
+// because the open block alone holds at most capacity points.
 func (s *Series) evictOneLocked() {
-	b := s.blocks[0]
-	s.trim++
-	s.total--
-	if int(s.trim) == b.sum.count {
+	c := s.closed
+	b := c.blocks[0]
+	c.trim++
+	c.points--
+	if int(c.trim) == b.sum.count {
 		storeBytes.Add(-b.bytes())
-		s.blocks = s.blocks[1:]
-		s.trim = 0
+		c.blocks = c.blocks[1:]
+		c.trim = 0
 	}
+}
+
+// chainLocked returns the closed blocks and the front trim. Caller holds
+// the node lock.
+func (s *Series) chainLocked() ([]*block, int) {
+	if s.closed == nil {
+		return nil, 0
+	}
+	return s.closed.blocks, int(s.closed.trim)
 }
 
 // Len returns the number of stored points.
 func (s *Series) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return int(s.total)
+	s.node.mu.Lock()
+	defer s.node.mu.Unlock()
+	n := int(s.open.count)
+	if s.closed != nil {
+		n += int(s.closed.points)
+	}
+	return n
 }
 
 // Bytes returns the series' accounted memory footprint: the open
@@ -211,10 +253,11 @@ func (s *Series) Len() int {
 // bookkeeping. It is counted from what the series holds — a buffer and a
 // handful of blocks — not kept beside it.
 func (s *Series) Bytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.node.mu.Lock()
+	defer s.node.mu.Unlock()
 	n := int64(cap(s.open.buf))
-	for _, b := range s.blocks {
+	blocks, _ := s.chainLocked()
+	for _, b := range blocks {
 		n += b.bytes()
 	}
 	return n
@@ -222,17 +265,17 @@ func (s *Series) Bytes() int64 {
 
 // Last returns the most recent point.
 func (s *Series) Last() (Point, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.node.mu.Lock()
+	defer s.node.mu.Unlock()
 	o := &s.open
-	return Point{T: time.Duration(o.ts.Prev), V: math.Float64frombits(o.vs.bits)}, o.count > 0
+	return Point{T: time.Duration(o.ts.Prev), V: math.Float64frombits(o.vbits)}, o.count > 0
 }
 
 // qsnap is a point-in-time view of a series: the closed chain (immutable
 // contents), the front trim, and the open block — as its summary when
 // that answers the query, as a copy of its bytes otherwise. Everything
 // after the snapshot — decoding, merging, bucketing — runs without the
-// series lock, so queries never stall appends.
+// node lock, so queries never stall appends.
 type qsnap struct {
 	blocks []*block
 	trim   int
@@ -250,19 +293,24 @@ type qsnap struct {
 // the window is represented by its running summary — no copy — and only
 // one the window cuts is copied, into a fresh slice.
 func (s *Series) snapshot(lo, hi int64, into []byte) qsnap {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.node.mu.Lock()
+	defer s.node.mu.Unlock()
 	o := &s.open
-	q := qsnap{blocks: s.blocks, trim: int(s.trim), gen: s.gen.Load(), lastT: o.ts.Prev}
+	q := qsnap{gen: s.gen.Load(), lastT: o.ts.Prev}
+	q.blocks, q.trim = s.chainLocked()
+	if o.count == 0 || o.ts.Prev < lo {
+		return q // nothing of the open block is in the window
+	}
+	firstT, firstV := o.first()
 	switch {
-	case o.count == 0 || o.ts.Prev < lo || o.firstT > hi:
+	case firstT > hi:
 		// nothing of the open block is in the window
-	case into == nil && o.firstT >= lo && o.ts.Prev <= hi:
-		q.open.sum = o.summary()
+	case into == nil && firstT >= lo && o.ts.Prev <= hi:
+		q.open.sum = o.summary(firstT, firstV)
 	case into == nil:
-		q.open = block{data: o.bytes(), sum: o.summary()}
+		q.open = block{data: o.bytes(), sum: o.summary(firstT, firstV)}
 	default:
-		q.open = block{data: o.appendBytes(into), sum: o.summary()}
+		q.open = block{data: o.appendBytes(into), sum: o.summary(firstT, firstV)}
 	}
 	return q
 }
@@ -518,37 +566,45 @@ func (s *Series) Downsample(dst []Point, t0, t1 time.Duration, n int) []Point {
 }
 
 // storeStripes is the lock-stripe count for the store's node map. A power
-// of two so the name hash folds with a mask; appends from agents reporting
+// of two so the name hash folds with a mask; nodes first seen
 // concurrently land on independent stripes.
 const storeStripes = 64
 
-// storeStripe guards which nodes it holds and, for each of them, which
-// series: a NodeSeries' two columns are read under mu and change only
-// under its write side.
+// storeStripe guards which nodes it holds: the name → node map, and
+// nothing of any node's contents.
 type storeStripe struct {
 	mu    sync.RWMutex //cwx:lockrank histstore 25
 	nodes map[string]*NodeSeries
 }
 
-// NodeSeries is one node's series slab: the ids of the metrics it has
-// history for, ascending, and their series beside them. It is indexed
-// through the node's own id column, not by id, so a node costs what it
-// holds however many names the rest of the cluster has brought to the
-// metric table. The ingest path keeps the handle (Store.Node) and appends
-// by id; by-name readers go through the Store.
+// NodeSeries is one node's history: its series, by value, in a slab of
+// chunks that never move, and the metric ids that find them, all under
+// one lock. The frame that first brings metrics the node has no series
+// for gives them one chunk together, so a node whose first frame is a
+// snapshot has exactly one. ids holds each chunk's metric ids ascending,
+// chunk after chunk, so a lookup is a binary search in the chunk whose id
+// range holds the id, and no position column is needed when a later
+// chunk's ids interleave an earlier one's. The node is
+// indexed through its own ids, not by id, so it costs what it holds
+// however many names the rest of the cluster has brought to the metric
+// table. The ingest path keeps the handle (Store.Node) and appends a whole
+// frame under one acquisition of mu (AppendFrame); by-name readers go
+// through the Store.
 type NodeSeries struct {
-	st     *Store
-	stripe uint32 // index of the stripe whose lock guards the columns
-	name   string
-	ids    []uint32
-	series []*Series
+	// mu guards ids, chunks and every open block and chain of the
+	// node's series.
+	mu       sync.Mutex //cwx:lockrank histnode 30
+	st       *Store     // nil for a standalone series' node
+	stripe   uint32     // the node name's stripe, the append counter's
+	capacity uint32     // every series' retained points
+	ids      []uint32
+	chunks   [][]Series
 }
 
-// Store maps (node, metric) to series, lock-striped by node name so
-// concurrent appends for different nodes never contend. The store is safe
-// for fully concurrent use: the stripe lock guards node and series
-// membership and the per-series lock guards each open block, so reads
-// (Series queries, Compare) may freely race appends from agent ingest.
+// Store maps (node, metric) to series, lock-striped by node name. The
+// store is safe for fully concurrent use: the stripe lock guards which
+// nodes exist and each node's lock guards its series, so reads (Series
+// queries, Compare) may freely race appends from agent ingest.
 type Store struct {
 	capacity int
 	stripes  [storeStripes]storeStripe
@@ -564,7 +620,7 @@ func NewStore(capacity int) *Store {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	st := &Store{capacity: capacity}
+	st := &Store{capacity: min(capacity, math.MaxInt32)}
 	for i := range st.stripes {
 		st.stripes[i].nodes = make(map[string]*NodeSeries)
 	}
@@ -588,80 +644,130 @@ func (st *Store) stripe(nodeName string) (*storeStripe, uint32) {
 	return &st.stripes[idx], idx
 }
 
-// Node returns the node's series slab, creating an empty one on first
-// sight. The handle is good for the store's lifetime.
+// Node returns the node's history, creating an empty one on first sight.
+// The handle is good for the store's lifetime.
 func (st *Store) Node(nodeName string) *NodeSeries {
-	sp, idx := st.stripe(nodeName)
-	sp.mu.RLock()
-	ns := sp.nodes[nodeName]
-	sp.mu.RUnlock()
-	if ns != nil {
+	if ns := st.node(nodeName); ns != nil {
 		return ns
 	}
+	sp, idx := st.stripe(nodeName)
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
-	if ns = sp.nodes[nodeName]; ns == nil {
-		ns = &NodeSeries{st: st, stripe: idx, name: nodeName}
+	ns := sp.nodes[nodeName]
+	if ns == nil {
+		ns = &NodeSeries{st: st, stripe: idx, capacity: uint32(st.capacity)}
 		sp.nodes[nodeName] = ns
 	}
 	return ns
 }
 
-// findLocked returns the series of a metric id, or nil. Caller holds the
-// stripe lock.
+// node returns the node's history if it has one.
+func (st *Store) node(nodeName string) *NodeSeries {
+	sp, _ := st.stripe(nodeName)
+	sp.mu.RLock()
+	defer sp.mu.RUnlock()
+	return sp.nodes[nodeName]
+}
+
+// findLocked returns the series of a metric id, or nil. Caller holds
+// ns.mu.
 //
 //cwx:hotpath
 func (ns *NodeSeries) findLocked(id uint32) *Series {
-	if i, ok := slices.BinarySearch(ns.ids, id); ok {
-		return ns.series[i]
+	ids := ns.ids
+	for _, c := range ns.chunks {
+		// A chunk whose id range misses id costs two compares, so a node
+		// whose metrics came one frame at a time, a chunk each, still
+		// finds one in a few nanoseconds per chunk.
+		if in := ids[:len(c)]; id >= in[0] && id <= in[len(in)-1] {
+			if i, ok := slices.BinarySearch(in, id); ok {
+				return &c[i]
+			}
+		}
+		ids = ids[len(c):]
 	}
 	return nil
 }
 
 // Append records one sample of the metric with the given id
-// (Store.MetricID). The steady-state path is a read-locked search of the
-// node's id column plus the per-series append lock; the stripe write lock
-// is only taken the first time the node reports the metric.
+// (Store.MetricID).
+func (ns *NodeSeries) Append(id uint32, t time.Duration, v float64) {
+	ns.AppendFrame(t, 1, func(int) (uint32, float64, bool) { return id, v, true })
+}
+
+// AppendFrame records one frame's samples, all taken at t, under a single
+// acquisition of the node lock. sample reports the k-th of the frame's n
+// values: its metric id (Store.MetricID), its number, and ok false for a
+// value with nothing to record. It runs under the node lock, so it must
+// only read what its caller already holds: no lock, no blocking call, no
+// call back into the store but MetricID. It may be asked for a k more
+// than once and must answer the same each time: the first frame that
+// brings metrics the node has no series for reads ahead, so they get one
+// chunk together.
 //
 //cwx:hotpath
-func (ns *NodeSeries) Append(id uint32, t time.Duration, v float64) {
-	mAppends.IncAt(int(ns.stripe))
-	sp := &ns.st.stripes[ns.stripe]
-	sp.mu.RLock()
-	s := ns.findLocked(id)
-	sp.mu.RUnlock()
-	if s == nil {
-		s = ns.create(id)
+func (ns *NodeSeries) AppendFrame(t time.Duration, n int, sample func(k int) (id uint32, v float64, ok bool)) {
+	ns.mu.Lock()
+	defer ns.mu.Unlock()
+	appended := 0
+	for k := 0; k < n; k++ {
+		id, v, ok := sample(k)
+		if !ok {
+			continue
+		}
+		s := ns.findLocked(id)
+		if s == nil {
+			s = ns.addChunkLocked(id, k, n, sample)
+		}
+		s.appendLocked(t, v)
+		appended++
 	}
-	s.Append(t, v)
+	mAppends.AddAt(int(ns.stripe), int64(appended))
 }
 
-// create adds the series of a metric the node has not reported before.
-// Both columns grow by exactly one slot: a node's metric set settles
-// within its first frame or two and the slab then lives as long as the
-// node, so slack would be carried, never used.
-func (ns *NodeSeries) create(id uint32) *Series {
-	sp := &ns.st.stripes[ns.stripe]
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	i, ok := slices.BinarySearch(ns.ids, id)
-	if ok {
-		return ns.series[i]
+// addChunkLocked gives every metric of samples k..n-1 that the node has
+// no series for one new chunk — exactly as long as there are such
+// metrics: a node's metric set settles within its first frame or two and
+// the slab then lives as long as the node, so slack would be carried,
+// never used — and returns the series of id, the k-th sample's. The id
+// column is reallocated at its new exact size, the new chunk's ids
+// ascending at its end. Caller holds ns.mu.
+func (ns *NodeSeries) addChunkLocked(id uint32, k, n int, sample func(k int) (uint32, float64, bool)) *Series {
+	missing := 0
+	for j := k; j < n; j++ {
+		if m, _, ok := sample(j); ok && ns.findLocked(m) == nil {
+			missing++
+		}
 	}
-	s := NewSeries(ns.st.capacity)
-	ns.ids, ns.series = insertExact(ns.ids, i, id), insertExact(ns.series, i, s)
-	ns.st.created.Add(1) // under the stripe lock: a walk that read the new count sees the series
-	return s
-}
-
-// insertExact returns a copy of s with v at i and no spare capacity.
-func insertExact[T any](s []T, i int, v T) []T {
-	out := append(make([]T, 0, len(s)+1), s[:i]...)
-	return append(append(out, v), s[i:]...)
+	ids := append(make([]uint32, 0, len(ns.ids)+missing), ns.ids...)
+	for j := k; j < n; j++ {
+		if m, _, ok := sample(j); ok && ns.findLocked(m) == nil {
+			ids = append(ids, m)
+		}
+	}
+	fresh := ids[len(ns.ids):]
+	slices.Sort(fresh)
+	fresh = slices.Compact(fresh) // a metric twice in one frame
+	chunk := make([]Series, len(fresh))
+	for i := range chunk {
+		chunk[i].node = ns
+		chunk[i].init()
+	}
+	if len(fresh) < missing { // a metric twice in one frame: drop the room it kept
+		ids = append(make([]uint32, 0, len(ns.ids)+len(fresh)), ids[:len(ns.ids)+len(fresh)]...)
+	}
+	ns.ids = ids
+	ns.chunks = append(ns.chunks, chunk)
+	if ns.st != nil {
+		// Under the node lock: a walk that read the new count sees the
+		// series.
+		ns.st.created.Add(uint64(len(chunk)))
+	}
+	return &chunk[slices.Index(fresh, id)]
 }
 
 // Append records one sample by name: the form for callers with no handle
-// to keep, such as the persistence loader.
+// to keep.
 func (st *Store) Append(nodeName, metric string, t time.Duration, v float64) {
 	st.Node(nodeName).Append(st.MetricID(metric), t, v)
 }
@@ -673,13 +779,13 @@ func (st *Store) Series(nodeName, metric string) *Series {
 	if !ok {
 		return nil
 	}
-	sp, _ := st.stripe(nodeName)
-	sp.mu.RLock()
-	defer sp.mu.RUnlock()
-	if ns := sp.nodes[nodeName]; ns != nil {
-		return ns.findLocked(id)
+	ns := st.node(nodeName)
+	if ns == nil {
+		return nil
 	}
-	return nil
+	ns.mu.Lock()
+	defer ns.mu.Unlock()
+	return ns.findLocked(id)
 }
 
 // Nodes returns the node names with any history, sorted.
@@ -689,9 +795,11 @@ func (st *Store) Nodes() []string {
 		sp := &st.stripes[i]
 		sp.mu.RLock()
 		for n, ns := range sp.nodes {
-			if len(ns.series) > 0 {
+			ns.mu.Lock()
+			if len(ns.ids) > 0 {
 				out = append(out, n)
 			}
+			ns.mu.Unlock()
 		}
 		sp.mu.RUnlock()
 	}
@@ -701,16 +809,16 @@ func (st *Store) Nodes() []string {
 
 // Metrics returns the metric names recorded for a node, sorted.
 func (st *Store) Metrics(nodeName string) []string {
-	sp, _ := st.stripe(nodeName)
-	var out []string
-	sp.mu.RLock()
-	if ns := sp.nodes[nodeName]; ns != nil {
-		out = make([]string, len(ns.ids))
-		for i, id := range ns.ids {
-			out[i] = st.metrics.name(id)
-		}
+	ns := st.node(nodeName)
+	if ns == nil {
+		return nil
 	}
-	sp.mu.RUnlock()
+	ns.mu.Lock()
+	out := make([]string, len(ns.ids))
+	for i, id := range ns.ids {
+		out[i] = st.metrics.name(id)
+	}
+	ns.mu.Unlock()
 	sort.Strings(out)
 	return out
 }
@@ -745,11 +853,11 @@ type Comparison struct {
 }
 
 // snapshotSeries appends the series of one metric (every series when
-// metric == "") to dst, unsorted, under each stripe's read lock, and
-// releases it before any per-series work happens. This keeps cross-node
-// queries (Compare, Bytes) from stalling new-series creation during
-// ingest: the stripe lock is held only for the slab walk, never across
-// Stats.
+// metric == "") to dst, unsorted, each node read under its own lock
+// inside its stripe's read lock, and releases both before any per-series
+// work happens: the locks are held only for the slab walk, never across
+// Stats, so cross-node queries (Compare, Bytes) never stall ingest for
+// long.
 func (st *Store) snapshotSeries(dst []NodeStats, metric string) []NodeStats {
 	id, known := st.metrics.lookup(metric)
 	if metric != "" && !known {
@@ -759,13 +867,17 @@ func (st *Store) snapshotSeries(dst []NodeStats, metric string) []NodeStats {
 		sp := &st.stripes[i]
 		sp.mu.RLock()
 		for nodeName, ns := range sp.nodes {
+			ns.mu.Lock()
 			if metric == "" {
-				for _, s := range ns.series {
-					dst = append(dst, NodeStats{Node: nodeName, series: s})
+				for _, c := range ns.chunks {
+					for j := range c {
+						dst = append(dst, NodeStats{Node: nodeName, series: &c[j]})
+					}
 				}
 			} else if s := ns.findLocked(id); s != nil {
 				dst = append(dst, NodeStats{Node: nodeName, series: s})
 			}
+			ns.mu.Unlock()
 		}
 		sp.mu.RUnlock()
 	}

@@ -270,7 +270,7 @@ func TestHeadGrowthSteps(t *testing.T) {
 		if s.Len() != min(c.capacity, 513) || grows != c.grows {
 			t.Fatalf("%s: Len = %d, the buffer grew %d times, want %d", c.name, s.Len(), grows, c.grows)
 		}
-		for _, b := range s.blocks {
+		for _, b := range testBlocks(s) {
 			if b.sum.count > blockPoints || len(b.data) > bufMax {
 				t.Fatalf("%s: a closed block holds %d points in %d B", c.name, b.sum.count, len(b.data))
 			}
@@ -280,31 +280,41 @@ func TestHeadGrowthSteps(t *testing.T) {
 	// and the block holds the buffer's exact bytes, not its capacity.
 	s := NewSeries(DefaultCapacity)
 	for n := 0; n < 513; n++ {
-		if len(s.blocks) != 0 {
+		if len(testBlocks(s)) != 0 {
 			t.Fatalf("closed after %d appends, before the block was full", n)
 		}
 		s.Append(cheap(n))
 	}
-	if len(s.blocks) != 1 || s.blocks[0].sum.count != blockPoints || int(s.open.count) != 1 {
-		t.Fatalf("after 513 appends: %d blocks, open block %d points", len(s.blocks), int(s.open.count))
+	if len(testBlocks(s)) != 1 || testBlocks(s)[0].sum.count != blockPoints || int(s.open.count) != 1 {
+		t.Fatalf("after 513 appends: %d blocks, open block %d points", len(testBlocks(s)), int(s.open.count))
 	}
-	if b := s.blocks[0]; cap(b.data) > len(b.data)+1 || len(b.data) >= bufCap(s) {
+	if b := testBlocks(s)[0]; cap(b.data) > len(b.data)+1 || len(b.data) >= bufCap(s) {
 		t.Fatalf("closed block: %d B in a %d B slice, buffer %d B", len(b.data), cap(b.data), bufCap(s))
 	}
 }
 
-// TestSeriesSize pins the per-series struct: a root holds one per (node,
-// metric) pair, 32 k of them per thousand nodes.
+// TestSeriesSize pins the per-series slab slot: a root holds one per
+// (node, metric) pair, 32 k of them per thousand nodes, and a node's 32
+// of them are one allocation. At 104 B they are 3 328 B, inside the
+// 3 456 B size class; 105 B would cost the next one, 4 096 B.
 func TestSeriesSize(t *testing.T) {
-	if size := unsafe.Sizeof(Series{}); size > 160 {
-		t.Fatalf("Series is %d B, want <= 160 (a malloc size class: 161 B costs 176)", size)
+	if size := unsafe.Sizeof(Series{}); size > 104 {
+		t.Fatalf("Series is %d B, want <= 104 (32 of them fill a 3 456 B size class)", size)
 	}
+}
+
+// testBlocks returns a series' closed blocks.
+func testBlocks(s *Series) []*block {
+	s.node.mu.Lock()
+	defer s.node.mu.Unlock()
+	blocks, _ := s.chainLocked()
+	return blocks
 }
 
 // seriesFootprint recomputes a series' footprint from what it holds.
 func seriesFootprint(s *Series) int64 {
 	n := int64(cap(s.open.buf))
-	for _, b := range s.blocks {
+	for _, b := range testBlocks(s) {
 		n += int64(len(b.data)) + blockOverheadBytes
 	}
 	return n
@@ -350,8 +360,8 @@ func TestBytesAccounting(t *testing.T) {
 	if got := storeBytes.Load() - gauge0; got != sum {
 		t.Fatalf("cwx_history_bytes moved by %d, sum of Series.Bytes = %d", got, sum)
 	}
-	if ev := st.Series("evicting", "m"); ev.Len() != 700 || len(ev.blocks) > 2 {
-		t.Fatalf("evicting series: Len %d, %d blocks (expired blocks not released)", ev.Len(), len(ev.blocks))
+	if ev := st.Series("evicting", "m"); ev.Len() != 700 || len(testBlocks(ev)) > 2 {
+		t.Fatalf("evicting series: Len %d, %d blocks (expired blocks not released)", ev.Len(), len(testBlocks(ev)))
 	}
 }
 

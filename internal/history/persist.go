@@ -71,7 +71,70 @@ func (st *Store) SaveTo(w io.Writer) error {
 // LoadFrom merges persisted history into the store, reading the v4 block
 // format. Existing series receive the loaded points subject to the usual
 // ordering rule (older points than what is already present are dropped).
+// A node's consecutive series — SaveTo writes each node's together — are
+// decoded first and then created together, so a restored node's series
+// share one slab chunk as an ingested node's do. On an error, what was
+// decoded before it is kept.
 func (st *Store) LoadFrom(r io.Reader) error {
+	var g loadGroup
+	err := st.loadLines(r, &g)
+	g.flush(st)
+	return err
+}
+
+// loadGroup is one node's run of consecutive series in a file, decoded
+// and not yet stored: each series' points lie in pts from its lo to the
+// next series' lo (or the end).
+type loadGroup struct {
+	node   string
+	series []loadSeries
+	pts    []Point
+}
+
+type loadSeries struct {
+	metric string
+	lo     int
+}
+
+// flush stores the group's series — the missing ones in one new chunk —
+// and empties it, keeping its buffers for the next node.
+func (g *loadGroup) flush(st *Store) {
+	if len(g.series) == 0 {
+		return
+	}
+	ns := st.Node(g.node)
+	ns.mu.Lock()
+	defer ns.mu.Unlock()
+	points := func(k int) []Point {
+		if k+1 < len(g.series) {
+			return g.pts[g.series[k].lo:g.series[k+1].lo]
+		}
+		return g.pts[g.series[k].lo:]
+	}
+	// A series line with no blocks makes no series, as no append would.
+	idOf := func(k int) (uint32, float64, bool) {
+		return st.MetricID(g.series[k].metric), 0, len(points(k)) > 0
+	}
+	for k := range g.series {
+		id, _, ok := idOf(k)
+		if !ok {
+			continue
+		}
+		s := ns.findLocked(id)
+		if s == nil {
+			s = ns.addChunkLocked(id, k, len(g.series), idOf)
+		}
+		for _, p := range points(k) {
+			s.appendLocked(p.T, p.V)
+		}
+		mAppends.AddAt(int(ns.stripe), int64(len(points(k))))
+	}
+	g.series, g.pts = g.series[:0], g.pts[:0]
+}
+
+// loadLines decodes r's series into g, flushing g whenever the node
+// changes.
+func (st *Store) loadLines(r io.Reader, g *loadGroup) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), 16<<20)
 	if !sc.Scan() {
@@ -95,6 +158,11 @@ func (st *Store) LoadFrom(r io.Reader) error {
 		if nblocks < 0 {
 			return fmt.Errorf("history: line %d: negative block count", lineNo)
 		}
+		if nodeName != g.node {
+			g.flush(st)
+			g.node = nodeName
+		}
+		g.series = append(g.series, loadSeries{metric: metric, lo: len(g.pts)})
 		for i := 0; i < nblocks; i++ {
 			if !sc.Scan() {
 				return fmt.Errorf("history: truncated series %s/%s at block %d", nodeName, metric, i)
@@ -120,7 +188,7 @@ func (st *Store) LoadFrom(r io.Reader) error {
 					break
 				}
 				if decoded >= trim {
-					st.Append(nodeName, metric, time.Duration(t), v)
+					g.pts = append(g.pts, Point{T: time.Duration(t), V: v})
 				}
 				decoded++
 			}

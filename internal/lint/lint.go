@@ -13,7 +13,7 @@
 //     clock or the global math/rand state, so every simulation and
 //     fault-injection run is reproducible.
 //   - lockscope: event-engine / notifier / plugin entry points must not
-//     be called while a shard/record/series mutex is held, and every
+//     be called while a shard/record/history mutex is held, and every
 //     sync.Pool.Get needs a Put (or an ownership hand-off) on every
 //     return path — the exact bug classes fixed in the PR 1 review.
 //   - atomicmix: a struct field accessed through sync/atomic anywhere

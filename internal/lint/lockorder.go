@@ -13,7 +13,7 @@ import (
 
 // runLockorder is the whole-program lock-ordering analyzer. The repo's
 // ten mutex-bearing packages share one declared partial order — the
-// lock-rank lattice (shard < record < series < gate < hub plus the
+// lock-rank lattice (shard < record < histnode < gate < hub plus the
 // auxiliary ranks around them) — expressed as "//cwx:lockrank <name>
 // <level>" directives on the mutex fields themselves. The analyzer:
 //
@@ -27,8 +27,8 @@ import (
 //     local Unlock closes it early);
 //  3. propagates acquisitions interprocedurally through the call graph
 //     of resolved static callees to a fixpoint, so "holds record,
-//     calls Store.Append which locks the series" becomes a
-//     record→series edge with the full witness call chain;
+//     calls NodeSeries.AppendFrame which locks the node" becomes a
+//     record→histnode edge with the full witness call chain;
 //  4. reports every edge that acquires a ranked class at a level <=
 //     one already held — an inversion of the declared order, or a
 //     same-class re-entry (self-deadlock for plain mutexes) — plus any

@@ -10,7 +10,7 @@ import (
 // established for the sharded ingest path:
 //
 //  1. Event-engine, notifier and plugin entry points must run with no
-//     shard/record/series mutex held: they may synchronously call back
+//     shard/record/history mutex held: they may synchronously call back
 //     into the server (a rule plugin re-ingesting values for the node
 //     under evaluation), so calling them under a lock is a latent
 //     deadlock.
@@ -78,7 +78,7 @@ func checkLockRegions(p *pass, body *ast.BlockStmt) []ast.Node {
 			if len(held) > 0 {
 				if what := reentrantEntry(p, n); what != "" {
 					p.report(n.Pos(), "lockscope",
-						"%s called while holding %s; event/notify/plugin entry points may re-enter the server and must run with no shard/record/series lock held",
+						"%s called while holding %s; event/notify/plugin entry points may re-enter the server and must run with no shard/record/history lock held",
 						what, held[len(held)-1])
 				}
 			}
