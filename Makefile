@@ -47,11 +47,12 @@ race:
 
 # Run-to-run determinism: one seed, one outcome. Each test compares
 # runs of the same input (a reimaged sim, the ctl transcript, a tree
-# against its flat control, an uplink's payloads); -count=3 repeats them
+# against its flat control — with a leaf killed, or with every tier
+# restarted or killed — an uplink's payloads); -count=3 repeats them
 # under fresh map-iteration seeds, so any result that leans on Go map
 # order fails here instead of flaking later.
 determinism:
-	$(GO) test -count=3 -run 'TestSimSameSeedSameState|TestGoldenCtl|TestFedLossKillRejoinConverges|TestUplinkSameInputSameBytes' ./internal/core/
+	$(GO) test -count=3 -run 'TestSimSameSeedSameState|TestGoldenCtl|TestFedLossKillRejoinConverges|TestSimRestartEveryTier|TestUplinkSameInputSameBytes' ./internal/core/
 
 # Regenerate the benchmark tables behind EXPERIMENTS.md.
 bench:
@@ -81,8 +82,10 @@ bench-test:
 # before those chunks, against a reference ring per metric), the
 # wire's value coder, the table views' row renderer and the chart (against
 # the fmt verbs they replace), the event rule-file parser, the ICE Box
-# command core and the ctl request line (any line: no panic, an OK/ERR
-# block, cached ≡ uncached): each target gets ~10s, long enough to
+# command core, the ctl request line (any line: no panic, an OK/ERR
+# block, cached ≡ uncached) and the five a-priori /proc parsers (no
+# panic; on the committed 2.4 and 6.18 files, what they accept the
+# generic parsers read the same): each target gets ~10s, long enough to
 # re-cover the grammar from the checked-in seeds without stalling CI. The saved corpus under internal/transmit/testdata/fuzz
 # replays on every plain `go test` as regression inputs.
 fuzz-smoke:
@@ -99,13 +102,15 @@ fuzz-smoke:
 	$(GO) test ./internal/events/ -fuzz FuzzParseRules -fuzztime 10s -run NONE
 	$(GO) test ./internal/icebox/ -fuzz FuzzHandleCommand -fuzztime 10s -run NONE
 	$(GO) test ./internal/core/ -fuzz FuzzHandleCtl -fuzztime 10s -run NONE
+	$(GO) test ./internal/gather/ -fuzz FuzzGatherApriori -fuzztime 10s -run NONE
 
 # Fault-injection suite for the loss-tolerant delta protocol: seeded
-# loss/blackhole/partition schedules over simnet, under the race
-# detector. Seeds are fixed in the tests, so failures reproduce exactly.
+# loss/blackhole/partition schedules over simnet, and daemon restarts and
+# kills at every tier (Sim.Restart, Sim.Kill), under the race detector.
+# Seeds are fixed in the tests, so failures reproduce exactly.
 faultinject:
 	$(GO) test -race -count=1 -v \
-		-run 'TestLossToleranceConverges|TestLegacyProtocolDivergesUnderLoss|TestInProcessSimIsSequenced|TestPartitionHealRetransmits|TestMixedVersionClusterConverges|TestHandleFrameConcurrent|TestFedLossKillRejoinConverges|TestBlackholeDropsEverything|TestScheduleAtDrivesFaults|TestLossDropsFraction' \
+		-run 'TestLossToleranceConverges|TestLegacyProtocolDivergesUnderLoss|TestInProcessSimIsSequenced|TestPartitionHealRetransmits|TestMixedVersionClusterConverges|TestHandleFrameConcurrent|TestFedLossKillRejoinConverges|TestSimRestartEveryTier|TestBlackholeDropsEverything|TestScheduleAtDrivesFaults|TestLossDropsFraction' \
 		./internal/core/ ./internal/simnet/
 
 # Runs every example; each must exit 0. Three drive a whole simulated

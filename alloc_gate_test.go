@@ -1281,9 +1281,9 @@ func TestAllocGateRollupTick(t *testing.T) {
 	}
 }
 
-// TestAllocGateKeepOpenMeminfo pins the monitor's meminfo sample — rewind,
-// one read, the a-priori parse with its line-tag checks — at zero
-// allocations.
+// TestAllocGateKeepOpenMeminfo pins the monitor's keep-open samples —
+// rewind, one read, the a-priori parse with its line-tag checks — of
+// /proc/meminfo and of /proc/stat at zero allocations.
 func TestAllocGateKeepOpenMeminfo(t *testing.T) {
 	skipUnderRace(t)
 	fs := procfs.NewFS()
@@ -1293,10 +1293,20 @@ func TestAllocGateKeepOpenMeminfo(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
+	sg, err := gather.NewStatGatherer(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sg.Close()
 	var m gather.MemStats
+	var c gather.CPUStats
+	sg.Gather(&c) //nolint:errcheck // sizes the per-cpu and disk slices; checked below
 	var gerr error
 	if allocs := testing.AllocsPerRun(200, func() { gerr = g.Gather(&m) }); allocs != 0 || gerr != nil {
 		t.Fatalf("a keep-open meminfo sample allocates %.1f times (%v), want 0", allocs, gerr)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { gerr = sg.Gather(&c) }); allocs != 0 || gerr != nil {
+		t.Fatalf("a keep-open stat sample allocates %.1f times (%v), want 0", allocs, gerr)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 	"unicode"
 
@@ -34,22 +33,7 @@ import (
 // after a slow-consumer overflow the next push is a full "RESYNC".
 
 // ServeCtl accepts control connections until the listener closes.
-func (s *Server) ServeCtl(l net.Listener) error {
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return err
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer conn.Close()
-			s.serveCtlConn(conn)
-		}()
-	}
-}
+func (s *Server) ServeCtl(l net.Listener) error { return serveConns(l, s.serveCtlConn) }
 
 // maxCtlLine bounds a request line. A longer one is answered "ERR request
 // line too long", counted in cwx_ctl_long_lines_total, and its connection

@@ -454,12 +454,12 @@ func fedFaultSchedule(fed *Sim, down, up func(*Sim)) {
 
 // TestFedLossKillRejoinConverges is federation's fault acceptance run: a
 // 2-leaf tree (one leaf's uplink pinned to v1) rides 15% fabric loss
-// while the batching leaf's uplink process is killed and rejoined
+// while the batching leaf's daemon is killed and rejoined
 // mid-schedule. After the heal the root must hold a byte-identical view
 // of every agent — and byte-identical to a flat single-server control
 // run over the same seeds and timeline, proving the extra hop and the
 // healing machinery (link desync -> "!uresync" -> snap-all, per-node
-// resync on the v1 leaf, restart renegotiation) add no divergence.
+// resync on the v1 leaf, a killed daemon's fresh session) add no divergence.
 func TestFedLossKillRejoinConverges(t *testing.T) {
 	fed, err := NewSim(SimConfig{
 		Fanout: 2, Tiers: 2, Nodes: 3, Transport: TransportSimnet,
@@ -472,14 +472,16 @@ func TestFedLossKillRejoinConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(fed.Stop)
-	// Kill the batching leaf's forwarder for the 20 s fault window, then
-	// rejoin as a fresh process (Restart drops all session state —
-	// negotiation, sequences, dictionary).
+	// Cut the batching leaf off for the 20 s fault window, then kill its
+	// daemon and rejoin as a fresh process from its last checkpoint: a new
+	// session, so negotiation, sequences and dictionary start over.
+	var cut UplinkStats
 	fedFaultSchedule(fed,
 		func(f *Sim) { f.Leaves[0].UpEp.SetUp(false) },
 		func(f *Sim) {
 			f.Leaves[0].UpEp.SetUp(true)
-			f.Leaves[0].Uplink.Restart()
+			cut = f.Leaves[0].Uplink.Stats()
+			f.Kill(f.Leaves[0])
 		})
 
 	// The flat control: the same six agents, same seeds, same timeline,
@@ -500,7 +502,7 @@ func TestFedLossKillRejoinConverges(t *testing.T) {
 	// the killed leaf, loss-induced batch desyncs healed by snap-alls,
 	// and per-node resyncs on the v1-pinned leaf.
 	killed := fed.Leaves[0].Uplink.Stats()
-	if killed.SendFails == 0 {
+	if cut.SendFails == 0 {
 		t.Error("killed leaf saw no uplink send failures")
 	}
 	if !killed.V2 || killed.Frames == 0 {

@@ -25,9 +25,8 @@ type MetaMonitor struct {
 	cons *consolidate.Consolidator
 }
 
-// NewMetaMonitor builds the self-monitoring loop for srv. Call Tick on
-// whatever cadence the deployment wants (cwxd defaults to 10 s; the
-// simulation wires it to the virtual clock via SimConfig.SelfMonitor).
+// NewMetaMonitor builds the self-monitoring loop for srv. A Daemon ticks
+// it every DaemonConfig.SelfMonitor of its clock.
 func NewMetaMonitor(srv *Server) *MetaMonitor {
 	cons := consolidate.New()
 	cons.AddSource(monitor.TelemetrySource{}, 1)

@@ -405,9 +405,6 @@ func (u *Uplink) build() {
 func (u *Uplink) sendBatches(nowNs int64) (int, error) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	if u.enc == nil {
-		u.enc = transmit.NewBatchEncoderV2()
-	}
 	var firstErr error
 	sent := 0
 	for lo := 0; lo < len(u.frames); lo += maxBatch {
@@ -506,12 +503,12 @@ func (u *Uplink) HandleControl(payload []byte, nowNs int64) {
 		// carrying frame decodes regardless of the gap.
 		u.snapAll = true
 		u.stats.ResyncsRecv++
-		if u.v2 && u.enc != nil {
+		if u.v2 {
 			u.enc.Rebase()
 		}
 		fjournal.Append(int(u.sym), flight.Entry{Kind: flight.KindUplinkResync, Node: u.sym, TimeNs: nowNs})
 	case transmit.IsWireReset(payload):
-		if u.v2 && u.enc != nil {
+		if u.v2 {
 			// The parent's dictionary is gone (restart): resend everything
 			// and re-establish state wholesale.
 			u.enc.ResetTable()
@@ -522,10 +519,7 @@ func (u *Uplink) HandleControl(payload []byte, nowNs int64) {
 	default:
 		if ver, ok := transmit.ParseWireAnswer(payload); ok {
 			if u.offer && !u.v2 && ver == transmit.WireV2 {
-				u.v2, u.offer = true, false
-				if u.enc == nil {
-					u.enc = transmit.NewBatchEncoderV2()
-				}
+				u.v2, u.offer, u.enc = true, false, transmit.NewBatchEncoderV2()
 				// Switch formats from a clean baseline: the v1 per-node
 				// numbering is abandoned, so the first batch carries full
 				// state for everything.
@@ -534,28 +528,11 @@ func (u *Uplink) HandleControl(payload []byte, nowNs int64) {
 				fjournal.Append(int(u.sym), flight.Entry{Kind: flight.KindWireUpgrade, Node: u.sym, TimeNs: nowNs, A: int64(ver)})
 			}
 		} else if n, ok := transmit.ParseDictAck(payload); ok {
-			if u.v2 && u.enc != nil {
+			if u.v2 {
 				u.enc.Ack(n)
 			}
 		}
 	}
-}
-
-// Restart models a forwarder process restart (the leaf kill/rejoin fault
-// case): all session state is dropped exactly as a fresh process would
-// start — negotiation from scratch, sequences reset, snap-all armed.
-// The dirty set survives only incidentally; correctness comes from the
-// snap-all.
-func (u *Uplink) Restart() {
-	u.mu.Lock()
-	u.offer = !u.cfg.V1Only
-	u.v2 = false
-	u.stats.V2 = false
-	u.enc = nil
-	u.seq = 0
-	clear(u.nodeSeq)
-	u.snapAll = true
-	u.mu.Unlock()
 }
 
 // Stats returns a snapshot of the session counters.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"strconv"
+	"strings"
 
 	"clusterworx/internal/procfs"
 )
@@ -187,6 +188,11 @@ func parseMeminfoGeneric(b []byte, out *MemStats) error {
 
 // parseStatApriori decodes the 2.4 /proc/stat layout: aggregate cpu line,
 // per-cpu lines, page, swap, intr, optional disk_io, ctxt, btime, processes.
+// Each line after the cpu lines is taken only after its keyword is checked,
+// so another layout — a modern kernel's, which has no page or swap line —
+// is a ParseError naming the keyword expected and the one found, never a
+// counter read off the wrong line. On an error, out holds what was parsed
+// before it.
 func parseStatApriori(b []byte, out *CPUStats) error {
 	i := 0
 	if len(b) < 4 || b[0] != 'c' || b[1] != 'p' || b[2] != 'u' {
@@ -212,48 +218,62 @@ func parseStatApriori(b []byte, out *CPUStats) error {
 		out.PerCPU = append(out.PerCPU, c)
 	}
 
-	// page, swap, intr: first number after each keyword.
-	out.PageIn, i = nextDigitValue(b, i)
-	out.PageOut, i = parseUintAt(b, skipToDigit(b, i))
-	i = skipLine(b, i)
-	out.SwapIn, i = nextDigitValue(b, i)
-	out.SwapOut, i = parseUintAt(b, skipToDigit(b, i))
-	i = skipLine(b, i)
-	out.Interrupts, i = nextDigitValue(b, i)
-	i = skipLine(b, i)
-
-	// Optional disk_io line — "(maj,min):(io,rio,rsect,wio,wsect)" per
-	// disk — then ctxt/btime/processes.
+	// page, swap, intr, an optional disk_io line, ctxt, btime, processes:
+	// the first number (two for page and swap) after each keyword.
 	out.Disks = out.Disks[:0]
-	if i < len(b) && b[i] == 'd' {
-		j := i
-		end := skipLine(b, i)
-		for {
-			j = skipToDigit(b, j)
-			if j >= end-1 {
-				break
+	for _, f := range [...]struct {
+		kw   string
+		a, b *uint64
+	}{{"page ", &out.PageIn, &out.PageOut}, {"swap ", &out.SwapIn, &out.SwapOut}, {"intr ", &out.Interrupts, nil},
+		{"ctxt ", &out.ContextSwitches, nil}, {"btime ", &out.BootTime, nil}, {"processes ", &out.Processes, nil}} {
+		if f.kw == "ctxt " && hasKeyword(b, i, "disk_io:") {
+			// "(maj,min):(io,rio,rsect,wio,wsect)" per disk.
+			j, end := i, skipLine(b, i)
+			for {
+				j = skipToDigit(b, j)
+				if j >= end-1 {
+					break
+				}
+				var d DiskCounters
+				var v uint64
+				v, j = parseUintAt(b, j)
+				d.Major = int(v)
+				v, j = nextDigitValue(b, j)
+				d.Minor = int(v)
+				d.IO, j = nextDigitValue(b, j)
+				d.ReadIO, j = nextDigitValue(b, j)
+				d.ReadSectors, j = nextDigitValue(b, j)
+				d.WriteIO, j = nextDigitValue(b, j)
+				d.WriteSectors, j = nextDigitValue(b, j)
+				out.Disks = append(out.Disks, d)
 			}
-			var d DiskCounters
-			var v uint64
-			v, j = parseUintAt(b, j)
-			d.Major = int(v)
-			v, j = nextDigitValue(b, j)
-			d.Minor = int(v)
-			d.IO, j = nextDigitValue(b, j)
-			d.ReadIO, j = nextDigitValue(b, j)
-			d.ReadSectors, j = nextDigitValue(b, j)
-			d.WriteIO, j = nextDigitValue(b, j)
-			d.WriteSectors, j = nextDigitValue(b, j)
-			out.Disks = append(out.Disks, d)
+			i = end
 		}
-		i = end
+		if !hasKeyword(b, i, f.kw) {
+			return statKeywordError(b, i, f.kw)
+		}
+		*f.a, i = nextDigitValue(b, i+len(f.kw))
+		if f.b != nil {
+			*f.b, i = nextDigitValue(b, i)
+		}
+		i = skipLine(b, i)
 	}
-	out.ContextSwitches, i = nextDigitValue(b, i)
-	i = skipLine(b, i)
-	out.BootTime, i = nextDigitValue(b, i)
-	i = skipLine(b, i)
-	out.Processes, _ = nextDigitValue(b, i)
 	return nil
+}
+
+// hasKeyword reports whether the line at i starts with kw.
+func hasKeyword(b []byte, i int, kw string) bool {
+	return len(b)-i >= len(kw) && string(b[i:i+len(kw)]) == kw
+}
+
+// statKeywordError reports the line at i, whose keyword is not want. Kept
+// out of line: only a layout mismatch allocates.
+func statKeywordError(b []byte, i int, want string) error {
+	found := b[min(i, len(b)):skipLine(b, i)]
+	if sp := bytes.IndexAny(found, " \n"); sp >= 0 {
+		found = found[:sp]
+	}
+	return &ParseError{File: "/proc/stat", Detail: fmt.Sprintf("line keyword %q, want %q (not the 2.4 layout)", found, strings.TrimSpace(want))}
 }
 
 // parseStatGeneric decodes /proc/stat by keyword lookup per line.

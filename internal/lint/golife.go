@@ -16,10 +16,8 @@ import (
 //     a channel) without an exit path — a return, a break that targets
 //     the loop, a panic, or a process exit. A loop whose condition is
 //     an expression (`for sig.Wait(stop)`) is bounded by construction:
-//     the condition is the shutdown hook. Spawn sites annotated
-//     //cwx:daemon (same line or the line above) opt out — the
-//     annotation is the reviewable claim that the goroutine is
-//     intentionally process-lifetime.
+//     the condition is the shutdown hook. There is no opt-out: even a
+//     daemon's process-lifetime goroutines end when it stops.
 //
 //  2. Guarded sends. Every channel send lexically inside the spawned
 //     function must be a case of a `select` with an alternative (a
@@ -66,12 +64,10 @@ func checkSpawn(prog *program, p *pass, gs *ast.GoStmt) {
 	if body == nil {
 		return // func value / interface method: statically invisible
 	}
-	if !prog.daemonAt(gs.Pos()) {
-		for _, loop := range unboundedLoops(bodyPass, body) {
-			if !hasExitPath(bodyPass, loop) {
-				prog.report(loop.Pos(), "golife",
-					"goroutine has an unbounded loop with no exit path; drive it from a stop channel / clock condition or annotate the spawn site with //cwx:daemon")
-			}
+	for _, loop := range unboundedLoops(bodyPass, body) {
+		if !hasExitPath(bodyPass, loop) {
+			prog.report(loop.Pos(), "golife",
+				"goroutine has an unbounded loop with no exit path; drive it from a stop channel or a clock condition")
 		}
 	}
 	checkSends(prog, bodyPass, body)
@@ -81,7 +77,7 @@ func checkSpawn(prog *program, p *pass, gs *ast.GoStmt) {
 // statement exits them: `for { }`, `for ... ; ; ... { }`, and
 // `for range ch` (the channel may never be closed; if close-on-shutdown
 // is the protocol, the close site is a break/return away from being
-// provable — or the spawn is a daemon). Nested function literals are
+// provable). Nested function literals are
 // separate goroutine-less scopes and are skipped.
 func unboundedLoops(p *pass, body *ast.BlockStmt) []ast.Stmt {
 	var loops []ast.Stmt

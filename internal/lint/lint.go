@@ -30,8 +30,7 @@
 //     re-entry) is reported with its full witness call chain. The graph
 //     is dumpable as DOT (cwxlint -lockgraph).
 //   - golife: every `go` statement must have provable shutdown — an
-//     exit path out of every unbounded loop or a //cwx:daemon
-//     annotation — and every channel send lexically inside a spawned
+//     exit path out of every unbounded loop — and every channel send lexically inside a spawned
 //     goroutine must be select-guarded or provably buffered.
 //   - staticalloc: heap escapes reported by the compiler
 //     (go build -gcflags=-m) inside //cwx:hotpath functions fail the
@@ -227,13 +226,12 @@ func Run(pkgs []*Package, cfg Config) []Diagnostic {
 // declaration index for call-graph resolution, and the merged
 // suppression directives.
 type program struct {
-	fset    *token.FileSet
-	passes  []*pass
-	cfg     *Config
-	decls   map[*types.Func]*declInfo   // named funcs/methods with bodies
-	allows  map[string]map[int][]string // merged across passes
-	daemons map[string]map[int]bool     // file -> line -> //cwx:daemon present
-	diags   *[]Diagnostic
+	fset   *token.FileSet
+	passes []*pass
+	cfg    *Config
+	decls  map[*types.Func]*declInfo   // named funcs/methods with bodies
+	allows map[string]map[int][]string // merged across passes
+	diags  *[]Diagnostic
 }
 
 // declInfo ties a function object to its syntax and owning pass.
@@ -244,16 +242,14 @@ type declInfo struct {
 
 // buildProgram indexes every function declaration (keyed by its
 // *types.Func so cross-package calls resolve — the loader type-checks
-// local packages once, so objects are shared) plus the //cwx:daemon
-// spawn annotations.
+// local packages once, so objects are shared).
 func buildProgram(passes []*pass, cfg *Config, diags *[]Diagnostic) *program {
 	prog := &program{
-		passes:  passes,
-		cfg:     cfg,
-		decls:   make(map[*types.Func]*declInfo),
-		allows:  make(map[string]map[int][]string),
-		daemons: make(map[string]map[int]bool),
-		diags:   diags,
+		passes: passes,
+		cfg:    cfg,
+		decls:  make(map[*types.Func]*declInfo),
+		allows: make(map[string]map[int][]string),
+		diags:  diags,
 	}
 	for _, p := range passes {
 		if prog.fset == nil {
@@ -272,17 +268,6 @@ func buildProgram(passes []*pass, cfg *Config, diags *[]Diagnostic) *program {
 				}
 				if fn, ok := p.pkg.Info.Defs[fd.Name].(*types.Func); ok {
 					prog.decls[fn] = &declInfo{pass: p, decl: fd}
-				}
-			}
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					if c.Text == "//cwx:daemon" || strings.HasPrefix(c.Text, "//cwx:daemon ") {
-						pos := p.pkg.Fset.Position(c.Pos())
-						if prog.daemons[pos.Filename] == nil {
-							prog.daemons[pos.Filename] = make(map[int]bool)
-						}
-						prog.daemons[pos.Filename][pos.Line] = true
-					}
 				}
 			}
 		}
@@ -319,14 +304,6 @@ func (prog *program) reportAt(position token.Position, analyzer, format string, 
 		Analyzer: analyzer,
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// daemonAt reports whether a //cwx:daemon annotation covers a spawn
-// site (same line or the line above the `go` statement).
-func (prog *program) daemonAt(pos token.Pos) bool {
-	position := prog.fset.Position(pos)
-	lines := prog.daemons[position.Filename]
-	return lines[position.Line] || lines[position.Line-1]
 }
 
 // collectAllows indexes every "//cwx:allow a,b -- reason" comment by

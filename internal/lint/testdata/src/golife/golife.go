@@ -13,16 +13,6 @@ func spawnLeak() {
 	}()
 }
 
-// spawnDaemon is the same shape with the reviewable opt-out.
-func spawnDaemon() {
-	//cwx:daemon test fixture runs for the process lifetime
-	go func() {
-		for {
-			time.Sleep(time.Second)
-		}
-	}()
-}
-
 // spawnStopped exits through the stop channel: provable shutdown.
 func spawnStopped(stop chan struct{}) {
 	go func() {
