@@ -849,14 +849,17 @@ func TestAllocGateWireRoundtrip(t *testing.T) {
 }
 
 // TestAllocGateFlightAppend pins the flight recorder's journal append
-// (E21's shape) at zero allocations: one CAS claim plus eight atomic
-// stores into a preallocated ring slot. This is what lets the recorder
-// stay always-on under the ingest hot path.
+// (E21's shape) at zero allocations once its ring chunk exists: one CAS
+// claim plus eight atomic stores into a ring slot. This is what lets
+// the recorder stay always-on under the ingest hot path.
 func TestAllocGateFlightAppend(t *testing.T) {
 	skipUnderRace(t)
 	j := flight.NewJournal()
 	node := j.Sym("node042") // interning is setup-time, off the measured path
 	e := flight.Entry{Kind: flight.KindStage, Stage: 3, Node: node, Trace: 0xfeed, TimeNs: 1, A: 2, B: 3}
+	for i := 0; i < flight.Capacity(); i++ {
+		j.Append(0, e) // make stripe 0's whole ring, so every measured append reuses a chunk
+	}
 	allocs := testing.AllocsPerRun(200, func() {
 		j.Append(0, e)
 	})

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -26,6 +28,21 @@ func num(t *testing.T, s string) float64 {
 	return v
 }
 
+// TestE1LadderShape's verdicts are ones a loaded host cannot flip:
+// after the printed run, the rungs are timed one after another over
+// e1Rounds rounds of one timing batch each (64 calls, ≈0.3 ms for an
+// optimised rung), and each step is judged by its median over the
+// rounds of the step's ratio within a round. Rungs timed back to back
+// share the host's load, so the ratio holds where the rates swing; a
+// round that lost the CPU mid-batch is outvoted. Each optimised rung
+// must beat the one below it by e1Margin; the steps sit ≈+35 % and more
+// apart. Each round starts from a collected heap, so a collection's
+// mark phase cannot land on the same rung round after round.
+const (
+	e1Rounds = 40
+	e1Margin = 1.10
+)
+
 func TestE1LadderShape(t *testing.T) {
 	tab, err := E1GatherLadder(quick)
 	if err != nil {
@@ -35,12 +52,32 @@ func TestE1LadderShape(t *testing.T) {
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
-	var rates [4]float64
-	for i := range rates {
-		rates[i] = num(t, cell(tab, i, 1))
+	// steps[i] for i ≥ 1 is rung i's rate over rung i-1's, one per
+	// round; steps[0] is the full ladder, keep-open over naive.
+	var steps [4][]float64
+	for k := 0; k < e1Rounds; k++ {
+		runtime.GC()
+		round, err := E1GatherLadder(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rate [4]float64
+		for i := range rate {
+			rate[i] = num(t, cell(round, i, 1))
+		}
+		steps[0] = append(steps[0], rate[3]/rate[0])
+		for i := 1; i < len(rate); i++ {
+			steps[i] = append(steps[i], rate[i]/rate[i-1])
+		}
 	}
-	if rates[1]/rates[0] < 5 {
-		t.Fatalf("buffered step only %.1fx over naive; paper step is ~49x", rates[1]/rates[0])
+	var med [4]float64
+	for i := range steps {
+		sort.Float64s(steps[i])
+		med[i] = steps[i][len(steps[i])/2]
+	}
+	t.Logf("median of %d rounds: steps %.2fx %.2fx %.2fx, full ladder %.1fx", e1Rounds, med[1], med[2], med[3], med[0])
+	if med[1] < 5 {
+		t.Fatalf("buffered step only %.1fx over naive; paper step is ~49x", med[1])
 	}
 	if raceEnabled {
 		// The detector charges every memory access the same whichever
@@ -49,12 +86,15 @@ func TestE1LadderShape(t *testing.T) {
 		// without it), so only the first step is a stable claim here.
 		return
 	}
-	// Ordering: naive << buffered < apriori < keepopen.
-	if !(rates[0] < rates[1] && rates[1] < rates[2] && rates[2] < rates[3]) {
-		t.Fatalf("ladder not monotone: %v", rates)
+	// Ordering: naive << buffered < apriori < keepopen, each of the last
+	// two steps by the margin.
+	for i := 2; i < len(med); i++ {
+		if med[i] < e1Margin {
+			t.Fatalf("ladder step %d only %.2fx (< %.2fx); steps %.2f", i, med[i], e1Margin, med[1:])
+		}
 	}
-	if rates[3]/rates[0] < 20 {
-		t.Fatalf("full ladder only %.1fx; paper is ~400x", rates[3]/rates[0])
+	if med[0] < 20 {
+		t.Fatalf("full ladder only %.1fx; paper is ~400x", med[0])
 	}
 }
 

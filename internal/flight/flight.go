@@ -1,4 +1,4 @@
-// Package flight is the always-on flight recorder: a fixed-size,
+// Package flight is the always-on flight recorder: a bounded,
 // lock-free, sharded ring journal of structured pipeline records plus
 // the causal trace-id machinery that links records from different
 // processes (agent and server) into one span tree per sampled frame.
@@ -6,7 +6,8 @@
 // Design constraints, in order:
 //
 //   - Appends sit on the ingest and transmit hot paths, so Append is
-//     //cwx:hotpath: no locks, no allocations, no formatting. Strings
+//     //cwx:hotpath: no locks, no formatting, and no allocations but
+//     the first write into each 4 KiB chunk of a shard's ring. Strings
 //     never enter the ring — node names, rule names, and gate names are
 //     interned once (cold path) into small Sym ids.
 //   - Reads are rare (ctl verbs, dashboards) and may be slow, but they
@@ -154,7 +155,8 @@ type Record struct {
 
 const (
 	journalShards = 8
-	shardSlots    = 1024 // per shard; 8192 records total, ~64 B/slot
+	shardSlots    = 1024 // per shard, 8192 records in all; a shard's ring grows to this
+	chunkSlots    = 64   // slots per chunk: 64 × 64 B = 4 KiB, one size class
 	maxSyms       = 1 << 16
 )
 
@@ -173,10 +175,23 @@ type slot struct {
 	ids   atomic.Uint64 // node<<32 | detail
 }
 
+// jshard is one ring. Ring position i lives in chunks[i/chunkSlots],
+// made by the first append that lands in it; a nil chunk holds no
+// record.
 type jshard struct {
-	pos   atomic.Uint64
-	slots [shardSlots]slot
-	_     [64]byte // keep neighboring shards off each other's lines
+	pos    atomic.Uint64
+	chunks [shardSlots / chunkSlots]atomic.Pointer[[chunkSlots]slot]
+	_      [64]byte // keep neighboring shards off each other's lines
+}
+
+// grow returns chunk k, making it if no append has yet. Racing makers
+// publish by CAS; the loser drops its copy and uses the winner's.
+func (sh *jshard) grow(k uint64) *[chunkSlots]slot {
+	c := new([chunkSlots]slot)
+	if sh.chunks[k].CompareAndSwap(nil, c) {
+		return c
+	}
+	return sh.chunks[k].Load()
 }
 
 // Journal is the flight recorder. The zero value is not usable; call
@@ -263,8 +278,12 @@ func (j *Journal) Append(stripe int, e Entry) uint64 {
 	}
 	seq := j.seq.Add(1)
 	sh := &j.shards[uint(stripe)%journalShards]
-	i := sh.pos.Add(1) - 1
-	s := &sh.slots[i%shardSlots]
+	i := (sh.pos.Add(1) - 1) % shardSlots
+	c := sh.chunks[i/chunkSlots].Load()
+	if c == nil {
+		c = sh.grow(i / chunkSlots)
+	}
+	s := &c[i%chunkSlots]
 	// Claim the slot: even→odd via CAS. A failed CAS means another
 	// writer lapped the ring onto this very slot; spin, it holds the
 	// claim only for a handful of atomic stores.
@@ -323,9 +342,13 @@ func (j *Journal) collect(keep func(*Record) bool) []Record {
 	var out []Record
 	for si := range j.shards {
 		sh := &j.shards[si]
-		for i := range sh.slots {
-			if r, ok := j.read(&sh.slots[i]); ok && keep(&r) {
-				out = append(out, r)
+		for k := range sh.chunks {
+			if c := sh.chunks[k].Load(); c != nil {
+				for i := range c {
+					if r, ok := j.read(&c[i]); ok && keep(&r) {
+						out = append(out, r)
+					}
+				}
 			}
 		}
 	}
@@ -365,16 +388,11 @@ func (j *Journal) NodeRecords(node string, max int) []Record {
 // LastTrace returns the most recent trace id that produced a record
 // for node, or 0 if none is retained.
 func (j *Journal) LastTrace(node string) uint64 {
-	var best Record
-	for si := range j.shards {
-		sh := &j.shards[si]
-		for i := range sh.slots {
-			if r, ok := j.read(&sh.slots[i]); ok && r.Node == node && r.Trace != 0 && r.Seq > best.Seq {
-				best = r
-			}
-		}
+	recs := j.collect(func(r *Record) bool { return r.Node == node && r.Trace != 0 })
+	if len(recs) == 0 {
+		return 0
 	}
-	return best.Trace
+	return recs[len(recs)-1].Trace
 }
 
 // NodeTrace is one node's newest retained trace: its id and, per
@@ -416,22 +434,14 @@ func (j *Journal) LatestTraces() []NodeTrace {
 // Capacity is the number of records the ring retains.
 func Capacity() int { return journalShards * shardSlots }
 
-// Reset clears every slot and rewinds the cursor. Test helper only: it
-// must not race live writers (it claims each slot, but the cursor
-// rewind is not coordinated with concurrent Appends).
+// Reset drops every chunk and rewinds the cursor. Test helper only: it
+// must not race live writers (an append already holding a chunk writes
+// into the dropped one, and the cursor rewind is not coordinated).
 func (j *Journal) Reset() {
 	for si := range j.shards {
 		sh := &j.shards[si]
-		for i := range sh.slots {
-			s := &sh.slots[i]
-			for {
-				v := s.ver.Load()
-				if v&1 == 0 && s.ver.CompareAndSwap(v, v+1) {
-					break
-				}
-			}
-			s.seq.Store(0)
-			s.ver.Add(1)
+		for k := range sh.chunks {
+			sh.chunks[k].Store(nil)
 		}
 		sh.pos.Store(0)
 	}

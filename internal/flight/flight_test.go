@@ -273,3 +273,163 @@ func TestReset(t *testing.T) {
 		t.Fatalf("post-reset append seq = %d", seq)
 	}
 }
+
+// heldChunks counts the ring chunks a journal has made.
+func heldChunks(j *Journal) int {
+	n := 0
+	for si := range j.shards {
+		for k := range j.shards[si].chunks {
+			if j.shards[si].chunks[k].Load() != nil {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestChunksFollowWrites: a fresh journal holds no chunk, N appends to
+// one stripe hold ⌈N/64⌉ of them up to the ring's 16, a wrap makes no
+// more, and Reset drops them all.
+func TestChunksFollowWrites(t *testing.T) {
+	j := NewJournal()
+	if n := heldChunks(j); n != 0 {
+		t.Fatalf("fresh journal holds %d chunks, want 0", n)
+	}
+	written := 0
+	for _, n := range []int{1, 63, 64, 65, 500, 1023, 1024, 1025, 3000} {
+		for ; written < n; written++ {
+			j.Append(3, Entry{Kind: KindBank, A: int64(written)})
+		}
+		want := min((n+chunkSlots-1)/chunkSlots, shardSlots/chunkSlots)
+		if got := heldChunks(j); got != want {
+			t.Fatalf("%d appends hold %d chunks, want %d", n, got, want)
+		}
+		if got := len(j.Since(0, 0)); got != min(n, shardSlots) {
+			t.Fatalf("%d appends retain %d records, want %d", n, got, min(n, shardSlots))
+		}
+	}
+	j.Reset()
+	if n := heldChunks(j); n != 0 {
+		t.Fatalf("Reset left %d chunks", n)
+	}
+}
+
+// TestConcurrentFirstWrites: appenders racing onto one stripe's fresh
+// chunks lose no record to a dropped copy.
+func TestConcurrentFirstWrites(t *testing.T) {
+	j := NewJournal()
+	const writers, per = 8, 120 // 960 records: no wrap, 15 chunks
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				j.Append(5, Entry{Kind: KindBank, A: int64(i)})
+			}
+		}()
+	}
+	wg.Wait()
+	if got := len(j.Since(0, 0)); got != writers*per {
+		t.Fatalf("retained %d records, want %d", got, writers*per)
+	}
+	if got, want := heldChunks(j), (writers*per+chunkSlots-1)/chunkSlots; got != want {
+		t.Fatalf("holds %d chunks, want %d", got, want)
+	}
+}
+
+// TestReadersSeeWholeRecordsWhileChunksGrow: Since, collect's other
+// readers and LatestTraces scan while eight appenders fill fresh shards
+// (one of them wrapping its ring); every record a reader returns is one
+// writer's whole entry. Run it under -race.
+func TestReadersSeeWholeRecordsWhileChunksGrow(t *testing.T) {
+	j := NewJournal()
+	var syms [journalShards]Sym
+	var names [journalShards]string
+	for w := range syms {
+		names[w] = "w" + string(rune('0'+w))
+		syms[w] = j.Sym(names[w])
+	}
+	// Every field derives from x = w<<32 | i, so a record mixing two
+	// writes shows.
+	entry := func(w, i int) Entry {
+		x := int64(w)<<32 | int64(i)
+		return Entry{Kind: KindStage, Stage: Stage(i % int(NumStages)), Node: syms[w],
+			Trace: uint64(x) + 1, TimeNs: 3 * x, A: x, B: ^x}
+	}
+	whole := func(r Record) bool {
+		x := r.A
+		w, i := int(x>>32), int(uint32(x))
+		return w < journalShards && r.Kind == KindStage && r.Stage == Stage(i%int(NumStages)) &&
+			r.Node == names[w] && r.Trace == uint64(x)+1 && r.TimeNs == 3*x && r.B == ^x
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < journalShards; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			n := 300 + 90*w
+			if w == 0 {
+				n = 8*shardSlots + 17 // wraps its ring eight times
+			}
+			for i := 0; i < n; i++ {
+				j.Append(w, entry(w, i))
+			}
+		}()
+	}
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	check := func(what string, rs []Record) bool {
+		for _, r := range rs {
+			if !whole(r) {
+				t.Errorf("%s returned a torn record: %+v", what, r)
+				return false
+			}
+		}
+		return true
+	}
+	for rd := 0; rd < 3; rd++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				ok := true
+				switch rd {
+				case 0:
+					ok = check("Since", j.Since(0, 0))
+				case 1:
+					ok = check("NodeRecords", j.NodeRecords(names[rd], 0)) &&
+						check("TraceRecords", j.TraceRecords(uint64(1)<<32+1))
+				case 2:
+					for _, nt := range j.LatestTraces() {
+						for _, r := range nt.Stages {
+							if r.Seq != 0 && (!whole(r) || r.Node != nt.Node || r.Trace != nt.Trace) {
+								t.Errorf("LatestTraces returned a torn record: %+v under %s/%d", r, nt.Node, nt.Trace)
+								ok = false
+							}
+						}
+					}
+				}
+				if !ok {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+	rs := j.Since(0, 0)
+	want := shardSlots
+	for w := 1; w < journalShards; w++ {
+		want += 300 + 90*w
+	}
+	if len(rs) != want || !check("Since", rs) {
+		t.Fatalf("retained %d records, want %d", len(rs), want)
+	}
+}

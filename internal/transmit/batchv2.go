@@ -179,7 +179,7 @@ func (d *BatchDecoderV2) Decode(payload []byte, emit func(Frame)) (int, error) {
 			}
 		}
 		sec.start = len(d.vals)
-		if p, err = d.readColumns(p, h>>2); err != nil {
+		if p, err = d.readColumns(p, h>>2, false); err != nil {
 			return 0, err
 		}
 		sec.end = len(d.vals)

@@ -162,7 +162,7 @@ func (d *DecoderV2) Decode(payload []byte) (Frame, error) {
 	if !ok {
 		return Frame{}, d.fail(ErrV2Malformed)
 	}
-	if p, err = d.readColumns(p, count); err != nil {
+	if p, err = d.readColumns(p, count, true); err != nil {
 		return Frame{}, err
 	}
 	f.SentNs = d.openBits(p)

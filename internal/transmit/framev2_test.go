@@ -2,6 +2,7 @@ package transmit
 
 import (
 	"math"
+	"strconv"
 	"testing"
 
 	"clusterworx/internal/consolidate"
@@ -75,6 +76,53 @@ func TestV2RoundtripChain(t *testing.T) {
 		}
 		requireV2Equal(t, got, f)
 	}
+}
+
+// TestV2UnchangedTextDecodesWithoutAllocating: a text value equal to
+// the last one under its name decodes to the kept string, allocating
+// nothing; a changed one decodes to its new bytes, and so do texts past
+// the kept ones and the texts after a rebase.
+func TestV2UnchangedTextDecodesWithoutAllocating(t *testing.T) {
+	enc, dec := NewEncoderV2(), NewDecoderV2()
+	f := v2TestFrame(0, 1, 2)
+	var buf []byte
+	var got Frame
+	decode := func() {
+		f.Seq++
+		buf = enc.Encode(buf[:0], f)
+		var err error
+		if got, err = dec.Decode(buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode()
+	if n, ok := dec.PendingAck(); ok {
+		enc.Ack(n)
+	}
+	decode() // warm the decoder's scratch
+	if allocs := testing.AllocsPerRun(100, decode); allocs != 0 {
+		t.Fatalf("decoding an unchanged text allocates %.1f times per frame, want 0", allocs)
+	}
+	requireV2Equal(t, got, f)
+	for _, text := range []string{"2.6.0", "2.6.0", "2.4.19-smp"} {
+		f.Values[2].Text = text
+		decode()
+		requireV2Equal(t, got, f)
+	}
+	for i := 0; i < maxKeptTexts+4; i++ {
+		f.Values = append(f.Values, consolidate.TextValue("text."+strconv.Itoa(i), consolidate.Static, strconv.Itoa(i)))
+	}
+	for _, suffix := range []string{"", "", "-b"} {
+		for i := 3; i < len(f.Values); i++ {
+			f.Values[i].Text = strconv.Itoa(i) + suffix
+		}
+		decode()
+		requireV2Equal(t, got, f)
+	}
+	enc.Rebase()
+	f.Values[2].Text = "2.6.1"
+	decode()
+	requireV2Equal(t, got, f)
 }
 
 // TestV2DictAckStopsTailResend: the dictionary tail is resent every

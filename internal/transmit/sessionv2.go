@@ -47,10 +47,13 @@ const maxV2NameLen = 4096
 // maxV2Entries and maxV2Pairs bound what a peer can make a receiver
 // hold: dictionary entries and (node, metric) predictor pairs. A 100 k-
 // node top link names ~100 k nodes and, at an agent's ~55 metrics,
-// ~5.5 M pairs; both bounds leave more than twice that.
+// ~5.5 M pairs; both bounds leave more than twice that. A single-node
+// session keeps the last text of at most maxKeptTexts ids: a node sends
+// a handful.
 const (
 	maxV2Entries = 1 << 18
 	maxV2Pairs   = 1 << 24
+	maxKeptTexts = 16
 )
 
 // predBank is one end's predictors: the timestamp's, and the values' —
@@ -258,7 +261,13 @@ type decCore struct {
 	needAck bool
 	vals    []consolidate.Value // Values scratch of the frame being decoded
 	ids     []uint32            // their dictionary ids
+	texts   []idText            // last text per id, when readColumns keeps them
 	br      history.BitReader
+}
+
+type idText struct {
+	id   uint32
+	text string
 }
 
 // PendingAck reports (and consumes) a dictionary ack owed to the sender:
@@ -304,6 +313,7 @@ func (d *decCore) open(payload []byte, known byte) (flags byte, seq uint64, p []
 		// recovery point for a restarted sender or a "!wreset" answer —
 		// and every predictor keyed on the old ids dies with it.
 		d.entries = d.entries[:0]
+		d.texts = d.texts[:0]
 		d.preds.drop()
 	}
 	if tailStart > uint64(len(d.entries)) {
@@ -382,8 +392,10 @@ func readTrace(p []byte) (id uint64, ns int64, rest []byte, ok bool) {
 }
 
 // readColumns parses one section's meta and text columns, appending
-// count values to d.vals (Num still unset) and their ids to d.ids.
-func (d *decCore) readColumns(p []byte, count uint64) ([]byte, error) {
+// count values to d.vals (Num still unset) and their ids to d.ids. With
+// keepTexts an unchanged text reuses its id's last string: a node's
+// static texts come back in every snapshot.
+func (d *decCore) readColumns(p []byte, count uint64, keepTexts bool) ([]byte, error) {
 	if count > uint64(len(p)) {
 		return nil, d.fail(ErrV2Malformed)
 	}
@@ -413,10 +425,28 @@ func (d *decCore) readColumns(p []byte, count uint64) ([]byte, error) {
 		if !ok || n > uint64(len(rest)) {
 			return nil, d.fail(ErrV2Malformed)
 		}
-		d.vals[i].Text = string(rest[:n])
+		d.vals[i].Text = d.text(keepTexts, d.ids[i], rest[:n])
 		p = rest[n:]
 	}
 	return p, nil
+}
+
+// text returns b as a string: with keep, the one kept for id when it is
+// equal (the compare allocates nothing).
+func (d *decCore) text(keep bool, id uint32, b []byte) string {
+	for i := 0; keep && i < len(d.texts); i++ {
+		if t := &d.texts[i]; t.id == id {
+			if t.text != string(b) {
+				t.text = string(b)
+			}
+			return t.text
+		}
+	}
+	s := string(b)
+	if keep && len(d.texts) < maxKeptTexts {
+		d.texts = append(d.texts, idText{id, s})
+	}
+	return s
 }
 
 // openBits starts the bit column and returns its timestamp; the family
