@@ -23,8 +23,9 @@ build:
 	$(GO) build ./...
 
 # cwxlint: the dependency-free invariant analyzers — per-function
-# (clockdet, lockscope, atomicmix) and whole-program (lockorder, golife,
-# staticalloc) — see internal/lint. staticalloc reads a fresh
+# (clockdet, atomicmix) and whole-program (lockorder, staticalloc) — see
+# internal/lint; each is kept only while no test catches its bug class
+# (DESIGN.md "Correctness tooling"). staticalloc reads a fresh
 # -gcflags=-m build on every run; the TestAllocGate* tests (`make test`:
 # they skip under -race) count the allocations that do not escape.
 # Accepted pre-existing findings live in .cwxlint-baseline; regenerate

@@ -30,6 +30,7 @@ import (
 	"clusterworx/internal/clock"
 	"clusterworx/internal/consolidate"
 	"clusterworx/internal/core"
+	"clusterworx/internal/events"
 	"clusterworx/internal/flight"
 	"clusterworx/internal/gather"
 	"clusterworx/internal/history"
@@ -107,31 +108,41 @@ func TestAllocGateLosslessIngest(t *testing.T) {
 // allocation-free — the gap-detection bookkeeping is integer compares
 // under the per-node lock already held — and so must every eighth frame,
 // a snapshot refreshing the known node (anti-entropy), which compares
-// each value with its slot and appends only the changes.
+// each value with its slot and appends only the changes. It runs twice:
+// bare, and with an event rule armed over a metric every frame carries,
+// so each frame also copies the node's values into a pooled snapshot for
+// the engine, which must go back to its pool.
 func TestAllocGateSequencedIngest(t *testing.T) {
 	skipUnderRace(t)
-	srv := core.NewServer(core.ServerConfig{Cluster: "allocgate"})
-	full := ingestFullSet()
-	deltas := ingestDeltaSets()
-	const node = "fnode0001"
-	if err := srv.HandleFrame(transmit.Frame{Node: node, Seq: 1, Kind: transmit.FrameSnapshot, Values: full}); err != nil {
-		t.Fatal(err)
-	}
-	seq := uint64(1)
-	i := 0
-	allocs := steadyStateAllocs(func() {
-		seq++
-		f := transmit.Frame{Node: node, Seq: seq, Kind: transmit.FrameDelta, Values: deltas[i%len(deltas)]}
-		if i%8 == 7 {
-			f.Kind, f.Values = transmit.FrameSnapshot, full
+	for _, armed := range []bool{false, true} {
+		srv := core.NewServer(core.ServerConfig{Cluster: "allocgate"})
+		if armed {
+			if err := srv.Engine().AddRule(events.Rule{Name: "hot", Metric: "metric.00", Op: events.GT, Threshold: 1e9}); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := srv.HandleFrame(f); err != nil {
+		full := ingestFullSet()
+		deltas := ingestDeltaSets()
+		const node = "fnode0001"
+		if err := srv.HandleFrame(transmit.Frame{Node: node, Seq: 1, Kind: transmit.FrameSnapshot, Values: full}); err != nil {
 			t.Fatal(err)
 		}
-		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("sequenced ingest allocates %.1f times per update, want 0", allocs)
+		seq := uint64(1)
+		i := 0
+		allocs := steadyStateAllocs(func() {
+			seq++
+			f := transmit.Frame{Node: node, Seq: seq, Kind: transmit.FrameDelta, Values: deltas[i%len(deltas)]}
+			if i%8 == 7 {
+				f.Kind, f.Values = transmit.FrameSnapshot, full
+			}
+			if err := srv.HandleFrame(f); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		if allocs != 0 {
+			t.Fatalf("sequenced ingest (rule armed: %v) allocates %.1f times per update, want 0", armed, allocs)
+		}
 	}
 }
 

@@ -272,8 +272,15 @@ func TestSIGTERMDrainsAndSaves(t *testing.T) {
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmd.Wait(); err != nil {
-		t.Fatalf("cwxd on SIGTERM: %v, want exit 0", err)
+	exited := make(chan error, 1)
+	go func() { exited <- cmd.Wait() }()
+	select {
+	case err := <-exited:
+		if err != nil {
+			t.Fatalf("cwxd on SIGTERM: %v, want exit 0", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("cwxd did not exit within 10 s of SIGTERM")
 	}
 	f, err := os.Open(path)
 	if err != nil {

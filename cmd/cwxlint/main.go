@@ -1,7 +1,6 @@
 // Command cwxlint runs the repository's invariant analyzers — the
-// per-function checks (clockdet, lockscope, atomicmix) and the
-// whole-program ones (lockorder, golife, staticalloc) — see
-// internal/lint.
+// per-function checks (clockdet, atomicmix) and the whole-program ones
+// (lockorder, staticalloc) — see internal/lint.
 //
 // Usage:
 //

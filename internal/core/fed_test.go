@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"clusterworx/internal/flight"
+	"clusterworx/internal/leakcheck"
 	"clusterworx/internal/serve"
 )
 
@@ -221,6 +222,7 @@ func TestTreeWithInProcessAgentsConverges(t *testing.T) {
 // incremental diff whose reconstruction matches what a polling client
 // would read — serve-plane fan-out per hop, end to end.
 func TestFedWatchAtRootStreams(t *testing.T) {
+	t.Cleanup(leakcheck.Goroutines(t))
 	fed, err := NewSim(SimConfig{Fanout: 2, Tiers: 2, Nodes: 2, Synthetic: true, Seed: 5})
 	if err != nil {
 		t.Fatal(err)

@@ -82,43 +82,75 @@ func TestIngestSampleTracksTextTransition(t *testing.T) {
 	}
 }
 
-// TestIngestPluginReadsServerState pins the locking contract for event
-// plugins: a rule plugin fired from the ingest path may read server state
-// — including the very node being ingested — without deadlocking. (Event
-// evaluation runs on a private snapshot with no server lock held.)
-func TestIngestPluginReadsServerState(t *testing.T) {
-	srv := NewServer(ServerConfig{Cluster: "t"})
-	var sawLoad float64
-	var sawRows int
-	if err := srv.Engine().AddRule(events.Rule{
-		Name: "probe", Metric: "load.1", Op: events.GT, Threshold: 10,
-		Action: events.ActPlugin,
-		Plugin: func(node string) error {
-			if v, ok := srv.NodeValue(node, "load.1"); ok {
-				sawLoad = v.Num
-			}
-			sawRows = len(srv.Status())
-			return nil
-		},
-	}); err != nil {
-		t.Fatal(err)
-	}
+// pluginPath is one of the ingest paths that run the event engine: rule,
+// armed on node n0 with the test's plugin, fires once when fire runs,
+// and its metric then reads want.
+type pluginPath struct {
+	name string
+	rule events.Rule
+	want float64
+	fire func(srv *Server)
+}
 
+// pluginPaths are an agent's frame and the server's own connectivity
+// sweep, the one monitor value measured at the server (§5.1): a rule on
+// it is what heals a wedged node.
+var pluginPaths = []pluginPath{
+	{"frame", events.Rule{Name: "hot", Metric: "load.1", Op: events.GT, Threshold: 10}, 42,
+		func(srv *Server) { srv.HandleValues("n0", ingestUpdate(42)) }},
+	{"probe", events.Rule{Name: "unreachable", Metric: probeMetric, Op: events.LT, Threshold: 1}, 0,
+		func(srv *Server) {
+			srv.RegisterNode("n0")
+			srv.ProbeConnectivity(func(string) bool { return false })
+		}},
+}
+
+// fireWithin runs path.fire and fails t, naming what deadlocked, unless it
+// returns within 10 s.
+func fireWithin(t *testing.T, srv *Server, path pluginPath, what string) {
+	t.Helper()
 	done := make(chan struct{})
 	go func() {
-		srv.HandleValues("n0", ingestUpdate(42))
+		path.fire(srv)
 		close(done)
 	}()
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("ingest deadlocked with a plugin reading server state")
+		t.Fatalf("%s ingest deadlocked with a plugin %s", path.name, what)
 	}
-	if sawLoad != 42 {
-		t.Fatalf("plugin read load.1 = %v, want 42", sawLoad)
-	}
-	if sawRows != 1 {
-		t.Fatalf("plugin saw %d status rows, want 1", sawRows)
+}
+
+// TestIngestPluginReadsServerState pins the locking contract for event
+// plugins: a rule plugin fired from an ingest path may read server state
+// — including the very node being ingested — without deadlocking. (Event
+// evaluation runs on a private snapshot with no server lock held.)
+func TestIngestPluginReadsServerState(t *testing.T) {
+	for _, path := range pluginPaths {
+		t.Run(path.name, func(t *testing.T) {
+			srv := NewServer(ServerConfig{Cluster: "t"})
+			saw := -1.0
+			var sawRows int
+			rule := path.rule
+			rule.Action = events.ActPlugin
+			rule.Plugin = func(node string) error {
+				if v, ok := srv.NodeValue(node, rule.Metric); ok {
+					saw = v.Num
+				}
+				sawRows = len(srv.Status())
+				return nil
+			}
+			if err := srv.Engine().AddRule(rule); err != nil {
+				t.Fatal(err)
+			}
+			fireWithin(t, srv, path, "reading server state")
+			if saw != path.want {
+				t.Fatalf("plugin read %s = %v, want %v", rule.Metric, saw, path.want)
+			}
+			if sawRows != 1 {
+				t.Fatalf("plugin saw %d status rows, want 1", sawRows)
+			}
+		})
 	}
 }
 
@@ -128,32 +160,25 @@ func TestIngestPluginReadsServerState(t *testing.T) {
 // without self-deadlocking, because event evaluation holds no server or
 // record lock.
 func TestIngestPluginReingestsSameNode(t *testing.T) {
-	srv := NewServer(ServerConfig{Cluster: "t"})
-	if err := srv.Engine().AddRule(events.Rule{
-		Name: "mark", Metric: "load.1", Op: events.GT, Threshold: 10,
-		Action: events.ActPlugin,
-		Plugin: func(node string) error {
-			srv.HandleValues(node, []consolidate.Value{
-				consolidate.NumValue("heal.attempts", consolidate.Dynamic, 1),
-			})
-			return nil
-		},
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	done := make(chan struct{})
-	go func() {
-		srv.HandleValues("n0", ingestUpdate(42))
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("plugin re-ingesting for its own node deadlocked")
-	}
-	if v, ok := srv.NodeValue("n0", "heal.attempts"); !ok || v.Num != 1 {
-		t.Fatalf("NodeValue(n0, heal.attempts) = %v, %v; want 1", v, ok)
+	for _, path := range pluginPaths {
+		t.Run(path.name, func(t *testing.T) {
+			srv := NewServer(ServerConfig{Cluster: "t"})
+			rule := path.rule
+			rule.Action = events.ActPlugin
+			rule.Plugin = func(node string) error {
+				srv.HandleValues(node, []consolidate.Value{
+					consolidate.NumValue("heal.attempts", consolidate.Dynamic, 1),
+				})
+				return nil
+			}
+			if err := srv.Engine().AddRule(rule); err != nil {
+				t.Fatal(err)
+			}
+			fireWithin(t, srv, path, "re-ingesting for its own node")
+			if v, ok := srv.NodeValue("n0", "heal.attempts"); !ok || v.Num != 1 {
+				t.Fatalf("NodeValue(n0, heal.attempts) = %v, %v; want 1", v, ok)
+			}
+		})
 	}
 }
 

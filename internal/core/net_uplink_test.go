@@ -14,12 +14,14 @@ import (
 	"clusterworx/internal/clock"
 	"clusterworx/internal/consolidate"
 	"clusterworx/internal/history"
+	"clusterworx/internal/leakcheck"
 	"clusterworx/internal/transmit"
 )
 
 // runDaemon starts a daemon from cfg on a clock of its own and drives it
 // as cwxd does, from one goroutine: a 10 ms step every 2 ms of wall time.
-// stop drains it through Drive, as SIGTERM does.
+// stop drains it through Drive, as SIGTERM does, and fails t unless that
+// returns within leakcheck.Settle.
 func runDaemon(t *testing.T, cfg DaemonConfig) (d *Daemon, stop func()) {
 	t.Helper()
 	d, err := NewDaemon(cfg)
@@ -38,10 +40,12 @@ func runDaemon(t *testing.T, cfg DaemonConfig) (d *Daemon, stop func()) {
 	stop = func() {
 		if !stopped {
 			stopped = true
-			sig <- os.Interrupt
-			if err := <-done; err != nil {
-				t.Errorf("stop: %v", err)
-			}
+			leakcheck.Returns(t, "a daemon's Stop through Drive", func() {
+				sig <- os.Interrupt
+				if err := <-done; err != nil {
+					t.Errorf("stop: %v", err)
+				}
+			})
 			tick.Stop()
 		}
 	}
@@ -57,6 +61,7 @@ func runDaemon(t *testing.T, cfg DaemonConfig) (d *Daemon, stop func()) {
 // new Uplink, renegotiating the batch wire) and converge again: the
 // parent's values equal the child's.
 func TestUplinkOverTCP(t *testing.T) {
+	t.Cleanup(leakcheck.Goroutines(t))
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -142,6 +147,7 @@ func (c *saveCounter) Save(*history.Store) error { c.n.Add(1); return nil }
 // redials, its minute checkpoint still lands, and a stop through Drive, as
 // SIGTERM stops cwxd, returns and saves.
 func TestUplinkWedgedParent(t *testing.T) {
+	t.Cleanup(leakcheck.Goroutines(t))
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"clusterworx/internal/history"
+	"clusterworx/internal/leakcheck"
 )
 
 // restartSchedule drives a sim (the tree, or its flat control) through one
@@ -89,6 +90,7 @@ func prefixOf(a, b *history.Store) (newest time.Duration, ok bool) {
 // whose last save its successor restores; up to the last minute
 // checkpoint for a Kill — followed by what came after.
 func TestSimRestartEveryTier(t *testing.T) {
+	t.Cleanup(leakcheck.Goroutines(t))
 	cfg := SimConfig{
 		Fanout: 2, Tiers: 3, Nodes: 2, Transport: TransportSimnet,
 		EchoSweep: -1, AntiEntropy: 20 * time.Second,

@@ -412,7 +412,10 @@ func (u *Uplink) sendBatches(nowNs int64) (int, error) {
 		chunk := u.frames[lo:hi]
 		u.seq++
 		u.buf = u.enc.Encode(u.buf[:0], u.seq, nowNs, chunk)
-		if err := u.cfg.Send(u.buf); err != nil { //cwx:allow lockscope -- Send is a transport sink (socket/fabric write) contractually barred from re-entering the server; it must run under the session lock so HandleControl cannot rebase the chain between encode and send
+		// Send is a transport sink (socket or fabric write) that never
+		// re-enters the server. It runs under the session lock so that
+		// HandleControl cannot rebase the chain between encode and send.
+		if err := u.cfg.Send(u.buf); err != nil {
 			u.enc.Rebase()
 			u.stats.SendFails++
 			mUplinkSendFails.Inc()
@@ -458,7 +461,10 @@ func (u *Uplink) sendV1(nowNs int64) (int, error) {
 			f.WireOffer = transmit.WireV2
 		}
 		u.buf = transmit.MarshalFrame(u.buf[:0], f)
-		if err := u.cfg.Send(u.buf); err != nil { //cwx:allow lockscope -- Send is a transport sink (socket/fabric write) contractually barred from re-entering the server; per-node sequences must not advance concurrently with a control-plane restart
+		// Send never re-enters the server; it runs under the session lock
+		// so that per-node sequences cannot advance concurrently with a
+		// control-plane restart.
+		if err := u.cfg.Send(u.buf); err != nil {
 			u.stats.SendFails++
 			mUplinkSendFails.Inc()
 			if firstErr == nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"clusterworx/internal/leakcheck"
 	"clusterworx/internal/serve"
 )
 
@@ -60,6 +61,7 @@ func applyWatchBlock(t *testing.T, v *serve.View, kind string, lines []string) {
 // reconstructs, byte for byte, what a polling client would read — across
 // value changes, node additions, and a liveness flip.
 func TestWatchStatusConverges(t *testing.T) {
+	t.Cleanup(leakcheck.Goroutines(t))
 	s, nowNs := planeServer()
 	for i := 0; i < 4; i++ {
 		planeIngest(s, nodeName(i), float64(i), 50, 20)
@@ -116,6 +118,7 @@ func TestWatchStatusConverges(t *testing.T) {
 // its bounded queue; when it comes back it gets a full RESYNC block and
 // its reconstruction matches the polled rendering again.
 func TestWatchSlowConsumerResync(t *testing.T) {
+	t.Cleanup(leakcheck.Goroutines(t))
 	s, _ := planeServer()
 	planeIngest(s, "node000", 1, 50, 20)
 	cl := pipeClient(t, s)
@@ -173,6 +176,7 @@ const SubQueueDrainBlocks = serve.SubQueue + 4
 // TestWatchRejectsBadRequests: non-watchable verbs and bad arity are
 // refused with an ERR block and the connection keeps serving requests.
 func TestWatchRejectsBadRequests(t *testing.T) {
+	t.Cleanup(leakcheck.Goroutines(t))
 	s, _ := planeServer()
 	planeIngest(s, "node000", 1, 50, 20)
 	cl := pipeClient(t, s)
@@ -207,12 +211,13 @@ func nodeName(i int) string {
 // signal's waiter, the dispatcher, the subscription's queue, the gate hit
 // and the watch stream's look at it allocate 0 times and push 0 blocks.
 func TestWatchIdleWakeAllocs(t *testing.T) {
+	t.Cleanup(leakcheck.Goroutines(t))
 	s, _ := planeServer()
 	planeIngest(s, "node000", 1, 50, 20)
 	other := (shardIndex("node000") + 1) % uint32(len(s.gens)) // a stripe the watched node is not on
 	hub := s.plane.watchHub()
 	sub := hub.Register()
-	defer hub.Unregister(sub)
+	defer leakcheck.Returns(t, "the last Unregister", func() { hub.Unregister(sub) })
 	ws := watchStream{srv: s, verb: ctlByName["values"], inner: []byte("values node000")}
 	ws.start(s.HandleCtl(string(ws.inner)))
 	stop := make(chan struct{})

@@ -28,20 +28,52 @@ func num(t *testing.T, s string) float64 {
 	return v
 }
 
-// TestE1LadderShape's verdicts are ones a loaded host cannot flip:
-// after the printed run, the rungs are timed one after another over
-// e1Rounds rounds of one timing batch each (64 calls, ≈0.3 ms for an
-// optimised rung), and each step is judged by its median over the
-// rounds of the step's ratio within a round. Rungs timed back to back
-// share the host's load, so the ratio holds where the rates swing; a
-// round that lost the CPU mid-batch is outvoted. Each optimised rung
-// must beat the one below it by e1Margin; the steps sit ≈+35 % and more
-// apart. Each round starts from a collected heap, so a collection's
-// mark phase cannot land on the same rung round after round.
+// Verdicts on wall-clock rates are ones a loaded host cannot flip: after
+// the printed run, the experiment is re-run over rounds rounds of one
+// timing batch a row (64 calls, ≈0.3 ms for an optimised E1 rung), and
+// each comparison is judged by its median over the rounds of the ratio
+// within a round. Rows timed back to back share the host's load, so the
+// ratio holds where the rates swing; a round that lost the CPU mid-batch
+// is outvoted. Each round starts from a collected heap, so a collection's
+// mark phase cannot land on the same row round after round.
+const rounds = 40
+
+// Each compared pair must be apart by its margin in the median. E1's
+// optimised rungs sit ≈+35 % and more apart; E2's small files cost a
+// third of the large ones or less; E3's generic parsers cost ≈3× and
+// ≈12× the a-priori ones, and ≈1.6× and ≈7.7× under the race detector.
 const (
-	e1Rounds = 40
 	e1Margin = 1.10
+	e2Margin = 1.5
+	e3Margin = 1.25
 )
+
+// roundMedians re-runs run rounds times and returns, for each ratio that
+// ratios reads off one round's table, its median over the rounds.
+func roundMedians(t *testing.T, run func(time.Duration) (*Table, error), ratios func(*Table) []float64) []float64 {
+	t.Helper()
+	var per [][]float64
+	for k := 0; k < rounds; k++ {
+		runtime.GC()
+		tab, err := run(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := ratios(tab)
+		if per == nil {
+			per = make([][]float64, len(r))
+		}
+		for i, v := range r {
+			per[i] = append(per[i], v)
+		}
+	}
+	med := make([]float64, len(per))
+	for i := range per {
+		sort.Float64s(per[i])
+		med[i] = per[i][len(per[i])/2]
+	}
+	return med
+}
 
 func TestE1LadderShape(t *testing.T) {
 	tab, err := E1GatherLadder(quick)
@@ -52,30 +84,16 @@ func TestE1LadderShape(t *testing.T) {
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
-	// steps[i] for i ≥ 1 is rung i's rate over rung i-1's, one per
-	// round; steps[0] is the full ladder, keep-open over naive.
-	var steps [4][]float64
-	for k := 0; k < e1Rounds; k++ {
-		runtime.GC()
-		round, err := E1GatherLadder(0)
-		if err != nil {
-			t.Fatal(err)
-		}
+	// med[i] for i ≥ 1 is rung i's rate over rung i-1's; med[0] is the
+	// full ladder, keep-open over naive.
+	med := roundMedians(t, E1GatherLadder, func(round *Table) []float64 {
 		var rate [4]float64
 		for i := range rate {
 			rate[i] = num(t, cell(round, i, 1))
 		}
-		steps[0] = append(steps[0], rate[3]/rate[0])
-		for i := 1; i < len(rate); i++ {
-			steps[i] = append(steps[i], rate[i]/rate[i-1])
-		}
-	}
-	var med [4]float64
-	for i := range steps {
-		sort.Float64s(steps[i])
-		med[i] = steps[i][len(steps[i])/2]
-	}
-	t.Logf("median of %d rounds: steps %.2fx %.2fx %.2fx, full ladder %.1fx", e1Rounds, med[1], med[2], med[3], med[0])
+		return []float64{rate[3] / rate[0], rate[1] / rate[0], rate[2] / rate[1], rate[3] / rate[2]}
+	})
+	t.Logf("median of %d rounds: steps %.2fx %.2fx %.2fx, full ladder %.1fx", rounds, med[1], med[2], med[3], med[0])
 	if med[1] < 5 {
 		t.Fatalf("buffered step only %.1fx over naive; paper step is ~49x", med[1])
 	}
@@ -104,17 +122,25 @@ func TestE2PerFileShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Log("\n" + tab.String())
-	cost := map[string]float64{}
-	for i, name := range []string{"meminfo", "stat", "loadavg", "uptime", "netdev"} {
-		cost[name] = num(t, cell(tab, i, 1))
-	}
 	// Paper ordering: uptime < loadavg < net/dev, meminfo ≈ stat are the
-	// expensive pair.
-	if !(cost["uptime"] < cost["meminfo"] && cost["loadavg"] < cost["meminfo"]) {
-		t.Fatalf("small files not cheaper: %v", cost)
-	}
-	if !(cost["uptime"] < cost["stat"] && cost["loadavg"] < cost["netdev"]) {
-		t.Fatalf("ordering off: %v", cost)
+	// expensive pair. Each pair is expensive over cheap.
+	pairs := [][2]string{{"meminfo", "uptime"}, {"meminfo", "loadavg"}, {"stat", "uptime"}, {"netdev", "loadavg"}}
+	med := roundMedians(t, E2PerFileCosts, func(round *Table) []float64 {
+		cost := map[string]float64{}
+		for i, name := range []string{"meminfo", "stat", "loadavg", "uptime", "netdev"} {
+			cost[name] = num(t, cell(round, i, 1))
+		}
+		out := make([]float64, len(pairs))
+		for i, p := range pairs {
+			out[i] = cost[p[0]] / cost[p[1]]
+		}
+		return out
+	})
+	t.Logf("median of %d rounds: %v = %.2f", rounds, pairs, med)
+	for i, p := range pairs {
+		if med[i] < e2Margin {
+			t.Fatalf("%s costs only %.2fx %s (< %.2fx); ordering off", p[0], med[i], p[1], e2Margin)
+		}
 	}
 }
 
@@ -124,13 +150,17 @@ func TestE3ParserShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Log("\n" + tab.String())
-	memRatio := num(t, cell(tab, 1, 2))
-	statRatio := num(t, cell(tab, 3, 2))
-	if memRatio < 1 || statRatio < 1 {
-		t.Fatalf("generic parser faster than optimized: %v %v", memRatio, statRatio)
-	}
-	if memRatio > 60 || statRatio > 60 {
-		t.Fatalf("parser gap implausibly large: %v %v", memRatio, statRatio)
+	med := roundMedians(t, E3ParserComparison, func(round *Table) []float64 {
+		return []float64{num(t, cell(round, 1, 2)), num(t, cell(round, 3, 2))}
+	})
+	t.Logf("median of %d rounds: generic over a-priori, meminfo %.2fx, stat %.2fx", rounds, med[0], med[1])
+	for i, file := range []string{"meminfo", "stat"} {
+		if med[i] < e3Margin {
+			t.Fatalf("%s generic parser only %.2fx the optimized one (< %.2fx)", file, med[i], e3Margin)
+		}
+		if med[i] > 60 {
+			t.Fatalf("%s parser gap implausibly large: %.2fx", file, med[i])
+		}
 	}
 }
 

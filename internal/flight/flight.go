@@ -202,7 +202,7 @@ type Journal struct {
 
 	mu     sync.Mutex //cwx:lockrank flightsym 72
 	byName map[string]Sym
-	names  atomic.Pointer[[]string] // copy-on-write Sym→string table
+	names  atomic.Pointer[[]string] // Sym→string table, append-only (see Sym)
 
 	shards [journalShards]jshard
 }
@@ -235,7 +235,10 @@ func (j *Journal) Cursor() uint64 { return j.seq.Load() }
 
 // Sym interns name and returns its id. Cold path (takes the journal
 // lock). The table is capped; past maxSyms new names collapse to Sym 0
-// rather than growing without bound.
+// rather than growing without bound. A new name is appended into the
+// table's spare capacity and the longer slice published: a reader never
+// indexes past the length it loaded, so it never sees the slot being
+// written, and registering n names costs O(n), not a copy per name.
 func (j *Journal) Sym(name string) Sym {
 	if name == "" {
 		return 0
@@ -249,16 +252,14 @@ func (j *Journal) Sym(name string) Sym {
 	if len(cur) >= maxSyms {
 		return 0
 	}
-	next := make([]string, len(cur)+1)
-	copy(next, cur)
-	next[len(cur)] = name
+	next := append(cur, name)
 	s := Sym(len(cur))
 	j.byName[name] = s
 	j.names.Store(&next)
 	return s
 }
 
-// name resolves a Sym without locking (the table is copy-on-write).
+// name resolves a Sym without locking (the table is append-only).
 func (j *Journal) name(s Sym) string {
 	t := *j.names.Load()
 	if int(s) < len(t) {

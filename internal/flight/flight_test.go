@@ -1,6 +1,8 @@
 package flight
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -161,6 +163,34 @@ func TestSymInterning(t *testing.T) {
 	}
 	if j.name(Sym(99999)) != "?" {
 		t.Fatal("unknown Sym should render as ?")
+	}
+}
+
+// TestSymRegistrationIsLinear registers a 1 024-node tree's names on a
+// fresh journal: the table grows by appending, so the bytes allocated
+// are the table's doublings, the name index and a slice header a name
+// (≈190 KB), where copying the table for every new name costs
+// 16 B × 1 024 × 1 025 / 2 ≈ 8.4 MB (9.0 MB measured with the index).
+func TestSymRegistrationIsLinear(t *testing.T) {
+	const nodes, budget = 1024, 256 << 10
+	names := make([]string, nodes)
+	for i := range names {
+		names[i] = fmt.Sprintf("node%04d", i)
+	}
+	j := NewJournal()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, name := range names {
+		j.Sym(name)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= budget {
+		t.Fatalf("registering %d names allocated %d B, want < %d", nodes, got, budget)
+	}
+	for i, name := range names {
+		if got := j.name(Sym(i + 1)); got != name {
+			t.Fatalf("name(%d) = %q, want %q", i+1, got, name)
+		}
 	}
 }
 

@@ -3,8 +3,9 @@
 // allocation invariants — the properties the §5.3 "minimal
 // intrusiveness" claim rests on. It keeps only the checks no other
 // referee makes: an analyzer stays while a mutation it catches passes
-// the race detector, the alloc gates and the determinism suites alike
-// (DESIGN.md records the audit).
+// the race detector, the alloc gates, the determinism suites and the
+// plugin-deadlock and goroutine-leak tests alike (DESIGN.md records the
+// audit).
 //
 // Per-function analyzers:
 //
@@ -12,10 +13,6 @@
 //     internal/clock and seeded rand.Rand instances, never the wall
 //     clock or the global math/rand state, so every simulation and
 //     fault-injection run is reproducible.
-//   - lockscope: event-engine / notifier / plugin entry points must not
-//     be called while a shard/record/history mutex is held, and every
-//     sync.Pool.Get needs a Put (or an ownership hand-off) on every
-//     return path — the exact bug classes fixed in the PR 1 review.
 //   - atomicmix: a struct field accessed through sync/atomic anywhere
 //     must never be read or written non-atomically elsewhere.
 //
@@ -29,9 +26,6 @@
 //     (an inversion of the declared partial order, or a same-class
 //     re-entry) is reported with its full witness call chain. The graph
 //     is dumpable as DOT (cwxlint -lockgraph).
-//   - golife: every `go` statement must have provable shutdown — an
-//     exit path out of every unbounded loop — and every channel send lexically inside a spawned
-//     goroutine must be select-guarded or provably buffered.
 //   - staticalloc: heap escapes reported by the compiler
 //     (go build -gcflags=-m) inside //cwx:hotpath functions fail the
 //     lint run. It is the compile-time half of the allocation
@@ -198,12 +192,10 @@ func Run(pkgs []*Package, cfg Config) []Diagnostic {
 	}
 	for _, p := range passes {
 		runClockdet(p)
-		runLockscope(p)
 	}
 	runAtomicmix(passes)
 	prog := buildProgram(passes, &cfg, &diags)
 	runLockorder(prog)
-	runGolife(prog)
 	runStaticalloc(prog)
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
@@ -222,7 +214,7 @@ func Run(pkgs []*Package, cfg Config) []Diagnostic {
 }
 
 // program is the whole-module view the interprocedural analyzers
-// (lockorder, golife, staticalloc) share: one FileSet, every pass, a
+// (lockorder, staticalloc) share: one FileSet, every pass, a
 // declaration index for call-graph resolution, and the merged
 // suppression directives.
 type program struct {
@@ -474,15 +466,6 @@ func calleeFunc(p *pass, call *ast.CallExpr) *types.Func {
 		return fn
 	}
 	return nil
-}
-
-// isPkgFunc reports whether fn is the package-level function pkgPath.name.
-func isPkgFunc(fn *types.Func, pkgPath, name string) bool {
-	if fn == nil || fn.Name() != name || fn.Pkg() == nil || fn.Pkg().Path() != pkgPath {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Recv() == nil
 }
 
 // recvTypeName returns the bare type name of a method's receiver ("" for

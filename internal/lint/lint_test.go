@@ -95,9 +95,7 @@ func collectWants(t *testing.T, pkg *Package) []*want {
 }
 
 func TestClockdetAnalyzer(t *testing.T)  { runTestdata(t, "clockdet", clockScoped) }
-func TestLockscopeAnalyzer(t *testing.T) { runTestdata(t, "lockscope", nil) }
 func TestAtomicmixAnalyzer(t *testing.T) { runTestdata(t, "atomicmix", nil) }
-func TestGolifeAnalyzer(t *testing.T)    { runTestdata(t, "golife", nil) }
 
 func TestLockorderAnalyzer(t *testing.T) { runTestdata(t, "lockorder", lockScoped) }
 
@@ -149,11 +147,11 @@ func TestLockGraphDOT(t *testing.T) {
 // TestDiagnosticJSON pins the -json line format: root-relative file,
 // position, analyzer, message, and the baseline key.
 func TestDiagnosticJSON(t *testing.T) {
-	d := Diagnostic{Analyzer: "golife", Message: "unguarded send"}
+	d := Diagnostic{Analyzer: "atomicmix", Message: "bare read"}
 	d.Pos.Filename = filepath.Join("/repo", "internal", "x", "x.go")
 	d.Pos.Line, d.Pos.Column = 7, 3
 	got := d.JSON("/repo")
-	want := `{"file":"internal/x/x.go","line":7,"col":3,"analyzer":"golife","message":"unguarded send","key":"golife: internal/x/x.go: unguarded send"}`
+	want := `{"file":"internal/x/x.go","line":7,"col":3,"analyzer":"atomicmix","message":"bare read","key":"atomicmix: internal/x/x.go: bare read"}`
 	if got != want {
 		t.Errorf("JSON = %s\nwant   %s", got, want)
 	}
@@ -222,10 +220,10 @@ func TestBaselineRoundTrip(t *testing.T) {
 	now := []Diagnostic{
 		mk("a.go", "clockdet", "wall clock"),
 		mk("b.go", "staticalloc", "heap escape"),
-		mk("c.go", "lockscope", "pool leak"),
+		mk("c.go", "lockorder", "lock order inversion"),
 	}
 	fresh, stale := ApplyBaseline(now, root, base)
-	if len(fresh) != 1 || fresh[0].Key(root) != "lockscope: c.go: pool leak" {
+	if len(fresh) != 1 || fresh[0].Key(root) != "lockorder: c.go: lock order inversion" {
 		t.Fatalf("fresh = %v, want the c.go finding", fresh)
 	}
 	if len(stale) != 1 || stale[0] != "clockdet: a.go: wall clock" {

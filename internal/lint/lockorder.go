@@ -22,9 +22,8 @@ import (
 //     — two records locked at once is the same inversion as record
 //     before shard);
 //  2. tracks, lexically per function, which classes are held at every
-//     acquisition and at every call (same source-order discipline as
-//     lockscope: a deferred Unlock keeps the region open, a branch-
-//     local Unlock closes it early);
+//     acquisition and at every call (in source order: a deferred Unlock
+//     keeps the region open, a branch-local Unlock closes it early);
 //  3. propagates acquisitions interprocedurally through the call graph
 //     of resolved static callees to a fixpoint, so "holds record,
 //     calls NodeSeries.AppendFrame which locks the node" becomes a
@@ -36,12 +35,13 @@ import (
 //  5. requires every mutex field in the LockScope packages to carry a
 //     directive, so the lattice cannot silently erode.
 //
-// Known blind spots, shared with lockscope and deliberate: calls
-// through interfaces and func-valued fields (the serve.Gate Build
-// callback, plugins, mailers) are not traced, and goroutine spawns do
-// not propagate the spawner's held set (the new goroutine starts
-// empty). The directive levels encode the order the visible call graph
-// must respect.
+// Known blind spots, deliberate: calls through interfaces and
+// func-valued fields (the serve.Gate Build callback, plugins, mailers)
+// are not traced, and goroutine spawns do not propagate the spawner's
+// held set (the new goroutine starts empty). The directive levels encode
+// the order the visible call graph must respect. The callbacks run with
+// no ingest lock held; the TestIngestPlugin* tests deadlock, and fail,
+// on an ingest path that calls them under one.
 
 // lockClass is one mutex field declaration: the unit of lock identity.
 type lockClass struct {

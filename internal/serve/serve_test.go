@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"clusterworx/internal/leakcheck"
 )
 
 // TestGateHitAndInvalidate: a Gate serves the same value while the
@@ -249,11 +251,12 @@ func TestDiffFastPathMatchesMapPath(t *testing.T) {
 // overflows its bounded queue and is told to resync — the wire
 // protocol's lost-delta idiom on the client hop.
 func TestHubBoundedQueueDropsToResync(t *testing.T) {
+	t.Cleanup(leakcheck.Goroutines(t))
 	var gen atomic.Uint64
 	var sig Signal
 	h := NewHub(gen.Load, &sig)
 	sub := h.Register()
-	defer h.Unregister(sub)
+	defer leakcheck.Returns(t, "the last Unregister", func() { h.Unregister(sub) })
 
 	// Fire enough wakes that even with dispatcher conflation the queue
 	// must overflow: each wake is delivered synchronously by waiting for
@@ -291,6 +294,7 @@ func TestHubBoundedQueueDropsToResync(t *testing.T) {
 // TestHubDispatcherLifecycle: the dispatcher goroutine exists only
 // while subscribers do, and notifications reach a live subscriber.
 func TestHubDispatcherLifecycle(t *testing.T) {
+	t.Cleanup(leakcheck.Goroutines(t))
 	var gen atomic.Uint64
 	var sig Signal
 	h := NewHub(gen.Load, &sig)
@@ -332,7 +336,7 @@ func TestHubDispatcherLifecycle(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("restarted dispatcher never delivered")
 	}
-	h.Unregister(sub2)
+	leakcheck.Returns(t, "the last Unregister", func() { h.Unregister(sub2) })
 }
 
 // TestHubRegisterUnregisterChurn hammers the dispatcher start/stop edge:
@@ -343,6 +347,7 @@ func TestHubDispatcherLifecycle(t *testing.T) {
 // channel was closed by the last Unregister could race a freshly started
 // replacement and both would deliver to the new era's subscribers.
 func TestHubRegisterUnregisterChurn(t *testing.T) {
+	t.Cleanup(leakcheck.Goroutines(t))
 	var gen atomic.Uint64
 	var sig Signal
 	h := NewHub(gen.Load, &sig)
@@ -388,7 +393,7 @@ func TestHubRegisterUnregisterChurn(t *testing.T) {
 	// The hub must still work after the churn: a fresh subscriber gets a
 	// notification from a cleanly restarted dispatcher.
 	sub := h.Register()
-	defer h.Unregister(sub)
+	defer leakcheck.Returns(t, "the last Unregister", func() { h.Unregister(sub) })
 	sig.Wake()
 	got := make(chan bool, 1)
 	go func() {

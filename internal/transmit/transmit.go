@@ -139,7 +139,7 @@ func (t *Writer) WriteFrame(p []byte) error {
 		// TestDeflaterPoolDropsPoisoned).
 		defer releaseDeflater(d, err)
 		if err != nil {
-			return fmt.Errorf("transmit: compress: %w", err) //cwx:allow lockscope -- deferred releaseDeflater drops the poisoned compressor
+			return fmt.Errorf("transmit: compress: %w", err)
 		}
 		// Raw fallback: ship the original bytes whenever deflate did not
 		// strictly shrink them (see NewWriter).
@@ -148,7 +148,7 @@ func (t *Writer) WriteFrame(p []byte) error {
 			flags |= flagCompressed
 		}
 	}
-	return t.emit(p, body, flags) //cwx:allow lockscope -- deferred releaseDeflater re-pools the healthy compressor
+	return t.emit(p, body, flags)
 }
 
 // WriteFrameRaw sends one payload skipping the deflate attempt. The v2
@@ -368,9 +368,9 @@ func CompressedSize(p []byte) int {
 	err := d.compressInto(&d.buf, p)
 	defer releaseDeflater(d, err)
 	if err != nil {
-		return -1 //cwx:allow lockscope -- deferred releaseDeflater drops the poisoned compressor
+		return -1
 	}
-	return d.buf.Len() //cwx:allow lockscope -- deferred releaseDeflater re-pools the healthy compressor
+	return d.buf.Len()
 }
 
 // Pipe returns a connected in-process frame transport, for tests and the
