@@ -27,9 +27,9 @@ build:
 # internal/lint; each is kept only while no test catches its bug class
 # (DESIGN.md "Correctness tooling"). staticalloc reads a fresh
 # -gcflags=-m build on every run; the TestAllocGate* tests (`make test`:
-# they skip under -race) count the allocations that do not escape.
-# Accepted pre-existing findings live in .cwxlint-baseline; regenerate
-# it with `go run ./cmd/cwxlint -update-baseline`. Exit codes: 0 clean,
+# they skip under -race) count the allocations that do not escape. An
+# accepted finding is suppressed in place, by `//cwx:allow <analyzer>
+# -- reason` on its line or the line above. Exit codes: 0 clean,
 # 1 findings, 2 analysis failed.
 lint:
 	$(GO) run ./cmd/cwxlint

@@ -85,19 +85,11 @@ func main() {
 	// so every history-window end and watch diff is computed against a
 	// single monotone timeline — the code path the simulation exercises
 	// deterministically. t0 is the wall instant at which the clock would
-	// have read 0: a restored clock starts where its history ends, and
-	// whatever else ran the clock ahead since the last step (a cloning
-	// session, in simulation mode) moves t0 back by as much, so the
-	// clock carries on from there instead of standing still until the
-	// wall catches up.
+	// have read 0: a restored clock starts where its history ends.
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, syscall.SIGTERM, syscall.SIGINT)
-	t0, last := time.Now().Add(-clk.Now()), clk.Now()
-	err = d.Drive(time.Tick(core.ClockStep), stop, func() {
-		t0 = t0.Add(-(clk.Now() - last))
-		stepClock(clk, time.Since(t0))
-		last = clk.Now()
-	})
+	t0 := time.Now().Add(-clk.Now())
+	err = d.Drive(time.Tick(core.ClockStep), stop, func() { stepClock(clk, time.Since(t0)) })
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cwxd:", err)
 		os.Exit(1)
@@ -112,9 +104,9 @@ func main() {
 // spends a bit on a sample a second instead of four bytes on scheduler
 // noise, and makes what a stream of samples costs the same on a fast host
 // and a slow one. A tick that fires late catches up in one call; elapsed
-// is monotone, so the clock never has to run backwards; a clock that is
-// already at or past the step (a cloning session ran it ahead) is left
-// alone until the wall reaches the next one.
+// is monotone, so the clock never has to run backwards, and a clock
+// already at or past the step is left alone until the wall reaches the
+// next one.
 func stepClock(clk *clock.Clock, elapsed time.Duration) {
 	if t := elapsed.Truncate(core.ClockStep); t > clk.Now() {
 		clk.RunUntil(t)

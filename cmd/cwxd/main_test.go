@@ -49,16 +49,15 @@ func TestStepClockStaysOnTheGrid(t *testing.T) {
 	}
 }
 
-// TestStepClockLeavesAClockAhead: in simulation mode a cloning session
-// runs the clock to its own completion, past the wall; the driver must
-// neither run it backwards nor move it off the instant the session left
-// it, and it takes the clock back onto the grid at the next whole step
-// the wall reaches.
+// TestStepClockLeavesAClockAhead: a clock that reads past the wall (one
+// advanced by hand here) is neither run backwards nor moved off the
+// instant it reads; the driver takes it back onto the grid at the next
+// whole step the wall reaches.
 func TestStepClockLeavesAClockAhead(t *testing.T) {
 	clk := clock.New()
 	ms := time.Millisecond
 	stepClock(clk, 200*ms)
-	clk.Advance(1034 * ms) // a cloning session, on the virtual clock
+	clk.Advance(1034 * ms)
 	for _, c := range []struct{ elapsed, want time.Duration }{
 		{1100 * ms, 1234 * ms},
 		{1200*ms + 7*ms, 1234 * ms},

@@ -4,13 +4,12 @@
 //
 // Usage:
 //
-//	go run ./cmd/cwxlint [-root dir] [-baseline file] [-update-baseline]
-//	    [-json] [-lockgraph file.dot]
+//	go run ./cmd/cwxlint [-root dir] [-json] [-lockgraph file.dot]
 //
 // Exit code contract (stable, for CI and editor integration):
 //
-//	0 — clean: no fresh findings (baselined findings do not count)
-//	1 — findings: at least one fresh finding was reported
+//	0 — clean: no findings (a //cwx:allow suppresses one in place)
+//	1 — findings: at least one finding was reported
 //	2 — the analysis itself failed (load / type-check / build error)
 //
 // -json emits one self-contained JSON object per finding per line on
@@ -19,9 +18,6 @@
 // decisions to staticalloc. -lockgraph writes the whole-program
 // lock-acquisition graph as Graphviz DOT and exits (CI uploads it as a
 // build artifact).
-//
-// Accepted pre-existing findings live in .cwxlint-baseline at the module
-// root; -update-baseline rewrites it from the current findings.
 package main
 
 import (
@@ -35,25 +31,20 @@ import (
 
 func main() {
 	root := flag.String("root", ".", "module root to analyze")
-	baseline := flag.String("baseline", "", "baseline file (default <root>/"+lint.BaselineName+")")
-	update := flag.Bool("update-baseline", false, "rewrite the baseline from current findings and exit")
 	jsonOut := flag.Bool("json", false, "emit findings as JSON, one object per line")
 	lockgraph := flag.String("lockgraph", "", "write the lock-acquisition graph as DOT to this file and exit")
 	flag.Parse()
 
-	if err := run(*root, *baseline, *lockgraph, *update, *jsonOut); err != nil {
+	if err := run(*root, *lockgraph, *jsonOut); err != nil {
 		fmt.Fprintln(os.Stderr, "cwxlint:", err)
 		os.Exit(2)
 	}
 }
 
-func run(root, baselinePath, lockgraph string, update, jsonOut bool) error {
+func run(root, lockgraph string, jsonOut bool) error {
 	absRoot, err := filepath.Abs(root)
 	if err != nil {
 		return err
-	}
-	if baselinePath == "" {
-		baselinePath = filepath.Join(absRoot, lint.BaselineName)
 	}
 
 	pkgs, module, err := lint.Load(absRoot)
@@ -79,26 +70,8 @@ func run(root, baselinePath, lockgraph string, update, jsonOut bool) error {
 		return err
 	}
 
-	diags := lint.Run(pkgs, cfg)
-
-	if update {
-		if err := lint.WriteBaseline(baselinePath, absRoot, diags); err != nil {
-			return err
-		}
-		fmt.Printf("cwxlint: wrote %d finding(s) to %s\n", len(diags), baselinePath)
-		return nil
-	}
-
-	base, err := lint.ReadBaseline(baselinePath)
-	if err != nil {
-		return err
-	}
-	fresh, stale := lint.ApplyBaseline(diags, absRoot, base)
-	for _, k := range stale {
-		fmt.Printf("cwxlint: stale baseline entry (no longer produced): %s\n", k)
-	}
-	if len(fresh) > 0 {
-		for _, d := range fresh {
+	if diags := lint.Run(pkgs, cfg); len(diags) > 0 {
+		for _, d := range diags {
 			if jsonOut {
 				fmt.Println(d.JSON(absRoot))
 				continue
@@ -110,12 +83,12 @@ func run(root, baselinePath, lockgraph string, update, jsonOut bool) error {
 			fmt.Println(rel.String())
 		}
 		if !jsonOut {
-			fmt.Printf("cwxlint: %d finding(s) in %d package(s)\n", len(fresh), len(pkgs))
+			fmt.Printf("cwxlint: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))
 		}
 		os.Exit(1)
 	}
 	if !jsonOut {
-		fmt.Printf("cwxlint: ok (%d packages, %d baselined finding(s))\n", len(pkgs), len(diags)-len(fresh))
+		fmt.Printf("cwxlint: ok (%d packages)\n", len(pkgs))
 	}
 	return nil
 }

@@ -69,10 +69,6 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
-// WithDefaults exposes parameter defaulting (integration code that builds
-// clients and sessions separately must hand both the same resolved set).
-func (p Params) WithDefaults() Params { return p.withDefaults() }
-
 // Wire messages. Chunks carry their index and manifest checksum; payload
 // bytes themselves are represented by packet size, not materialized.
 type (
@@ -140,14 +136,14 @@ type Client struct {
 // NewClient prepares a node to receive img. The client starts listening
 // immediately.
 func NewClient(clk *clock.Clock, ep *simnet.Endpoint, img *image.Image, params Params) *Client {
-	return NewUpdateClient(clk, ep, img, nil, params)
+	return newClient(clk, ep, img, nil, params)
 }
 
-// NewUpdateClient prepares a node that already holds old for an
+// newClient prepares a node that already holds old (nil: nothing) for an
 // incremental update to img (§4: "update files or packages on the nodes
 // in parallel"): chunks whose checksum already exists locally are marked
 // present, so only the delta crosses the network and is written to disk.
-func NewUpdateClient(clk *clock.Clock, ep *simnet.Endpoint, img, old *image.Image, params Params) *Client {
+func newClient(clk *clock.Clock, ep *simnet.Endpoint, img, old *image.Image, params Params) *Client {
 	c := &Client{
 		clk:        clk,
 		ep:         ep,
@@ -289,7 +285,6 @@ func (c *Client) sendUp() {
 // Session is the master-side state machine.
 type Session struct {
 	clk    *clock.Clock
-	net    *simnet.Network
 	ep     *simnet.Endpoint
 	group  string
 	img    *image.Image
@@ -314,19 +309,13 @@ type Session struct {
 	finished bool
 }
 
-// NewSession prepares a full multicast cloning session from the master
-// endpoint to the named nodes, which must all have joined group.
-func NewSession(clk *clock.Clock, net *simnet.Network, ep *simnet.Endpoint, group string, img *image.Image, nodes []simnet.Addr, params Params) *Session {
-	return NewUpdateSession(clk, net, ep, group, img, nil, nodes, params)
-}
-
-// NewUpdateSession prepares an incremental session: only the chunks of img
-// absent from old are multicast. Clients must be created with
-// NewUpdateClient against the same old image.
-func NewUpdateSession(clk *clock.Clock, net *simnet.Network, ep *simnet.Endpoint, group string, img, old *image.Image, nodes []simnet.Addr, params Params) *Session {
+// newSession prepares a session from the master endpoint to nodes, which
+// must all have joined group: only the chunks of img absent from old (nil:
+// every chunk) are multicast. Clients must be made by newClient against
+// the same old image. A Job makes both.
+func newSession(clk *clock.Clock, ep *simnet.Endpoint, group string, img, old *image.Image, nodes []simnet.Addr, params Params) *Session {
 	s := &Session{
 		clk:      clk,
-		net:      net,
 		ep:       ep,
 		group:    group,
 		img:      img,
@@ -493,13 +482,74 @@ func (s *Session) handleUp(m upMsg) {
 	}
 }
 
-// nodeAddrs returns generated addresses node000..node(n-1).
-func nodeAddrs(n int) []simnet.Addr {
-	out := make([]simnet.Addr, n)
-	for i := range out {
-		out[i] = simnet.Addr(fmt.Sprintf("node%03d", i))
+// Target is one node a Job reimages: its endpoint, the parameters its
+// client flashes and reboots with, and what runs once it is operational.
+type Target struct {
+	Ep     *simnet.Endpoint
+	Params Params
+	OnUp   func() // nil: nothing
+}
+
+// Job is one multicast clone (Old nil) or update of Img from Master to
+// Targets, with every link of the job dropping packets with probability
+// Loss.
+type Job struct {
+	Clk      *clock.Clock
+	Net      *simnet.Network
+	Master   *simnet.Endpoint
+	Group    string // the job's own multicast group
+	Img, Old *image.Image
+	Targets  []Target
+	Loss     float64
+	Params   Params
+}
+
+// Start wires the job and starts its session now: the targets join the
+// group and get a client each that reports to the master, and the job's
+// links — the master's and the targets' — take the job's loss, so traffic
+// elsewhere on the fabric keeps whatever loss it has. Once every node is
+// operational the targets leave the group, the links' loss returns to 0,
+// and done (if not nil) runs with the result.
+func (j Job) Start(done func(Result)) *Session {
+	addrs := make([]simnet.Addr, len(j.Targets))
+	for i, t := range j.Targets {
+		addrs[i] = t.Ep.Addr()
+		j.Net.Join(j.Group, addrs[i])
 	}
-	return out
+	sess := newSession(j.Clk, j.Master, j.Group, j.Img, j.Old, addrs, j.Params)
+	for _, t := range j.Targets {
+		c := newClient(j.Clk, t.Ep, j.Img, j.Old, t.Params)
+		c.ReportUpTo(j.Master.Addr())
+		c.OnUp(t.OnUp)
+		t.Ep.SetLoss(j.Loss)
+	}
+	j.Master.SetLoss(j.Loss)
+	sess.OnFinish(func(res Result) {
+		for _, t := range j.Targets {
+			j.Net.Leave(j.Group, t.Ep.Addr())
+			t.Ep.SetLoss(0)
+		}
+		j.Master.SetLoss(0)
+		if done != nil {
+			done(res)
+		}
+	})
+	sess.Start()
+	return sess
+}
+
+// fabric builds a fresh Fast-Ethernet fabric whose loss draws follow seed,
+// with a master and n nodes node000..node(n-1).
+func fabric(n int, seed int64) (*clock.Clock, *simnet.Network, *simnet.Endpoint, []*simnet.Endpoint) {
+	clk := clock.New()
+	net := simnet.New(clk, 100*time.Microsecond)
+	net.Seed(seed)
+	master := net.Attach("master", simnet.FastEthernet)
+	eps := make([]*simnet.Endpoint, n)
+	for i := range eps {
+		eps[i] = net.Attach(simnet.Addr(fmt.Sprintf("node%03d", i)), simnet.FastEthernet)
+	}
+	return clk, net, master, eps
 }
 
 // RunMulticast builds a fresh Fast-Ethernet fabric with n nodes, clones
@@ -507,27 +557,7 @@ func nodeAddrs(n int) []simnet.Addr {
 // loss is the per-receiver packet drop probability; seed makes it
 // reproducible.
 func RunMulticast(img *image.Image, n int, loss float64, seed int64, params Params) Result {
-	clk := clock.New()
-	net := simnet.New(clk, 100*time.Microsecond)
-	net.Seed(seed)
-	master := net.Attach("master", simnet.FastEthernet)
-	addrs := nodeAddrs(n)
-	params = params.withDefaults()
-
-	sess := NewSession(clk, net, master, "clone", img, addrs, params)
-	for _, a := range addrs {
-		ep := net.Attach(a, simnet.FastEthernet)
-		net.Join("clone", a)
-		c := NewClient(clk, ep, img, params)
-		c.ReportUpTo("master")
-	}
-	net.SetLoss(loss)
-	sess.Start()
-	clk.RunUntilIdle()
-	if !sess.Done() {
-		panic("cloning: multicast session did not converge")
-	}
-	return sess.Result()
+	return RunUpdate(nil, img, n, loss, seed, params)
 }
 
 // RunUnicast clones img to n nodes with the pre-multicast baseline: the
@@ -535,21 +565,15 @@ func RunMulticast(img *image.Image, n int, loss float64, seed int64, params Para
 // repairing per-node before moving on. Flash and reboot overlap with the
 // next node's transfer, as they would in practice.
 func RunUnicast(img *image.Image, n int, loss float64, seed int64, params Params) Result {
-	clk := clock.New()
-	net := simnet.New(clk, 100*time.Microsecond)
-	net.Seed(seed)
-	master := net.Attach("master", simnet.FastEthernet)
-	addrs := nodeAddrs(n)
+	clk, net, master, eps := fabric(n, seed)
 	params = params.withDefaults()
 
 	res := Result{Nodes: n, ImageBytes: img.Size, NodeUp: make(map[simnet.Addr]time.Duration, n)}
-	clients := make(map[simnet.Addr]*Client, n)
 	upCount := 0
-	for _, a := range addrs {
-		ep := net.Attach(a, simnet.FastEthernet)
-		c := NewClient(clk, ep, img, params)
-		c.ReportUpTo("master")
-		clients[a] = c
+	addrs := make([]simnet.Addr, n)
+	for i, ep := range eps {
+		addrs[i] = ep.Addr()
+		NewClient(clk, ep, img, params).ReportUpTo("master")
 	}
 	net.SetLoss(loss)
 
@@ -658,28 +682,19 @@ func (u *unicastMaster) handle(pkt simnet.Packet) {
 }
 
 // RunUpdate distributes the delta between old and img to n nodes that
-// already hold old, over a fresh Fast-Ethernet fabric — the §4 parallel
-// package/kernel-update path.
+// already hold old (nil: nothing — a full clone), over a fresh Fast-Ethernet
+// fabric — the §4 parallel package/kernel-update path.
 func RunUpdate(old, img *image.Image, n int, loss float64, seed int64, params Params) Result {
-	clk := clock.New()
-	net := simnet.New(clk, 100*time.Microsecond)
-	net.Seed(seed)
-	master := net.Attach("master", simnet.FastEthernet)
-	addrs := nodeAddrs(n)
+	clk, net, master, eps := fabric(n, seed)
 	params = params.withDefaults()
-
-	sess := NewUpdateSession(clk, net, master, "clone", img, old, addrs, params)
-	for _, a := range addrs {
-		ep := net.Attach(a, simnet.FastEthernet)
-		net.Join("clone", a)
-		c := NewUpdateClient(clk, ep, img, old, params)
-		c.ReportUpTo("master")
+	targets := make([]Target, n)
+	for i, ep := range eps {
+		targets[i] = Target{Ep: ep, Params: params}
 	}
-	net.SetLoss(loss)
-	sess.Start()
+	sess := Job{Clk: clk, Net: net, Master: master, Group: "clone", Img: img, Old: old, Targets: targets, Loss: loss, Params: params}.Start(nil)
 	clk.RunUntilIdle()
 	if !sess.Done() {
-		panic("cloning: update session did not converge")
+		panic("cloning: multicast session did not converge")
 	}
 	return sess.Result()
 }

@@ -310,24 +310,25 @@ func TestClientSurfaceAndChecksumRejection(t *testing.T) {
 	}
 }
 
+// TestSessionOnFinish: a Job's session reports its result when the last
+// node is up, after its targets left the job's group; each target's OnUp
+// ran first.
 func TestSessionOnFinish(t *testing.T) {
-	clk := clock.New()
-	net := simnet.New(clk, 0)
-	master := net.Attach("master", simnet.FastEthernet)
+	clk, net, master, eps := fabric(2, 1)
 	img := image.New("x", "1", image.BootDisk, 128<<10)
 	params := Params{}.withDefaults()
-	addr := simnet.Addr("n0")
-	ep := net.Attach(addr, simnet.FastEthernet)
-	net.Join("g", addr)
-	c := NewClient(clk, ep, img, params)
-	c.ReportUpTo("master")
-	sess := NewSession(clk, net, master, "g", img, []simnet.Addr{addr}, params)
+	ups := 0
+	targets := []Target{{Ep: eps[0], Params: params, OnUp: func() { ups++ }}, {Ep: eps[1], Params: params, OnUp: func() { ups++ }}}
 	var got Result
 	finished := false
-	sess.OnFinish(func(r Result) { got = r; finished = true })
-	sess.Start()
+	Job{Clk: clk, Net: net, Master: master, Group: "g", Img: img, Targets: targets, Loss: 0.05, Params: params}.Start(func(r Result) {
+		got, finished = r, true
+		if n := net.GroupSize("g"); n != 0 {
+			t.Errorf("group has %d member(s) when the job reports", n)
+		}
+	})
 	clk.RunUntilIdle()
-	if !finished || got.Nodes != 1 || len(got.NodeUp) != 1 {
-		t.Fatalf("OnFinish: %v %+v", finished, got)
+	if !finished || got.Nodes != 2 || len(got.NodeUp) != 2 || ups != 2 {
+		t.Fatalf("OnFinish: %v %+v, %d node(s) up", finished, got, ups)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"clusterworx/internal/events"
 	"clusterworx/internal/image"
 	"clusterworx/internal/node"
+	"clusterworx/internal/simnet"
 	"clusterworx/internal/transmit"
 )
 
@@ -202,6 +203,29 @@ func TestSimClone(t *testing.T) {
 	}
 	if _, err := sim.Clone(img, nil, 0, cloningParamsForTest()); err == nil {
 		t.Fatal("clone without targets succeeded")
+	}
+}
+
+// TestSimCloneKeepsFabricLoss: a clone's loss is its own links', so a run
+// under fabric loss is still under it once the clone is done.
+func TestSimCloneKeepsFabricLoss(t *testing.T) {
+	sim := bootSim(t, 2)
+	sim.Net.SetLoss(0.15)
+	img, err := image.Prebuilt("nfsboot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.Clone(img, []string{"node001"}, 0.01, cloning.Params{}); err != nil {
+		t.Fatal(err)
+	}
+	a, b := sim.Net.Attach("probe.a", simnet.GigE), sim.Net.Attach("probe.b", simnet.GigE)
+	const sent = 2000
+	for i := 0; i < sent; i++ {
+		a.Send(b.Addr(), nil, 100)
+	}
+	sim.Advance(time.Second)
+	if lost := float64(b.Stats().Dropped) / sent; lost < 0.12 || lost > 0.18 {
+		t.Fatalf("after the clone the fabric lost %.3f of a probe's packets, want ≈0.15", lost)
 	}
 }
 

@@ -168,27 +168,83 @@ func TestCtlEfficiency(t *testing.T) {
 	}
 }
 
+// TestCtlClone: "clone" starts a job and answers at once; the job runs as
+// the clock does, holds its master and nodes until it is done, and
+// "clone status" shows it running and then its summary.
 func TestCtlClone(t *testing.T) {
 	sim := bootSim(t, 3)
-	resp := sim.Server.HandleCtl("clone lnxi-nfs@2.1 node001 node002")
-	if !strings.HasPrefix(resp, "OK cloned") {
-		t.Fatalf("clone: %s", firstLine(resp))
+	if resp := sim.Server.HandleCtl("clone lnxi-nfs@2.1 node001 node002"); resp != "OK job 1: cloning lnxi-nfs@2.1 to 2 node(s)" {
+		t.Fatalf("clone: %s", resp)
 	}
+	if resp := sim.Server.HandleCtl("clone status"); resp != "OK\njob 1: cloning lnxi-nfs@2.1 to 2 node(s)" {
+		t.Fatalf("clone status, job running: %q", resp)
+	}
+	for _, busy := range []string{"clone lnxi-nfs@2.1 node000", "clone lnxi-nfs@2.1 node002"} {
+		if resp := sim.Server.HandleCtl(busy); resp != "ERR core: master is running a clone job" {
+			t.Fatalf("%q while job 1 runs -> %q", busy, resp)
+		}
+	}
+	sim.Advance(time.Minute)
 	if sim.NodeImage("node001") != "lnxi-nfs@2.1" || sim.NodeImage("node002") != "lnxi-nfs@2.1" {
 		t.Fatal("image not recorded")
+	}
+	if resp := sim.Server.HandleCtl("CLONE Status"); !strings.HasPrefix(resp, "OK\njob 1: cloned lnxi-nfs@2.1 to 2 node(s) in ") {
+		t.Fatalf("clone status, job done: %q", resp)
 	}
 	sim.Advance(30 * time.Second)
 	if sim.Node("node001").State() != node.Up {
 		t.Fatalf("cloned node = %v", sim.Node("node001").State())
 	}
-	for _, bad := range []string{"clone", "clone onlyimage", "clone ghost@1 node001", "clone lnxi-nfs@2.1 ghostnode"} {
+	for _, bad := range []string{"clone", "clone onlyimage", "clone ghost@1 node001", "clone lnxi-nfs@2.1 ghostnode", "clone lnxi-nfs@2.1 node000 node000"} {
 		if resp := sim.Server.HandleCtl(bad); !strings.HasPrefix(resp, "ERR") {
 			t.Fatalf("%q -> %q", bad, firstLine(resp))
 		}
 	}
+	// A refused job holds nothing: the next one starts.
+	if resp := sim.Server.HandleCtl("clone lnxi-nfs@2.1 node000"); resp != "OK job 2: cloning lnxi-nfs@2.1 to 1 node(s)" {
+		t.Fatalf("clone after refusals: %s", resp)
+	}
 	// The image library is stocked.
 	if resp := sim.Server.HandleCtl("images"); !strings.Contains(resp, "lnxi-node@2.1") {
 		t.Fatalf("images: %s", resp)
+	}
+}
+
+// TestCtlCloneJobsOverlap: in a tree, each leaf runs a job of its own, in
+// a multicast group of its own, alongside the other's.
+func TestCtlCloneJobsOverlap(t *testing.T) {
+	sim, err := NewSim(SimConfig{Nodes: 2, Tiers: 2, Fanout: 2, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sim.Stop)
+	sim.PowerOnAll()
+	sim.Advance(30 * time.Second)
+	ask := func(leaf int, req, want string) {
+		t.Helper()
+		if resp := sim.Leaves[leaf].Server.HandleCtl(req); resp != want {
+			t.Fatalf("leaf%03d %q -> %q, want %q", leaf, req, resp, want)
+		}
+	}
+	ask(0, "clone lnxi-nfs@2.1 node000", "OK job 1: cloning lnxi-nfs@2.1 to 1 node(s)")
+	// A job holds its leaf's master and its nodes, whichever leaf asks next.
+	ask(0, "clone lnxi-nfs@2.1 node002", "ERR core: leaf000 is running a clone job")
+	ask(1, "clone lnxi-nfs@2.1 node003 node000", "ERR core: node000 is already being cloned")
+	ask(1, "clone lnxi-nfs@2.1 node002", "OK job 1: cloning lnxi-nfs@2.1 to 1 node(s)")
+	sim.Advance(2 * time.Second)
+	for _, leaf := range sim.Leaves {
+		if n := sim.Net.GroupSize(leaf.Name + ".clone"); n != 1 {
+			t.Fatalf("%s's group has %d member(s) while its job runs, want 1", leaf.Name, n)
+		}
+	}
+	sim.Advance(time.Minute)
+	for i, leaf := range sim.Leaves {
+		if resp := leaf.Server.HandleCtl("clone status"); !strings.HasPrefix(resp, "OK\njob 1: cloned lnxi-nfs@2.1 to 1 node(s) in ") {
+			t.Fatalf("%s: clone status: %q", leaf.Name, resp)
+		}
+		if got := sim.NodeImage(fmt.Sprintf("node%03d", 2*i)); got != "lnxi-nfs@2.1" {
+			t.Fatalf("%s's node holds %q", leaf.Name, got)
+		}
 	}
 }
 

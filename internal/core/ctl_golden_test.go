@@ -184,13 +184,15 @@ func goldenCtlScript() []ctlStep {
 		{on: "*", req: "history node001 load.1 4"},
 
 		// Cloning last. A reimage is as seeded as the rest of the sim, but it
-		// moves virtual time and reboots nodes, so any step after it would
-		// read different bytes from the ones this fixture pins.
+		// reboots nodes, so any step after its job ran would read different
+		// bytes from the ones this fixture pins. The job answers at once and
+		// runs as the clock advances; its status line is its summary then.
 		{on: "*", req: "clone lnxi-nfs@2.1 node001 node002"},
 		{on: "*", req: "clone ghost@1 node001"},
 		{on: "*", req: "clone lnxi-nfs@2.1 ghost"},
 		{on: "*", req: "clone lnxi-nfs@2.1"},
 		{on: "*", req: "clone"},
+		{on: "*", req: "clone status", advance: time.Minute},
 		{on: "c", req: "WATCH  Nodes"},
 	}
 }

@@ -93,10 +93,7 @@ var ctlVerbs = []ctlVerb{
 		return append(append(dst, "OK console dump follows\n"...), data...)
 	}},
 	{name: "bios", args: "settings|set|flash <node> [...]", help: "remote LinuxBIOS management (§2)", min: 2, max: -1, run: ctlBIOS},
-	{name: "clone", args: "<imageID> <node> [node...]", help: "multicast-clone an image to nodes (§4)", min: 2, max: -1, run: func(s *Server, dst []byte, a []string) []byte {
-		summary, err := s.CloneNodes(a[0], a[1:])
-		return errOr(dst, err, "OK "+summary)
-	}},
+	{name: "clone", args: "<imageID> <node> [node...]", help: "start a multicast clone of an image to nodes (§4); \"clone status\" lists the last 16 jobs", min: 1, max: -1, run: ctlClone},
 	{name: "images", help: "image library", max: -1, run: func(s *Server, dst []byte, _ []string) []byte {
 		ids := s.images.List()
 		sort.Strings(ids)
@@ -218,6 +215,21 @@ func ctlCorrelate(s *Server, dst []byte, a []string) []byte {
 		return errOr(dst, err, "")
 	}
 	return fmt.Appendf(dst, "OK r=%.3f", r)
+}
+
+// ctlClone starts a clone job and answers with its id, or lists the jobs.
+func ctlClone(s *Server, dst []byte, a []string) []byte {
+	if len(a) == 1 && strings.EqualFold(a[0], "status") {
+		return s.appendCloneJobs(append(dst, "OK"...))
+	}
+	if len(a) < 2 {
+		return dst
+	}
+	id, err := s.CloneNodes(a[0], a[1:])
+	if err != nil {
+		return errOr(dst, err, "")
+	}
+	return fmt.Appendf(dst, "OK job %d: cloning %s to %d node(s)", id, a[0], len(a)-1)
 }
 
 func ctlPower(s *Server, dst []byte, a []string) []byte {

@@ -63,7 +63,6 @@ type Daemon struct {
 	// Sockets; all nil in a simulated tier.
 	ls            [2]net.Listener // agent, ctl
 	errc          chan error      // a listener failed
-	calls         chan func()     // clock work handed to Drive
 	flushc, savec chan struct{}   // wakes for the I/O goroutine (flushc: with -uplink)
 	quit, ioDone  chan struct{}
 	conn          net.Conn       // the uplink session's
@@ -110,11 +109,6 @@ func (d *Daemon) Start(clk *clock.Clock, store Persist) error {
 			return err
 		}
 		d.build(sim.Server)
-		d.srv.SetCloner(func(imageID string, nodeNames []string) (msg string, err error) {
-			err = errStopping
-			d.onClock(func() { msg, err = sim.cloneImage(sim.Root, imageID, nodeNames) })
-			return msg, err
-		})
 	}
 	if d.srv == nil {
 		d.build(NewServer(ServerConfig{Cluster: d.cfg.Cluster, Now: clk.Now}))
@@ -172,7 +166,7 @@ func (d *Daemon) listen() error {
 		return nil // a simulated tier
 	}
 	errc := make(chan error, 2) // one per listener
-	d.errc, d.calls, d.savec = errc, make(chan func()), make(chan struct{}, 1)
+	d.errc, d.savec = errc, make(chan struct{}, 1)
 	if d.cfg.Uplink != "" {
 		d.flushc = make(chan struct{}, 1)
 	}
@@ -298,41 +292,21 @@ func (d *Daemon) dial() *Uplink {
 // Drive runs the daemon's clock from the calling goroutine until stop
 // fires or a listener fails, and then stops the daemon. Each tick calls
 // step, which moves the clock, and is the wall instant uplink writes are
-// timed from; clock work from other goroutines — a cloning session
-// started over the control port runs the hosted cluster's clock — runs
-// here between ticks, so one goroutine alone drives it.
+// timed from. Nothing else steps the clock: other goroutines only schedule
+// on it — a clone job started over the control port starts at the next
+// step — so one goroutine alone drives it.
 func (d *Daemon) Drive(tick <-chan time.Time, stop <-chan os.Signal, step func()) error {
 	for {
 		select {
 		case t := <-tick:
 			d.tickNs.Store(t.UnixNano())
 			step()
-		case fn := <-d.calls:
-			fn()
 		case err := <-d.errc:
 			d.Stop() //nolint:errcheck // the listener's failure is the one to report
 			return err
 		case <-stop:
 			return d.Stop()
 		}
-	}
-}
-
-// errStopping is what clock work handed to a stopping daemon returns.
-var errStopping = fmt.Errorf("core: server stopping")
-
-// onClock runs fn on Drive's goroutine (inline in a daemon without
-// sockets), unless the daemon stops first.
-func (d *Daemon) onClock(fn func()) {
-	if d.calls == nil {
-		fn()
-		return
-	}
-	done := make(chan struct{})
-	select {
-	case d.calls <- func() { fn(); close(done) }:
-		<-done
-	case <-d.quit:
 	}
 }
 

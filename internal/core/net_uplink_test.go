@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net"
 	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -228,4 +229,58 @@ func TestUplinkWedgedParent(t *testing.T) {
 	if saves.n.Load() == before {
 		t.Fatal("stop did not save")
 	}
+}
+
+// TestSimNodesDaemonCloneJob drives a daemon hosting a simulated cluster
+// (cwxd -sim-nodes) as cwxd does. A clone asked for over the control port
+// is answered at once, runs on the daemon's clock while the driver steps
+// it, and shows in "clone status" once done. Of four clones asked for at
+// once, one starts and three are refused, the cluster's master being
+// taken; the daemon stops with that job still running and none of its
+// goroutines left behind.
+func TestSimNodesDaemonCloneJob(t *testing.T) {
+	t.Cleanup(leakcheck.Goroutines(t))
+	d, stop := runDaemon(t, DaemonConfig{SimNodes: 4, CtlAddr: "127.0.0.1:0", Cluster: "simd"})
+	cl, err := DialCtl(d.ls[1].Addr().String(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ask := func(req string) string {
+		t.Helper()
+		cl.conn.SetDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck // a loopback socket
+		resp, err := cl.Do(req)
+		if err != nil {
+			t.Fatalf("%q: %v", req, err)
+		}
+		return resp
+	}
+	if resp := ask("clone lnxi-nfs@2.1 node001"); resp != "OK job 1: cloning lnxi-nfs@2.1 to 1 node(s)" {
+		t.Fatalf("clone: %q", resp)
+	}
+	start := time.Now()
+	for resp := ask("clone status"); !strings.HasPrefix(resp, "OK\njob 1: cloned lnxi-nfs@2.1 to 1 node(s) in "); resp = ask("clone status") {
+		if time.Since(start) > time.Minute {
+			t.Fatalf("clone status a minute on: %q", resp)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	cl.Close()
+
+	answers := make(chan string, 4)
+	for i := range 4 {
+		go func() { answers <- d.Server().HandleCtl(fmt.Sprintf("clone lnxi-nfs@2.1 node%03d", i)) }()
+	}
+	started := 0
+	for range 4 {
+		switch resp := <-answers; {
+		case resp == "OK job 2: cloning lnxi-nfs@2.1 to 1 node(s)":
+			started++
+		case resp != "ERR core: master is running a clone job":
+			t.Fatalf("concurrent clone: %q", resp)
+		}
+	}
+	if started != 1 {
+		t.Fatalf("%d of four concurrent clones started, want 1", started)
+	}
+	stop()
 }

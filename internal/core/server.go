@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"clusterworx/internal/cloning"
 	"clusterworx/internal/consolidate"
 	"clusterworx/internal/events"
 	"clusterworx/internal/firmware"
@@ -120,7 +121,19 @@ type Server struct {
 
 	images   *image.Store
 	firmware map[string]firmware.Firmware
-	cloner   func(imageID string, nodes []string) (string, error)
+	cloner   Cloner
+	jobs     []*cloneJob // the newest maxCloneJobs, oldest first
+	jobSeq   int
+}
+
+// maxCloneJobs is how many clone jobs "clone status" remembers.
+const maxCloneJobs = 16
+
+// cloneJob is one clone job the control protocol started: its id and its
+// line in "clone status", the start line until it is done.
+type cloneJob struct {
+	id   int
+	line string
 }
 
 type nodeRec struct {
@@ -228,7 +241,7 @@ type ServerConfig struct {
 // NewServer builds a server with an empty registry.
 func NewServer(cfg ServerConfig) *Server {
 	if cfg.Now == nil {
-		start := time.Now()
+		start := time.Now() //cwx:allow clockdet -- a Server configured without a clock runs on wall time since it was built
 		cfg.Now = func() time.Duration { return time.Since(start) }
 	}
 	if cfg.Cluster == "" {
@@ -812,28 +825,64 @@ func (s *Server) Console(nodeName string) ([]byte, error) {
 	return b.Console(port)
 }
 
-// SetCloner installs the disk-cloning backend invoked by the control
-// protocol's "clone" request. The callback returns a human-readable
-// summary. In the simulation it is Sim.Clone; a hardware deployment would
-// boot targets into the cloning environment here.
-func (s *Server) SetCloner(fn func(imageID string, nodes []string) (string, error)) {
+// Cloner is a disk-cloning backend: it checks a job of img onto nodes,
+// starts it on its own clock or refuses it, and calls done with the
+// session result once every node is up again. In the simulation it is a
+// leaf's Sim.cloner; a hardware deployment would boot targets into the
+// cloning environment here.
+type Cloner func(img *image.Image, nodes []string, done func(cloning.Result)) error
+
+// SetCloner installs the backend the control protocol's "clone" starts
+// jobs on.
+func (s *Server) SetCloner(fn Cloner) {
 	s.mu.Lock()
 	s.cloner = fn
 	s.mu.Unlock()
 }
 
-// CloneNodes runs the installed cloner.
-func (s *Server) CloneNodes(imageID string, nodes []string) (string, error) {
+// CloneNodes starts a clone job on the installed backend and returns its
+// id at once; "clone status" reports how it goes.
+func (s *Server) CloneNodes(imageID string, nodes []string) (int, error) {
 	s.mu.Lock()
 	fn := s.cloner
 	s.mu.Unlock()
 	if fn == nil {
-		return "", fmt.Errorf("core: no cloning backend installed")
+		return 0, fmt.Errorf("core: no cloning backend installed")
 	}
-	if _, ok := s.images.Get(imageID); !ok {
-		return "", fmt.Errorf("core: unknown image %s (see 'images')", imageID)
+	img, ok := s.images.Get(imageID)
+	if !ok {
+		return 0, fmt.Errorf("core: unknown image %s (see 'images')", imageID)
 	}
-	return fn(imageID, nodes)
+	job := &cloneJob{line: fmt.Sprintf("cloning %s to %d node(s)", imageID, len(nodes))}
+	err := fn(img, nodes, func(res cloning.Result) {
+		s.mu.Lock()
+		job.line = fmt.Sprintf("cloned %s to %d node(s) in %s (%d MB multicast, %d repair chunks)",
+			imageID, len(res.NodeUp), res.AllUp.Round(time.Second), res.MulticastBytes>>20, res.RepairChunks)
+		s.mu.Unlock()
+	})
+	if err != nil {
+		return 0, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.jobSeq++
+	job.id = s.jobSeq
+	s.jobs = append(s.jobs, job)
+	if len(s.jobs) > maxCloneJobs {
+		s.jobs = slices.Delete(s.jobs, 0, 1)
+	}
+	return job.id, nil
+}
+
+// appendCloneJobs appends the remembered clone jobs to dst, oldest first, one
+// "job <id>: <line>" line each.
+func (s *Server) appendCloneJobs(dst []byte) []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, j := range s.jobs {
+		dst = fmt.Appendf(dst, "\njob %d: %s", j.id, j.line)
+	}
+	return dst
 }
 
 // RegisterFirmware records which firmware a node runs so the remote BIOS

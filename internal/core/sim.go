@@ -148,6 +148,8 @@ type TierServer struct {
 	// rxPackets counts monitoring-plane packets delivered to this server
 	// — the flat control's propagation counter.
 	rxPackets atomic.Int64
+	// cloning is held while a clone job runs from this leaf's master.
+	cloning atomic.Bool
 
 	d        *Daemon
 	ckpt     simStore
@@ -198,6 +200,7 @@ type Sim struct {
 	cfg       SimConfig
 	round     uint64
 	byName    map[string]int // node name -> index into Nodes
+	cloning   []atomic.Bool  // indexed like Nodes: held while a clone job targets the node
 	nodeImage map[string]string
 	// wires holds each agent's wire-negotiation state, indexed like
 	// Agents (nil outside TransportSimnet) — the mixed-version harness
@@ -259,6 +262,7 @@ func newSim(cfg SimConfig, clk *clock.Clock) (*Sim, error) {
 	}
 	s.Leaves = s.Levels[0]
 	s.Root = s.Levels[cfg.Tiers-1][0]
+	s.cloning = make([]atomic.Bool, len(s.Nodes))
 
 	// Uplinks: child i at level l feeds parent i/Fanout at level l+1.
 	for l := 0; l+1 < cfg.Tiers; l++ {
@@ -408,7 +412,7 @@ func (s *Sim) boot(ts *TierServer) {
 				srv.Images().Put(im) //nolint:errcheck // fresh store cannot collide
 			}
 		}
-		srv.SetCloner(func(imageID string, nodeNames []string) (string, error) { return s.cloneImage(ts, imageID, nodeNames) })
+		srv.SetCloner(s.cloner(ts))
 	}
 	for _, n := range ts.Nodes {
 		srv.RegisterNode(n.Name())
@@ -600,31 +604,48 @@ func (s *Sim) Stop() {
 
 // Clone distributes img to the named nodes with the reliable-multicast
 // protocol over the sim's Fast Ethernet, from the leaf server hosting the
-// first of them, taking the targets out of service for the duration. It
-// runs to completion on the virtual clock and returns the session result.
+// first of them, taking the targets out of service for the duration; each
+// of the job's links drops packets with probability loss. It steps the
+// clock until the job is done and returns the session result.
 func (s *Sim) Clone(img *image.Image, nodeNames []string, loss float64, params cloning.Params) (cloning.Result, error) {
-	return s.clone(s.leafOf(nodeNames), img, nil, nodeNames, loss, params)
+	return s.runJob(img, nil, nodeNames, loss, params)
 }
 
 // Update distributes only the delta between each target's current image
 // (which must be old) and img — the §4 parallel kernel/package update.
 func (s *Sim) Update(old, img *image.Image, nodeNames []string, loss float64, params cloning.Params) (cloning.Result, error) {
-	return s.clone(s.leafOf(nodeNames), img, old, nodeNames, loss, params)
+	return s.runJob(img, old, nodeNames, loss, params)
 }
 
-// cloneImage is a leaf's cloning backend, which the control protocol's
-// "clone" runs: the session runs the clock to its own completion.
-func (s *Sim) cloneImage(leaf *TierServer, imageID string, nodeNames []string) (string, error) {
-	im, ok := leaf.Server.Images().Get(imageID)
-	if !ok {
-		return "", fmt.Errorf("core: unknown image %s", imageID)
-	}
-	res, err := s.clone(leaf, im, nil, nodeNames, 0.01, cloning.Params{})
+// runJob starts a job now and steps the clock until it is done — Step, not
+// RunUntilIdle: agent timers perpetually reschedule, so the queue never
+// drains.
+func (s *Sim) runJob(img, old *image.Image, nodeNames []string, loss float64, params cloning.Params) (res cloning.Result, err error) {
+	done := false
+	start, err := s.cloneJob(s.leafOf(nodeNames), img, old, nodeNames, loss, params, func(r cloning.Result) { res, done = r, true })
 	if err != nil {
-		return "", err
+		return res, err
 	}
-	return fmt.Sprintf("cloned %s to %d node(s) in %s (%d MB multicast, %d repair chunks)",
-		imageID, len(res.NodeUp), res.AllUp.Round(time.Second), res.MulticastBytes>>20, res.RepairChunks), nil
+	start()
+	for !done {
+		if !s.Clk.Step() {
+			return res, fmt.Errorf("core: cloning session did not converge")
+		}
+	}
+	return res, nil
+}
+
+// cloner is a leaf's cloning backend, which the control protocol's "clone"
+// starts: the job is checked on the caller's goroutine and starts on the
+// clock's.
+func (s *Sim) cloner(leaf *TierServer) Cloner {
+	return func(img *image.Image, nodeNames []string, done func(cloning.Result)) error {
+		start, err := s.cloneJob(leaf, img, nil, nodeNames, 0.01, cloning.Params{}, done)
+		if err == nil {
+			s.Clk.AfterFunc(0, start)
+		}
+		return err
+	}
 }
 
 // leafOf returns the leaf hosting the first named node, or the first leaf
@@ -638,55 +659,59 @@ func (s *Sim) leafOf(nodeNames []string) *TierServer {
 	return s.Leaves[0]
 }
 
-func (s *Sim) clone(leaf *TierServer, img, old *image.Image, nodeNames []string, loss float64, params cloning.Params) (cloning.Result, error) {
+// cloneJob checks a job of leaf's and claims its endpoints — the leaf's
+// master and the targets, which one job at a time may hold — and returns
+// what starts it on the clock. The job runs in the leaf's own multicast
+// group and gives its endpoints back when done, before done runs.
+func (s *Sim) cloneJob(leaf *TierServer, img, old *image.Image, nodeNames []string, loss float64, params cloning.Params, done func(cloning.Result)) (start func(), err error) {
 	if len(nodeNames) == 0 {
-		return cloning.Result{}, fmt.Errorf("core: clone needs target nodes")
+		return nil, fmt.Errorf("core: clone needs target nodes")
 	}
-	master := s.Net.Endpoint(simnet.Addr(leaf.Name))
-	group := "clone"
-	addrs := make([]simnet.Addr, 0, len(nodeNames))
-	for _, name := range nodeNames {
-		n := s.Node(name)
-		if n == nil {
-			return cloning.Result{}, fmt.Errorf("core: unknown node %s", name)
+	idx := make([]int, len(nodeNames))
+	for k, name := range nodeNames {
+		i, ok := s.byName[name]
+		if !ok {
+			return nil, fmt.Errorf("core: unknown node %s", name)
 		}
-		// Nodes reboot into the cloning environment: OS (and agent) stop.
-		n.PowerOff()
-		addr := simnet.Addr(name)
-		s.Net.Join(group, addr)
-		addrs = append(addrs, addr)
+		idx[k] = i
 	}
-	s.Net.SetLoss(loss)
-	defer s.Net.SetLoss(0)
-
-	sess := cloning.NewUpdateSession(s.Clk, s.Net, master, group, img, old, addrs, params)
-	for _, name := range nodeNames {
-		n := s.Node(name)
-		ep := s.Net.Endpoint(simnet.Addr(name))
-		// Each client flashes at its own node's disk rate and reboots with
-		// its own firmware's cold-start time.
-		clientParams := params
-		clientParams.DiskBandwidth = n.DiskBandwidth()
-		clientParams.RebootTime = n.BootTime()
-		client := cloning.NewUpdateClient(s.Clk, ep, img, old, clientParams)
-		client.ReportUpTo(master.Addr())
-		client.OnUp(func() {
-			s.nodeImage[name] = img.ID()
-			n.PowerOn() // boots the freshly written image
+	if !leaf.cloning.CompareAndSwap(false, true) {
+		return nil, fmt.Errorf("core: %s is running a clone job", leaf.Name)
+	}
+	for k, i := range idx {
+		if !s.cloning[i].CompareAndSwap(false, true) {
+			s.release(leaf, idx[:k])
+			return nil, fmt.Errorf("core: %s is already being cloned", nodeNames[k])
+		}
+	}
+	return func() {
+		targets := make([]cloning.Target, len(idx))
+		for k, i := range idx {
+			n := s.Nodes[i]
+			n.PowerOff() // nodes reboot into the cloning environment: OS (and agent) stop
+			// Each client flashes at its own node's disk rate and reboots
+			// with its own firmware's cold-start time.
+			p := params
+			p.DiskBandwidth, p.RebootTime = n.DiskBandwidth(), n.BootTime()
+			targets[k] = cloning.Target{Ep: s.Net.Endpoint(simnet.Addr(n.Name())), Params: p, OnUp: func() {
+				s.nodeImage[n.Name()] = img.ID()
+				n.PowerOn() // boots the freshly written image
+			}}
+		}
+		cloning.Job{Clk: s.Clk, Net: s.Net, Master: s.Net.Endpoint(simnet.Addr(leaf.Name)), Group: leaf.Name + ".clone",
+			Img: img, Old: old, Targets: targets, Loss: loss, Params: params}.Start(func(res cloning.Result) {
+			s.release(leaf, idx)
+			done(res)
 		})
+	}, nil
+}
+
+// release gives back what a clone job of leaf's held.
+func (s *Sim) release(leaf *TierServer, idx []int) {
+	for _, i := range idx {
+		s.cloning[i].Store(false)
 	}
-	sess.Start()
-	// Step (not RunUntilIdle): agent timers perpetually reschedule, so the
-	// queue never drains; the session's completion is the stop condition.
-	for !sess.Done() {
-		if !s.Clk.Step() {
-			return sess.Result(), fmt.Errorf("core: cloning session did not converge")
-		}
-	}
-	for _, addr := range addrs {
-		s.Net.Leave(group, addr)
-	}
-	return sess.Result(), nil
+	leaf.cloning.Store(false)
 }
 
 // InjectRound drives one synthetic monitoring round: every node sends

@@ -2,6 +2,7 @@ package gather
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -50,32 +51,44 @@ func TestNetDevParsesManyIfaces(t *testing.T) {
 
 // The paper charges net/dev per device; measure that the per-call cost
 // grows roughly linearly in the interface count (not quadratically, not
-// flat).
+// flat). A loaded host swings single timings several-fold, so the verdict
+// is the median, over interleaved rounds, of the ratio within a round; a
+// round times each count as its best of three short batches, taken in
+// turns, so that a batch the scheduler preempted does not count.
 func TestNetDevCostPerDevice(t *testing.T) {
-	cost := func(n int) time.Duration {
-		fs := fsWithIfaces(n)
-		g, err := NewNetDevGatherer(fs)
+	batch := func(n int) func() time.Duration {
+		g, err := NewNetDevGatherer(fsWithIfaces(n))
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer g.Close()
+		t.Cleanup(func() { g.Close() })
 		var nd NetDevStats
-		const iters = 3000
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if err := g.Gather(&nd); err != nil {
-				t.Fatal(err)
+		return func() time.Duration {
+			start := time.Now()
+			for i := 0; i < 100; i++ {
+				if err := g.Gather(&nd); err != nil {
+					t.Fatal(err)
+				}
 			}
+			return time.Since(start)
 		}
-		return time.Since(start) / iters
 	}
-	c2 := cost(2)
-	c16 := cost(16)
-	ratio := float64(c16) / float64(c2)
+	cost2, cost16 := batch(2), batch(16)
+	ratios := make([]float64, 41)
+	for k := range ratios {
+		c2, c16 := cost2(), cost16()
+		for range 2 {
+			c2, c16 = min(c2, cost2()), min(c16, cost16())
+		}
+		ratios[k] = float64(c16) / float64(c2)
+	}
+	slices.Sort(ratios)
 	// 8x the devices: expect several-fold growth, bounded well below
 	// super-linear blowup. (There is a fixed header/open component, so the
 	// ratio is below 8.)
-	if ratio < 1.5 || ratio > 16 {
-		t.Fatalf("2->16 ifaces cost ratio = %.1f (c2=%v c16=%v)", ratio, c2, c16)
+	med := ratios[len(ratios)/2]
+	t.Logf("2->16 ifaces cost ratio = %.1f in the median of %d rounds (%.1f to %.1f)", med, len(ratios), ratios[0], ratios[len(ratios)-1])
+	if med < 1.5 || med > 16 {
+		t.Fatal("want 1.5 to 16")
 	}
 }

@@ -25,7 +25,8 @@
 //     any edge that acquires a lock at a level <= one already held
 //     (an inversion of the declared partial order, or a same-class
 //     re-entry) is reported with its full witness call chain. The graph
-//     is dumpable as DOT (cwxlint -lockgraph).
+//     is dumpable as DOT (cwxlint -lockgraph), its edges sorted, so one
+//     commit always renders the same file.
 //   - staticalloc: heap escapes reported by the compiler
 //     (go build -gcflags=-m) inside //cwx:hotpath functions fail the
 //     lint run. It is the compile-time half of the allocation
@@ -33,10 +34,9 @@
 //     function makes at run time, escaping or not, and are the only
 //     referee for the ones that do not escape.
 //
-// Findings are suppressed either inline ("//cwx:allow <analyzers> --
-// reason" on the flagged line or the line above) or through a baseline
-// file listing pre-existing accepted findings, so accepted exceptions
-// are explicit rather than silent.
+// A finding is suppressed only inline, by "//cwx:allow <analyzers> --
+// reason" on the flagged line or the line above, so every accepted
+// exception sits, with its reason, where it is made.
 package lint
 
 import (
@@ -45,7 +45,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -65,8 +64,7 @@ func (d Diagnostic) String() string {
 
 // JSON renders the finding as one self-contained JSON object (the
 // cwxlint -json line format for editor and CI integration). The file is
-// root-relative when the finding is under root; key is the baseline
-// identity so tooling can acknowledge findings without re-deriving it.
+// root-relative when the finding is under root.
 func (d Diagnostic) JSON(root string) string {
 	file := d.Pos.Filename
 	if rel, err := filepath.Rel(root, file); err == nil && !strings.HasPrefix(rel, "..") {
@@ -78,20 +76,8 @@ func (d Diagnostic) JSON(root string) string {
 		Col      int    `json:"col"`
 		Analyzer string `json:"analyzer"`
 		Message  string `json:"message"`
-		Key      string `json:"key"`
-	}{file, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message, d.Key(root)})
+	}{file, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message})
 	return string(j)
-}
-
-// Key is the position-independent identity used by the baseline file:
-// analyzer, root-relative file, and message — no line numbers, so the
-// baseline survives unrelated edits to the same file.
-func (d Diagnostic) Key(root string) string {
-	file := d.Pos.Filename
-	if rel, err := filepath.Rel(root, file); err == nil && !strings.HasPrefix(rel, "..") {
-		file = filepath.ToSlash(rel)
-	}
-	return fmt.Sprintf("%s: %s: %s", d.Analyzer, file, d.Message)
 }
 
 // Config tunes an analysis run.
@@ -176,8 +162,7 @@ func (p *pass) allowed(pos token.Position, analyzer string) bool {
 }
 
 // Run executes every analyzer over pkgs and returns the findings sorted
-// by position. Inline //cwx:allow suppressions are already applied;
-// baseline filtering is the caller's concern (see ApplyBaseline).
+// by position, with the //cwx:allow suppressions applied.
 func Run(pkgs []*Package, cfg Config) []Diagnostic {
 	if len(cfg.ClockScope) == 0 && cfg.Module != "" {
 		cfg.ClockScope = DefaultClockScope(cfg.Module)
@@ -341,113 +326,6 @@ func hasDirective(doc *ast.CommentGroup, marker string) bool {
 	return false
 }
 
-// --- baseline ---------------------------------------------------------------------
-
-// BaselineName is the root-relative findings baseline: accepted
-// pre-existing findings, one Diagnostic.Key per line. Findings in it are
-// filtered from the report; entries no longer produced are flagged as
-// stale so the file cannot rot silently.
-const BaselineName = ".cwxlint-baseline"
-
-// ReadBaseline loads a baseline file into a key -> count multiset. A
-// missing file is an empty baseline. Two identical findings in the same
-// file share one Diagnostic.Key, so an entry may carry an explicit
-// occurrence count ("<key> [x3]"); without one it acknowledges exactly
-// one occurrence — a fresh duplicate of a baselined finding still
-// reports. Repeated identical lines also accumulate.
-func ReadBaseline(path string) (map[string]int, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return map[string]int{}, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	base := make(map[string]int)
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		key, n := parseBaselineCount(line)
-		base[key] += n
-	}
-	return base, nil
-}
-
-// parseBaselineCount splits an optional trailing " [xN]" occurrence
-// count off a baseline entry. Malformed suffixes stay part of the key.
-func parseBaselineCount(line string) (string, int) {
-	i := strings.LastIndex(line, " [x")
-	if i < 0 || !strings.HasSuffix(line, "]") {
-		return line, 1
-	}
-	n := 0
-	for _, r := range line[i+3 : len(line)-1] {
-		if r < '0' || r > '9' {
-			return line, 1
-		}
-		n = n*10 + int(r-'0')
-	}
-	if n < 1 {
-		return line, 1
-	}
-	return line[:i], n
-}
-
-// ApplyBaseline splits diags into fresh findings and consumed baseline
-// hits, returning the fresh findings plus any stale baseline entries.
-func ApplyBaseline(diags []Diagnostic, root string, base map[string]int) (fresh []Diagnostic, stale []string) {
-	remaining := make(map[string]int, len(base))
-	for k, n := range base {
-		remaining[k] = n
-	}
-	for _, d := range diags {
-		key := d.Key(root)
-		if remaining[key] > 0 {
-			remaining[key]--
-			continue
-		}
-		fresh = append(fresh, d)
-	}
-	for k, n := range remaining {
-		for i := 0; i < n; i++ {
-			stale = append(stale, k)
-		}
-	}
-	sort.Strings(stale)
-	return fresh, stale
-}
-
-// WriteBaseline renders diags as a baseline file. Findings sharing one
-// key (identical message, same file) are written once with an explicit
-// occurrence count, so the multiset is visible — and editable — rather
-// than encoded as easily-deduplicated repeated lines.
-func WriteBaseline(path, root string, diags []Diagnostic) error {
-	var b strings.Builder
-	b.WriteString("# cwxlint findings baseline: accepted pre-existing findings, one per line.\n")
-	b.WriteString("# \"<key> [xN]\" acknowledges exactly N identical occurrences.\n")
-	b.WriteString("# Regenerate with `go run ./cmd/cwxlint -update-baseline`.\n")
-	counts := make(map[string]int, len(diags))
-	keys := make([]string, 0, len(diags))
-	for _, d := range diags {
-		k := d.Key(root)
-		if counts[k] == 0 {
-			keys = append(keys, k)
-		}
-		counts[k]++
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		b.WriteString(k)
-		if n := counts[k]; n > 1 {
-			fmt.Fprintf(&b, " [x%d]", n)
-		}
-		b.WriteByte('\n')
-	}
-	return os.WriteFile(path, []byte(b.String()), 0o644)
-}
-
 // --- shared type helpers ----------------------------------------------------------
 
 // calleeFunc resolves the function or method a call dispatches to, or
@@ -504,7 +382,7 @@ func isNamed(t types.Type, pkgPath, name string) bool {
 }
 
 // exprText renders a short source-ish form of an expression for
-// messages, without line numbers so baseline keys stay stable.
+// messages.
 func exprText(e ast.Expr) string {
 	switch e := e.(type) {
 	case *ast.Ident:

@@ -1,11 +1,13 @@
 package lint
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -596,7 +598,15 @@ func LockGraphDOT(pkgs []*Package, cfg Config) string {
 			fmt.Fprintf(&b, "\t%q [label=%q, style=dashed];\n", c.String(), c.owner)
 		}
 	}
-	for _, e := range a.edges {
+	// Edges in (from, to, file, line) order, so one commit's graph is one
+	// file, byte for byte, and two commits' graphs diff line by line.
+	edges := slices.Clone(a.edges)
+	slices.SortFunc(edges, func(x, y *lockEdge) int {
+		px, py := prog.fset.Position(x.pos), prog.fset.Position(y.pos)
+		return cmp.Or(cmp.Compare(x.from.String(), y.from.String()), cmp.Compare(x.to.String(), y.to.String()),
+			cmp.Compare(px.Filename, py.Filename), cmp.Compare(px.Line, py.Line))
+	})
+	for _, e := range edges {
 		pos := prog.fset.Position(e.pos)
 		attrs := fmt.Sprintf("label=\"%s:%d\"", filepath.Base(pos.Filename), pos.Line)
 		if e.from.ranked && e.to.ranked && e.to.level <= e.from.level {

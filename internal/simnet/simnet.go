@@ -86,12 +86,16 @@ func New(clk *clock.Clock, latency time.Duration) *Network {
 // The closed interval [0,1] is accepted: p == 1 is a full blackhole, a
 // legitimate fault-injection setting.
 func (n *Network) SetLoss(p float64) {
-	if p < 0 || p > 1 {
-		panic(fmt.Sprintf("simnet: loss probability %v out of [0,1]", p))
-	}
+	checkLoss(p)
 	n.mu.Lock()
 	n.loss = p
 	n.mu.Unlock()
+}
+
+func checkLoss(p float64) {
+	if p < 0 || p > 1 {
+		panic(fmt.Sprintf("simnet: loss probability %v out of [0,1]", p))
+	}
 }
 
 // SetLatency changes the one-way propagation latency (fault injection: a
@@ -180,6 +184,7 @@ type Endpoint struct {
 	bps      float64
 	up       bool
 	handler  Handler
+	loss     float64 // this link's own drop probability, on top of the fabric's
 	txFreeAt time.Duration
 	rxFreeAt time.Duration
 	stats    Stats
@@ -196,6 +201,16 @@ func (e *Endpoint) OnReceive(h Handler) { e.handler = h }
 func (e *Endpoint) SetUp(up bool) {
 	e.net.mu.Lock()
 	e.up = up
+	e.net.mu.Unlock()
+}
+
+// SetLoss sets the probability that a packet addressed to this endpoint is
+// lost on its own link, independently of the fabric's loss (Network.SetLoss)
+// — a flaky NIC, or one job's lossy links on a fabric others share.
+func (e *Endpoint) SetLoss(p float64) {
+	checkLoss(p)
+	e.net.mu.Lock()
+	e.loss = p
 	e.net.mu.Unlock()
 }
 
@@ -233,7 +248,7 @@ func (e *Endpoint) Send(dst Addr, payload any, size int) time.Duration {
 	e.stats.TxPackets++
 	e.stats.TxBytes += int64(size)
 	target := n.eps[dst]
-	drop := target == nil || n.rng.Float64() < n.loss
+	drop := target == nil || n.lostLocked(target)
 	pkt := Packet{Src: e.addr, Dst: dst, Payload: payload, Size: size}
 	n.scheduleDeliveryLocked(target, pkt, txDone, drop)
 	n.mu.Unlock()
@@ -260,11 +275,19 @@ func (e *Endpoint) Multicast(group string, payload any, size int) time.Duration 
 			continue
 		}
 		target := n.eps[addr]
-		drop := target == nil || n.rng.Float64() < n.loss
+		drop := target == nil || n.lostLocked(target)
 		n.scheduleDeliveryLocked(target, pkt, txDone, drop)
 	}
 	n.mu.Unlock()
 	return txDone
+}
+
+// lostLocked draws whether a packet to target is lost: one draw a packet,
+// against the fabric's loss and the target link's combined as independent
+// drops. Either alone is exactly itself, so a fabric whose loss sits on the
+// endpoints draws and drops as if it sat on the fabric.
+func (n *Network) lostLocked(target *Endpoint) bool {
+	return n.rng.Float64() < n.loss+target.loss*(1-n.loss)
 }
 
 // reserveTxLocked serializes a transmission on the uplink and returns its

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -169,6 +170,34 @@ func TestLossDropsFraction(t *testing.T) {
 	}
 	if int64(got)+b.Stats().Dropped != sent {
 		t.Fatalf("got %d + dropped %d != sent %d", got, b.Stats().Dropped, sent)
+	}
+}
+
+// TestEndpointLossDrawsAsFabricLoss: loss on the receiving endpoint alone
+// drops exactly the packets the same loss on the fabric alone drops, one
+// draw a packet either way, and the two together drop as independent losses.
+func TestEndpointLossDrawsAsFabricLoss(t *testing.T) {
+	delivered := func(fabric, link float64) (got []int) {
+		clk := clock.New()
+		net := New(clk, 0)
+		net.Seed(42)
+		net.SetLoss(fabric)
+		a := net.Attach("a", GigE)
+		b := net.Attach("b", GigE)
+		b.SetLoss(link)
+		b.OnReceive(func(p Packet) { got = append(got, p.Payload.(int)) })
+		for i := 0; i < 2000; i++ {
+			a.Send("b", i, 100)
+		}
+		clk.RunUntilIdle()
+		return got
+	}
+	onFabric, onLink := delivered(0.3, 0), delivered(0, 0.3)
+	if !slices.Equal(onFabric, onLink) {
+		t.Fatalf("loss 0.3 on the link delivered %d packets, on the fabric %d, or other ones", len(onLink), len(onFabric))
+	}
+	if frac := float64(len(delivered(0.2, 0.25))) / 2000; frac < 0.55 || frac > 0.65 {
+		t.Fatalf("delivered fraction %.3f with fabric loss 0.2 and link loss 0.25, want ≈0.6", frac)
 	}
 }
 
